@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import datetime
+import math
 import os
 import sys
 
@@ -109,6 +110,16 @@ def _parse_range(text):
     except ValueError as exc:
         raise ingest.IngestError(
             f"bad range {text!r}; expected LO,HI") from exc
+
+
+def _finite_float(text):
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return value
 
 
 def cmd_evaluate(args) -> int:
@@ -224,7 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="suppress timestamps for byte-stable output")
     p_eval.add_argument("--mode", choices=("agent", "display", "both"),
                         default="both")
-    p_eval.add_argument("--composition-reference", type=float,
+    p_eval.add_argument("--composition-reference", type=_finite_float,
                         help="reference share for the composition audit")
     p_eval.add_argument("--composition-range", default="-0.05,0.05",
                         metavar="LO,HI",

@@ -13,8 +13,10 @@ with a human-readable reason.
 from __future__ import annotations
 
 import math
-from collections import defaultdict
+from array import array
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Iterable, Optional
 
 PRIVILEGED = "privileged"
@@ -41,12 +43,44 @@ class Record:
             raise ValueError(f"score {self.score} outside [0, 1]")
 
 
-@dataclass(frozen=True)
 class GroupedPredictions:
-    records: tuple
+    """Predictions reduced to a lossless tally of cells.
+
+    A cell is `(group, predicted, actual, legitimate)` and holds
+    `[unscored row count, array('d') of scores]`, so the rows can be
+    rebuilt exactly (up to order). The cells are reduced once, at
+    construction, into `summary`; every metric reads only the summary.
+    """
+
+    __slots__ = ("cells", "summary")
 
     def __init__(self, records: Iterable[Record]):
-        object.__setattr__(self, "records", tuple(records))
+        cells = {}
+        for r in records:
+            cell = tally_cell(cells, (r.group, r.predicted, r.actual, r.legitimate))
+            if r.score is None:
+                cell[0] += 1
+            else:
+                cell[1].append(r.score)
+        self._finish(cells)
+
+    @classmethod
+    def from_cells(cls, cells: dict) -> "GroupedPredictions":
+        """Wrap validated cells built with `tally_cell`; they are not copied."""
+        gp = cls.__new__(cls)
+        gp._finish(cells)
+        return gp
+
+    def _finish(self, cells):
+        self.cells = cells
+        self.summary = PredictionSummary.of(cells)
+
+    @property
+    def records(self) -> tuple:
+        """The rows as Records, rebuilt cell by cell."""
+        return tuple(chain.from_iterable(
+            [Record(g, p, a, None, l)] * unscored + [Record(g, p, a, s, l) for s in scores]
+            for (g, p, a, l), (unscored, scores) in self.cells.items()))
 
     def by_group(self, group: str):
         return [r for r in self.records if r.group == group]
@@ -54,10 +88,49 @@ class GroupedPredictions:
     def swapped(self) -> "GroupedPredictions":
         """Same data with the privileged/unprivileged assignment flipped."""
         flip = {PRIVILEGED: UNPRIVILEGED, UNPRIVILEGED: PRIVILEGED}
-        return GroupedPredictions(
-            Record(flip[r.group], r.predicted, r.actual, r.score, r.legitimate)
-            for r in self.records
-        )
+        return GroupedPredictions.from_cells(
+            {(flip[g], p, a, l): cell for (g, p, a, l), cell in self.cells.items()})
+
+
+def tally_cell(cells: dict, key: tuple) -> list:
+    """The cell for a validated key, created empty if new.
+
+    A cell is `[unscored row count, array('d') of scores]`: a reader adds
+    a row with `cell[0] += 1` or `cell[1].append(score)`.
+    """
+    cell = cells.get(key)
+    if cell is None:
+        cell = cells[key] = [0, array("d")]
+    return cell
+
+
+@dataclass(frozen=True)
+class PredictionSummary:
+    """Everything the prediction metrics read, reduced once from the cells."""
+
+    confusion: dict  # group -> ConfusionCounts
+    strata: dict  # legitimate -> {group: [predicted positives, total]}
+    scores: dict  # (group, actual) -> list of score arrays
+    unscored: int  # rows without a score
+
+    @staticmethod
+    def of(cells: dict) -> "PredictionSummary":
+        quadrants = {g: [[0, 0], [0, 0]] for g in GROUPS}  # [predicted][actual]
+        strata = defaultdict(lambda: {g: [0, 0] for g in GROUPS})
+        scores = {(g, a): [] for g in GROUPS for a in (0, 1)}
+        unscored_total = 0
+        for (g, p, a, legitimate), (unscored, cell_scores) in cells.items():
+            n = unscored + len(cell_scores)
+            quadrants[g][p][a] += n
+            stratum = strata[legitimate][g]
+            stratum[0] += p * n
+            stratum[1] += n
+            if cell_scores:
+                scores[g, a].append(cell_scores)
+            unscored_total += unscored
+        confusion = {g: ConfusionCounts(tp=q[1][1], fp=q[1][0], tn=q[0][0], fn=q[0][1])
+                     for g, q in quadrants.items()}
+        return PredictionSummary(confusion, dict(strata), scores, unscored_total)
 
 
 @dataclass(frozen=True)
@@ -138,14 +211,10 @@ def rates(c: ConfusionCounts) -> Rates:
     )
 
 
-def _group_confusions(gp: GroupedPredictions):
-    return {g: confusion(gp.by_group(g)) for g in GROUPS}
-
-
 def _rate_gap(gp: GroupedPredictions, metric_id: str, rate_name: str,
               denominator_desc: str) -> MetricValue:
     """Generic unprivileged-minus-privileged gap for one confusion rate."""
-    cs = _group_confusions(gp)
+    cs = gp.summary.confusion
     rs = {g: rates(cs[g]) for g in GROUPS}
     trace = {
         g: {"counts": cs[g], rate_name: getattr(rs[g], rate_name)}
@@ -177,26 +246,23 @@ def statistical_parity_from_counts(favorable_unpriv: int, total_unpriv: int,
     return MetricValue(mid, p_u - p_p, trace=trace)
 
 
-def _parity_on(gp: GroupedPredictions, metric_id: str, label_of) -> MetricValue:
-    counts = {}
-    for g in GROUPS:
-        recs = gp.by_group(g)
-        counts[g] = (sum(label_of(r) for r in recs), len(recs))
+def _parity_on(gp: GroupedPredictions, metric_id: str, positives_of) -> MetricValue:
+    cs = gp.summary.confusion
     mv = statistical_parity_from_counts(
-        counts[UNPRIVILEGED][0], counts[UNPRIVILEGED][1],
-        counts[PRIVILEGED][0], counts[PRIVILEGED][1])
+        positives_of(cs[UNPRIVILEGED]), cs[UNPRIVILEGED].total,
+        positives_of(cs[PRIVILEGED]), cs[PRIVILEGED].total)
     mv.metric_id = metric_id
     return mv
 
 
 def statistical_parity_difference(gp: GroupedPredictions) -> MetricValue:
     """Favorable-outcome rate gap, computed over actual outcomes."""
-    return _parity_on(gp, "statistical_parity_difference", lambda r: r.actual)
+    return _parity_on(gp, "statistical_parity_difference", lambda c: c.tp + c.fn)
 
 
 def equal_acceptance_rate_gap(gp: GroupedPredictions) -> MetricValue:
     """Positive-decision rate gap, computed over predicted labels."""
-    return _parity_on(gp, "equal_acceptance_rate", lambda r: r.predicted)
+    return _parity_on(gp, "equal_acceptance_rate", lambda c: c.tp + c.fp)
 
 
 def predictive_parity_gap(gp: GroupedPredictions) -> MetricValue:
@@ -213,7 +279,7 @@ def predictive_equality_gap(gp: GroupedPredictions) -> MetricValue:
 
 def accuracy_equality_gap(gp: GroupedPredictions) -> MetricValue:
     mid = "accuracy_equality"
-    cs = _group_confusions(gp)
+    cs = gp.summary.confusion
     acc = {}
     for g in GROUPS:
         c = cs[g]
@@ -254,7 +320,7 @@ def treatment_equality(gp: GroupedPredictions) -> MetricValue:
     (FN_u * FP_p - FN_p * FP_u) / max(1, FN_u * FP_p + FN_p * FP_u) is total
     and stays in [-1, 1] even when a group has FP = 0.
     """
-    cs = _group_confusions(gp)
+    cs = gp.summary.confusion
     a = cs[UNPRIVILEGED].fn * cs[PRIVILEGED].fp
     b = cs[PRIVILEGED].fn * cs[UNPRIVILEGED].fp
     value = (a - b) / max(1, a + b)
@@ -262,20 +328,13 @@ def treatment_equality(gp: GroupedPredictions) -> MetricValue:
     return MetricValue("treatment_equality", value, trace=trace)
 
 
-def conditional_statistical_parity(gp: GroupedPredictions,
-                                   legitimate_values=None) -> MetricValue:
+def conditional_statistical_parity(gp: GroupedPredictions) -> MetricValue:
     """Worst positive-decision rate gap across legitimate-factor strata.
 
     Strata where either group is absent are skipped and listed in the trace.
     """
     mid = "conditional_statistical_parity"
-    strata = defaultdict(lambda: {g: [0, 0] for g in GROUPS})  # [positives, total]
-    for r in gp.records:
-        if legitimate_values is not None and r.legitimate not in legitimate_values:
-            continue
-        cell = strata[r.legitimate][r.group]
-        cell[0] += r.predicted
-        cell[1] += 1
+    strata = gp.summary.strata  # [positives, total] per group
     gaps = {}
     skipped = []
     for stratum in sorted(strata, key=lambda s: ("", s) if s is None else (str(s), "")):
@@ -293,11 +352,19 @@ def conditional_statistical_parity(gp: GroupedPredictions,
 
 
 def _require_scores(gp: GroupedPredictions, metric_id: str):
-    missing = sum(1 for r in gp.records if r.score is None)
+    missing = gp.summary.unscored
     if missing:
         return MetricValue.undefined(
             metric_id, f"{missing} record(s) lack scores required by this metric")
     return None
+
+
+def _bin_counts(score_arrays, bins: int) -> Counter:
+    """Rows per equal-width bin; a score of exactly 1 joins the top bin."""
+    counts = Counter(map(int, map(float(bins).__mul__, chain.from_iterable(score_arrays))))
+    if bins in counts:
+        counts[bins - 1] += counts.pop(bins)
+    return counts
 
 
 def calibration_gap(gp: GroupedPredictions, bins: int = 10) -> MetricValue:
@@ -312,11 +379,11 @@ def calibration_gap(gp: GroupedPredictions, bins: int = 10) -> MetricValue:
     if problem:
         return problem
     tally = defaultdict(lambda: {g: [0, 0] for g in GROUPS})  # [positives, total]
-    for r in gp.records:
-        b = min(int(r.score * bins), bins - 1)
-        cell = tally[b][r.group]
-        cell[0] += r.actual
-        cell[1] += 1
+    for (g, actual), arrays in gp.summary.scores.items():
+        for b, n in _bin_counts(arrays, bins).items():
+            cell = tally[b][g]
+            cell[0] += actual * n
+            cell[1] += n
     per_bin = {}
     skipped = []
     for b in sorted(tally):
@@ -338,12 +405,13 @@ def _balance_gap(gp: GroupedPredictions, metric_id: str, actual_class: int) -> M
         return problem
     means = {}
     for g in GROUPS:
-        scores = [r.score for r in gp.by_group(g) if r.actual == actual_class]
-        if not scores:
+        arrays = gp.summary.scores[g, actual_class]
+        n = sum(map(len, arrays))
+        if not n:
             cls = "positives" if actual_class == 1 else "negatives"
             return MetricValue.undefined(metric_id, f"{g} group has no actual {cls}")
-        # fsum keeps the mean independent of record order
-        means[g] = math.fsum(scores) / len(scores)
+        # fsum is exactly rounded, so the mean does not depend on row order
+        means[g] = math.fsum(chain.from_iterable(arrays)) / n
     trace = {g: {"mean_score": means[g]} for g in GROUPS}
     return MetricValue(metric_id, means[UNPRIVILEGED] - means[PRIVILEGED], trace=trace)
 
@@ -362,8 +430,6 @@ def balance_negative_gap(gp: GroupedPredictions) -> MetricValue:
 class MetricInfo:
     metric_id: str
     compute: object  # callable(gp, constraint) -> MetricValue
-    needs_predictions: bool = True
-    needs_scores: bool = False
     dataset_level: bool = False
 
 
@@ -373,8 +439,7 @@ def _mk_registry():
 
     entries = [
         MetricInfo("statistical_parity_difference",
-                   plain(statistical_parity_difference),
-                   needs_predictions=False, dataset_level=True),
+                   plain(statistical_parity_difference), dataset_level=True),
         MetricInfo("equal_acceptance_rate", plain(equal_acceptance_rate_gap)),
         MetricInfo("predictive_parity", plain(predictive_parity_gap)),
         MetricInfo("equal_opportunity", plain(equal_opportunity_gap)),
@@ -386,10 +451,9 @@ def _mk_registry():
         MetricInfo("conditional_statistical_parity",
                    plain(conditional_statistical_parity)),
         MetricInfo("calibration",
-                   lambda gp, c: calibration_gap(gp, c.bins if c else 10),
-                   needs_scores=True),
-        MetricInfo("balance_positive", plain(balance_positive_gap), needs_scores=True),
-        MetricInfo("balance_negative", plain(balance_negative_gap), needs_scores=True),
+                   lambda gp, c: calibration_gap(gp, c.bins if c else 10)),
+        MetricInfo("balance_positive", plain(balance_positive_gap)),
+        MetricInfo("balance_negative", plain(balance_negative_gap)),
     ]
     return {e.metric_id: e for e in entries}
 

@@ -7,14 +7,17 @@ excluded during group binding are counted, never silently dropped.
 from __future__ import annotations
 
 import csv
+from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Optional
 
 from .fairness import (
     PRIVILEGED,
     UNPRIVILEGED,
     GroupedPredictions,
-    Record,
+    tally_cell,
 )
 from .intervals import Interval
 
@@ -47,41 +50,62 @@ def read_dataset(source, provenance: str = "") -> Dataset:
     `source` is a path or a text stream. Ragged rows are an error naming
     the offending row number (header is row 1).
     """
+    if not hasattr(source, "read"):
+        provenance = provenance or str(source)
+    with _csv_table(source) as (columns, rows):
+        return Dataset(columns, tuple([tuple(row) for _, row in rows]), provenance)
+
+
+@contextmanager
+def _csv_table(source):
+    """Open a CSV path or text stream as `(columns, rows)`.
+
+    `rows` yields `(row number, cells)` for each non-blank row, the header
+    being row 1. A missing or repeated header name, a ragged row, a
+    malformed row and invalid UTF-8 raise IngestError, for the first bad
+    row in file order.
+    """
     if hasattr(source, "read"):
-        return _read_dataset_stream(source, provenance)
+        yield _csv_stream(source)
+        return
     try:
         with open(source, newline="", encoding="utf-8") as fh:
-            return _read_dataset_stream(fh, provenance or str(source))
+            yield _csv_stream(fh)
     except OSError as exc:
         raise IngestError(f"cannot read {source}: {exc.strerror}") from exc
-    except UnicodeDecodeError as exc:
-        raise IngestError(f"{source} is not valid UTF-8: {exc}") from exc
 
 
-def _read_dataset_stream(fh, provenance: str) -> Dataset:
+def _csv_stream(fh):
     reader = csv.reader(fh)
     try:
-        header = next(reader)
-    except StopIteration:
-        raise IngestError("missing header row") from None
+        header = next(reader, None)
     except UnicodeDecodeError as exc:
         raise IngestError(f"input is not valid UTF-8: {exc}") from exc
+    except csv.Error as exc:
+        raise IngestError(f"row 1: {exc}") from exc
     if not header or all(not c.strip() for c in header):
         raise IngestError("missing header row")
     columns = tuple(c.strip() for c in header)
-    rows = []
+    repeated = [name for name, n in Counter(columns).items() if n > 1]
+    if repeated:
+        raise IngestError(f"row 1: column {repeated[0]!r} appears more than once")
+    return columns, _csv_rows(reader, len(columns))
+
+
+def _csv_rows(reader, width: int):
+    rownum = 1
     try:
         for rownum, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(columns):
+            if len(row) != width:
+                if not row:
+                    continue
                 raise IngestError(
-                    f"row {rownum}: expected {len(columns)} cells, "
-                    f"got {len(row)}")
-            rows.append(tuple(row))
+                    f"row {rownum}: expected {width} cells, got {len(row)}")
+            yield rownum, row
     except UnicodeDecodeError as exc:
         raise IngestError(f"input is not valid UTF-8: {exc}") from exc
-    return Dataset(columns, tuple(rows), provenance)
+    except csv.Error as exc:
+        raise IngestError(f"row {rownum + 1}: {exc}") from exc
 
 
 def write_dataset(ds: Dataset, fh) -> None:
@@ -146,44 +170,64 @@ def read_predictions(source, privileged_label: str = PRIVILEGED,
     """Read a prediction CSV with columns group,predicted,actual[,score,legitimate].
 
     Group values must equal the given labels (a policy's privileged and
-    unprivileged values, or the literal defaults).
+    unprivileged values, or the literal defaults). Rows stream into a
+    tally of cells; memory grows with the distinct cells plus one float
+    per scored row.
     """
-    ds = read_dataset(source)
-    for col in PREDICTION_COLUMNS:
-        if col not in ds.columns:
-            raise IngestError(f"predictions are missing column {col!r}")
-    g = ds.column_index("group")
-    d = ds.column_index("predicted")
-    y = ds.column_index("actual")
-    s = ds.columns.index("score") if "score" in ds.columns else None
-    l = ds.columns.index("legitimate") if "legitimate" in ds.columns else None
     mapping = {privileged_label: PRIVILEGED, unprivileged_label: UNPRIVILEGED}
+    cells = {}
+    # Each distinct raw text is validated once: the group/predicted/actual
+    # cells into `heads`, and with the legitimate cell into `by_text`.
+    heads = {}
+    by_text = {}
 
-    records = []
-    for rownum, row in enumerate(ds.rows, start=2):
-        group = mapping.get(row[g].strip())
+    def validated_head(rownum, text):
+        group = mapping.get(text[0].strip())
         if group is None:
             raise IngestError(
-                f"row {rownum}: group {row[g]!r} is neither "
+                f"row {rownum}: group {text[0]!r} is neither "
                 f"{privileged_label!r} nor {unprivileged_label!r}")
         try:
-            predicted = _binary(row[d])
-            actual = _binary(row[y])
+            predicted = _binary(text[1])
+            actual = _binary(text[2])
         except ValueError as exc:
             raise IngestError(f"row {rownum}: {exc}") from exc
-        score = None
-        if s is not None and row[s].strip() != "":
+        head = heads[text] = (group, predicted, actual)
+        return head
+
+    def new_cell(rownum, text):
+        head = heads.get(text[:3]) or validated_head(rownum, text[:3])
+        legitimate = text[3] if len(text) == 4 and text[3].strip() != "" else None
+        cell = by_text[text] = tally_cell(cells, head + (legitimate,))
+        return cell
+
+    with _csv_table(source) as (columns, rows):
+        for col in PREDICTION_COLUMNS:
+            if col not in columns:
+                raise IngestError(f"predictions are missing column {col!r}")
+        key_columns = PREDICTION_COLUMNS + (
+            ("legitimate",) if "legitimate" in columns else ())
+        key_of = itemgetter(*(columns.index(c) for c in key_columns))
+        s = columns.index("score") if "score" in columns else None
+        for rownum, row in rows:
+            text = key_of(row)
+            cell = by_text.get(text) or new_cell(rownum, text)
+            if s is None:
+                cell[0] += 1
+                continue
             try:
                 score = float(row[s])
             except ValueError:
-                raise IngestError(
-                    f"row {rownum}: score {row[s]!r} is not a number") from None
+                if row[s].strip() != "":
+                    raise IngestError(
+                        f"row {rownum}: score {row[s]!r} is not a number") from None
+                cell[0] += 1
+                continue
             if not 0.0 <= score <= 1.0:
                 raise IngestError(
                     f"row {rownum}: score {score} outside [0, 1]")
-        legitimate = row[l] if l is not None and row[l].strip() != "" else None
-        records.append(Record(group, predicted, actual, score, legitimate))
-    return GroupedPredictions(records)
+            cell[1].append(score)
+    return GroupedPredictions.from_cells(cells)
 
 
 def _binary(cell: str) -> int:

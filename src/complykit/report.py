@@ -11,6 +11,7 @@ text and JSON.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -248,6 +249,8 @@ def _json_value(v) -> str:
     if isinstance(v, int):
         return str(v)
     if isinstance(v, float):
+        if not math.isfinite(v):
+            raise ValueError(f"JSON has no encoding for the float {v!r}")
         return format(v, ".17g")
     if isinstance(v, str):
         out = ['"']

@@ -4,7 +4,6 @@ Run with `pytest tests/test_acceptance.py -s` to see the per-criterion
 lines as they pass.
 """
 
-import json
 import random
 
 import pytest
@@ -41,6 +40,7 @@ from complykit.policy import (
     serialize_policy,
 )
 from conftest import SCENARIO1_POLICY, random_document
+from schema_check import validate_report
 
 TABLE_MATRIX = PayoffMatrix(
     ["High", "Average", "Short"],
@@ -275,5 +275,5 @@ def test_criterion_10_determinism(scenario1_dir, capsys):
         blobs.append(json_path.read_bytes())
     assert outputs[0] == outputs[1]
     assert blobs[0] == blobs[1]
-    json.loads(blobs[0])  # stays parseable
+    validate_report(blobs[0])  # strict JSON matching the report schema
     _passed(10, "two deterministic runs produced byte-identical text and JSON")

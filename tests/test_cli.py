@@ -4,6 +4,7 @@ import pytest
 
 from complykit.cli import main
 from conftest import SCENARIO1_POLICY
+from schema_check import validate_report
 
 SMALL_DATASET = (
     "sex,occupation\n"
@@ -25,6 +26,14 @@ MATRIX_CSV = (
     "Average,-1,1,1\n"
     "Short,-1,-1,1\n"
 )
+
+
+@pytest.fixture(autouse=True)
+def reports_match_schema(tmp_path):
+    """Every JSON report a test here writes must match the report schema."""
+    yield
+    for path in sorted(tmp_path.rglob("*.json")):
+        validate_report(path.read_bytes())
 
 
 @pytest.fixture
@@ -141,6 +150,51 @@ class TestEvaluate:
         out = capsys.readouterr().out
         assert code == 0
         assert "equalized_odds" in out
+
+
+    def test_nonfinite_composition_reference_exit_two(self, workdir, capsys):
+        for value in ("nan", "inf", "-inf"):
+            code = main(["evaluate", str(workdir / "policy.law"),
+                         "--dataset", str(workdir / "data.csv"),
+                         "--json", str(workdir / "report.json"),
+                         f"--composition-reference={value}"])
+            assert code == 2
+            assert "must be finite" in capsys.readouterr().err
+            assert not (workdir / "report.json").exists()
+
+    def test_oversized_csv_field_exit_two(self, workdir, capsys):
+        big = "x" * 200_000
+        (workdir / "big.csv").write_text(
+            f"sex,occupation\nMale,Other\nFemale,{big}\n")
+        code = main(["evaluate", str(workdir / "policy.law"),
+                     "--dataset", str(workdir / "big.csv")])
+        assert code == 2
+        assert "row 3: field larger than field limit" in capsys.readouterr().err
+
+        (workdir / "big-preds.csv").write_text(
+            f"group,predicted,actual,legitimate\nMale,1,1,{big}\n")
+        code = main(["evaluate", str(workdir / "policy.law"),
+                     "--dataset", str(workdir / "data.csv"),
+                     "--predictions", str(workdir / "big-preds.csv")])
+        assert code == 2
+        assert "row 2: field larger than field limit" in capsys.readouterr().err
+
+    def test_repeated_header_exit_two(self, workdir, capsys):
+        (workdir / "dup.csv").write_text(
+            "sex,occupation,sex\nMale,Other,Female\n")
+        code = main(["evaluate", str(workdir / "policy.law"),
+                     "--dataset", str(workdir / "dup.csv")])
+        assert code == 2
+        assert "column 'sex' appears more than once" in capsys.readouterr().err
+
+        (workdir / "dup-preds.csv").write_text(
+            "group,predicted,actual,actual\nMale,1,1,0\n")
+        code = main(["evaluate", str(workdir / "policy.law"),
+                     "--dataset", str(workdir / "data.csv"),
+                     "--predictions", str(workdir / "dup-preds.csv")])
+        assert code == 2
+        assert "column 'actual' appears more than once" in \
+            capsys.readouterr().err
 
 
 class TestDecide:

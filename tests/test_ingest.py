@@ -58,6 +58,23 @@ class TestReadDataset:
         with pytest.raises(IngestError):
             read_dataset(tmp_path / "nope.csv")
 
+    def test_repeated_header_name(self):
+        with pytest.raises(IngestError, match="'b' appears more than once"):
+            read_dataset(io.StringIO("a,b, b\n1,2,3\n"))
+
+    def test_csv_error_names_its_row(self):
+        big = "x" * 200_000
+        with pytest.raises(IngestError, match="row 3: field larger"):
+            read_dataset(io.StringIO(f"a\n1\n{big}\n"))
+        with pytest.raises(IngestError, match="row 1: field larger"):
+            read_dataset(io.StringIO(f"{big}\n"))
+
+    def test_blank_rows_skipped_but_numbered(self):
+        ds = read_dataset(io.StringIO("a,b\n\n1,2\n\n"))
+        assert ds.rows == (("1", "2"),)
+        with pytest.raises(IngestError, match="row 4"):
+            read_dataset(io.StringIO("a,b\n\n1,2\n3\n"))
+
     @given(st.lists(
         st.lists(st.text(alphabet='ab,"\n x', max_size=6), min_size=2,
                  max_size=2),
@@ -140,6 +157,43 @@ class TestReadPredictions:
         csv_text = "group,predicted,actual\nprivileged,2,1\n"
         with pytest.raises(IngestError, match="row 2"):
             read_predictions(io.StringIO(csv_text))
+
+    def test_first_bad_row_in_file_order(self):
+        csv_text = ("group,predicted,actual\n"
+                    "privileged,1,1\n"
+                    "mystery,1,1\n"
+                    "privileged,1\n")
+        with pytest.raises(IngestError, match="row 3: group 'mystery'"):
+            read_predictions(io.StringIO(csv_text))
+
+    def test_blank_rows_keep_row_numbers(self):
+        csv_text = "group,predicted,actual\n\nprivileged,2,1\n"
+        with pytest.raises(IngestError, match="row 3: label '2'"):
+            read_predictions(io.StringIO(csv_text))
+
+    def test_known_text_is_validated_per_row(self):
+        # the same group/label text, once valid, may not hide a bad score
+        csv_text = ("group,predicted,actual,score\n"
+                    "privileged,1,1,0.5\n"
+                    "privileged,1,1,high\n")
+        with pytest.raises(IngestError, match="row 3: score 'high'"):
+            read_predictions(io.StringIO(csv_text))
+
+    def test_padded_text_shares_a_cell(self):
+        csv_text = ("group,predicted,actual,score,legitimate\n"
+                    "privileged,1,1,0.25,a\n"
+                    " privileged , 1,1 , 0.75,a\n"
+                    "privileged,1,1, ,\n"
+                    "privileged,1,1,,  \n")
+        gp = read_predictions(io.StringIO(csv_text))
+        assert {k: (n, list(s)) for k, (n, s) in gp.cells.items()} == {
+            (PRIVILEGED, 1, 1, "a"): (0, [0.25, 0.75]),
+            (PRIVILEGED, 1, 1, None): (2, []),
+        }
+
+    def test_missing_file(self, tmp_path):
+        with pytest.raises(IngestError, match="cannot read"):
+            read_predictions(tmp_path / "absent.csv")
 
     def test_unknown_group(self):
         csv_text = "group,predicted,actual\nmystery,1,1\n"

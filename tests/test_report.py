@@ -17,6 +17,7 @@ from complykit.report import (
     to_json,
 )
 from conftest import SCENARIO1_POLICY
+from schema_check import validate_report
 
 SPD_POLICY = parse_policy(
     'policy "p" { metric statistical_parity_difference '
@@ -172,3 +173,19 @@ class TestToJson:
         obj = json.loads(to_json(report))
         assert obj["strategy"]["action"] == "hi"
         assert obj["strategy"]["scores"] == [1.0, 0.0]
+
+    def test_nonfinite_floats_refused(self):
+        doc = parse_policy(SCENARIO1_POLICY)
+        for value in (float("nan"), float("inf"), float("-inf")):
+            audit = composition_audit(["F", "M"], "F", value,
+                                      Interval(-0.05, 0.05))
+            report = evaluate(doc, [ADULT_SPD], audit=audit)
+            with pytest.raises(ValueError, match="no encoding"):
+                to_json(report)
+
+    def test_matches_schema(self):
+        doc = parse_policy(SCENARIO1_POLICY)
+        audit = composition_audit(["F"] * 3 + ["M"] * 17, "F", 0.4975,
+                                  Interval(-0.05, 0.05))
+        validate_report(to_json(evaluate(doc, [ADULT_SPD], audit=audit,
+                                         strategy=wald(doc.decision.payoffs))))

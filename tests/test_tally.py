@@ -1,0 +1,179 @@
+"""Property tests for the prediction tally.
+
+`read_predictions` streams CSV rows into per-cell tallies and
+`GroupedPredictions(records)` builds the same tally from Records; both
+must describe exactly the rows they were given, and every metric must
+read the same from either.
+"""
+
+import csv
+import io
+import math
+import random
+from collections import Counter
+
+from hypothesis import given
+from hypothesis import strategies as st
+
+from complykit.fairness import (
+    GROUPS,
+    METRIC_REGISTRY,
+    PRIVILEGED,
+    UNPRIVILEGED,
+    GroupedPredictions,
+    Record,
+    balance_negative_gap,
+    balance_positive_gap,
+    confusion,
+)
+from complykit.ingest import read_predictions
+from complykit.intervals import Interval
+from complykit.policy import MetricConstraint, PolicyDocument
+from complykit.report import evaluate, render, to_json
+
+FLIP = {PRIVILEGED: UNPRIVILEGED, UNPRIVILEGED: PRIVILEGED}
+LABELS = {PRIVILEGED: "Male", UNPRIVILEGED: "Female"}
+
+pad = st.sampled_from(("", " ", "  "))
+score = st.one_of(
+    st.none(),
+    st.sampled_from((0.0, 1.0, 0.5, 5e-324, 0.1 + 0.2 - 0.3)),
+    st.floats(0, 1, allow_nan=False))
+legitimate = st.sampled_from(("", " ", "a", "b", " a", "b c", "None"))
+
+
+@st.composite
+def csv_rows(draw):
+    """(Record, CSV cells) pairs; the cells carry padding the reader strips."""
+    group = draw(st.sampled_from(GROUPS))
+    predicted = draw(st.integers(0, 1))
+    actual = draw(st.integers(0, 1))
+    s = draw(score)
+    legit = draw(legitimate)
+    record = Record(group, predicted, actual, s,
+                    legit if legit.strip() else None)
+    cells = [draw(pad) + LABELS[group] + draw(pad),
+             draw(pad) + str(predicted), str(actual) + draw(pad),
+             draw(pad) if s is None else repr(s),
+             legit]
+    return record, cells
+
+
+row_lists = st.lists(csv_rows(), max_size=40)
+
+
+def _csv_text(rows):
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["group", "predicted", "actual", "score", "legitimate"])
+    writer.writerows(cells for _, cells in rows)
+    return buf.getvalue()
+
+
+def _read(rows):
+    return read_predictions(io.StringIO(_csv_text(rows)),
+                            privileged_label="Male",
+                            unprivileged_label="Female")
+
+
+def _report(gp, bins):
+    doc = PolicyDocument(name="tally", metrics=tuple(
+        MetricConstraint(mid, Interval(-1, 1), bins)
+        for mid in METRIC_REGISTRY))
+    metrics = {c.metric_id: METRIC_REGISTRY[c.metric_id].compute(gp, c)
+               for c in doc.metrics}
+    report = evaluate(doc, metrics)
+    return metrics, render(report, "display"), to_json(report)
+
+
+@given(row_lists, st.integers(2, 12))
+def test_csv_and_records_agree_on_every_metric(rows, bins):
+    from_csv = _read(rows)
+    from_records = GroupedPredictions(r for r, _ in rows)
+    metrics_csv, text_csv, json_csv = _report(from_csv, bins)
+    metrics_rec, text_rec, json_rec = _report(from_records, bins)
+    for mid in METRIC_REGISTRY:
+        assert metrics_csv[mid].value == metrics_rec[mid].value
+        assert metrics_csv[mid].reason == metrics_rec[mid].reason
+    assert text_csv == text_rec
+    assert json_csv == json_rec
+
+
+@given(row_lists)
+def test_records_rebuild_the_input_rows(rows):
+    expected = Counter(r for r, _ in rows)
+    assert Counter(_read(rows).records) == expected
+    gp = GroupedPredictions(r for r, _ in rows)
+    assert Counter(gp.records) == expected
+    for g in GROUPS:
+        assert Counter(gp.by_group(g)) == Counter(
+            r for r, _ in rows if r.group == g)
+        assert gp.summary.confusion[g] == confusion(
+            r for r, _ in rows if r.group == g)
+
+
+@given(row_lists)
+def test_swapped_equals_swapping_each_record(rows):
+    gp = GroupedPredictions(r for r, _ in rows)
+    one_by_one = GroupedPredictions(
+        Record(FLIP[r.group], r.predicted, r.actual, r.score, r.legitimate)
+        for r, _ in rows)
+    assert Counter(gp.swapped().records) == Counter(one_by_one.records)
+    assert _report(gp.swapped(), 10)[1:] == _report(one_by_one, 10)[1:]
+
+
+@given(st.lists(st.tuples(st.sampled_from(GROUPS), st.integers(0, 1),
+                          st.floats(0, 1, allow_nan=False)),
+                min_size=1, max_size=60),
+       st.integers(0, 2 ** 32 - 1))
+def test_balance_means_are_fsum_of_the_scores(rows, seed):
+    shuffled = list(rows)
+    random.Random(seed).shuffle(shuffled)
+    for order in (rows, shuffled):
+        gp = GroupedPredictions(Record(g, 0, a, s) for g, a, s in order)
+        for actual, metric in ((1, balance_positive_gap),
+                               (0, balance_negative_gap)):
+            mv = metric(gp)
+            scores = {g: [s for h, a, s in rows if h == g and a == actual]
+                      for g in GROUPS}
+            assert mv.is_defined == all(scores.values())
+            if mv.is_defined:
+                for g in GROUPS:
+                    assert mv.trace[g]["mean_score"] == \
+                        math.fsum(scores[g]) / len(scores[g])
+
+
+def _per_record_gaps(records, key_of, positive_of, sort_key=None):
+    """The row-scanning reference: rate gap per key, and the skipped keys."""
+    tally = {}
+    for r in records:
+        cell = tally.setdefault(key_of(r), {g: [0, 0] for g in GROUPS})
+        cell[r.group][0] += positive_of(r)
+        cell[r.group][1] += 1
+    gaps, skipped = {}, []
+    for key in sorted(tally, key=sort_key):
+        c = tally[key]
+        if any(c[g][1] == 0 for g in GROUPS):
+            skipped.append(key)
+        else:
+            gaps[key] = (c[UNPRIVILEGED][0] / c[UNPRIVILEGED][1]
+                         - c[PRIVILEGED][0] / c[PRIVILEGED][1])
+    return gaps, skipped
+
+
+@given(row_lists, st.integers(2, 12))
+def test_strata_and_bins_match_a_row_scan(rows, bins):
+    records = [r for r, _ in rows]
+    gp = GroupedPredictions(records)
+    strata = METRIC_REGISTRY["conditional_statistical_parity"].compute(gp, None)
+    assert (strata.trace["per_stratum_gap"], strata.trace["skipped_strata"]) \
+        == _per_record_gaps(
+            records, lambda r: r.legitimate, lambda r: r.predicted,
+            lambda k: ("", k) if k is None else (str(k), ""))
+    if any(r.score is None for r in records):
+        return
+    constraint = MetricConstraint("calibration", Interval(-1, 1), bins)
+    cal = METRIC_REGISTRY["calibration"].compute(gp, constraint)
+    assert (cal.trace["per_bin_gap"], cal.trace["skipped_bins"]) == \
+        _per_record_gaps(records, lambda r: min(int(r.score * bins), bins - 1),
+                         lambda r: r.actual)
