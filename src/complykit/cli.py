@@ -13,6 +13,7 @@ import datetime
 import math
 import os
 import sys
+from collections import Counter
 
 from . import decisions, fairness, ingest, policy, report
 
@@ -37,11 +38,6 @@ def _maybe_colorize(text: str) -> str:
     return text
 
 
-def _fail(message: str) -> int:
-    print(message, file=sys.stderr)
-    return EXIT_ERROR
-
-
 def _load_policy(path):
     try:
         with open(path, encoding="utf-8") as fh:
@@ -53,34 +49,27 @@ def _load_policy(path):
     return text, policy.parse_policy(text)
 
 
-def cmd_check(args) -> int:
+def _write_bytes(path, data: bytes) -> None:
     try:
-        _load_policy(args.policy)
-    except policy.PolicyError as exc:
-        for diag in exc.diagnostics:
-            print(f"{args.policy}:{diag}", file=sys.stderr)
-        return EXIT_ERROR
-    except ingest.IngestError as exc:
-        return _fail(str(exc))
+        with open(path, "wb") as fh:
+            fh.write(data)
+    except OSError as exc:
+        raise ingest.IngestError(f"cannot write {path}: {exc.strerror}") from exc
+
+
+def cmd_check(args) -> int:
+    _load_policy(args.policy)
     print(f"{args.policy}: ok", file=sys.stderr)
     return EXIT_OK
 
 
 def cmd_fmt(args) -> int:
-    try:
-        original, doc = _load_policy(args.policy)
-    except policy.PolicyError as exc:
-        for diag in exc.diagnostics:
-            print(f"{args.policy}:{diag}", file=sys.stderr)
-        return EXIT_ERROR
-    except ingest.IngestError as exc:
-        return _fail(str(exc))
+    original, doc = _load_policy(args.policy)
     canonical = policy.serialize_policy(doc)
     changed = canonical != original
     if args.write:
         if changed:
-            with open(args.policy, "w", encoding="utf-8") as fh:
-                fh.write(canonical)
+            _write_bytes(args.policy, canonical.encode("utf-8"))
     else:
         sys.stdout.write(canonical)
     return EXIT_VIOLATION if changed else EXIT_OK
@@ -123,56 +112,52 @@ def _finite_float(text):
 
 
 def cmd_evaluate(args) -> int:
-    try:
-        _, doc = _load_policy(args.policy)
-    except policy.PolicyError as exc:
-        for diag in exc.diagnostics:
-            print(f"{args.policy}:{diag}", file=sys.stderr)
-        return EXIT_ERROR
-    except ingest.IngestError as exc:
-        return _fail(str(exc))
+    _, doc = _load_policy(args.policy)
 
-    try:
-        findings = []
-        if args.manifest:
-            manifest = ingest.read_manifest(args.manifest)
-            findings = policy.check_manifest(doc, manifest)
+    findings = []
+    if args.manifest:
+        manifest = ingest.read_manifest(args.manifest)
+        findings = policy.check_manifest(doc, manifest)
 
-        dataset = ingest.read_dataset(args.dataset)
-        bound = None
-        if doc.protected is not None and doc.favorable is not None:
-            bound = ingest.bind_groups(dataset, doc)
-            if bound.excluded:
-                print(f"note: {bound.excluded} row(s) excluded "
-                      "(protected value matched neither group)",
-                      file=sys.stderr)
+    # One pass over the dataset: row counts per (protected, favorable) cell
+    # pair, for the columns the policy declares.
+    names = [spec.attribute for spec in (doc.protected, doc.favorable)
+             if spec is not None]
+    counts = ingest.count_dataset(args.dataset, names)
+    bound = None
+    if doc.protected is not None and doc.favorable is not None:
+        bound = ingest.bind_counts(counts, doc)
+        if bound.excluded:
+            print(f"note: {bound.excluded} row(s) excluded "
+                  "(protected value matched neither group)",
+                  file=sys.stderr)
 
-        gp = None
-        if args.predictions:
-            if doc.protected is not None:
-                gp = ingest.read_predictions(
-                    args.predictions,
-                    privileged_label=doc.protected.privileged_value,
-                    unprivileged_label=doc.protected.unprivileged_value)
-            else:
-                gp = ingest.read_predictions(args.predictions)
+    gp = None
+    if args.predictions:
+        if doc.protected is not None:
+            gp = ingest.read_predictions(
+                args.predictions,
+                privileged_label=doc.protected.privileged_value,
+                unprivileged_label=doc.protected.unprivileged_value)
+        else:
+            gp = ingest.read_predictions(args.predictions)
 
-        metrics = _compute_metrics(doc, bound, gp)
+    metrics = _compute_metrics(doc, bound, gp)
 
-        audit = None
-        if args.composition_reference is not None:
-            if doc.protected is None:
-                raise ingest.IngestError(
-                    "composition audit needs a protected_attribute in the policy")
-            rng = _parse_range(args.composition_range)
-            labels = dataset.column(doc.protected.attribute)
-            audit = ingest.composition_audit(
-                labels, doc.protected.unprivileged_value,
-                args.composition_reference, rng)
+    audit = None
+    if args.composition_reference is not None:
+        if doc.protected is None:
+            raise ingest.IngestError(
+                "composition audit needs a protected_attribute in the policy")
+        rng = _parse_range(args.composition_range)
+        labels = Counter()
+        for key, n in counts.items():
+            labels[key[0]] += n
+        audit = ingest.composition_from_counts(
+            labels, doc.protected.unprivileged_value,
+            args.composition_reference, rng)
 
-        strategy = decisions.decide(doc.decision) if doc.decision else None
-    except (ingest.IngestError, decisions.DecisionError) as exc:
-        return _fail(str(exc))
+    strategy = decisions.decide(doc.decision) if doc.decision else None
 
     created_at = None
     if not args.deterministic:
@@ -183,21 +168,17 @@ def cmd_evaluate(args) -> int:
                              display_mode=args.mode in ("display", "both"),
                              agent_mode=args.mode in ("agent", "both"),
                              created_at=created_at)
-    sys.stdout.write(_maybe_colorize(report.render_auto(result)))
     if args.json:
-        with open(args.json, "wb") as fh:
-            fh.write(report.to_json(result))
+        _write_bytes(args.json, report.to_json(result))
+    sys.stdout.write(_maybe_colorize(report.render_auto(result)))
     if result.overall_status != report.COMPLY:
         return EXIT_VIOLATION
     return EXIT_OK
 
 
 def cmd_decide(args) -> int:
-    try:
-        matrix = decisions.PayoffMatrix.from_csv(args.matrix)
-        choice = decisions.choose(matrix, args.criterion, args.hurwicz_lambda)
-    except (decisions.DecisionError, OSError) as exc:
-        return _fail(str(exc))
+    matrix = decisions.PayoffMatrix.from_csv(args.matrix)
+    choice = decisions.choose(matrix, args.criterion, args.hurwicz_lambda)
     lines = [f"criterion: {choice.criterion}"]
     for label, score in zip(matrix.actions, choice.scores):
         lines.append(f"  {label}: {score!r}")
@@ -268,7 +249,14 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         # argparse exits 2 on bad usage, matching our operational-error code
         return EXIT_ERROR if exc.code else EXIT_OK
-    return args.func(args)
+    try:
+        return args.func(args)
+    except policy.PolicyError as exc:
+        for diag in exc.diagnostics:
+            print(f"{args.policy}:{diag}", file=sys.stderr)
+    except (ingest.IngestError, decisions.DecisionError) as exc:
+        print(exc, file=sys.stderr)
+    return EXIT_ERROR
 
 
 if __name__ == "__main__":

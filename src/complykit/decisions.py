@@ -49,6 +49,11 @@ class PayoffMatrix:
             for v in row:
                 if not math.isfinite(v):
                     raise DecisionError("payoffs must be finite")
+        for state, column in zip(states, zip(*rows)):
+            # keeps every Savage regret (column max - payoff) finite
+            if not math.isfinite(max(column) - min(column)):
+                raise DecisionError(
+                    f"payoffs under state {state!r} span more than a float can hold")
         object.__setattr__(self, "actions", actions)
         object.__setattr__(self, "states", states)
         object.__setattr__(self, "values", rows)
@@ -56,8 +61,15 @@ class PayoffMatrix:
     @classmethod
     def from_csv(cls, path) -> "PayoffMatrix":
         """Read a matrix file: header row = state labels, first column = actions."""
-        with open(path, newline="", encoding="utf-8") as fh:
-            rows = list(csv.reader(fh))
+        try:
+            with open(path, newline="", encoding="utf-8") as fh:
+                rows = list(csv.reader(fh))
+        except OSError as exc:
+            raise DecisionError(f"cannot read {path}: {exc.strerror}") from exc
+        except UnicodeDecodeError as exc:
+            raise DecisionError(f"{path} is not valid UTF-8: {exc}") from exc
+        except csv.Error as exc:
+            raise DecisionError(f"{path}: {exc}") from exc
         if len(rows) < 2 or len(rows[0]) < 2:
             raise DecisionError("matrix file needs a header row and one action row")
         states = [s.strip() for s in rows[0][1:]]

@@ -33,15 +33,35 @@ class Dataset:
     provenance: str = ""
 
     def column_index(self, name: str) -> int:
-        try:
-            return self.columns.index(name)
-        except ValueError:
-            raise IngestError(f"column {name!r} not found; dataset has: "
-                              + ", ".join(self.columns)) from None
+        return _column_index(self.columns, name)
 
     def column(self, name: str):
         idx = self.column_index(name)
         return [row[idx] for row in self.rows]
+
+    def counts(self, *names) -> Counter:
+        """Row counts per tuple of the raw cells in the named columns."""
+        return _count_rows(self.rows, [self.column_index(n) for n in names])
+
+
+def _column_index(columns: tuple, name: str) -> int:
+    try:
+        return columns.index(name)
+    except ValueError:
+        raise IngestError(f"column {name!r} not found; dataset has: "
+                          + ", ".join(columns)) from None
+
+
+def _count_rows(rows, idx) -> Counter:
+    """Row counts per tuple of the cells at positions `idx`."""
+    if len(idx) > 1:
+        return Counter(map(itemgetter(*idx), rows))
+    if idx:
+        # itemgetter of one index returns the bare cell, not a 1-tuple
+        cells = Counter(map(itemgetter(idx[0]), rows))
+        return Counter({(cell,): n for cell, n in cells.items()})
+    n = sum(1 for _ in rows)
+    return Counter({(): n} if n else {})
 
 
 def read_dataset(source, provenance: str = "") -> Dataset:
@@ -54,6 +74,18 @@ def read_dataset(source, provenance: str = "") -> Dataset:
         provenance = provenance or str(source)
     with _csv_table(source) as (columns, rows):
         return Dataset(columns, tuple([tuple(row) for _, row in rows]), provenance)
+
+
+def count_dataset(source, names=()) -> Counter:
+    """Stream a dataset CSV once into row counts per tuple of named cells.
+
+    Equals `read_dataset(source).counts(*names)`, with the same checks of
+    every row, but holds only the distinct tuples of raw (unstripped)
+    cells. A missing column is reported before any row is read.
+    """
+    with _csv_table(source) as (columns, rows):
+        idx = [_column_index(columns, name) for name in names]
+        return _count_rows(map(itemgetter(1), rows), idx)
 
 
 @contextmanager
@@ -126,38 +158,46 @@ class BoundGroups:
 
 
 def bind_groups(ds: Dataset, policy) -> BoundGroups:
-    """Tally favorable outcomes per protected group.
+    """Tally favorable outcomes per protected group of a loaded dataset."""
+    return bind_counts(ds.counts(*_binding_columns(policy)), policy)
 
-    `policy` must declare protected and favorable specs; outcome values
-    are matched by string equality. Rows with an unlisted protected value
-    are excluded and counted.
-    """
+
+def _binding_columns(policy) -> tuple:
     if policy.protected is None:
         raise IngestError("policy declares no protected_attribute")
     if policy.favorable is None:
         raise IngestError("policy declares no favorable_outcome")
-    group_idx = ds.column_index(policy.protected.attribute)
-    outcome_idx = ds.column_index(policy.favorable.attribute)
+    return policy.protected.attribute, policy.favorable.attribute
 
-    counts = {PRIVILEGED: [0, 0], UNPRIVILEGED: [0, 0]}  # [favorable, total]
+
+def bind_counts(counts, policy) -> BoundGroups:
+    """Tally favorable outcomes per protected group.
+
+    `counts` maps (protected cell, favorable cell) to a row count, as
+    `count_dataset` returns it for the policy's protected and favorable
+    columns. Cells are stripped, then matched by string equality; rows
+    with an unlisted protected value are excluded and counted.
+    """
+    _binding_columns(policy)  # raises unless both specs are declared
+    tallies = {PRIVILEGED: [0, 0], UNPRIVILEGED: [0, 0]}  # [favorable, total]
     excluded = 0
     membership = {policy.protected.privileged_value: PRIVILEGED,
                   policy.protected.unprivileged_value: UNPRIVILEGED}
-    for row in ds.rows:
-        group = membership.get(row[group_idx].strip())
+    for (group_cell, outcome_cell), n in counts.items():
+        group = membership.get(group_cell.strip())
         if group is None:
-            excluded += 1
+            excluded += n
             continue
-        counts[group][1] += 1
-        if row[outcome_idx].strip() == policy.favorable.value:
-            counts[group][0] += 1
-    if counts[PRIVILEGED][1] == 0 and counts[UNPRIVILEGED][1] == 0:
+        tallies[group][1] += n
+        if outcome_cell.strip() == policy.favorable.value:
+            tallies[group][0] += n
+    if tallies[PRIVILEGED][1] == 0 and tallies[UNPRIVILEGED][1] == 0:
         raise IngestError("both protected groups are empty after binding")
     return BoundGroups(
-        favorable_unprivileged=counts[UNPRIVILEGED][0],
-        total_unprivileged=counts[UNPRIVILEGED][1],
-        favorable_privileged=counts[PRIVILEGED][0],
-        total_privileged=counts[PRIVILEGED][1],
+        favorable_unprivileged=tallies[UNPRIVILEGED][0],
+        total_unprivileged=tallies[UNPRIVILEGED][1],
+        favorable_privileged=tallies[PRIVILEGED][0],
+        total_privileged=tallies[PRIVILEGED][1],
         excluded=excluded,
     )
 
@@ -258,6 +298,8 @@ def read_manifest(path) -> RunManifest:
             lines = fh.readlines()
     except OSError as exc:
         raise IngestError(f"cannot read {path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise IngestError(f"{path} is not valid UTF-8: {exc}") from exc
     for lineno, line in enumerate(lines, start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -296,19 +338,23 @@ class CompositionAudit:
 
 def composition_audit(labels, unprivileged_value: str, reference_share: float,
                       rng: Interval) -> CompositionAudit:
-    """Audit a label list's composition against a reference share.
+    """Audit a label list's composition against a reference share."""
+    return composition_from_counts(Counter(labels), unprivileged_value,
+                                   reference_share, rng)
+
+
+def composition_from_counts(label_counts, unprivileged_value: str,
+                            reference_share: float,
+                            rng: Interval) -> CompositionAudit:
+    """Audit label counts (label -> positive count) against a reference share.
 
     The deviation is the unprivileged value's observed share minus the
     reference share; the verdict is interval membership.
     """
-    labels = list(labels)
-    if not labels:
+    n = sum(label_counts.values())
+    if not n:
         raise IngestError("composition audit needs at least one label")
-    counts = {}
-    for label in labels:
-        counts[label] = counts.get(label, 0) + 1
-    n = len(labels)
-    shares = {value: counts[value] / n for value in sorted(counts)}
+    shares = {value: label_counts[value] / n for value in sorted(label_counts)}
     share = shares.get(unprivileged_value, 0.0)
     deviation = share - reference_share
     return CompositionAudit(

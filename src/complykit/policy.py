@@ -37,6 +37,7 @@ list of diagnostics with line:column positions, never an unhandled crash.
 
 from __future__ import annotations
 
+import math
 import string
 from dataclasses import dataclass
 from typing import Optional
@@ -331,10 +332,14 @@ class _Parser:
 
     def parse_number(self) -> Optional[Token]:
         tok = self.peek()
-        if tok.type == "NUMBER":
-            return self.next()
-        self.error(tok, f"expected a number, found {self._describe(tok)}")
-        return None
+        if tok.type != "NUMBER":
+            self.error(tok, f"expected a number, found {self._describe(tok)}")
+            return None
+        self.next()
+        if not math.isfinite(tok.value):
+            self.error(tok, "number is too large to represent", SEMANTIC)
+            return None
+        return tok
 
     def parse_string(self) -> Optional[Token]:
         tok = self.peek()
@@ -556,6 +561,7 @@ class _Parser:
                                  f"{self._describe(name_tok)}")
         out = {"range": None, "bins": DEFAULT_BINS,
                "tolerance": DEFAULT_TOLERANCE}
+        tolerance_tok = name_tok
 
         def set_range(key):
             out["range"] = self.parse_interval()
@@ -570,6 +576,7 @@ class _Parser:
             out["bins"] = int(tok.value)
 
         def set_tolerance(key):
+            nonlocal tolerance_tok
             tok = self.parse_number()
             if tok is None:
                 return
@@ -577,6 +584,7 @@ class _Parser:
                 self.error(tok, "tolerance must be nonnegative", SEMANTIC)
                 return
             out["tolerance"] = tok.value
+            tolerance_tok = tok
 
         self.parse_block({"range": set_range, "bins": set_bins,
                           "tolerance": set_tolerance}, "metric")
@@ -592,6 +600,12 @@ class _Parser:
         if out["range"] is None:
             self.error(name_tok, f"metric {metric_id!r} needs a range",
                        SEMANTIC)
+            return
+        try:
+            out["range"].widened(out["tolerance"])
+        except ValueError:
+            self.error(tolerance_tok, "range widened by tolerance is not "
+                                      "finite", SEMANTIC)
             return
         doc["metrics"].append(MetricConstraint(metric_id, out["range"],
                                                out["bins"], out["tolerance"]))

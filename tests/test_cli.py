@@ -59,6 +59,14 @@ class TestCheck:
         assert main(["check", str(tmp_path / "absent.law")]) == 2
         assert "cannot read" in capsys.readouterr().err
 
+    def test_overflowing_range_exit_two(self, tmp_path, capsys):
+        bad = tmp_path / "big.law"
+        bad.write_text('policy "p" { metric calibration '
+                       f'{{ range = [-{"1" * 400}, 0.01] }} }}')
+        assert main(["check", str(bad)]) == 2
+        assert f"{bad}:1:44: SemanticError: number is too large" in \
+            capsys.readouterr().err
+
 
 class TestEvaluate:
     def test_violation_exit_one(self, workdir, capsys):
@@ -108,6 +116,54 @@ class TestEvaluate:
         code = main(["evaluate", str(bad),
                      "--dataset", str(workdir / "data.csv")])
         assert code == 2
+
+    def test_overflowing_tolerance_exit_two(self, workdir, capsys):
+        big = workdir / "big.law"
+        big.write_text(SCENARIO1_POLICY.replace(
+            "range = [-0.01, 0.01]",
+            f"range = [-0.01, 0.01]\n    tolerance = {'9' * 400}"))
+        assert main(["check", str(big)]) == 2
+        assert "SemanticError: number is too large" in capsys.readouterr().err
+        code = main(["evaluate", str(big),
+                     "--dataset", str(workdir / "data.csv")])
+        assert code == 2
+        assert "SemanticError: number is too large" in capsys.readouterr().err
+
+    def test_unwritable_json_exit_two(self, workdir, capsys):
+        code = main(["evaluate", str(workdir / "policy.law"),
+                     "--dataset", str(workdir / "data.csv"),
+                     "--json", str(workdir / "absent" / "report.json")])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("cannot write ")
+        assert captured.err.count("\n") == 1
+        assert captured.out == ""
+
+    def test_non_utf8_manifest_exit_two(self, workdir, capsys):
+        (workdir / "bad.manifest").write_bytes(b"model_id=\xff\xfe\n")
+        code = main(["evaluate", str(workdir / "policy.law"),
+                     "--dataset", str(workdir / "data.csv"),
+                     "--manifest", str(workdir / "bad.manifest")])
+        assert code == 2
+        assert "is not valid UTF-8" in capsys.readouterr().err
+
+    def test_ragged_last_row_without_protected_attribute(self, workdir,
+                                                         capsys):
+        (workdir / "bare.law").write_text('policy "bare" {}')
+        (workdir / "ragged.csv").write_text(SMALL_DATASET + "Male\n")
+        code = main(["evaluate", str(workdir / "bare.law"),
+                     "--dataset", str(workdir / "ragged.csv")])
+        assert code == 2
+        assert "row 17: expected 2 cells, got 1" in capsys.readouterr().err
+
+    def test_missing_protected_column_exit_two(self, workdir, capsys):
+        (workdir / "gender.csv").write_text(
+            SMALL_DATASET.replace("sex,", "gender,", 1))
+        code = main(["evaluate", str(workdir / "policy.law"),
+                     "--dataset", str(workdir / "gender.csv")])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "column 'sex' not found; dataset has: gender, occupation\n")
 
     def test_deterministic_runs_byte_identical(self, workdir, capsys):
         argv = ["evaluate", str(workdir / "policy.law"),
@@ -212,6 +268,21 @@ class TestDecide:
         assert code == 0
         assert "regret matrix:" in out
         assert "chosen: High" in out
+
+    def test_non_utf8_matrix_exit_two(self, workdir, capsys):
+        (workdir / "bad.csv").write_bytes(b"class,s\n\xff,1\n")
+        code = main(["decide", "--matrix", str(workdir / "bad.csv"),
+                     "--criterion", "wald"])
+        assert code == 2
+        assert "is not valid UTF-8" in capsys.readouterr().err
+
+    def test_overflowing_regret_exit_two(self, workdir, capsys):
+        big = "9" * 308
+        (workdir / "wide.csv").write_text(f"class,s\na,{big}\nb,-{big}\n")
+        code = main(["decide", "--matrix", str(workdir / "wide.csv"),
+                     "--criterion", "savage"])
+        assert code == 2
+        assert "span more than a float can hold" in capsys.readouterr().err
 
     def test_bad_criterion(self, workdir, capsys):
         code = main(["decide", "--matrix", str(workdir / "matrix.csv"),

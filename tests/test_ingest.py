@@ -1,4 +1,6 @@
+import csv
 import io
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -10,8 +12,11 @@ from complykit.ingest import (
     Dataset,
     IngestError,
     RunManifest,
+    bind_counts,
     bind_groups,
     composition_audit,
+    composition_from_counts,
+    count_dataset,
     read_dataset,
     read_manifest,
     read_predictions,
@@ -123,6 +128,123 @@ class TestBindGroups:
         ds = self._dataset([("Unknown", "Other")])
         with pytest.raises(IngestError, match="empty"):
             bind_groups(ds, self.policy)
+
+
+CELLS = ["Male", " Male", "Female ", "Female", "Unknown", "",
+         "Exec-managerial", " Exec-managerial", "Other", "a,b", 'say "x"']
+
+
+@st.composite
+def dataset_csv(draw):
+    """CSV text whose columns hold `sex` and `occupation` among extras,
+    with padded and unmatched values, quoted commas and blank lines."""
+    extras = draw(st.integers(0, 3))
+    columns = [f"x{i}" for i in range(extras)]
+    columns.insert(draw(st.integers(0, extras)), "sex")
+    columns.insert(draw(st.integers(0, extras + 1)), "occupation")
+    rows = draw(st.lists(st.lists(st.sampled_from(CELLS), min_size=len(columns),
+                                  max_size=len(columns)), max_size=30))
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(columns)
+    lines = buf.getvalue().splitlines(keepends=True)
+    for row in rows:
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerow(row)
+        lines.append(buf.getvalue())
+        if draw(st.booleans()):
+            lines.append("\n")
+    return columns, "".join(lines)
+
+
+def bind_by_rows(ds, policy):
+    """Row-scanning reference: (favorable, total) per group, excluded."""
+    g = ds.column_index(policy.protected.attribute)
+    o = ds.column_index(policy.favorable.attribute)
+    membership = {policy.protected.privileged_value: PRIVILEGED,
+                  policy.protected.unprivileged_value: UNPRIVILEGED}
+    counts = {PRIVILEGED: [0, 0], UNPRIVILEGED: [0, 0]}
+    excluded = 0
+    for row in ds.rows:
+        group = membership.get(row[g].strip())
+        if group is None:
+            excluded += 1
+            continue
+        counts[group][1] += 1
+        counts[group][0] += row[o].strip() == policy.favorable.value
+    return (counts[UNPRIVILEGED][0], counts[UNPRIVILEGED][1],
+            counts[PRIVILEGED][0], counts[PRIVILEGED][1], excluded)
+
+
+class TestCountDataset:
+    policy = parse_policy(SCENARIO1_POLICY)
+
+    @given(dataset_csv(), st.data())
+    def test_counts_match_the_loaded_dataset(self, table, data):
+        columns, text = table
+        names = data.draw(st.lists(st.sampled_from(columns), max_size=3))
+        counts = count_dataset(io.StringIO(text), names)
+        ds = read_dataset(io.StringIO(text))
+        assert counts == ds.counts(*names)
+        idx = [columns.index(n) for n in names]
+        assert counts == Counter(tuple(row[i] for i in idx) for row in ds.rows)
+        assert sum(counts.values()) == len(ds.rows)
+
+    @given(dataset_csv())
+    def test_binding_and_composition_match_row_scans(self, table):
+        _, text = table
+        ds = read_dataset(io.StringIO(text))
+        counts = count_dataset(io.StringIO(text), ["sex", "occupation"])
+        if ds.rows and any(s.strip() in ("Male", "Female")
+                           for s in ds.column("sex")):
+            bound = bind_counts(counts, self.policy)
+            assert bound == bind_groups(ds, self.policy)
+            assert (bound.favorable_unprivileged, bound.total_unprivileged,
+                    bound.favorable_privileged, bound.total_privileged,
+                    bound.excluded) == bind_by_rows(ds, self.policy)
+        else:
+            with pytest.raises(IngestError, match="empty"):
+                bind_counts(counts, self.policy)
+
+        labels = Counter()
+        for (sex, _), n in counts.items():
+            labels[sex] += n
+        rng = Interval(-0.05, 0.05)
+        if not ds.rows:
+            with pytest.raises(IngestError, match="at least one label"):
+                composition_from_counts(labels, "Female", 0.5, rng)
+            return
+        audit = composition_from_counts(labels, "Female", 0.5, rng)
+        assert audit == composition_audit(ds.column("sex"), "Female", 0.5, rng)
+        column = ds.column("sex")
+        assert audit.shares == {v: column.count(v) / len(column)
+                                for v in sorted(set(column))}
+        assert list(audit.shares) == sorted(audit.shares)
+
+    def test_missing_column_reported_before_rows(self):
+        with pytest.raises(IngestError,
+                           match="column 'sex' not found; dataset has: a, b"):
+            count_dataset(io.StringIO("a,b\n1\n"), ["sex"])
+
+    def test_rows_validated_without_names(self):
+        assert count_dataset(io.StringIO("a,b\n1,2\n\n3,4\n")) == \
+            Counter({(): 2})
+        assert count_dataset(io.StringIO("a,b\n")) == Counter()
+        with pytest.raises(IngestError, match="row 4: expected 2 cells"):
+            count_dataset(io.StringIO("a,b\n1,2\n\n3\n"))
+
+    def test_cells_kept_raw(self):
+        counts = count_dataset(io.StringIO("sex\n Male\nMale\nMale\n"),
+                               ["sex"])
+        assert counts == Counter({(" Male",): 1, ("Male",): 2})
+
+    def test_path_source(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("sex,occupation\nMale,Other\nMale,Other\n")
+        assert count_dataset(path, ["occupation", "sex"]) == \
+            Counter({("Other", "Male"): 2})
+        with pytest.raises(IngestError, match="cannot read"):
+            count_dataset(tmp_path / "absent.csv", ["sex"])
 
 
 class TestReadPredictions:

@@ -1,9 +1,11 @@
+import math
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from complykit.decisions import CRITERIA, choose
 from complykit.ingest import RunManifest
 from complykit.intervals import Interval
 from complykit.policy import (
@@ -18,6 +20,23 @@ from complykit.policy import (
     serialize_policy,
 )
 from conftest import SCENARIO1_POLICY, random_document
+
+# numbers of any length: 400 digits overflow a float, 300 do not
+LONG_NUMBER = st.builds(
+    lambda sign, digits, fraction: sign + digits + fraction,
+    st.sampled_from(["", "-", "+"]),
+    st.text("0123456789", min_size=1, max_size=500),
+    st.one_of(st.just(""),
+              st.text("0123456789", min_size=1, max_size=20).map(".{}".format)))
+# long numbers mixed with short ones, so that some documents parse
+NUMBER = st.one_of(LONG_NUMBER, st.sampled_from(["0", "0.5", "1", "2", "10"]))
+
+NUMERIC_POLICY = (
+    'policy "p" {{\n'
+    '  metric calibration {{ range = [{}, {}] bins = {} tolerance = {} }}\n'
+    '  decision {{ actions = ["a", "b"] states = ["s"] payoffs = [[{}], [{}]]\n'
+    '    criterion = savage lambda = {} }}\n'
+    '}}\n')
 
 
 class TestParse:
@@ -122,6 +141,33 @@ class TestParse:
             parse_policy("nonsense")
         assert exc.value.diagnostics
 
+    def test_overflowing_numbers_are_semantic(self):
+        digits = "1" * 400
+        _, diags = parse_policy_with_diagnostics(
+            f'policy "p" {{ metric calibration {{ range = [-{digits}, 0.01] }} }}')
+        assert (diags[0].kind, diags[0].line, diags[0].col) == (SEMANTIC, 1, 44)
+        assert "too large" in diags[0].message
+        _, diags = parse_policy_with_diagnostics(
+            'policy "p" { metric calibration { range = [0, 1]\n'
+            f'  tolerance = {"9" * 400} }} }}')
+        assert [(d.kind, d.line, d.col) for d in diags] == [(SEMANTIC, 2, 15)]
+
+    def test_tolerance_may_not_widen_past_a_float(self):
+        big = "9" * 308
+        _, diags = parse_policy_with_diagnostics(
+            f'policy "p" {{ metric calibration {{ range = [0, {big}]\n'
+            f'  tolerance = {big} }} }}')
+        assert [(d.kind, d.line, d.col) for d in diags] == [(SEMANTIC, 2, 15)]
+        assert "not finite" in diags[0].message
+
+    def test_payoff_spread_must_fit_a_float(self):
+        big = "9" * 308
+        _, diags = parse_policy_with_diagnostics(
+            'policy "p" { decision { actions = ["a", "b"]; states = ["s"]; '
+            f'payoffs = [[{big}], [-{big}]]; criterion = savage }} }}')
+        assert any(d.kind == SEMANTIC and "state 's'" in d.message
+                   for d in diags)
+
     def test_scenario1_fixture_parses(self):
         doc = parse_policy(SCENARIO1_POLICY)
         assert doc.decision.criterion == "wald"
@@ -180,6 +226,26 @@ class TestFuzz:
         text = blob.decode("utf-8", errors="replace")
         doc, diags = parse_policy_with_diagnostics(text)
         assert doc is not None or diags
+
+
+    @given(st.lists(NUMBER, min_size=7, max_size=7))
+    @settings(max_examples=300)
+    def test_long_numbers_never_crash(self, numbers):
+        doc, diags = parse_policy_with_diagnostics(NUMERIC_POLICY.format(*numbers))
+        assert doc is not None or diags
+        for d in diags:
+            assert d.line >= 1 and d.col >= 1
+        if doc is None:
+            return
+        # whatever parses is usable: finite widened ranges and decisions
+        for m in doc.metrics:
+            m.range.widened(m.tolerance)
+        for criterion in CRITERIA:
+            choice = choose(doc.decision.payoffs, criterion,
+                            doc.decision.hurwicz_lambda)
+            assert all(math.isfinite(v) for v in choice.scores)
+            for row in choice.regret_matrix or ():
+                assert all(math.isfinite(v) for v in row)
 
 
 class TestCheckManifest:
