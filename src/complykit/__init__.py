@@ -34,7 +34,7 @@ from .ingest import (
     read_manifest,
     read_predictions,
 )
-from .intervals import Interval, iqr, median, percentile
+from .intervals import Interval
 from .policy import (
     ContextFinding,
     Diagnostic,
@@ -87,11 +87,8 @@ __all__ = [
     "decide",
     "evaluate",
     "hurwicz",
-    "iqr",
-    "median",
     "parse_policy",
     "parse_policy_with_diagnostics",
-    "percentile",
     "rates",
     "read_dataset",
     "read_manifest",

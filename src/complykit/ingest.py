@@ -7,9 +7,15 @@ excluded during group binding are counted, never silently dropped.
 from __future__ import annotations
 
 import csv
+import io
+import marshal
+import os
+import signal
+import threading
 from collections import Counter
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass
+from functools import partial
 from operator import itemgetter
 from typing import Optional
 
@@ -82,10 +88,168 @@ def count_dataset(source, names=()) -> Counter:
     Equals `read_dataset(source).counts(*names)`, with the same checks of
     every row, but holds only the distinct tuples of raw (unstripped)
     cells. A missing column is reported before any row is read.
+
+    A path is counted in byte-range shards on every usable CPU when
+    `_shard_cuts` finds that safe; the result is the same Counter, key
+    order included.
     """
+    if not hasattr(source, "read"):
+        counts = _count_sharded(source, names)
+        if counts is not None:
+            return counts
     with _csv_table(source) as (columns, rows):
         idx = [_column_index(columns, name) for name in names]
         return _count_rows(map(itemgetter(1), rows), idx)
+
+
+# A file is split into at most one shard per usable CPU, each of at least
+# this many bytes, so smaller files are never forked for.
+SHARD_BYTES = 4 << 20
+_SCAN_BYTES = 1 << 20
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _shard_cuts(path):
+    """Byte offsets splitting `path` into shards between records, or None.
+
+    The offsets run from 0 to the file size, each later one just past a
+    `\n` after the header. They are safe only when the file holds no `"`
+    byte: then no record spans a line, so every `\n` ends a record (CRLF
+    too). None when that does not hold, when the file is smaller than
+    two shards of `SHARD_BYTES`, or when the process cannot fork or runs
+    more than one thread.
+    """
+    if not hasattr(os, "fork") or threading.active_count() != 1:
+        return None
+    try:
+        with open(path, "rb") as fh:
+            size = os.fstat(fh.fileno()).st_size
+            shards = min(_usable_cpus(), size // SHARD_BYTES)
+            if shards < 2:
+                return None
+            for chunk in iter(partial(fh.read, _SCAN_BYTES), b""):
+                if b'"' in chunk:
+                    return None
+            fh.seek(0)
+            header_end = len(fh.readline())
+            cuts = [0]
+            for i in range(1, shards):
+                fh.seek(max(size * i // shards, header_end) - 1)
+                fh.readline()
+                cuts.append(fh.tell())
+            return cuts + [size]
+    except OSError:
+        return None
+
+
+class _ByteRange(io.RawIOBase):
+    """Raw reader of the bytes [start, end) of a file."""
+
+    def __init__(self, path, start: int, end: int):
+        self._file = open(path, "rb", buffering=0)
+        self._file.seek(start)
+        self._left = end - start
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, b) -> int:
+        n = self._file.readinto(memoryview(b)[:self._left])
+        self._left -= n
+        return n
+
+    def close(self) -> None:
+        self._file.close()
+        super().close()
+
+
+def _open_range(path, start: int, end: int):
+    return io.TextIOWrapper(io.BufferedReader(_ByteRange(path, start, end)),
+                            encoding="utf-8", newline="")
+
+
+def _count_range(path, start: int, end: int, width: int, idx) -> Counter:
+    """Count the header-less rows in bytes [start, end) of a dataset."""
+    with _open_range(path, start, end) as fh:
+        return _count_rows(
+            map(itemgetter(1), _csv_rows(csv.reader(fh), width)), idx)
+
+
+def _fork_shard(path, start: int, end: int, width: int, idx):
+    """Fork a child that counts bytes [start, end) into a pipe.
+
+    Returns `(pid, read end)`. The child writes its counts as a
+    marshalled dict and exits 0, or exits 1 on any error; it never
+    returns.
+    """
+    r, w = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(r)
+        os.close(w)
+        raise
+    if pid == 0:
+        status = 1
+        try:
+            os.close(r)
+            counts = _count_range(path, start, end, width, idx)
+            with open(w, "wb") as pipe:
+                pipe.write(marshal.dumps(dict(counts)))
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(w)
+    return pid, open(r, "rb")
+
+
+def _count_sharded(path, names):
+    """`count_dataset` of a path, one forked child per shard but the first.
+
+    The parent counts shard 0, header included, and merges the children's
+    counts in shard order, so keys come in serial insertion order. None
+    when `_shard_cuts` declines, or when any shard fails (a bad row, a
+    child that dies, a short pipe read): the serial pass then reports the
+    first bad row in file order.
+    """
+    cuts = _shard_cuts(path)
+    if cuts is None:
+        return None
+    children = []
+    try:
+        with _open_range(path, 0, cuts[1]) as fh:
+            columns, rows = _csv_stream(fh)
+            idx = [_column_index(columns, name) for name in names]
+            for start, end in zip(cuts[1:], cuts[2:]):
+                if start < end:
+                    children.append(
+                        _fork_shard(path, start, end, len(columns), idx))
+            counts = _count_rows(map(itemgetter(1), rows), idx)
+        while children:
+            pid, pipe = children[0]
+            with pipe:
+                data = pipe.read()
+            _, status = os.waitpid(pid, 0)
+            del children[0]
+            if status != 0:
+                return None
+            counts.update(marshal.loads(data))
+        return counts
+    except (OSError, EOFError, ValueError):  # IngestError is a ValueError
+        return None
+    finally:
+        for pid, pipe in children:
+            pipe.close()
+            with suppress(ProcessLookupError):
+                os.kill(pid, signal.SIGKILL)
+            with suppress(ChildProcessError):
+                os.waitpid(pid, 0)
 
 
 @contextmanager

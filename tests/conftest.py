@@ -1,7 +1,9 @@
+import os
 import random
 
 import pytest
 
+from complykit import ingest
 from complykit.decisions import PayoffMatrix
 from complykit.fairness import (
     PRIVILEGED,
@@ -52,6 +54,28 @@ policy "scenario-1" {
 @pytest.fixture
 def scenario1_policy_text():
     return SCENARIO1_POLICY
+
+
+def force_shards(monkeypatch, cpus):
+    """Shard every dataset path, however small, on `cpus` CPUs."""
+    monkeypatch.setattr(ingest, "SHARD_BYTES", 1)
+    monkeypatch.setattr(ingest, "_usable_cpus", lambda: cpus)
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids of the children `os.fork` starts during the test."""
+    pids = []
+    fork = os.fork
+
+    def recording_fork():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recording_fork)
+    return pids
 
 
 def records_from_counts(group, tp=0, fp=0, tn=0, fn=0):

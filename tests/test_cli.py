@@ -1,9 +1,11 @@
 import json
+import os
 
 import pytest
 
+from complykit import ingest
 from complykit.cli import main
-from conftest import SCENARIO1_POLICY
+from conftest import SCENARIO1_POLICY, force_shards
 from schema_check import validate_report
 
 SMALL_DATASET = (
@@ -251,6 +253,71 @@ class TestEvaluate:
         assert code == 2
         assert "column 'actual' appears more than once" in \
             capsys.readouterr().err
+
+
+SMALL_ROWS = SMALL_DATASET.split("\n", 1)[1].encode()
+
+
+class TestShardedEvaluate:
+    """With sharding forced, evaluate's output and errors stay serial."""
+
+    def evaluate(self, workdir, capsys, dataset):
+        code = main(["evaluate", str(workdir / "policy.law"),
+                     "--dataset", str(dataset), "--deterministic"])
+        out, err = capsys.readouterr()
+        return code, out, err
+
+    @pytest.mark.parametrize("bad_row, message", [
+        (b"Male\n", "row 15002: expected 2 cells, got 1"),
+        (b"Female,Oth\xffer\n", "input is not valid UTF-8: 'utf-8' codec "
+         "can't decode byte 0xff"),
+        (b"Female," + b"x" * 200_000 + b"\n",
+         "row 15002: field larger than field limit (131072)"),
+    ], ids=["ragged", "utf-8", "oversized"])
+    def test_error_in_a_later_shard(self, workdir, capsys, monkeypatch,
+                                    bad_row, message):
+        head = b"sex,occupation\n" + SMALL_ROWS * 1000
+        path = workdir / "late.csv"
+        path.write_bytes(head + bad_row + SMALL_ROWS)
+        serial = self.evaluate(workdir, capsys, path)
+        assert serial[0] == 2 and message in serial[2]
+        force_shards(monkeypatch, 4)
+        assert ingest._shard_cuts(path)[1] <= len(head)
+        assert self.evaluate(workdir, capsys, path) == serial
+
+    def test_missing_column(self, workdir, capsys, monkeypatch):
+        force_shards(monkeypatch, 4)
+        path = workdir / "gender.csv"
+        path.write_bytes(b"gender,occupation\n" + SMALL_ROWS * 4)
+        assert self.evaluate(workdir, capsys, path) == (
+            2, "", "column 'sex' not found; dataset has: gender, occupation\n")
+
+    def test_quoted_newline_counts_serially(self, workdir, capsys,
+                                            monkeypatch):
+        plain = workdir / "plain.csv"
+        plain.write_bytes(b"sex,occupation,note\n"
+                          + SMALL_ROWS.replace(b"\n", b",n\n") * 4)
+        quoted = workdir / "quoted.csv"
+        quoted.write_bytes(b"sex,occupation,note\n"
+                           + SMALL_ROWS.replace(b"\n", b',"a\nb"\n') * 4)
+        expected = self.evaluate(workdir, capsys, plain)
+        force_shards(monkeypatch, 4)
+        assert ingest._shard_cuts(quoted) is None
+        assert self.evaluate(workdir, capsys, quoted) == expected
+
+    def test_dead_child_falls_back(self, workdir, capsys, monkeypatch,
+                                   forks):
+        path = workdir / "many.csv"
+        path.write_bytes(b"sex,occupation\n" + SMALL_ROWS * 4)
+        expected = self.evaluate(workdir, capsys, path)
+        force_shards(monkeypatch, 4)
+        monkeypatch.setattr(ingest, "_count_range",
+                            lambda *args: os._exit(9))
+        assert self.evaluate(workdir, capsys, path) == expected
+        assert len(forks) == 3
+        for pid in forks:  # every child was reaped
+            with pytest.raises(ChildProcessError):
+                os.waitpid(pid, os.WNOHANG)
 
 
 class TestDecide:

@@ -1,12 +1,15 @@
 import csv
 import io
+import os
+import threading
 from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from complykit import ingest
 from complykit.fairness import PRIVILEGED, UNPRIVILEGED
 from complykit.ingest import (
     Dataset,
@@ -24,7 +27,7 @@ from complykit.ingest import (
 )
 from complykit.intervals import Interval
 from complykit.policy import parse_policy
-from conftest import SCENARIO1_POLICY
+from conftest import SCENARIO1_POLICY, force_shards
 
 # the twenty genders behind the generated CEO name list: 3 female, 17 male
 CEO_NAME_GENDERS = ["Female"] * 3 + ["Male"] * 17
@@ -132,29 +135,29 @@ class TestBindGroups:
 
 CELLS = ["Male", " Male", "Female ", "Female", "Unknown", "",
          "Exec-managerial", " Exec-managerial", "Other", "a,b", 'say "x"']
+UNQUOTED_CELLS = [c for c in CELLS if "," not in c and '"' not in c]
 
 
 @st.composite
-def dataset_csv(draw):
+def dataset_csv(draw, cells=CELLS):
     """CSV text whose columns hold `sex` and `occupation` among extras,
-    with padded and unmatched values, quoted commas and blank lines."""
+    with padded and unmatched values, quoted commas, blank lines and LF
+    or CRLF line ends."""
     extras = draw(st.integers(0, 3))
     columns = [f"x{i}" for i in range(extras)]
     columns.insert(draw(st.integers(0, extras)), "sex")
     columns.insert(draw(st.integers(0, extras + 1)), "occupation")
-    rows = draw(st.lists(st.lists(st.sampled_from(CELLS), min_size=len(columns),
+    rows = draw(st.lists(st.lists(st.sampled_from(cells), min_size=len(columns),
                                   max_size=len(columns)), max_size=30))
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
+    writer = csv.writer(buf, lineterminator=eol)
     writer.writerow(columns)
-    lines = buf.getvalue().splitlines(keepends=True)
     for row in rows:
-        buf = io.StringIO()
-        csv.writer(buf, lineterminator="\n").writerow(row)
-        lines.append(buf.getvalue())
+        writer.writerow(row)
         if draw(st.booleans()):
-            lines.append("\n")
-    return columns, "".join(lines)
+            buf.write(eol)
+    return columns, buf.getvalue()
 
 
 def bind_by_rows(ds, policy):
@@ -245,6 +248,85 @@ class TestCountDataset:
             Counter({("Other", "Male"): 2})
         with pytest.raises(IngestError, match="cannot read"):
             count_dataset(tmp_path / "absent.csv", ["sex"])
+
+
+class TestShardedCount:
+    @settings(max_examples=60, deadline=None)
+    @given(dataset_csv(cells=UNQUOTED_CELLS), st.data())
+    def test_sharded_equals_serial(self, tmp_path_factory, table, data):
+        columns, text = table
+        names = data.draw(st.lists(st.sampled_from(columns), max_size=2))
+        cpus = data.draw(st.integers(2, 4))
+        path = tmp_path_factory.mktemp("shard") / "d.csv"
+        path.write_bytes(text.encode())
+        serial = count_dataset(io.StringIO(text), names)
+        with pytest.MonkeyPatch.context() as mp:
+            force_shards(mp, cpus)
+            sharded = ingest._count_sharded(path, names)
+            assert sharded is not None
+            assert list(sharded.items()) == list(serial.items())
+            assert list(count_dataset(path, names).items()) == \
+                list(serial.items())
+
+    def test_cuts_fall_after_newlines_past_the_header(self, tmp_path,
+                                                      monkeypatch):
+        force_shards(monkeypatch, 4)
+        text = b"sex,occupation\r\n" + b"Male,Other\r\n" * 12
+        path = tmp_path / "d.csv"
+        path.write_bytes(text)
+        cuts = ingest._shard_cuts(path)
+        assert cuts[0] == 0 and cuts[-1] == len(text)
+        assert len(set(cuts)) == 5
+        assert all(text[cut - 1:cut] == b"\n" for cut in cuts[1:-1])
+        assert min(cuts[1:]) > text.index(b"\n")
+
+    def test_forks_one_child_per_later_shard(self, tmp_path, monkeypatch,
+                                             forks):
+        force_shards(monkeypatch, 3)
+        path = tmp_path / "d.csv"
+        path.write_text("sex\n" + "Male\nFemale\n" * 20)
+        assert count_dataset(path, ["sex"]) == \
+            Counter({("Male",): 20, ("Female",): 20})
+        assert len(forks) == 2
+
+    def test_streams_and_small_files_never_fork(self, tmp_path, monkeypatch):
+        def no_fork():
+            raise AssertionError("forked")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        monkeypatch.setattr(ingest, "_usable_cpus", lambda: 4)
+        path = tmp_path / "d.csv"
+        path.write_text("sex\n" + "Male\n" * 50)
+        assert count_dataset(path, ["sex"]) == Counter({("Male",): 50})
+        monkeypatch.setattr(ingest, "SHARD_BYTES", 1)
+        assert count_dataset(io.StringIO("sex\n" + "Male\n" * 50),
+                             ["sex"]) == Counter({("Male",): 50})
+
+    def test_threaded_process_never_forks(self, tmp_path, monkeypatch):
+        force_shards(monkeypatch, 2)
+        path = tmp_path / "d.csv"
+        path.write_text("sex\n" + "Male\n" * 50)
+        assert ingest._shard_cuts(path) is not None
+        release = threading.Event()
+        worker = threading.Thread(target=release.wait)
+        worker.start()
+        try:
+            assert ingest._shard_cuts(path) is None
+        finally:
+            release.set()
+            worker.join(timeout=10)
+        assert not worker.is_alive()
+
+    def test_quoted_file_counts_serially(self, tmp_path, monkeypatch):
+        force_shards(monkeypatch, 4)
+        # A cut after the quoted newline would count a Female row.
+        text = 'sex,occupation,note\n' + \
+            'Male,Other,"a\nFemale,Exec-managerial,b"\n' * 10
+        path = tmp_path / "d.csv"
+        path.write_text(text)
+        assert ingest._shard_cuts(path) is None
+        assert count_dataset(path, ["sex", "occupation"]) == \
+            Counter({("Male", "Other"): 10})
 
 
 class TestReadPredictions:
