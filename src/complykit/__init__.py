@@ -34,7 +34,7 @@ from .ingest import (
     read_manifest,
     read_predictions,
 )
-from .intervals import Interval
+from .intervals import Interval, percentile
 from .policy import (
     ContextFinding,
     Diagnostic,
@@ -89,6 +89,7 @@ __all__ = [
     "hurwicz",
     "parse_policy",
     "parse_policy_with_diagnostics",
+    "percentile",
     "rates",
     "read_dataset",
     "read_manifest",
