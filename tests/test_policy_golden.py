@@ -1,0 +1,236 @@
+"""Golden diagnostics: what the `.law` front end says about broken inputs.
+
+`tests/golden/policy_diagnostics.json` holds seeded token deletions,
+insertions and duplications of `SCENARIO1_POLICY` and of random
+documents, plus hand-written lexer and parser edge cases. Each entry
+keeps the input, its diagnostics as `str(d)` and, when it parses, the
+canonical text of the document. The test replays every entry, so any
+change to what the parser accepts, reports or formats shows here.
+
+Regenerate the file with the current parser (and review the diff):
+
+    PYTHONPATH=src python3 tests/test_policy_golden.py
+"""
+
+import json
+import random
+import re
+from pathlib import Path
+
+from complykit.policy import parse_policy_with_diagnostics, serialize_policy
+from conftest import SCENARIO1_POLICY, random_document
+
+CORPUS = Path(__file__).parent / "golden" / "policy_diagnostics.json"
+
+# a rough lexeme split, only to choose where a mutation lands
+_LEXEME = re.compile(r'"(?:[^"\\\n]|\\.)*"?|[+-]?[0-9]+(?:\.[0-9]+)?'
+                     r'|[a-z_][a-z0-9_]*|\S')
+
+_INSERTS = (
+    "{", "}", "[", "]", ",", "=", ";", '"x"', '""', "0.5", "-1", "2", "+3",
+    "metric", "range", "bins", "tolerance", "lambda", "decision", "payoffs",
+    "actions", "states", "criterion", "savage", "policy", "on_violation",
+    "halt", "true", "value", "privileged", "approved_sources", "@", "\\",
+    '"', "-", "1.", "9" * 400, "# note\n", "\n",
+)
+
+_DECISION = ('decision { actions = ["a", "b"] states = ["s"] '
+             'payoffs = [[1], [2]] criterion = wald }')
+
+HAND_WRITTEN = (
+    # empty, blank and comment-only input
+    "", "   \n\t", "# only a comment", "# comment\n",
+    'policy "p" {}', 'policy "p" {};;', 'policy "p" {} extra',
+    'policy "p" {', 'policy "p"', "policy", 'policy {}', "Policy \"p\" {}",
+    # string escapes
+    'policy "a\\xb" {}',
+    'policy "p" { approved_sources { "a\\x" "b\\q\\"c" "d\\\\e" } }',
+    'policy "\\\\\\"" {}',
+    'policy "p\\\n" {}',
+    'policy "p\\',
+    'policy "p\\"',
+    'policy "p',
+    'policy "p {}\n',
+    'policy "p" { approved_sources { "abc',
+    'policy "p" { approved_sources { "a\\\n" } }',
+    # line ends and tabs
+    SCENARIO1_POLICY.replace("\n", "\r\n"),
+    SCENARIO1_POLICY.replace("  ", "\t"),
+    'policy "p" {\r  on_violation = halt\r}',
+    'policy "p" {\n\t\tmetric calibration {\t@ range = [0, 1] }\n}',
+    # non-ASCII digits and letters, uppercase, stray characters
+    'policy "p" { metric calibration { range = [٣, 1] } }',
+    'policy "p" { metric calibration { range = [0, 1] bins = ٥ } }',
+    'policy "p" { Metric calibration { range = [0, 1] } }',
+    'policy "p" { protected_attribute Sex '
+    '{ privileged = "M" unprivileged = "F" } }',
+    'policy "p" { metric Calibration { range = [0, 1] } }',
+    'policy "p" { protected_attribute séx '
+    '{ privileged = "M" unprivileged = "F" } }',
+    'policy "p" { on_violation =  halt }',
+    'policy "p" {\x00}',
+    'policy "p" { decision { criterion = WALD } }',
+    # numbers
+    'policy "p" { metric calibration { range = [-, 1] } }',
+    'policy "p" { metric calibration { range = [- 0.5, 1] } }',
+    'policy "p" { metric calibration { range = [1., 2] } }',
+    'policy "p" { metric calibration { range = [.5, 2] } }',
+    'policy "p" { metric calibration { range = [1.2.3, 4] } }',
+    'policy "p" { metric calibration { range = [1e5, 2] } }',
+    'policy "p" { metric calibration { range = [0x10, 20] } }',
+    'policy "p" { metric calibration { range = [+0.25, +1] } }',
+    'policy "p" { metric calibration { range = [1, 0] } }',
+    'policy "p" { metric calibration { range = [0, 1 } }',
+    'policy "p" { metric calibration { range = 0, 1] } }',
+    'policy "p" { metric calibration { range = [0 1] } }',
+    'policy "p" { metric calibration { range = [0, 1] bins = 2.5 } }',
+    'policy "p" { metric calibration { range = [0, 1] bins = 1 } }',
+    'policy "p" { metric calibration { range = [0, 1] tolerance = -0.1 } }',
+    'policy "p" { metric calibration { range = [0, 1] tolerance = x } }',
+    'policy "p" { metric calibration { range = [-%s, 1] } }' % ("9" * 400),
+    'policy "p" { metric calibration { range = [0, %s] } }' % ("1" * 400),
+    'policy "p" { metric calibration { range = [0, 1] tolerance = %s } }'
+    % ("7" * 400),
+    'policy "p" { metric calibration { range = [0, 1] bins = %s } }'
+    % ("3" * 400),
+    'policy "p" { metric calibration { range = [0, 1] tolerance = %s } }'
+    % ("9" * 308),
+    'policy "p" { metric calibration '
+    '{ range = [0.00000000000000000001, 1] } }',
+    'policy "p" { decision { actions = ["a"] states = ["s"] '
+    'payoffs = [[%s]] criterion = wald } }' % ("5" * 400),
+    'policy "p" { decision { actions = ["a", "b"] states = ["s"] '
+    'payoffs = [[-%s], [%s]] criterion = savage } }' % ("9" * 308, "9" * 308),
+    'policy "p" { decision { actions = ["a"] states = ["s"] '
+    'payoffs = [[1]] criterion = hurwicz lambda = %s } }' % ("2" * 400),
+    'policy "p" { decision { actions = ["a"] states = ["s"] '
+    'payoffs = [[1]] criterion = hurwicz lambda = 1.5 } }',
+    # payoff matrices
+    'policy "p" { decision { actions = ["a", "b"] states = ["s", "t"] '
+    'payoffs = [[1, 2], 3, 4]] criterion = wald } }',
+    'policy "p" { decision { actions = ["a"] states = ["s", "t"] '
+    'payoffs = [1, 2] criterion = wald } }',
+    'policy "p" { decision { actions = ["a"] states = ["s", "t"] '
+    'payoffs = [[1, x], [2]] criterion = wald } }',
+    'policy "p" { decision { actions = ["a"] states = ["s", "t"] '
+    'payoffs = [[1, 2] [3, 4]] criterion = wald } }',
+    'policy "p" { decision { actions = ["a"] states = ["s", "t"] '
+    'payoffs = [[1, 2, 3]] criterion = wald } }',
+    'policy "p" { decision { actions = [] states = [] payoffs = [] '
+    'criterion = wald } }',
+    'policy "p" { decision { actions = ["a", 1] states = ["s"] '
+    'payoffs = [[1]] criterion = wald } }',
+    'policy "p" { decision { actions = "a" states = ["s"] '
+    'payoffs = [[1]] criterion = wald } }',
+    'policy "p" { decision { actions = ["a"] states = ["s"] '
+    'payoffs = [[1]] criterion = laplace } }',
+    'policy "p" { decision { actions = ["a"] states = ["s"] '
+    'payoffs = [[1]] criterion = "wald" } }',
+    'policy "p" { decision { actions = ["a"] } }',
+    'policy "p" { decision { actions = ["a"] states = ["s"] '
+    'payoffs = [[1]] criterion = wald ',
+    # other items
+    'policy "p" { protected_attribute sex { privileged = "M" } }',
+    'policy "p" { protected_attribute sex '
+    '{ privileged = "M" unprivileged = "M" } }',
+    'policy "p" { protected_attribute { privileged = "M" '
+    'unprivileged = "F" } }',
+    'policy "p" { protected_attribute sex privileged = "M" }',
+    'policy "p" { favorable_outcome y {} }',
+    'policy "p" { favorable_outcome "y y" { value = 1 } }',
+    'policy "p" { approved_sources { "a", "b" 3 "c" } }',
+    'policy "p" { approved_sources "a" }',
+    'policy "p" { approved_model "m" { description = "d" '
+    'acceptable_uses = ["u", "v",] synthetic_data_capability = yes } }',
+    'policy "p" { approved_model m {} }',
+    'policy "p" { approved_model "m" {} approved_model "m" {} }',
+    'policy "p" { on_violation = stop }',
+    'policy "p" { on_violation = "halt" }',
+    'policy "p" { on_violation halt }',
+    'policy "p" { on_violation = halt; on_violation = explain }',
+    'policy "p" { metric nope { range = [0, 1] } }',
+    'policy "p" { metric calibration {} }',
+    'policy "p" { metric calibration { range = [0, 1] } '
+    'metric calibration { range = [0, 1] } }',
+    'policy "p" { metric { range = [0, 1] } }',
+    'policy "p" { metric calibration { width = 3 range = [0, 1] } }',
+    'policy "p" { 42 metric calibration { range = [0, 1] } }',
+    'policy "p" { decision {} decision {} }',
+    # a key repeated within a block
+    'policy "p" { protected_attribute sex { privileged = "M" '
+    'privileged = 1 unprivileged = "F" } }',
+    'policy "p" { protected_attribute sex { privileged = "M" '
+    'unprivileged = "F" unprivileged = "M" } }',
+    'policy "p" { favorable_outcome y { value = "a" value = "b" } }',
+    'policy "p" { favorable_outcome y { value = "a" value = 2 } }',
+    'policy "p" { metric calibration { range = [0, 1] range = [2, 1] } }',
+    'policy "p" { metric calibration { range = [0, 1] bins = 5 bins = 1 } }',
+    'policy "p" { metric calibration { range = [0, 1] '
+    'tolerance = 0.1 tolerance = -1 } }',
+    'policy "p" { metric calibration { range = [0, 1] '
+    'tolerance = %s tolerance = -1 } }' % ("9" * 308),
+    'policy "p" { approved_model "m" { description = "a" description = 1 '
+    'acceptable_uses = ["u"] acceptable_uses = [2] '
+    'synthetic_data_capability = true synthetic_data_capability = 0 } }',
+    'policy "p" { decision { actions = ["a"] actions = [1] states = ["s"] '
+    'payoffs = [[1]] criterion = wald } }',
+    'policy "p" { decision { actions = ["a"] states = ["s"] states = "s" '
+    'payoffs = [[1]] criterion = wald } }',
+    'policy "p" { decision { actions = ["a"] states = ["s"] payoffs = [[1]] '
+    'payoffs = [1] criterion = wald } }',
+    'policy "p" { decision { actions = ["a"] states = ["s"] payoffs = [[1]] '
+    'criterion = wald criterion = laplace } }',
+    'policy "p" { decision { actions = ["a"] states = ["s"] payoffs = [[1]] '
+    'criterion = hurwicz lambda = 0.2 lambda = 2 } }',
+    _DECISION.replace("wald }", "wald criterion = wald }"),
+)
+
+
+def _mutations(text, rng, count):
+    spans = [m.span() for m in _LEXEME.finditer(text)]
+    out = []
+    for _ in range(count):
+        start, end = rng.choice(spans)
+        op = rng.randrange(3)
+        if op == 0:
+            out.append(text[:start] + text[end:])
+        elif op == 1:
+            out.append(text[:end] + " " + text[start:end] + text[end:])
+        else:
+            at = rng.choice((start, end))
+            out.append(text[:at] + " " + rng.choice(_INSERTS) + " " + text[at:])
+    return out
+
+
+def corpus_inputs():
+    """The corpus inputs: hand-written cases, then seeded mutations."""
+    rng = random.Random(20261018)
+    inputs = list(HAND_WRITTEN)
+    inputs += _mutations(SCENARIO1_POLICY, rng, 160)
+    for _ in range(40):
+        text = serialize_policy(random_document(rng))
+        inputs += _mutations(text, rng, 4)
+    return list(dict.fromkeys(inputs))
+
+
+def outcome(text):
+    doc, diags = parse_policy_with_diagnostics(text)
+    return {"diagnostics": [str(d) for d in diags],
+            "canonical": serialize_policy(doc) if doc is not None else None}
+
+
+def test_policy_diagnostics_corpus():
+    entries = json.loads(CORPUS.read_text(encoding="utf-8"))
+    assert len(entries) > 400
+    mismatched = [e["input"] for e in entries
+                  if outcome(e["input"]) != {"diagnostics": e["diagnostics"],
+                                             "canonical": e["canonical"]}]
+    assert not mismatched, (
+        f"{len(mismatched)} of {len(entries)} inputs changed; first: "
+        f"{mismatched[0]!r}")
+
+
+if __name__ == "__main__":
+    CORPUS.write_text(json.dumps(
+        [{"input": text, **outcome(text)} for text in corpus_inputs()],
+        indent=1, ensure_ascii=True) + "\n", encoding="utf-8")
