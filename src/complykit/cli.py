@@ -39,13 +39,7 @@ def _maybe_colorize(text: str) -> str:
 
 
 def _load_policy(path):
-    try:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise ingest.IngestError(f"cannot read {path}: {exc.strerror}") from exc
-    except UnicodeDecodeError as exc:
-        raise ingest.IngestError(f"{path} is not valid UTF-8: {exc}") from exc
+    text = ingest.read_text(path)
     return text, policy.parse_policy(text)
 
 

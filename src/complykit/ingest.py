@@ -454,17 +454,21 @@ class RunManifest:
 MANIFEST_KEYS = ("dataset_source", "model_id", "declared_use", "synthetic")
 
 
-def read_manifest(path) -> RunManifest:
-    """Parse a flat key=value manifest file. `#` starts a comment line."""
-    values = {}
+def read_text(path) -> str:
+    """The whole UTF-8 text of `path`; IngestError if it cannot be read."""
     try:
         with open(path, encoding="utf-8") as fh:
-            lines = fh.readlines()
+            return fh.read()
     except OSError as exc:
         raise IngestError(f"cannot read {path}: {exc.strerror}") from exc
     except UnicodeDecodeError as exc:
         raise IngestError(f"{path} is not valid UTF-8: {exc}") from exc
-    for lineno, line in enumerate(lines, start=1):
+
+
+def read_manifest(path) -> RunManifest:
+    """Parse a flat key=value manifest file. `#` starts a comment line."""
+    values = {}
+    for lineno, line in enumerate(read_text(path).split("\n"), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue

@@ -31,6 +31,13 @@ Grammar (normative):
 Identifiers match `[a-z_][a-z0-9_]*`. Semicolons between items are
 optional. Intervals are closed at both endpoints.
 
+A key repeated within a block is a SemanticError, so the document is
+rejected; the checks after it see the last value, even one that failed
+to parse. `on_violation` is parsed, formatted and round-tripped, but
+changes neither the report nor the exit code. The formatter keeps every
+digit of a number: one whose `repr` has an exponent is written out
+positionally, since the grammar has no exponent form.
+
 Parsing is total: any byte input produces either a checked document or a
 list of diagnostics with line:column positions, never an unhandled crash.
 """
@@ -38,7 +45,7 @@ list of diagnostics with line:column positions, never an unhandled crash.
 from __future__ import annotations
 
 import math
-import string
+import re
 from dataclasses import dataclass
 from typing import Optional
 
@@ -143,9 +150,19 @@ class PolicyDocument:
 # ---------------------------------------------------------------------------
 # Lexer
 
-IDENT_START = set(string.ascii_lowercase + "_")
-IDENT_CHARS = IDENT_START | set(string.digits)
-DIGITS = set(string.digits)
+# `[0-9]`, not `\d`, so that non-ASCII digits are lex errors. Only `space`
+# can hold a newline: comments and strings end before one.
+_TOKEN = re.compile(r"""
+    (?P<space>[ \t\r\n]+)
+  | (?P<comment>\#[^\n]*)
+  | (?P<punct>[{}\[\],=;])
+  | (?P<string>"(?P<body>(?:[^"\\\n]|\\[^\n]?)*)"?)
+  | (?P<number>[+-]?[0-9]+(?:\.[0-9]+)?)
+  | (?P<ident>[a-z_][a-z0-9_]*)
+  | (?P<other>.)
+""", re.VERBOSE)
+_ESCAPE = re.compile(r'\\(["\\]?)')
+_IDENT = re.compile(r"[a-z_][a-z0-9_]*")
 
 
 @dataclass(frozen=True)
@@ -159,89 +176,36 @@ class Token:
 def _lex(text: str):
     tokens = []
     diags = []
-    i = 0
-    line = 1
-    col = 1
-    n = len(text)
-
-    def advance(k=1):
-        nonlocal i, line, col
-        for _ in range(k):
-            if i < n and text[i] == "\n":
-                line += 1
-                col = 1
-            else:
-                col += 1
-            i += 1
-
-    while i < n:
-        c = text[i]
-        if c in " \t\r\n":
-            advance()
-            continue
-        if c == "#":
-            while i < n and text[i] != "\n":
-                advance()
-            continue
-        start_line, start_col = line, col
-        if c in "{}[],=;":
-            tokens.append(Token(c, c, start_line, start_col))
-            advance()
-            continue
-        if c == '"':
-            advance()
-            buf = []
-            closed = False
-            while i < n:
-                ch = text[i]
-                if ch == '"':
-                    advance()
-                    closed = True
-                    break
-                if ch == "\n":
-                    break
-                if ch == "\\":
-                    if i + 1 < n and text[i + 1] in ('"', "\\"):
-                        buf.append(text[i + 1])
-                        advance(2)
-                        continue
-                    diags.append(Diagnostic(LEX, line, col,
-                                            "invalid escape sequence"))
-                    advance()
-                    continue
-                buf.append(ch)
-                advance()
-            if not closed:
-                diags.append(Diagnostic(LEX, start_line, start_col,
-                                        "unterminated string"))
-            tokens.append(Token("STRING", "".join(buf), start_line, start_col))
-            continue
-        if c in DIGITS or (c in "+-" and i + 1 < n and text[i + 1] in DIGITS):
-            j = i
-            if c in "+-":
-                j += 1
-            while j < n and text[j] in DIGITS:
-                j += 1
-            if j < n and text[j] == "." and j + 1 < n and text[j + 1] in DIGITS:
-                j += 1
-                while j < n and text[j] in DIGITS:
-                    j += 1
-            lexeme = text[i:j]
-            tokens.append(Token("NUMBER", float(lexeme), start_line, start_col))
-            advance(j - i)
-            continue
-        if c in IDENT_START:
-            j = i
-            while j < n and text[j] in IDENT_CHARS:
-                j += 1
-            tokens.append(Token("IDENT", text[i:j], start_line, start_col))
-            advance(j - i)
-            continue
-        diags.append(Diagnostic(LEX, start_line, start_col,
-                                f"unexpected character {c!r}"))
-        advance()
-
-    tokens.append(Token("EOF", None, line, col))
+    line, line_start = 1, 0
+    for m in _TOKEN.finditer(text):
+        kind, lexeme = m.lastgroup, m.group()
+        col = m.start() - line_start + 1
+        if kind == "space":
+            if "\n" in lexeme:
+                line += lexeme.count("\n")
+                line_start = m.start() + lexeme.rindex("\n") + 1
+        elif kind == "punct":
+            tokens.append(Token(lexeme, lexeme, line, col))
+        elif kind == "ident":
+            tokens.append(Token("IDENT", lexeme, line, col))
+        elif kind == "number":
+            tokens.append(Token("NUMBER", float(lexeme), line, col))
+        elif kind == "string":
+            value = m.group("body")
+            if "\\" in value:
+                def unescape(e, body_col=col + 1):
+                    if not e.group(1):
+                        diags.append(Diagnostic(LEX, line, body_col + e.start(),
+                                                "invalid escape sequence"))
+                    return e.group(1)
+                value = _ESCAPE.sub(unescape, value)
+            if m.end() == m.end("body"):
+                diags.append(Diagnostic(LEX, line, col, "unterminated string"))
+            tokens.append(Token("STRING", value, line, col))
+        elif kind == "other":
+            diags.append(Diagnostic(LEX, line, col,
+                                    f"unexpected character {lexeme!r}"))
+    tokens.append(Token("EOF", None, line, len(text) - line_start + 1))
     return tokens, diags
 
 
@@ -252,6 +216,10 @@ ITEM_KEYWORDS = {
     "protected_attribute", "favorable_outcome", "metric", "approved_sources",
     "approved_model", "decision", "on_violation",
 }
+
+
+def _value(tok: Optional[Token], default=None):
+    return default if tok is None else tok.value
 
 
 class _Parser:
@@ -306,20 +274,15 @@ class _Parser:
                 return
             self.next()
 
-    def open_brace(self) -> Optional[Token]:
-        return self.expect("{", "'{'")
-
-    def close_brace(self, open_tok: Optional[Token]) -> bool:
+    def close_brace(self, open_tok: Token):
         tok = self.peek()
         if tok.type == "}":
             self.next()
-            return True
-        if tok.type == "EOF" and open_tok is not None:
+        elif tok.type == "EOF":
             self.error(tok, f"unclosed '{{' opened at "
                             f"{open_tok.line}:{open_tok.col}")
         else:
             self.error(tok, f"expected '}}', found {self._describe(tok)}")
-        return False
 
     # -- value parsers ------------------------------------------------
 
@@ -341,6 +304,14 @@ class _Parser:
             return None
         return tok
 
+    def parse_checked(self, valid, message: str) -> Optional[Token]:
+        """A number for which `valid(value)` holds, else `message`."""
+        tok = self.parse_number()
+        if tok is not None and not valid(tok.value):
+            self.error(tok, message, SEMANTIC)
+            return None
+        return tok
+
     def parse_string(self) -> Optional[Token]:
         tok = self.peek()
         if tok.type == "STRING":
@@ -355,9 +326,21 @@ class _Parser:
         self.error(tok, f"expected true or false, found {self._describe(tok)}")
         return None
 
+    def parse_criterion(self) -> Optional[str]:
+        tok = self.peek()
+        if tok.type != "IDENT":
+            self.error(tok, f"expected a criterion name, found "
+                            f"{self._describe(tok)}")
+            return None
+        self.next()
+        if tok.value in CRITERIA:
+            return tok.value
+        self.error(tok, f"unknown criterion {tok.value!r}; expected "
+                        "wald, hurwicz, or savage", SEMANTIC)
+        return None
+
     def parse_interval(self) -> Optional[Interval]:
-        open_tok = self.expect("[", "'['")
-        if open_tok is None:
+        if self.expect("[", "'['") is None:
             return None
         lo = self.parse_number()
         self.expect(",", "','")
@@ -371,80 +354,60 @@ class _Parser:
             return None
         return Interval(lo.value, hi.value)
 
-    def parse_string_list(self):
+    def parse_list(self, parse_item, sync: bool = True) -> Optional[list]:
+        """`[ item, ... ]` with optional commas; None after a bad item.
+
+        A bad item skips to the next item keyword or `}` unless `sync` is
+        false (a payoff row without its `[` leaves the rest in place).
+        """
         if self.expect("[", "'['") is None:
             return None
         items = []
         while not self.at("]") and not self.at("EOF"):
-            tok = self.parse_string()
-            if tok is None:
-                self.sync_to_item()
+            item = parse_item()
+            if item is None:
+                if sync:
+                    self.sync_to_item()
                 return None
-            items.append(tok.value)
+            items.append(item)
             if self.at(","):
                 self.next()
         self.expect("]", "']'")
         return items
 
-    def parse_number_row(self):
-        if self.expect("[", "'['") is None:
-            return None
-        row = []
-        while not self.at("]") and not self.at("EOF"):
-            tok = self.parse_number()
-            if tok is None:
-                self.sync_to_item()
-                return None
-            row.append(tok.value)
-            if self.at(","):
-                self.next()
-        self.expect("]", "']'")
-        return row
+    def parse_strings(self) -> Optional[list]:
+        return self.parse_list(lambda: _value(self.parse_string()))
 
-    def parse_matrix(self):
-        if self.expect("[", "'['") is None:
-            return None
-        rows = []
-        while not self.at("]") and not self.at("EOF"):
-            row = self.parse_number_row()
-            if row is None:
-                return None
-            rows.append(row)
-            if self.at(","):
-                self.next()
-        self.expect("]", "']'")
-        return rows
+    def parse_block(self, fields: dict, context: str):
+        """Parse `{ key = value ... }`, each value by `fields[key]()`.
 
-    # -- assignment blocks ---------------------------------------------
-
-    def parse_block(self, handlers: dict, context: str) -> bool:
-        """Parse `{ key = value ... }` dispatching on `handlers`.
-
-        Returns True when the closing brace was consumed.
+        Returns (values, keys): for each key given, the value its last
+        assignment parsed (None if that failed) and its last key token.
         """
-        open_tok = self.open_brace()
+        values, keys = {}, {}
+        open_tok = self.expect("{", "'{'")
         if open_tok is None:
             self.sync_to_item()
-            return False
-        seen = set()
+            return values, keys
         while True:
             self.skip_separators()
             tok = self.peek()
             if tok.type == "}" or tok.type == "EOF":
                 break
-            if tok.type != "IDENT" or tok.value not in handlers:
+            if tok.type != "IDENT" or tok.value not in fields:
                 self.error(tok, f"unexpected {self._describe(tok)} in "
                                 f"{context} block")
                 self.next()
                 continue
             key = self.next()
-            if key.value in seen:
+            if key.value in keys:
                 self.error(key, f"duplicate {key.value!r} in {context} block",
                            SEMANTIC)
-            seen.add(key.value)
+            keys[key.value] = key
             self.expect("=", "'='")
-            handlers[key.value](key)
-        return self.close_brace(open_tok)
+            values[key.value] = fields[key.value]()
+        self.close_brace(open_tok)
+        return values, keys
 
     # -- items ----------------------------------------------------------
 
@@ -455,9 +418,8 @@ class _Parser:
         else:
             self.error(kw, f"expected 'policy', found {self._describe(kw)}")
             return None
-        name_tok = self.parse_string()
-        name = name_tok.value if name_tok else ""
-        open_tok = self.open_brace()
+        name = _value(self.parse_string(), "")
+        open_tok = self.expect("{", "'{'")
         if open_tok is None:
             return None
 
@@ -478,9 +440,7 @@ class _Parser:
                 self.sync_to_item()
                 continue
             keyword = self.next()
-            if keyword.value in ("protected_attribute", "favorable_outcome",
-                                 "decision", "on_violation",
-                                 "approved_sources"):
+            if keyword.value not in ("metric", "approved_model"):
                 if keyword.value in seen_sections:
                     self.error(keyword, f"duplicate {keyword.value} section",
                                SEMANTIC)
@@ -508,48 +468,35 @@ class _Parser:
 
     def item_protected_attribute(self, kw: Token, doc: dict):
         attribute = self.parse_name()
-        values = {}
-
-        def set_value(which):
-            def handler(key):
-                tok = self.parse_string()
-                if tok is not None:
-                    values[which] = tok
-            return handler
-
-        self.parse_block({"privileged": set_value("privileged"),
-                          "unprivileged": set_value("unprivileged")},
-                         "protected_attribute")
-        if attribute is None or "privileged" not in values \
-                or "unprivileged" not in values:
-            if attribute is not None:
-                self.error(kw, "protected_attribute needs privileged and "
-                               "unprivileged values", SEMANTIC)
+        values, _ = self.parse_block({"privileged": self.parse_string,
+                                      "unprivileged": self.parse_string},
+                                     "protected_attribute")
+        privileged = values.get("privileged")
+        unprivileged = values.get("unprivileged")
+        if attribute is None:
             return
-        if values["privileged"].value == values["unprivileged"].value:
-            self.error(values["unprivileged"],
+        if privileged is None or unprivileged is None:
+            self.error(kw, "protected_attribute needs privileged and "
+                           "unprivileged values", SEMANTIC)
+        elif privileged.value == unprivileged.value:
+            self.error(unprivileged,
                        "privileged and unprivileged values must differ",
                        SEMANTIC)
-            return
-        doc["protected"] = ProtectedSpec(attribute,
-                                         values["privileged"].value,
-                                         values["unprivileged"].value)
+        else:
+            doc["protected"] = ProtectedSpec(attribute, privileged.value,
+                                             unprivileged.value)
 
     def item_favorable_outcome(self, kw: Token, doc: dict):
         attribute = self.parse_name()
-        out = {}
-
-        def set_value(key):
-            tok = self.parse_string()
-            if tok is not None:
-                out["value"] = tok.value
-
-        self.parse_block({"value": set_value}, "favorable_outcome")
-        if attribute is None or "value" not in out:
-            if attribute is not None:
-                self.error(kw, "favorable_outcome needs a value", SEMANTIC)
+        values, _ = self.parse_block({"value": self.parse_string},
+                                     "favorable_outcome")
+        value = values.get("value")
+        if attribute is None:
             return
-        doc["favorable"] = FavorableSpec(attribute, out["value"])
+        if value is None:
+            self.error(kw, "favorable_outcome needs a value", SEMANTIC)
+        else:
+            doc["favorable"] = FavorableSpec(attribute, value.value)
 
     def item_metric(self, kw: Token, doc: dict):
         name_tok = self.peek()
@@ -559,35 +506,14 @@ class _Parser:
         else:
             self.error(name_tok, f"expected a metric id, found "
                                  f"{self._describe(name_tok)}")
-        out = {"range": None, "bins": DEFAULT_BINS,
-               "tolerance": DEFAULT_TOLERANCE}
-        tolerance_tok = name_tok
-
-        def set_range(key):
-            out["range"] = self.parse_interval()
-
-        def set_bins(key):
-            tok = self.parse_number()
-            if tok is None:
-                return
-            if tok.value != int(tok.value) or tok.value < 2:
-                self.error(tok, "bins must be an integer >= 2", SEMANTIC)
-                return
-            out["bins"] = int(tok.value)
-
-        def set_tolerance(key):
-            nonlocal tolerance_tok
-            tok = self.parse_number()
-            if tok is None:
-                return
-            if tok.value < 0:
-                self.error(tok, "tolerance must be nonnegative", SEMANTIC)
-                return
-            out["tolerance"] = tok.value
-            tolerance_tok = tok
-
-        self.parse_block({"range": set_range, "bins": set_bins,
-                          "tolerance": set_tolerance}, "metric")
+        values, _ = self.parse_block({
+            "range": self.parse_interval,
+            "bins": lambda: self.parse_checked(
+                lambda v: v == int(v) and v >= 2,
+                "bins must be an integer >= 2"),
+            "tolerance": lambda: self.parse_checked(
+                lambda v: v >= 0, "tolerance must be nonnegative"),
+        }, "metric")
         if raw_id is None:
             return
         metric_id = resolve_metric_id(raw_id)
@@ -597,21 +523,25 @@ class _Parser:
         if any(m.metric_id == metric_id for m in doc["metrics"]):
             self.error(name_tok, f"duplicate metric {metric_id!r}", SEMANTIC)
             return
-        if out["range"] is None:
+        span = values.get("range")
+        if span is None:
             self.error(name_tok, f"metric {metric_id!r} needs a range",
                        SEMANTIC)
             return
+        tolerance_tok = values.get("tolerance")
+        tolerance = _value(tolerance_tok, DEFAULT_TOLERANCE)
         try:
-            out["range"].widened(out["tolerance"])
+            span.widened(tolerance)
         except ValueError:
-            self.error(tolerance_tok, "range widened by tolerance is not "
-                                      "finite", SEMANTIC)
+            self.error(tolerance_tok or name_tok, "range widened by tolerance "
+                                                  "is not finite", SEMANTIC)
             return
-        doc["metrics"].append(MetricConstraint(metric_id, out["range"],
-                                               out["bins"], out["tolerance"]))
+        bins = int(_value(values.get("bins"), DEFAULT_BINS))
+        doc["metrics"].append(MetricConstraint(metric_id, span, bins,
+                                               tolerance))
 
     def item_approved_sources(self, kw: Token, doc: dict):
-        open_tok = self.open_brace()
+        open_tok = self.expect("{", "'{'")
         if open_tok is None:
             self.sync_to_item()
             return
@@ -632,90 +562,47 @@ class _Parser:
 
     def item_approved_model(self, kw: Token, doc: dict):
         id_tok = self.parse_string()
-        out = {"description": None, "uses": [], "synthetic": False}
-
-        def set_description(key):
-            tok = self.parse_string()
-            if tok is not None:
-                out["description"] = tok.value
-
-        def set_uses(key):
-            uses = self.parse_string_list()
-            if uses is not None:
-                out["uses"] = uses
-
-        def set_synthetic(key):
-            val = self.parse_bool()
-            if val is not None:
-                out["synthetic"] = val
-
-        self.parse_block({"description": set_description,
-                          "acceptable_uses": set_uses,
-                          "synthetic_data_capability": set_synthetic},
-                         "approved_model")
+        values, _ = self.parse_block({
+            "description": self.parse_string,
+            "acceptable_uses": self.parse_strings,
+            "synthetic_data_capability": self.parse_bool,
+        }, "approved_model")
         if id_tok is None:
             return
         if any(m.model_id == id_tok.value for m in doc["models"]):
             self.error(id_tok, f"duplicate model {id_tok.value!r}", SEMANTIC)
             return
-        doc["models"].append(ModelSpec(id_tok.value, out["description"],
-                                       frozenset(out["uses"]),
-                                       out["synthetic"]))
+        doc["models"].append(ModelSpec(
+            id_tok.value, _value(values.get("description")),
+            frozenset(values.get("acceptable_uses") or ()),
+            bool(values.get("synthetic_data_capability"))))
 
     def item_decision(self, kw: Token, doc: dict):
-        out = {"actions": None, "states": None, "payoffs": None,
-               "criterion": None, "lambda": DEFAULT_LAMBDA}
-        positions = {}
-
-        def set_list(which):
-            def handler(key):
-                positions[which] = key
-                out[which] = self.parse_string_list()
-            return handler
-
-        def set_payoffs(key):
-            positions["payoffs"] = key
-            out["payoffs"] = self.parse_matrix()
-
-        def set_criterion(key):
-            tok = self.peek()
-            if tok.type == "IDENT" and tok.value in CRITERIA:
-                out["criterion"] = self.next().value
-            elif tok.type == "IDENT":
-                self.next()
-                self.error(tok, f"unknown criterion {tok.value!r}; expected "
-                                "wald, hurwicz, or savage", SEMANTIC)
-            else:
-                self.error(tok, f"expected a criterion name, found "
-                                f"{self._describe(tok)}")
-
-        def set_lambda(key):
-            tok = self.parse_number()
-            if tok is None:
-                return
-            if not 0.0 <= tok.value <= 1.0:
-                self.error(tok, "lambda must lie in [0, 1]", SEMANTIC)
-                return
-            out["lambda"] = tok.value
-
-        self.parse_block({"actions": set_list("actions"),
-                          "states": set_list("states"),
-                          "payoffs": set_payoffs,
-                          "criterion": set_criterion,
-                          "lambda": set_lambda}, "decision")
+        values, keys = self.parse_block({
+            "actions": self.parse_strings,
+            "states": self.parse_strings,
+            "payoffs": lambda: self.parse_list(
+                lambda: self.parse_list(lambda: _value(self.parse_number())),
+                sync=False),
+            "criterion": self.parse_criterion,
+            "lambda": lambda: self.parse_checked(
+                lambda v: 0.0 <= v <= 1.0, "lambda must lie in [0, 1]"),
+        }, "decision")
         missing = [k for k in ("actions", "states", "payoffs", "criterion")
-                   if out[k] is None]
+                   if values.get(k) is None]
         if missing:
             self.error(kw, "decision block is missing: " + ", ".join(missing),
                        SEMANTIC)
             return
         try:
-            matrix = PayoffMatrix(out["actions"], out["states"],
-                                  out["payoffs"])
+            matrix = PayoffMatrix(values["actions"], values["states"],
+                                  values["payoffs"])
         except DecisionError as exc:
-            self.error(positions.get("payoffs", kw), str(exc), SEMANTIC)
+            self.error(keys["payoffs"], str(exc), SEMANTIC)
             return
-        doc["decision"] = DecisionSpec(matrix, out["criterion"], out["lambda"])
+        doc["decision"] = DecisionSpec(
+            matrix, values["criterion"],
+            _value(values.get("lambda"), DEFAULT_LAMBDA))
 
     def item_on_violation(self, kw: Token, doc: dict):
         self.expect("=", "'='")
@@ -755,11 +642,11 @@ def _fmt_number(x: float) -> str:
     if x == int(x) and abs(x) < 1e15:
         return str(int(x))
     r = repr(x)
-    if "e" in r or "E" in r:
-        # The grammar has no exponent form; fall back to positional digits.
-        r = format(x, ".17f").rstrip("0")
-        if r.endswith("."):
-            r += "0"
+    if "e" in r:
+        # The grammar has no exponent form: write the same digits
+        # positionally, so that the number reads back as the same float.
+        from decimal import Decimal
+        r = format(Decimal(r), "f")
     return r
 
 
@@ -768,7 +655,7 @@ def _fmt_string(s: str) -> str:
 
 
 def _fmt_name(s: str) -> str:
-    if s and s[0] in IDENT_START and all(c in IDENT_CHARS for c in s):
+    if _IDENT.fullmatch(s):
         return s
     return _fmt_string(s)
 

@@ -380,6 +380,18 @@ class TestFmt:
         # now canonical
         assert main(["fmt", str(messy), "--write"]) == 0
 
+    def test_keeps_every_digit(self, workdir, capsys):
+        text = ('policy "p" {\n'
+                '  metric calibration {\n'
+                '    range = [-0.0000000000000000001, 0.5]\n'
+                '    tolerance = 0.00000000000000000001\n'
+                '  }\n'
+                '}\n')
+        path = workdir / "tiny.law"
+        path.write_text(text)
+        assert main(["fmt", str(path)]) == 0
+        assert capsys.readouterr().out == text
+
     def test_invalid_file_exit_two(self, workdir, capsys):
         bad = workdir / "bad.law"
         bad.write_text("not a policy")

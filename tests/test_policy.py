@@ -5,14 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from complykit.decisions import CRITERIA, choose
+from complykit.decisions import CRITERIA, PayoffMatrix, choose
 from complykit.ingest import RunManifest
 from complykit.intervals import Interval
 from complykit.policy import (
     LEX,
     SEMANTIC,
     SYNTAX,
+    DecisionSpec,
     MetricConstraint,
+    PolicyDocument,
     PolicyError,
     check_manifest,
     parse_policy,
@@ -209,6 +211,22 @@ class TestSerialize:
             doc = random_document(rng)
             text = serialize_policy(doc)
             assert parse_policy(text) == doc, text
+
+
+    @given(st.lists(st.floats(-1e300, 1e300), min_size=3, max_size=3),
+           st.floats(0, 1e300), st.floats(0, 1))
+    @settings(max_examples=300)
+    def test_finite_floats_round_trip(self, values, tolerance, hurwicz_lambda):
+        lo, hi, payoff = values
+        lo, hi = min(lo, hi), max(lo, hi)
+        doc = PolicyDocument(
+            name="p",
+            metrics=(MetricConstraint("calibration", Interval(lo, hi), 10,
+                                      tolerance),),
+            decision=DecisionSpec(PayoffMatrix(["a"], ["s", "t"],
+                                               [[payoff, -payoff]]),
+                                  "hurwicz", hurwicz_lambda))
+        assert parse_policy(serialize_policy(doc)) == doc
 
 
 class TestFuzz:
