@@ -77,9 +77,10 @@ def main():
     print("\n=== display modality ===")
     sys.stdout.write(render(rpt, "display"))
 
-    out = Path(tempfile.mkdtemp()) / "report.json"
-    out.write_bytes(to_json(rpt))
-    print(f"\nJSON report written to {out} ({out.stat().st_size} bytes)")
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "report.json"
+        out.write_bytes(to_json(rpt))
+        print(f"\nJSON report written to {out} ({out.stat().st_size} bytes)")
 
 
 if __name__ == "__main__":

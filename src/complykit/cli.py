@@ -244,12 +244,24 @@ def main(argv=None) -> int:
         # argparse exits 2 on bad usage, matching our operational-error code
         return EXIT_ERROR if exc.code else EXIT_OK
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
     except policy.PolicyError as exc:
         for diag in exc.diagnostics:
             print(f"{args.policy}:{diag}", file=sys.stderr)
     except (ingest.IngestError, decisions.DecisionError) as exc:
         print(exc, file=sys.stderr)
+    except BrokenPipeError:
+        # The reader of stdout went away. Point stdout at devnull so that
+        # the interpreter's final flush cannot fail again (the "Note on
+        # SIGPIPE" in the `signal` docs).
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    except Exception as exc:
+        # Exit code 1 means "violation", so no crash may end with it.
+        import traceback
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        traceback.print_exc()
     return EXIT_ERROR
 
 

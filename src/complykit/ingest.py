@@ -98,8 +98,27 @@ def count_dataset(source, names=()) -> Counter:
         if counts is not None:
             return counts
     with _csv_table(source) as (columns, rows):
-        idx = [_column_index(columns, name) for name in names]
-        return _count_rows(map(itemgetter(1), rows), idx)
+        return _row_counter(columns, names)(rows)
+
+
+def _row_counter(columns: tuple, names):
+    """`count_dataset`'s row loop: counts of `(row number, cells)` pairs."""
+    idx = [_column_index(columns, name) for name in names]
+    return lambda rows: _count_rows(map(itemgetter(1), rows), idx)
+
+
+def _count_sharded(path, names):
+    """`count_dataset` of a path in byte-range shards, or None."""
+    return _run_sharded(path, partial(_row_counter, names=names),
+                        _dump_counts, _merge_counts)
+
+
+def _dump_counts(counts, pipe) -> None:
+    marshal.dump(dict(counts), pipe)
+
+
+def _merge_counts(counts, pipe) -> None:
+    counts.update(marshal.load(pipe))
 
 
 # A file is split into at most one shard per usable CPU, each of at least
@@ -174,19 +193,17 @@ def _open_range(path, start: int, end: int):
                             encoding="utf-8", newline="")
 
 
-def _count_range(path, start: int, end: int, width: int, idx) -> Counter:
-    """Count the header-less rows in bytes [start, end) of a dataset."""
+def _count_range(path, start: int, end: int, width: int, reduce):
+    """`reduce` of the header-less rows in bytes [start, end) of a CSV."""
     with _open_range(path, start, end) as fh:
-        return _count_rows(
-            map(itemgetter(1), _csv_rows(csv.reader(fh), width)), idx)
+        return reduce(_csv_rows(csv.reader(fh), width))
 
 
-def _fork_shard(path, start: int, end: int, width: int, idx):
-    """Fork a child that counts bytes [start, end) into a pipe.
+def _fork_shard(path, start: int, end: int, width: int, reduce, dump):
+    """Fork a child that reduces bytes [start, end) into a pipe.
 
-    Returns `(pid, read end)`. The child writes its counts as a
-    marshalled dict and exits 0, or exits 1 on any error; it never
-    returns.
+    Returns `(pid, read end)`. The child writes its result with `dump`
+    and exits 0, or exits 1 on any error; it never returns.
     """
     r, w = os.pipe()
     try:
@@ -199,9 +216,9 @@ def _fork_shard(path, start: int, end: int, width: int, idx):
         status = 1
         try:
             os.close(r)
-            counts = _count_range(path, start, end, width, idx)
+            result = _count_range(path, start, end, width, reduce)
             with open(w, "wb") as pipe:
-                pipe.write(marshal.dumps(dict(counts)))
+                dump(result, pipe)
             status = 0
         finally:
             os._exit(status)
@@ -209,14 +226,19 @@ def _fork_shard(path, start: int, end: int, width: int, idx):
     return pid, open(r, "rb")
 
 
-def _count_sharded(path, names):
-    """`count_dataset` of a path, one forked child per shard but the first.
+def _run_sharded(path, prepare, dump, merge):
+    """Reduce a CSV path in byte-range shards, one forked child per shard
+    but the first.
 
-    The parent counts shard 0, header included, and merges the children's
-    counts in shard order, so keys come in serial insertion order. None
-    when `_shard_cuts` declines, or when any shard fails (a bad row, a
-    child that dies, a short pipe read): the serial pass then reports the
-    first bad row in file order.
+    `prepare(columns)` checks the header and returns `reduce(rows)`, which
+    folds `(row number, cells)` pairs into a new result. The parent
+    reduces shard 0, header included; each child reduces its range and
+    writes the result with `dump(result, pipe)`, and the parent folds it
+    into its own with `merge(result, pipe)`, in shard order, so a merge
+    that appends keeps serial order. None when `_shard_cuts` declines, or
+    when any shard fails (a bad row, a child that dies, a short read or a
+    trailing byte): the serial pass then reports the first bad row in
+    file order.
     """
     cuts = _shard_cuts(path)
     if cuts is None:
@@ -225,22 +247,22 @@ def _count_sharded(path, names):
     try:
         with _open_range(path, 0, cuts[1]) as fh:
             columns, rows = _csv_stream(fh)
-            idx = [_column_index(columns, name) for name in names]
+            reduce = prepare(columns)
             for start, end in zip(cuts[1:], cuts[2:]):
                 if start < end:
-                    children.append(
-                        _fork_shard(path, start, end, len(columns), idx))
-            counts = _count_rows(map(itemgetter(1), rows), idx)
+                    children.append(_fork_shard(
+                        path, start, end, len(columns), reduce, dump))
+            result = reduce(rows)
         while children:
             pid, pipe = children[0]
             with pipe:
-                data = pipe.read()
+                merge(result, pipe)
+                trailing = pipe.read(1)
             _, status = os.waitpid(pid, 0)
             del children[0]
-            if status != 0:
+            if status != 0 or trailing:
                 return None
-            counts.update(marshal.loads(data))
-        return counts
+        return result
     except (OSError, EOFError, ValueError):  # IngestError is a ValueError
         return None
     finally:
@@ -377,42 +399,66 @@ def read_predictions(source, privileged_label: str = PRIVILEGED,
     unprivileged values, or the literal defaults). Rows stream into a
     tally of cells; memory grows with the distinct cells plus one float
     per scored row.
+
+    A path is tallied in byte-range shards on every usable CPU when
+    `_shard_cuts` finds that safe; the cells are the same, key order and
+    score order included.
     """
+    prepare = partial(_prediction_tally, privileged_label=privileged_label,
+                      unprivileged_label=unprivileged_label)
+    cells = None
+    if not hasattr(source, "read"):
+        cells = _run_sharded(source, prepare, _dump_cells, _merge_cells)
+    if cells is None:
+        with _csv_table(source) as (columns, rows):
+            cells = prepare(columns)(rows)
+    return GroupedPredictions.from_cells(cells)
+
+
+def _prediction_tally(columns: tuple, privileged_label: str,
+                      unprivileged_label: str):
+    """`read_predictions`' row loop for a header of `columns`.
+
+    Returns `tally(rows)`, which folds `(row number, cells)` pairs into a
+    new dict of `tally_cell` cells, validating every row.
+    """
+    for col in PREDICTION_COLUMNS:
+        if col not in columns:
+            raise IngestError(f"predictions are missing column {col!r}")
+    key_columns = PREDICTION_COLUMNS + (
+        ("legitimate",) if "legitimate" in columns else ())
+    key_of = itemgetter(*(columns.index(c) for c in key_columns))
+    s = columns.index("score") if "score" in columns else None
     mapping = {privileged_label: PRIVILEGED, unprivileged_label: UNPRIVILEGED}
-    cells = {}
-    # Each distinct raw text is validated once: the group/predicted/actual
-    # cells into `heads`, and with the legitimate cell into `by_text`.
-    heads = {}
-    by_text = {}
 
-    def validated_head(rownum, text):
-        group = mapping.get(text[0].strip())
-        if group is None:
-            raise IngestError(
-                f"row {rownum}: group {text[0]!r} is neither "
-                f"{privileged_label!r} nor {unprivileged_label!r}")
-        try:
-            predicted = _binary(text[1])
-            actual = _binary(text[2])
-        except ValueError as exc:
-            raise IngestError(f"row {rownum}: {exc}") from exc
-        head = heads[text] = (group, predicted, actual)
-        return head
+    def tally(rows) -> dict:
+        cells = {}
+        # Each distinct raw text is validated once: the group/predicted/
+        # actual cells into `heads`, and with the legitimate cell into
+        # `by_text`.
+        heads = {}
+        by_text = {}
 
-    def new_cell(rownum, text):
-        head = heads.get(text[:3]) or validated_head(rownum, text[:3])
-        legitimate = text[3] if len(text) == 4 and text[3].strip() != "" else None
-        cell = by_text[text] = tally_cell(cells, head + (legitimate,))
-        return cell
+        def validated_head(rownum, text):
+            group = mapping.get(text[0].strip())
+            if group is None:
+                raise IngestError(
+                    f"row {rownum}: group {text[0]!r} is neither "
+                    f"{privileged_label!r} nor {unprivileged_label!r}")
+            try:
+                predicted = _binary(text[1])
+                actual = _binary(text[2])
+            except ValueError as exc:
+                raise IngestError(f"row {rownum}: {exc}") from exc
+            head = heads[text] = (group, predicted, actual)
+            return head
 
-    with _csv_table(source) as (columns, rows):
-        for col in PREDICTION_COLUMNS:
-            if col not in columns:
-                raise IngestError(f"predictions are missing column {col!r}")
-        key_columns = PREDICTION_COLUMNS + (
-            ("legitimate",) if "legitimate" in columns else ())
-        key_of = itemgetter(*(columns.index(c) for c in key_columns))
-        s = columns.index("score") if "score" in columns else None
+        def new_cell(rownum, text):
+            head = heads.get(text[:3]) or validated_head(rownum, text[:3])
+            legitimate = text[3] if len(text) == 4 and text[3].strip() != "" else None
+            cell = by_text[text] = tally_cell(cells, head + (legitimate,))
+            return cell
+
         for rownum, row in rows:
             text = key_of(row)
             cell = by_text.get(text) or new_cell(rownum, text)
@@ -431,7 +477,35 @@ def read_predictions(source, privileged_label: str = PRIVILEGED,
                 raise IngestError(
                     f"row {rownum}: score {score} outside [0, 1]")
             cell[1].append(score)
-    return GroupedPredictions.from_cells(cells)
+        return cells
+
+    return tally
+
+
+# Scores per `array.fromfile` call when merging a child's cells: the
+# parent reads them straight into its own arrays in chunks this small, so
+# it never holds a child's score array twice.
+_MERGE_ITEMS = 4096
+
+
+def _dump_cells(cells, pipe) -> None:
+    """Write cells as one marshalled `(key, unscored, len(scores))` list,
+    then each score array in the same order."""
+    marshal.dump([(key, n, len(scores)) for key, (n, scores) in cells.items()],
+                 pipe)
+    for _, scores in cells.values():
+        scores.tofile(pipe)
+
+
+def _merge_cells(cells, pipe) -> None:
+    """Fold cells written by `_dump_cells` into `cells`, in their order."""
+    for key, unscored, n in marshal.load(pipe):
+        cell = tally_cell(cells, key)
+        cell[0] += unscored
+        while n:
+            k = min(n, _MERGE_ITEMS)
+            cell[1].fromfile(pipe, k)
+            n -= k
 
 
 def _binary(cell: str) -> int:

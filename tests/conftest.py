@@ -57,7 +57,8 @@ def scenario1_policy_text():
 
 
 def force_shards(monkeypatch, cpus):
-    """Shard every dataset path, however small, on `cpus` CPUs."""
+    """Shard every dataset and prediction path, however small, on `cpus`
+    CPUs."""
     monkeypatch.setattr(ingest, "SHARD_BYTES", 1)
     monkeypatch.setattr(ingest, "_usable_cpus", lambda: cpus)
 

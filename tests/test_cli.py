@@ -1,9 +1,12 @@
+import io
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
-from complykit import ingest
+from complykit import cli, fairness, ingest
 from complykit.cli import main
 from conftest import SCENARIO1_POLICY, force_shards
 from schema_check import validate_report
@@ -318,6 +321,163 @@ class TestShardedEvaluate:
         for pid in forks:  # every child was reaped
             with pytest.raises(ChildProcessError):
                 os.waitpid(pid, os.WNOHANG)
+
+
+PREDICTION_POLICY = """\
+policy "preds" {
+  protected_attribute sex {
+    privileged = "Male"
+    unprivileged = "Female"
+  }
+  favorable_outcome occupation { value = "Exec-managerial" }
+  metric equalized_odds { range = [-0.5, 0.5] }
+  metric conditional_statistical_parity { range = [-0.5, 0.5] }
+  metric calibration {
+    range = [-0.5, 0.5]
+    bins = 5
+  }
+  metric balance_positive { range = [-0.5, 0.5] }
+}
+"""
+
+PREDICTION_ROWS = b"".join(
+    b"%s,%d,%d,%s,%s\n" % (group, i % 2, i // 2 % 2,
+                            b"" if i % 7 == 0 else b"0.%02d" % (i * 37 % 100),
+                            b"band-%d" % (i % 3))
+    for i in range(40) for group in (b"Male", b"Female"))
+
+
+class TestShardedPredictions:
+    """With sharding forced, a prediction file gives the serial report and
+    errors."""
+
+    @pytest.fixture
+    def preds_dir(self, workdir):
+        (workdir / "preds.law").write_text(PREDICTION_POLICY)
+        return workdir
+
+    @pytest.fixture
+    def serial_passes(self, monkeypatch):
+        """The sources of every serial CSV pass during the test."""
+        sources = []
+        csv_table = ingest._csv_table
+
+        def recording_csv_table(source):
+            sources.append(source)
+            return csv_table(source)
+
+        monkeypatch.setattr(ingest, "_csv_table", recording_csv_table)
+        return sources
+
+    def evaluate(self, workdir, capsys, predictions):
+        code = main(["evaluate", str(workdir / "preds.law"),
+                     "--dataset", str(workdir / "data.csv"),
+                     "--predictions", str(predictions), "--deterministic"])
+        out, err = capsys.readouterr()
+        return code, out, err
+
+    @pytest.mark.parametrize("bad_row, message", [
+        (b"Male,1,1\n", "row 4002: expected 5 cells, got 3"),
+        (b"Other,1,1,0.5,a\n", "row 4002: group 'Other' is neither"),
+        (b"Male,2,1,0.5,a\n", "row 4002: label '2' must be 0 or 1"),
+        (b"Male,1,1,high,a\n", "row 4002: score 'high' is not a number"),
+        (b"Male,1,1,1.5,a\n", "row 4002: score 1.5 outside [0, 1]"),
+        (b"Male,1,1,0.5,b\xffd\n", "input is not valid UTF-8: 'utf-8' "
+         "codec can't decode byte 0xff"),
+        (b"Male,1,1,0.5," + b"x" * 200_000 + b"\n",
+         "row 4002: field larger than field limit (131072)"),
+    ], ids=["ragged", "group", "label", "score", "range", "utf-8",
+            "oversized"])
+    def test_error_in_a_later_shard(self, preds_dir, capsys, monkeypatch,
+                                    bad_row, message):
+        head = b"group,predicted,actual,score,legitimate\n" \
+            + PREDICTION_ROWS * 50
+        path = preds_dir / "late.csv"
+        path.write_bytes(head + bad_row + PREDICTION_ROWS)
+        serial = self.evaluate(preds_dir, capsys, path)
+        assert serial[0] == 2 and message in serial[2]
+        force_shards(monkeypatch, 4)
+        assert ingest._shard_cuts(path)[1] <= len(head)
+        assert self.evaluate(preds_dir, capsys, path) == serial
+
+    @pytest.mark.parametrize("failure", ["dead", "truncated", "trailing",
+                                         "exit-3"])
+    def test_failed_child_falls_back(self, preds_dir, capsys, monkeypatch,
+                                     forks, serial_passes, failure):
+        path = preds_dir / "many.csv"
+        path.write_bytes(b"group,predicted,actual,score,legitimate\n"
+                         + PREDICTION_ROWS * 4)
+        expected = self.evaluate(preds_dir, capsys, path)
+        assert expected[0] in (0, 1) and "calibration" in expected[1]
+        force_shards(monkeypatch, 4)
+        if failure == "dead":
+            monkeypatch.setattr(ingest, "_count_range",
+                                lambda *args: os._exit(9))
+        else:
+            dump = ingest._dump_cells
+
+            def bad_dump(cells, pipe):
+                buf = io.BytesIO()
+                dump(cells, buf)
+                data = buf.getvalue()
+                if failure == "exit-3":  # a whole stream, then a failure
+                    pipe.write(data)
+                    pipe.flush()
+                    os._exit(3)
+                pipe.write(data[:-8] if failure == "truncated"
+                           else data + b"\0")
+
+            monkeypatch.setattr(ingest, "_dump_cells", bad_dump)
+        del serial_passes[:]
+        assert self.evaluate(preds_dir, capsys, path) == expected
+        assert serial_passes[-1] == str(path)  # predictions fell back
+        assert len(forks) == 6  # three for the dataset, three for predictions
+        for pid in forks:  # every child was reaped
+            with pytest.raises(ChildProcessError):
+                os.waitpid(pid, os.WNOHANG)
+
+    def test_sharded_report_is_the_serial_report(self, preds_dir, capsys,
+                                                 monkeypatch, forks,
+                                                 serial_passes):
+        path = preds_dir / "many.csv"
+        path.write_bytes(b"legitimate,score,actual,predicted,group\r\n"
+                         + b"\r\n".join(b",".join(reversed(line.split(b",")))
+                                         for line in PREDICTION_ROWS.split()
+                                         * 4) + b"\r\n")
+        expected = self.evaluate(preds_dir, capsys, path)
+        force_shards(monkeypatch, 3)
+        del serial_passes[:]
+        assert self.evaluate(preds_dir, capsys, path) == expected
+        assert serial_passes == [] and len(forks) == 4
+
+
+class TestExitCodes:
+    def test_closed_stdout_exits_two(self, workdir):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [os.path.dirname(os.path.dirname(cli.__file__))]
+            + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "complykit.cli", "evaluate",
+             str(workdir / "policy.law"), "--dataset", str(workdir / "data.csv")],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 2
+        assert b"Traceback" not in err
+
+    def test_internal_error_exits_two(self, workdir, capsys, monkeypatch):
+        def broken(*args):
+            raise RuntimeError("metric exploded")
+
+        monkeypatch.setattr(fairness, "statistical_parity_from_counts", broken)
+        code = main(["evaluate", str(workdir / "policy.law"),
+                     "--dataset", str(workdir / "data.csv")])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        assert err.startswith(
+            "internal error: RuntimeError: metric exploded\nTraceback")
 
 
 class TestDecide:

@@ -2,6 +2,7 @@ import csv
 import io
 import os
 import threading
+from array import array
 from collections import Counter
 from fractions import Fraction
 
@@ -327,6 +328,95 @@ class TestShardedCount:
         assert ingest._shard_cuts(path) is None
         assert count_dataset(path, ["sex", "occupation"]) == \
             Counter({("Male", "Other"): 10})
+
+
+PREDICTION_CELLS = {
+    "group": ["privileged", " privileged", "unprivileged ", "unprivileged"],
+    "predicted": ["0", "1", " 1"],
+    "actual": ["0", "1", "0 "],
+    "score": ["0", "1", "0.25", " 0.5", "1e-3", "", " "],
+    "legitimate": ["a", " a", "b", "", " "],
+}
+
+
+@st.composite
+def prediction_csv(draw):
+    """Quote-free prediction CSV text with or without the score and
+    legitimate columns, columns in any order, padded cells, blank lines
+    and LF or CRLF line ends."""
+    columns = ["group", "predicted", "actual"] + [
+        c for c in ("score", "legitimate") if draw(st.booleans())]
+    columns = draw(st.permutations(columns))
+    rows = draw(st.lists(st.tuples(*(st.sampled_from(PREDICTION_CELLS[c])
+                                     for c in columns)), max_size=40))
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    lines = [",".join(columns)]
+    for row in rows:
+        lines.append(",".join(row))
+        if draw(st.booleans()):
+            lines.append("")
+    return eol.join(lines) + eol
+
+
+def cell_bytes(gp):
+    return [(key, n, scores.tobytes()) for key, (n, scores) in gp.cells.items()]
+
+
+class TestShardedPredictions:
+    @settings(max_examples=60, deadline=None)
+    @given(prediction_csv(), st.integers(2, 4))
+    def test_sharded_equals_serial(self, tmp_path_factory, text, cpus):
+        path = tmp_path_factory.mktemp("shard") / "p.csv"
+        path.write_bytes(text.encode())
+        serial = cell_bytes(read_predictions(io.StringIO(text)))
+
+        def no_serial_pass(source):
+            raise AssertionError("the serial pass ran")
+
+        with pytest.MonkeyPatch.context() as mp:
+            force_shards(mp, cpus)
+            mp.setattr(ingest, "_csv_table", no_serial_pass)
+            assert cell_bytes(read_predictions(path)) == serial
+
+    def test_forks_one_child_per_later_shard(self, tmp_path, monkeypatch,
+                                             forks):
+        force_shards(monkeypatch, 3)
+        path = tmp_path / "p.csv"
+        path.write_text("group,predicted,actual,score\n"
+                        + "privileged,1,1,0.5\nunprivileged,0,1,\n" * 20)
+        gp = read_predictions(path)
+        assert len(forks) == 2
+        assert cell_bytes(gp) == [
+            ((PRIVILEGED, 1, 1, None), 0, array("d", [0.5] * 20).tobytes()),
+            ((UNPRIVILEGED, 0, 1, None), 20, b""),
+        ]
+
+    def test_streams_small_quoted_and_threaded_never_fork(self, tmp_path,
+                                                          monkeypatch):
+        def no_fork():
+            raise AssertionError("forked")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        monkeypatch.setattr(ingest, "_usable_cpus", lambda: 4)
+        text = "group,predicted,actual\n" + "privileged,1,1\n" * 50
+        path = tmp_path / "p.csv"
+        path.write_text(text)
+        expected = [((PRIVILEGED, 1, 1, None), 50, b"")]
+        assert cell_bytes(read_predictions(path)) == expected
+        monkeypatch.setattr(ingest, "SHARD_BYTES", 1)
+        assert cell_bytes(read_predictions(io.StringIO(text))) == expected
+        quoted = tmp_path / "q.csv"
+        quoted.write_text(text.replace("1,1\n", '1,"1"\n'))
+        assert cell_bytes(read_predictions(quoted)) == expected
+        release = threading.Event()
+        worker = threading.Thread(target=release.wait)
+        worker.start()
+        try:
+            assert cell_bytes(read_predictions(path)) == expected
+        finally:
+            release.set()
+            worker.join(timeout=10)
+        assert not worker.is_alive()
 
 
 class TestReadPredictions:
