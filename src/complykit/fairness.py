@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from array import array
-from collections import Counter, defaultdict
+from collections import Counter
 from dataclasses import dataclass, field
 from itertools import chain
 from typing import Iterable, Optional
@@ -50,6 +50,8 @@ class GroupedPredictions:
     `[unscored row count, array('d') of scores]`, so the rows can be
     rebuilt exactly (up to order). The cells are reduced once, at
     construction, into `summary`; every metric reads only the summary.
+    The summary keeps strata as flat per-group counts keyed by the
+    legitimate value, so it allocates no container per stratum.
     """
 
     __slots__ = ("cells", "summary")
@@ -109,28 +111,30 @@ class PredictionSummary:
     """Everything the prediction metrics read, reduced once from the cells."""
 
     confusion: dict  # group -> ConfusionCounts
-    strata: dict  # legitimate -> {group: [predicted positives, total]}
+    # group -> (rows, predicted positives), each {legitimate: count}; the
+    # values are ints, so the garbage collector tracks no per-stratum object
+    strata: dict
     scores: dict  # (group, actual) -> list of score arrays
     unscored: int  # rows without a score
 
     @staticmethod
     def of(cells: dict) -> "PredictionSummary":
         quadrants = {g: [[0, 0], [0, 0]] for g in GROUPS}  # [predicted][actual]
-        strata = defaultdict(lambda: {g: [0, 0] for g in GROUPS})
+        strata = {g: ({}, {}) for g in GROUPS}
         scores = {(g, a): [] for g in GROUPS for a in (0, 1)}
         unscored_total = 0
         for (g, p, a, legitimate), (unscored, cell_scores) in cells.items():
             n = unscored + len(cell_scores)
             quadrants[g][p][a] += n
-            stratum = strata[legitimate][g]
-            stratum[0] += p * n
-            stratum[1] += n
+            rows, positives = strata[g]
+            rows[legitimate] = rows.get(legitimate, 0) + n
+            positives[legitimate] = positives.get(legitimate, 0) + p * n
             if cell_scores:
                 scores[g, a].append(cell_scores)
             unscored_total += unscored
         confusion = {g: ConfusionCounts(tp=q[1][1], fp=q[1][0], tn=q[0][0], fn=q[0][1])
                      for g, q in quadrants.items()}
-        return PredictionSummary(confusion, dict(strata), scores, unscored_total)
+        return PredictionSummary(confusion, strata, scores, unscored_total)
 
 
 @dataclass(frozen=True)
@@ -328,23 +332,34 @@ def treatment_equality(gp: GroupedPredictions) -> MetricValue:
     return MetricValue("treatment_equality", value, trace=trace)
 
 
+def _gaps_by_key(counts: dict, sort_key=None) -> tuple:
+    """Per-key positive-rate gaps from `{group: (rows, positives)}` counts.
+
+    Returns `({key: gap}, [skipped keys])` in sorted key order; a key is
+    skipped when either group has no rows under it.
+    """
+    rows_u, positives_u = counts[UNPRIVILEGED]
+    rows_p, positives_p = counts[PRIVILEGED]
+    gaps = {}
+    skipped = []
+    for key in sorted(rows_u.keys() | rows_p.keys(), key=sort_key):
+        n_u = rows_u.get(key, 0)
+        n_p = rows_p.get(key, 0)
+        if n_u and n_p:
+            gaps[key] = positives_u[key] / n_u - positives_p[key] / n_p
+        else:
+            skipped.append(key)
+    return gaps, skipped
+
+
 def conditional_statistical_parity(gp: GroupedPredictions) -> MetricValue:
     """Worst positive-decision rate gap across legitimate-factor strata.
 
     Strata where either group is absent are skipped and listed in the trace.
     """
     mid = "conditional_statistical_parity"
-    strata = gp.summary.strata  # [positives, total] per group
-    gaps = {}
-    skipped = []
-    for stratum in sorted(strata, key=lambda s: ("", s) if s is None else (str(s), "")):
-        cells = strata[stratum]
-        if any(cells[g][1] == 0 for g in GROUPS):
-            skipped.append(stratum)
-            continue
-        p_u = cells[UNPRIVILEGED][0] / cells[UNPRIVILEGED][1]
-        p_p = cells[PRIVILEGED][0] / cells[PRIVILEGED][1]
-        gaps[stratum] = p_u - p_p
+    gaps, skipped = _gaps_by_key(
+        gp.summary.strata, lambda s: ("", s) if s is None else (str(s), ""))
     trace = {"per_stratum_gap": gaps, "skipped_strata": skipped}
     if not gaps:
         return MetricValue.undefined(mid, "no comparable stratum", trace)
@@ -378,21 +393,13 @@ def calibration_gap(gp: GroupedPredictions, bins: int = 10) -> MetricValue:
     problem = _require_scores(gp, mid)
     if problem:
         return problem
-    tally = defaultdict(lambda: {g: [0, 0] for g in GROUPS})  # [positives, total]
+    counts = {g: ({}, {}) for g in GROUPS}  # group -> (rows, positives) per bin
     for (g, actual), arrays in gp.summary.scores.items():
+        rows, positives = counts[g]
         for b, n in _bin_counts(arrays, bins).items():
-            cell = tally[b][g]
-            cell[0] += actual * n
-            cell[1] += n
-    per_bin = {}
-    skipped = []
-    for b in sorted(tally):
-        cells = tally[b]
-        if any(cells[g][1] == 0 for g in GROUPS):
-            skipped.append(b)
-            continue
-        per_bin[b] = (cells[UNPRIVILEGED][0] / cells[UNPRIVILEGED][1]
-                      - cells[PRIVILEGED][0] / cells[PRIVILEGED][1])
+            rows[b] = rows.get(b, 0) + n
+            positives[b] = positives.get(b, 0) + actual * n
+    per_bin, skipped = _gaps_by_key(counts)
     trace = {"bins": bins, "per_bin_gap": per_bin, "skipped_bins": skipped}
     if not per_bin:
         return MetricValue.undefined(mid, "no comparable bin", trace)

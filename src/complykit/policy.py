@@ -47,7 +47,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .decisions import CRITERIA, DecisionError, PayoffMatrix
 from .fairness import resolve_metric_id
@@ -165,8 +165,7 @@ _ESCAPE = re.compile(r'\\(["\\]?)')
 _IDENT = re.compile(r"[a-z_][a-z0-9_]*")
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     type: str  # IDENT STRING NUMBER { } [ ] , = ; EOF
     value: object
     line: int

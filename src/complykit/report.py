@@ -12,6 +12,7 @@ text and JSON.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -239,6 +240,16 @@ def render_auto(report: ComplianceReport) -> str:
 # ---------------------------------------------------------------------------
 # JSON serialization
 
+# `"`, `\\` and the C0 controls are escaped; DEL and non-ASCII pass through.
+_JSON_ESCAPE = re.compile(r'["\\\x00-\x1f]')
+_JSON_ESCAPES = {'"': '\\"', "\\": "\\\\",
+                 **{chr(i): f"\\u{i:04x}" for i in range(0x20)}}
+
+
+def _json_escape(m) -> str:
+    return _JSON_ESCAPES[m.group()]
+
+
 def _json_value(v) -> str:
     if v is None:
         return "null"
@@ -253,18 +264,7 @@ def _json_value(v) -> str:
             raise ValueError(f"JSON has no encoding for the float {v!r}")
         return format(v, ".17g")
     if isinstance(v, str):
-        out = ['"']
-        for ch in v:
-            if ch == '"':
-                out.append('\\"')
-            elif ch == "\\":
-                out.append("\\\\")
-            elif ord(ch) < 0x20:
-                out.append(f"\\u{ord(ch):04x}")
-            else:
-                out.append(ch)
-        out.append('"')
-        return "".join(out)
+        return '"' + _JSON_ESCAPE.sub(_json_escape, v) + '"'
     if isinstance(v, (list, tuple)):
         return "[" + ", ".join(_json_value(x) for x in v) + "]"
     if isinstance(v, dict):

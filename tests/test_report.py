@@ -1,6 +1,8 @@
 import json
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from complykit.decisions import PayoffMatrix, wald
 from complykit.fairness import MetricValue, statistical_parity_from_counts
@@ -11,6 +13,7 @@ from complykit.report import (
     COMPLY,
     ERROR,
     EXPLAIN,
+    _json_value,
     evaluate,
     render,
     render_auto,
@@ -24,6 +27,22 @@ SPD_POLICY = parse_policy(
     '{ range = [-0.01, 0.01] } }')
 
 ADULT_SPD = statistical_parity_from_counts(1748, 15351, 4338, 31648)
+
+
+def _json_string_by_loop(v):
+    """The per-character escape loop `_json_value` used before its regex."""
+    out = ['"']
+    for ch in v:
+        if ch == '"':
+            out.append('\\"')
+        elif ch == "\\":
+            out.append("\\\\")
+        elif ord(ch) < 0x20:
+            out.append(f"\\u{ord(ch):04x}")
+        else:
+            out.append(ch)
+    out.append('"')
+    return "".join(out)
 
 
 def spd_metric(value):
@@ -182,6 +201,12 @@ class TestToJson:
             report = evaluate(doc, [ADULT_SPD], audit=audit)
             with pytest.raises(ValueError, match="no encoding"):
                 to_json(report)
+
+    @given(st.one_of(st.text(), st.text('"\\\x00\x01\x1f\x7f\x80a\u2028')))
+    def test_strings_escape_as_the_loop_did(self, text):
+        out = _json_value(text)
+        assert out == _json_string_by_loop(text)
+        assert json.loads(out) == text
 
     def test_matches_schema(self):
         doc = parse_policy(SCENARIO1_POLICY)

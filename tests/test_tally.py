@@ -39,7 +39,10 @@ score = st.one_of(
     st.none(),
     st.sampled_from((0.0, 1.0, 0.5, 5e-324, 0.1 + 0.2 - 0.3)),
     st.floats(0, 1, allow_nan=False))
-legitimate = st.sampled_from(("", " ", "a", "b", " a", "b c", "None"))
+# A few hundred keys beside the padded, blank (None) and "None" cases, so
+# that strata sort by text ("10" before "9") and most hold one group only.
+legitimate = st.one_of(st.sampled_from(("", " ", "a", "b", " a", "b c", "None")),
+                       st.integers(0, 299).map(str))
 
 
 @st.composite
@@ -144,36 +147,44 @@ def test_balance_means_are_fsum_of_the_scores(rows, seed):
 
 
 def _per_record_gaps(records, key_of, positive_of, sort_key=None):
-    """The row-scanning reference: rate gap per key, and the skipped keys."""
+    """The row-scanning reference: `{key: {group: [positives, rows]}}`, the
+    rate gap per key as a list in sorted key order, and the skipped keys."""
     tally = {}
     for r in records:
         cell = tally.setdefault(key_of(r), {g: [0, 0] for g in GROUPS})
         cell[r.group][0] += positive_of(r)
         cell[r.group][1] += 1
-    gaps, skipped = {}, []
+    gaps, skipped = [], []
     for key in sorted(tally, key=sort_key):
         c = tally[key]
         if any(c[g][1] == 0 for g in GROUPS):
             skipped.append(key)
         else:
-            gaps[key] = (c[UNPRIVILEGED][0] / c[UNPRIVILEGED][1]
-                         - c[PRIVILEGED][0] / c[PRIVILEGED][1])
-    return gaps, skipped
+            gaps.append((key, c[UNPRIVILEGED][0] / c[UNPRIVILEGED][1]
+                              - c[PRIVILEGED][0] / c[PRIVILEGED][1]))
+    return tally, gaps, skipped
 
 
 @given(row_lists, st.integers(2, 12))
 def test_strata_and_bins_match_a_row_scan(rows, bins):
     records = [r for r, _ in rows]
-    gp = GroupedPredictions(records)
-    strata = METRIC_REGISTRY["conditional_statistical_parity"].compute(gp, None)
-    assert (strata.trace["per_stratum_gap"], strata.trace["skipped_strata"]) \
-        == _per_record_gaps(
-            records, lambda r: r.legitimate, lambda r: r.predicted,
-            lambda k: ("", k) if k is None else (str(k), ""))
+    tally, gaps, skipped = _per_record_gaps(
+        records, lambda r: r.legitimate, lambda r: r.predicted,
+        lambda k: ("", k) if k is None else (str(k), ""))
+    flat = {g: ({k: c[g][1] for k, c in tally.items() if c[g][1]},
+                {k: c[g][0] for k, c in tally.items() if c[g][1]})
+            for g in GROUPS}
+    for gp in (GroupedPredictions(records), _read(rows)):
+        assert gp.summary.strata == flat
+        strata = METRIC_REGISTRY["conditional_statistical_parity"].compute(gp, None)
+        assert list(strata.trace["per_stratum_gap"].items()) == gaps
+        assert strata.trace["skipped_strata"] == skipped
     if any(r.score is None for r in records):
         return
+    _, gaps, skipped = _per_record_gaps(
+        records, lambda r: min(int(r.score * bins), bins - 1), lambda r: r.actual)
     constraint = MetricConstraint("calibration", Interval(-1, 1), bins)
-    cal = METRIC_REGISTRY["calibration"].compute(gp, constraint)
-    assert (cal.trace["per_bin_gap"], cal.trace["skipped_bins"]) == \
-        _per_record_gaps(records, lambda r: min(int(r.score * bins), bins - 1),
-                         lambda r: r.actual)
+    for gp in (GroupedPredictions(records), _read(rows)):
+        cal = METRIC_REGISTRY["calibration"].compute(gp, constraint)
+        assert list(cal.trace["per_bin_gap"].items()) == gaps
+        assert cal.trace["skipped_bins"] == skipped
