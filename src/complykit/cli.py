@@ -128,13 +128,11 @@ def cmd_evaluate(args) -> int:
 
     gp = None
     if args.predictions:
+        labels = ()
         if doc.protected is not None:
-            gp = ingest.read_predictions(
-                args.predictions,
-                privileged_label=doc.protected.privileged_value,
-                unprivileged_label=doc.protected.unprivileged_value)
-        else:
-            gp = ingest.read_predictions(args.predictions)
+            labels = (doc.protected.privileged_value,
+                      doc.protected.unprivileged_value)
+        gp = ingest.read_predictions(args.predictions, *labels)
 
     metrics = _compute_metrics(doc, bound, gp)
 

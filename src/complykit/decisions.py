@@ -14,10 +14,11 @@ expected to order actions by preference.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
+
+from .ingest import _csv_table
 
 CRITERIA = ("wald", "hurwicz", "savage")
 
@@ -60,30 +61,24 @@ class PayoffMatrix:
 
     @classmethod
     def from_csv(cls, path) -> "PayoffMatrix":
-        """Read a matrix file: header row = state labels, first column = actions."""
-        try:
-            with open(path, newline="", encoding="utf-8") as fh:
-                rows = list(csv.reader(fh))
-        except OSError as exc:
-            raise DecisionError(f"cannot read {path}: {exc.strerror}") from exc
-        except UnicodeDecodeError as exc:
-            raise DecisionError(f"{path} is not valid UTF-8: {exc}") from exc
-        except csv.Error as exc:
-            raise DecisionError(f"{path}: {exc}") from exc
-        if len(rows) < 2 or len(rows[0]) < 2:
-            raise DecisionError("matrix file needs a header row and one action row")
-        states = [s.strip() for s in rows[0][1:]]
+        """Read a matrix file: header row = state labels, first column = actions.
+
+        The file is read as `ingest` reads every CSV: header names must be
+        distinct, blank rows are skipped, and an unreadable file, invalid
+        UTF-8 or a malformed or ragged row raise a row-numbered IngestError.
+        """
         actions = []
         values = []
-        for r, row in enumerate(rows[1:], start=2):
-            if len(row) != len(states) + 1:
-                raise DecisionError(f"row {r}: expected {len(states) + 1} cells")
-            actions.append(row[0].strip())
-            try:
-                values.append([float(v) for v in row[1:]])
-            except ValueError as exc:
-                raise DecisionError(f"row {r}: {exc}") from exc
-        return cls(actions, states, values)
+        with _csv_table(path) as (columns, rows):
+            for r, row in rows:
+                actions.append(row[0].strip())
+                try:
+                    values.append([float(v) for v in row[1:]])
+                except ValueError as exc:
+                    raise DecisionError(f"row {r}: {exc}") from exc
+        if len(columns) < 2 or not actions:
+            raise DecisionError("matrix file needs a header row and one action row")
+        return cls(actions, columns[1:], values)
 
 
 @dataclass(frozen=True)

@@ -84,9 +84,6 @@ class GroupedPredictions:
             [Record(g, p, a, None, l)] * unscored + [Record(g, p, a, s, l) for s in scores]
             for (g, p, a, l), (unscored, scores) in self.cells.items()))
 
-    def by_group(self, group: str):
-        return [r for r in self.records if r.group == group]
-
     def swapped(self) -> "GroupedPredictions":
         """Same data with the privileged/unprivileged assignment flipped."""
         flip = {PRIVILEGED: UNPRIVILEGED, UNPRIVILEGED: PRIVILEGED}
@@ -295,8 +292,8 @@ def accuracy_equality_gap(gp: GroupedPredictions) -> MetricValue:
     return MetricValue(mid, acc[UNPRIVILEGED] - acc[PRIVILEGED], trace=trace)
 
 
-def _max_abs_pair(gp: GroupedPredictions, metric_id: str,
-                  first: MetricValue, second: MetricValue) -> MetricValue:
+def _max_abs_pair(metric_id: str, first: MetricValue,
+                  second: MetricValue) -> MetricValue:
     trace = {"components": {first.metric_id: first, second.metric_id: second}}
     for part in (first, second):
         if not part.is_defined:
@@ -308,14 +305,14 @@ def equalized_odds_gap(gp: GroupedPredictions) -> MetricValue:
     """max(|TPR gap|, |FPR gap|)."""
     tpr_gap = _rate_gap(gp, "tpr_gap", "tpr", "actual positives")
     fpr_gap = predictive_equality_gap(gp)
-    return _max_abs_pair(gp, "equalized_odds", tpr_gap, fpr_gap)
+    return _max_abs_pair("equalized_odds", tpr_gap, fpr_gap)
 
 
 def conditional_use_accuracy_gap(gp: GroupedPredictions) -> MetricValue:
     """max(|PPV gap|, |NPV gap|)."""
     ppv_gap = predictive_parity_gap(gp)
     npv_gap = _rate_gap(gp, "npv_gap", "npv", "predicted negatives")
-    return _max_abs_pair(gp, "conditional_use_accuracy", ppv_gap, npv_gap)
+    return _max_abs_pair("conditional_use_accuracy", ppv_gap, npv_gap)
 
 
 def treatment_equality(gp: GroupedPredictions) -> MetricValue:
@@ -359,7 +356,7 @@ def conditional_statistical_parity(gp: GroupedPredictions) -> MetricValue:
     """
     mid = "conditional_statistical_parity"
     gaps, skipped = _gaps_by_key(
-        gp.summary.strata, lambda s: ("", s) if s is None else (str(s), ""))
+        gp.summary.strata, lambda s: ("", 0) if s is None else (str(s), 1))
     trace = {"per_stratum_gap": gaps, "skipped_strata": skipped}
     if not gaps:
         return MetricValue.undefined(mid, "no comparable stratum", trace)

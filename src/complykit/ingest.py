@@ -36,7 +36,6 @@ class IngestError(ValueError):
 class Dataset:
     columns: tuple
     rows: tuple  # tuples of string cells, len == len(columns)
-    provenance: str = ""
 
     def column_index(self, name: str) -> int:
         return _column_index(self.columns, name)
@@ -70,16 +69,15 @@ def _count_rows(rows, idx) -> Counter:
     return Counter({(): n} if n else {})
 
 
-def read_dataset(source, provenance: str = "") -> Dataset:
-    """Read an RFC-4180-style CSV with a header row.
+def read_dataset(source) -> Dataset:
+    """Read an RFC-4180-style CSV with a header row, keeping every cell.
 
-    `source` is a path or a text stream. Ragged rows are an error naming
-    the offending row number (header is row 1).
+    `source` is a path or a text stream, checked as `_csv_table` checks
+    it. `evaluate` streams its dataset through `count_dataset` instead;
+    this loader serves the library and the benchmark's traced pipeline.
     """
-    if not hasattr(source, "read"):
-        provenance = provenance or str(source)
     with _csv_table(source) as (columns, rows):
-        return Dataset(columns, tuple([tuple(row) for _, row in rows]), provenance)
+        return Dataset(columns, tuple([tuple(row) for _, row in rows]))
 
 
 def count_dataset(source, names=()) -> Counter:
@@ -324,12 +322,6 @@ def _csv_rows(reader, width: int):
         raise IngestError(f"input is not valid UTF-8: {exc}") from exc
     except csv.Error as exc:
         raise IngestError(f"row {rownum + 1}: {exc}") from exc
-
-
-def write_dataset(ds: Dataset, fh) -> None:
-    writer = csv.writer(fh, lineterminator="\n")
-    writer.writerow(ds.columns)
-    writer.writerows(ds.rows)
 
 
 @dataclass(frozen=True)

@@ -120,14 +120,6 @@ class DecisionSpec:
     criterion: str
     hurwicz_lambda: float = DEFAULT_LAMBDA
 
-    @property
-    def actions(self):
-        return self.payoffs.actions
-
-    @property
-    def states(self):
-        return self.payoffs.states
-
 
 @dataclass(frozen=True)
 class PolicyDocument:
@@ -244,9 +236,15 @@ class _Parser:
     def error(self, tok: Token, message: str, kind: str = SYNTAX):
         self.diags.append(Diagnostic(kind, tok.line, tok.col, message))
 
-    def expect(self, ttype: str, what: str) -> Optional[Token]:
+    def expect(self, types, what: str, values=None) -> Optional[Token]:
+        """The next token if its type is in `types` and, when `values` is
+        given, its value is in `values`; else None after "expected {what}".
+
+        `types` is one token type or a tuple of them (no token type is a
+        substring of another).
+        """
         tok = self.peek()
-        if tok.type == ttype:
+        if tok.type in types and (values is None or tok.value in values):
             return self.next()
         self.error(tok, f"expected {what}, found {self._describe(tok)}")
         return None
@@ -273,32 +271,28 @@ class _Parser:
                 return
             self.next()
 
-    def close_brace(self, open_tok: Token):
-        tok = self.peek()
-        if tok.type == "}":
-            self.next()
-        elif tok.type == "EOF":
-            self.error(tok, f"unclosed '{{' opened at "
-                            f"{open_tok.line}:{open_tok.col}")
-        else:
-            self.error(tok, f"expected '}}', found {self._describe(tok)}")
+    def items(self, open_tok: Token):
+        """Yield each item token of the block `open_tok` opened, skipping
+        separators, then consume its `}` (or report it unclosed at end of
+        input). The caller consumes at least the token yielded.
+        """
+        while True:
+            self.skip_separators()
+            tok = self.peek()
+            if tok.type == "}":
+                self.next()
+                return
+            if tok.type == "EOF":
+                self.error(tok, f"unclosed '{{' opened at "
+                                f"{open_tok.line}:{open_tok.col}")
+                return
+            yield tok
 
     # -- value parsers ------------------------------------------------
 
-    def parse_name(self) -> Optional[str]:
-        tok = self.peek()
-        if tok.type in ("IDENT", "STRING"):
-            return self.next().value
-        self.error(tok, f"expected a name, found {self._describe(tok)}")
-        return None
-
     def parse_number(self) -> Optional[Token]:
-        tok = self.peek()
-        if tok.type != "NUMBER":
-            self.error(tok, f"expected a number, found {self._describe(tok)}")
-            return None
-        self.next()
-        if not math.isfinite(tok.value):
+        tok = self.expect("NUMBER", "a number")
+        if tok is not None and not math.isfinite(tok.value):
             self.error(tok, "number is too large to represent", SEMANTIC)
             return None
         return tok
@@ -312,26 +306,12 @@ class _Parser:
         return tok
 
     def parse_string(self) -> Optional[Token]:
-        tok = self.peek()
-        if tok.type == "STRING":
-            return self.next()
-        self.error(tok, f"expected a string, found {self._describe(tok)}")
-        return None
-
-    def parse_bool(self) -> Optional[bool]:
-        tok = self.peek()
-        if tok.type == "IDENT" and tok.value in ("true", "false"):
-            return self.next().value == "true"
-        self.error(tok, f"expected true or false, found {self._describe(tok)}")
-        return None
+        return self.expect("STRING", "a string")
 
     def parse_criterion(self) -> Optional[str]:
-        tok = self.peek()
-        if tok.type != "IDENT":
-            self.error(tok, f"expected a criterion name, found "
-                            f"{self._describe(tok)}")
+        tok = self.expect("IDENT", "a criterion name")
+        if tok is None:
             return None
-        self.next()
         if tok.value in CRITERIA:
             return tok.value
         self.error(tok, f"unknown criterion {tok.value!r}; expected "
@@ -388,11 +368,7 @@ class _Parser:
         if open_tok is None:
             self.sync_to_item()
             return values, keys
-        while True:
-            self.skip_separators()
-            tok = self.peek()
-            if tok.type == "}" or tok.type == "EOF":
-                break
+        for tok in self.items(open_tok):
             if tok.type != "IDENT" or tok.value not in fields:
                 self.error(tok, f"unexpected {self._describe(tok)} in "
                                 f"{context} block")
@@ -405,17 +381,12 @@ class _Parser:
             keys[key.value] = key
             self.expect("=", "'='")
             values[key.value] = fields[key.value]()
-        self.close_brace(open_tok)
         return values, keys
 
     # -- items ----------------------------------------------------------
 
     def parse_document(self) -> Optional[PolicyDocument]:
-        kw = self.peek()
-        if kw.type == "IDENT" and kw.value == "policy":
-            self.next()
-        else:
-            self.error(kw, f"expected 'policy', found {self._describe(kw)}")
+        if self.expect("IDENT", "'policy'", ("policy",)) is None:
             return None
         name = _value(self.parse_string(), "")
         open_tok = self.expect("{", "'{'")
@@ -427,11 +398,7 @@ class _Parser:
                "decision": None, "on_violation": DEFAULT_ON_VIOLATION}
         seen_sections = set()
 
-        while True:
-            self.skip_separators()
-            tok = self.peek()
-            if tok.type == "}" or tok.type == "EOF":
-                break
+        for tok in self.items(open_tok):
             if tok.type != "IDENT" or tok.value not in ITEM_KEYWORDS:
                 self.error(tok, f"expected a policy item, found "
                                 f"{self._describe(tok)}")
@@ -446,7 +413,6 @@ class _Parser:
                 seen_sections.add(keyword.value)
             getattr(self, "item_" + keyword.value)(keyword, doc)
 
-        self.close_brace(open_tok)
         self.skip_separators()
         trailing = self.peek()
         if trailing.type != "EOF":
@@ -466,7 +432,7 @@ class _Parser:
         )
 
     def item_protected_attribute(self, kw: Token, doc: dict):
-        attribute = self.parse_name()
+        attribute = self.expect(("IDENT", "STRING"), "a name")
         values, _ = self.parse_block({"privileged": self.parse_string,
                                       "unprivileged": self.parse_string},
                                      "protected_attribute")
@@ -482,11 +448,11 @@ class _Parser:
                        "privileged and unprivileged values must differ",
                        SEMANTIC)
         else:
-            doc["protected"] = ProtectedSpec(attribute, privileged.value,
+            doc["protected"] = ProtectedSpec(attribute.value, privileged.value,
                                              unprivileged.value)
 
     def item_favorable_outcome(self, kw: Token, doc: dict):
-        attribute = self.parse_name()
+        attribute = self.expect(("IDENT", "STRING"), "a name")
         values, _ = self.parse_block({"value": self.parse_string},
                                      "favorable_outcome")
         value = values.get("value")
@@ -495,16 +461,10 @@ class _Parser:
         if value is None:
             self.error(kw, "favorable_outcome needs a value", SEMANTIC)
         else:
-            doc["favorable"] = FavorableSpec(attribute, value.value)
+            doc["favorable"] = FavorableSpec(attribute.value, value.value)
 
     def item_metric(self, kw: Token, doc: dict):
-        name_tok = self.peek()
-        raw_id = None
-        if name_tok.type == "IDENT":
-            raw_id = self.next().value
-        else:
-            self.error(name_tok, f"expected a metric id, found "
-                                 f"{self._describe(name_tok)}")
+        name_tok = self.expect("IDENT", "a metric id")
         values, _ = self.parse_block({
             "range": self.parse_interval,
             "bins": lambda: self.parse_checked(
@@ -513,11 +473,12 @@ class _Parser:
             "tolerance": lambda: self.parse_checked(
                 lambda v: v >= 0, "tolerance must be nonnegative"),
         }, "metric")
-        if raw_id is None:
+        if name_tok is None:
             return
-        metric_id = resolve_metric_id(raw_id)
+        metric_id = resolve_metric_id(name_tok.value)
         if metric_id is None:
-            self.error(name_tok, f"unknown metric id {raw_id!r}", SEMANTIC)
+            self.error(name_tok, f"unknown metric id {name_tok.value!r}",
+                       SEMANTIC)
             return
         if any(m.metric_id == metric_id for m in doc["metrics"]):
             self.error(name_tok, f"duplicate metric {metric_id!r}", SEMANTIC)
@@ -544,27 +505,22 @@ class _Parser:
         if open_tok is None:
             self.sync_to_item()
             return
-        while True:
-            self.skip_separators()
-            tok = self.peek()
-            if tok.type in ("}", "EOF"):
-                break
-            if tok.type == "STRING":
-                doc["sources"].add(self.next().value)
-                if self.at(","):
-                    self.next()
-            else:
-                self.error(tok, f"expected a source URL string, found "
-                                f"{self._describe(tok)}")
+        for _ in self.items(open_tok):
+            source = self.expect("STRING", "a source URL string")
+            if source is None:
                 self.next()
-        self.close_brace(open_tok)
+                continue
+            doc["sources"].add(source.value)
+            if self.at(","):
+                self.next()
 
     def item_approved_model(self, kw: Token, doc: dict):
         id_tok = self.parse_string()
         values, _ = self.parse_block({
             "description": self.parse_string,
             "acceptable_uses": self.parse_strings,
-            "synthetic_data_capability": self.parse_bool,
+            "synthetic_data_capability": lambda: self.expect(
+                "IDENT", "true or false", ("true", "false")),
         }, "approved_model")
         if id_tok is None:
             return
@@ -574,7 +530,7 @@ class _Parser:
         doc["models"].append(ModelSpec(
             id_tok.value, _value(values.get("description")),
             frozenset(values.get("acceptable_uses") or ()),
-            bool(values.get("synthetic_data_capability"))))
+            _value(values.get("synthetic_data_capability")) == "true"))
 
     def item_decision(self, kw: Token, doc: dict):
         values, keys = self.parse_block({
@@ -706,8 +662,8 @@ def serialize_policy(doc: PolicyDocument) -> str:
     if doc.decision is not None:
         d = doc.decision
         out.append("  decision {")
-        out.append(f"    actions = {_fmt_string_list(d.actions)}")
-        out.append(f"    states = {_fmt_string_list(d.states)}")
+        out.append(f"    actions = {_fmt_string_list(d.payoffs.actions)}")
+        out.append(f"    states = {_fmt_string_list(d.payoffs.states)}")
         rows = ", ".join(
             "[" + ", ".join(_fmt_number(v) for v in row) + "]"
             for row in d.payoffs.values)

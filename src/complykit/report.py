@@ -225,15 +225,14 @@ def render_auto(report: ComplianceReport) -> str:
     """Render per the report's modality flags.
 
     When both flags are set the agent summary comes first, then the full
-    display trace.
+    display trace. With neither set the result is empty; `evaluate` on
+    the command line always sets at least one.
     """
     parts = []
     if report.agent_mode:
         parts.append(render(report, "agent"))
     if report.display_mode:
         parts.append(render(report, "display"))
-    if not parts:
-        parts.append(render(report, "agent"))
     return "\n".join(parts)
 
 

@@ -189,10 +189,11 @@ def test_criterion_6_fairness_properties():
             if a.is_defined:
                 assert b.value == -a.value
 
+        unprivileged = [r for r in gp.records if r.group == UNPRIVILEGED]
         mirrored = GroupedPredictions(
-            list(gp.by_group(UNPRIVILEGED))
+            unprivileged
             + [Record(PRIVILEGED, r.predicted, r.actual, r.score, r.legitimate)
-               for r in gp.by_group(UNPRIVILEGED)])
+               for r in unprivileged])
         for metric in ALL:
             mv = metric(mirrored)
             if mv.is_defined:
@@ -208,7 +209,7 @@ def test_criterion_6_fairness_properties():
 
         for group in (UNPRIVILEGED, PRIVILEGED):
             from complykit.fairness import confusion
-            r = rates(confusion(gp.by_group(group)))
+            r = rates(confusion(r for r in gp.records if r.group == group))
             for pair in ((r.tpr, r.fnr), (r.tnr, r.fpr), (r.ppv, r.fdr),
                          (r.npv, r.for_)):
                 if pair[0] is not None:

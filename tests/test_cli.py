@@ -3,10 +3,13 @@ import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from complykit import cli, fairness, ingest
+from complykit import cli, decisions, fairness, ingest
 from complykit.cli import main
 from conftest import SCENARIO1_POLICY, force_shards
 from schema_check import validate_report
@@ -30,6 +33,14 @@ MATRIX_CSV = (
     "High,1,1,1\n"
     "Average,-1,1,1\n"
     "Short,-1,-1,1\n"
+)
+
+# Matrix cells for the decide exit-code property: labels, blanks, quotes,
+# non-numbers, non-finite and overflowing numbers, and line breaks.
+MATRIX_CELLS = (
+    "a", "s", "", " ", "0", "1", "-2.5", "x", '"1"', '"a,b"', '"q""q"', '"',
+    'a"b', '"\r\n"', "nan", "inf", "-inf", "1e308", "-1e308", "9" * 400,
+    "-" + "9" * 400, "\r",
 )
 
 
@@ -501,7 +512,7 @@ class TestDecide:
         code = main(["decide", "--matrix", str(workdir / "bad.csv"),
                      "--criterion", "wald"])
         assert code == 2
-        assert "is not valid UTF-8" in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith("input is not valid UTF-8: ")
 
     def test_overflowing_regret_exit_two(self, workdir, capsys):
         big = "9" * 308
@@ -515,6 +526,57 @@ class TestDecide:
         code = main(["decide", "--matrix", str(workdir / "matrix.csv"),
                      "--criterion", "laplace"])
         assert code == 2
+
+    def test_blank_rows_skipped(self, workdir, capsys):
+        assert main(["decide", "--matrix", str(workdir / "matrix.csv"),
+                     "--criterion", "wald"]) == 0
+        expected = capsys.readouterr().out
+        (workdir / "gaps.csv").write_text(MATRIX_CSV.replace("\n", "\n\n"))
+        code = main(["decide", "--matrix", str(workdir / "gaps.csv"),
+                     "--criterion", "wald"])
+        assert code == 0
+        assert capsys.readouterr().out == expected
+
+    @pytest.mark.parametrize("data, message", [
+        (b"class,s,s\na,1,2\n", "row 1: column 's' appears more than once"),
+        (b"class,s1,s2\na,1,2\nb,1\n", "row 3: expected 3 cells, got 2"),
+    ], ids=["repeated-header", "ragged"])
+    def test_bad_matrix_exit_two(self, tmp_path, capsys, data, message):
+        (tmp_path / "bad.csv").write_bytes(data)
+        code = main(["decide", "--matrix", str(tmp_path / "bad.csv"),
+                     "--criterion", "wald"])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        assert err.startswith(message)
+
+    def test_unreadable_matrix_is_an_ingest_error(self, tmp_path, capsys):
+        missing = tmp_path / "absent.csv"
+        with pytest.raises(ingest.IngestError, match="cannot read"):
+            decisions.PayoffMatrix.from_csv(missing)
+        assert main(["decide", "--matrix", str(missing),
+                     "--criterion", "wald"]) == 2
+        assert "cannot read" in capsys.readouterr().err
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.lists(st.sampled_from(MATRIX_CELLS), min_size=1,
+                             max_size=4), min_size=1, max_size=5),
+           st.lists(st.sampled_from(("\n", "\r\n", "\r", "\n\n")),
+                    min_size=5, max_size=5),
+           st.sampled_from(decisions.CRITERIA))
+    def test_exit_code_contract(self, tmp_path_factory, rows, ends, criterion):
+        """Any matrix file exits 0 or 2, and exit 2 writes nothing to stdout."""
+        text = "".join(",".join(row) + end for row, end in zip(rows, ends))
+        path = tmp_path_factory.getbasetemp() / "generated-matrix.csv"
+        path.write_bytes(text.encode("utf-8"))
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(["decide", "--matrix", str(path),
+                         "--criterion", criterion])
+        assert code in (0, 2)
+        assert "internal error" not in err.getvalue()
+        if code == 2:
+            assert out.getvalue() == ""
 
 
 class TestFmt:

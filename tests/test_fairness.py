@@ -252,6 +252,14 @@ class TestConditionalStatisticalParity:
         assert mv.reason == "no comparable stratum"
         assert "only-u" in mv.trace["skipped_strata"]
 
+    def test_blank_and_empty_strata_sort_apart(self):
+        # a None stratum sorts before "" instead of raising TypeError
+        gp = GroupedPredictions([Record(PRIVILEGED, 1, 1, None, ""),
+                                 Record(UNPRIVILEGED, 1, 1, None, None)])
+        mv = conditional_statistical_parity(gp)
+        assert not mv.is_defined
+        assert mv.trace["skipped_strata"] == [None, ""]
+
 
 class TestCalibration:
     def test_shared_mapping_zero(self):

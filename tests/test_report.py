@@ -144,6 +144,11 @@ class TestRender:
         assert text.startswith(agent)
         assert "Constraints:" in text
 
+    def test_no_mode_renders_nothing(self):
+        report = evaluate(SPD_POLICY, [spd_metric(0.0)],
+                          display_mode=False, agent_mode=False)
+        assert render_auto(report) == ""
+
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError):
             render(self._scenario1_report(), "hologram")

@@ -109,7 +109,7 @@ def test_records_rebuild_the_input_rows(rows):
     gp = GroupedPredictions(r for r, _ in rows)
     assert Counter(gp.records) == expected
     for g in GROUPS:
-        assert Counter(gp.by_group(g)) == Counter(
+        assert Counter(r for r in gp.records if r.group == g) == Counter(
             r for r, _ in rows if r.group == g)
         assert gp.summary.confusion[g] == confusion(
             r for r, _ in rows if r.group == g)
