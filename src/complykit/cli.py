@@ -16,6 +16,7 @@ import sys
 from collections import Counter
 
 from . import decisions, fairness, ingest, policy, report
+from .intervals import Interval
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -88,11 +89,10 @@ def _compute_metrics(doc, bound, gp):
 def _parse_range(text):
     try:
         lo, hi = (float(part) for part in text.split(","))
-        from .intervals import Interval
         return Interval(lo, hi)
-    except ValueError as exc:
-        raise ingest.IngestError(
-            f"bad range {text!r}; expected LO,HI") from exc
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"bad range {text!r}; expected LO,HI") from None
 
 
 def _finite_float(text):
@@ -141,13 +141,14 @@ def cmd_evaluate(args) -> int:
         if doc.protected is None:
             raise ingest.IngestError(
                 "composition audit needs a protected_attribute in the policy")
-        rng = _parse_range(args.composition_range)
+        # Stripped as `bind_counts` strips them, so a padded cell counts
+        # under the label it binds to.
         labels = Counter()
         for key, n in counts.items():
-            labels[key[0]] += n
+            labels[key[0].strip()] += n
         audit = ingest.composition_from_counts(
             labels, doc.protected.unprivileged_value,
-            args.composition_reference, rng)
+            args.composition_reference, args.composition_range)
 
     strategy = decisions.decide(doc.decision) if doc.decision else None
 
@@ -210,8 +211,8 @@ def build_parser() -> argparse.ArgumentParser:
                         default="both")
     p_eval.add_argument("--composition-reference", type=_finite_float,
                         help="reference share for the composition audit")
-    p_eval.add_argument("--composition-range", default="-0.05,0.05",
-                        metavar="LO,HI",
+    p_eval.add_argument("--composition-range", type=_parse_range,
+                        default="-0.05,0.05", metavar="LO,HI",
                         help="legitimate interval for the composition deviation")
     p_eval.set_defaults(func=cmd_evaluate)
 

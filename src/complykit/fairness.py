@@ -49,12 +49,18 @@ class GroupedPredictions:
     A cell is `(group, predicted, actual, legitimate)` and holds
     `[unscored row count, array('d') of scores]`, so the rows can be
     rebuilt exactly (up to order). The cells are reduced once, at
-    construction, into `summary`; every metric reads only the summary.
-    The summary keeps strata as flat per-group counts keyed by the
-    legitimate value, so it allocates no container per stratum.
+    construction, into the attributes below; every metric reads only the
+    reduced counts:
+
+    - `confusion`: group -> ConfusionCounts;
+    - `strata`: group -> (rows, predicted positives), each a flat
+      `{legitimate: count}` dict; the values are ints, so the garbage
+      collector tracks no per-stratum object;
+    - `scores`: (group, actual) -> list of score arrays;
+    - `unscored`: rows without a score.
     """
 
-    __slots__ = ("cells", "summary")
+    __slots__ = ("cells", "confusion", "strata", "scores", "unscored")
 
     def __init__(self, records: Iterable[Record]):
         cells = {}
@@ -64,18 +70,35 @@ class GroupedPredictions:
                 cell[0] += 1
             else:
                 cell[1].append(r.score)
-        self._finish(cells)
+        self._reduce(cells)
 
     @classmethod
     def from_cells(cls, cells: dict) -> "GroupedPredictions":
         """Wrap validated cells built with `tally_cell`; they are not copied."""
         gp = cls.__new__(cls)
-        gp._finish(cells)
+        gp._reduce(cells)
         return gp
 
-    def _finish(self, cells):
+    def _reduce(self, cells):
+        quadrants = {g: [[0, 0], [0, 0]] for g in GROUPS}  # [predicted][actual]
+        strata = {g: ({}, {}) for g in GROUPS}
+        scores = {(g, a): [] for g in GROUPS for a in (0, 1)}
+        unscored_total = 0
+        for (g, p, a, legitimate), (unscored, cell_scores) in cells.items():
+            n = unscored + len(cell_scores)
+            quadrants[g][p][a] += n
+            rows, positives = strata[g]
+            rows[legitimate] = rows.get(legitimate, 0) + n
+            positives[legitimate] = positives.get(legitimate, 0) + p * n
+            if cell_scores:
+                scores[g, a].append(cell_scores)
+            unscored_total += unscored
         self.cells = cells
-        self.summary = PredictionSummary.of(cells)
+        self.confusion = {g: ConfusionCounts(tp=q[1][1], fp=q[1][0], tn=q[0][0], fn=q[0][1])
+                          for g, q in quadrants.items()}
+        self.strata = strata
+        self.scores = scores
+        self.unscored = unscored_total
 
     @property
     def records(self) -> tuple:
@@ -101,37 +124,6 @@ def tally_cell(cells: dict, key: tuple) -> list:
     if cell is None:
         cell = cells[key] = [0, array("d")]
     return cell
-
-
-@dataclass(frozen=True)
-class PredictionSummary:
-    """Everything the prediction metrics read, reduced once from the cells."""
-
-    confusion: dict  # group -> ConfusionCounts
-    # group -> (rows, predicted positives), each {legitimate: count}; the
-    # values are ints, so the garbage collector tracks no per-stratum object
-    strata: dict
-    scores: dict  # (group, actual) -> list of score arrays
-    unscored: int  # rows without a score
-
-    @staticmethod
-    def of(cells: dict) -> "PredictionSummary":
-        quadrants = {g: [[0, 0], [0, 0]] for g in GROUPS}  # [predicted][actual]
-        strata = {g: ({}, {}) for g in GROUPS}
-        scores = {(g, a): [] for g in GROUPS for a in (0, 1)}
-        unscored_total = 0
-        for (g, p, a, legitimate), (unscored, cell_scores) in cells.items():
-            n = unscored + len(cell_scores)
-            quadrants[g][p][a] += n
-            rows, positives = strata[g]
-            rows[legitimate] = rows.get(legitimate, 0) + n
-            positives[legitimate] = positives.get(legitimate, 0) + p * n
-            if cell_scores:
-                scores[g, a].append(cell_scores)
-            unscored_total += unscored
-        confusion = {g: ConfusionCounts(tp=q[1][1], fp=q[1][0], tn=q[0][0], fn=q[0][1])
-                     for g, q in quadrants.items()}
-        return PredictionSummary(confusion, strata, scores, unscored_total)
 
 
 @dataclass(frozen=True)
@@ -215,7 +207,7 @@ def rates(c: ConfusionCounts) -> Rates:
 def _rate_gap(gp: GroupedPredictions, metric_id: str, rate_name: str,
               denominator_desc: str) -> MetricValue:
     """Generic unprivileged-minus-privileged gap for one confusion rate."""
-    cs = gp.summary.confusion
+    cs = gp.confusion
     rs = {g: rates(cs[g]) for g in GROUPS}
     trace = {
         g: {"counts": cs[g], rate_name: getattr(rs[g], rate_name)}
@@ -248,7 +240,7 @@ def statistical_parity_from_counts(favorable_unpriv: int, total_unpriv: int,
 
 
 def _parity_on(gp: GroupedPredictions, metric_id: str, positives_of) -> MetricValue:
-    cs = gp.summary.confusion
+    cs = gp.confusion
     mv = statistical_parity_from_counts(
         positives_of(cs[UNPRIVILEGED]), cs[UNPRIVILEGED].total,
         positives_of(cs[PRIVILEGED]), cs[PRIVILEGED].total)
@@ -280,7 +272,7 @@ def predictive_equality_gap(gp: GroupedPredictions) -> MetricValue:
 
 def accuracy_equality_gap(gp: GroupedPredictions) -> MetricValue:
     mid = "accuracy_equality"
-    cs = gp.summary.confusion
+    cs = gp.confusion
     acc = {}
     for g in GROUPS:
         c = cs[g]
@@ -321,7 +313,7 @@ def treatment_equality(gp: GroupedPredictions) -> MetricValue:
     (FN_u * FP_p - FN_p * FP_u) / max(1, FN_u * FP_p + FN_p * FP_u) is total
     and stays in [-1, 1] even when a group has FP = 0.
     """
-    cs = gp.summary.confusion
+    cs = gp.confusion
     a = cs[UNPRIVILEGED].fn * cs[PRIVILEGED].fp
     b = cs[PRIVILEGED].fn * cs[UNPRIVILEGED].fp
     value = (a - b) / max(1, a + b)
@@ -356,7 +348,7 @@ def conditional_statistical_parity(gp: GroupedPredictions) -> MetricValue:
     """
     mid = "conditional_statistical_parity"
     gaps, skipped = _gaps_by_key(
-        gp.summary.strata, lambda s: ("", 0) if s is None else (str(s), 1))
+        gp.strata, lambda s: ("", 0) if s is None else (str(s), 1))
     trace = {"per_stratum_gap": gaps, "skipped_strata": skipped}
     if not gaps:
         return MetricValue.undefined(mid, "no comparable stratum", trace)
@@ -364,7 +356,7 @@ def conditional_statistical_parity(gp: GroupedPredictions) -> MetricValue:
 
 
 def _require_scores(gp: GroupedPredictions, metric_id: str):
-    missing = gp.summary.unscored
+    missing = gp.unscored
     if missing:
         return MetricValue.undefined(
             metric_id, f"{missing} record(s) lack scores required by this metric")
@@ -391,7 +383,7 @@ def calibration_gap(gp: GroupedPredictions, bins: int = 10) -> MetricValue:
     if problem:
         return problem
     counts = {g: ({}, {}) for g in GROUPS}  # group -> (rows, positives) per bin
-    for (g, actual), arrays in gp.summary.scores.items():
+    for (g, actual), arrays in gp.scores.items():
         rows, positives = counts[g]
         for b, n in _bin_counts(arrays, bins).items():
             rows[b] = rows.get(b, 0) + n
@@ -409,7 +401,7 @@ def _balance_gap(gp: GroupedPredictions, metric_id: str, actual_class: int) -> M
         return problem
     means = {}
     for g in GROUPS:
-        arrays = gp.summary.scores[g, actual_class]
+        arrays = gp.scores[g, actual_class]
         n = sum(map(len, arrays))
         if not n:
             cls = "positives" if actual_class == 1 else "negatives"

@@ -91,24 +91,14 @@ def count_dataset(source, names=()) -> Counter:
     `_shard_cuts` finds that safe; the result is the same Counter, key
     order included.
     """
-    if not hasattr(source, "read"):
-        counts = _count_sharded(source, names)
-        if counts is not None:
-            return counts
-    with _csv_table(source) as (columns, rows):
-        return _row_counter(columns, names)(rows)
+    return _reduce_csv(source, partial(_row_counter, names=names),
+                       _dump_counts, _merge_counts)
 
 
 def _row_counter(columns: tuple, names):
     """`count_dataset`'s row loop: counts of `(row number, cells)` pairs."""
     idx = [_column_index(columns, name) for name in names]
     return lambda rows: _count_rows(map(itemgetter(1), rows), idx)
-
-
-def _count_sharded(path, names):
-    """`count_dataset` of a path in byte-range shards, or None."""
-    return _run_sharded(path, partial(_row_counter, names=names),
-                        _dump_counts, _merge_counts)
 
 
 def _dump_counts(counts, pipe) -> None:
@@ -272,6 +262,21 @@ def _run_sharded(path, prepare, dump, merge):
                 os.waitpid(pid, 0)
 
 
+def _reduce_csv(source, prepare, dump, merge):
+    """`prepare(columns)(rows)` over a CSV path or text stream.
+
+    A path goes through `_run_sharded` first. A stream, a path it declines
+    and a path with a failed shard get one serial `_csv_table` pass, which
+    reports the first bad row in file order.
+    """
+    if not hasattr(source, "read"):
+        result = _run_sharded(source, prepare, dump, merge)
+        if result is not None:
+            return result
+    with _csv_table(source) as (columns, rows):
+        return prepare(columns)(rows)
+
+
 @contextmanager
 def _csv_table(source):
     """Open a CSV path or text stream as `(columns, rows)`.
@@ -398,13 +403,8 @@ def read_predictions(source, privileged_label: str = PRIVILEGED,
     """
     prepare = partial(_prediction_tally, privileged_label=privileged_label,
                       unprivileged_label=unprivileged_label)
-    cells = None
-    if not hasattr(source, "read"):
-        cells = _run_sharded(source, prepare, _dump_cells, _merge_cells)
-    if cells is None:
-        with _csv_table(source) as (columns, rows):
-            cells = prepare(columns)(rows)
-    return GroupedPredictions.from_cells(cells)
+    return GroupedPredictions.from_cells(
+        _reduce_csv(source, prepare, _dump_cells, _merge_cells))
 
 
 def _prediction_tally(columns: tuple, privileged_label: str,
@@ -423,37 +423,29 @@ def _prediction_tally(columns: tuple, privileged_label: str,
     s = columns.index("score") if "score" in columns else None
     mapping = {privileged_label: PRIVILEGED, unprivileged_label: UNPRIVILEGED}
 
+    def key(rownum, text) -> tuple:
+        """The validated cell key of a raw key text."""
+        group = mapping.get(text[0].strip())
+        if group is None:
+            raise IngestError(
+                f"row {rownum}: group {text[0]!r} is neither "
+                f"{privileged_label!r} nor {unprivileged_label!r}")
+        try:
+            predicted = _binary(text[1])
+            actual = _binary(text[2])
+        except ValueError as exc:
+            raise IngestError(f"row {rownum}: {exc}") from exc
+        legitimate = text[3] if len(text) == 4 and text[3].strip() != "" else None
+        return group, predicted, actual, legitimate
+
     def tally(rows) -> dict:
         cells = {}
-        # Each distinct raw text is validated once: the group/predicted/
-        # actual cells into `heads`, and with the legitimate cell into
-        # `by_text`.
-        heads = {}
-        by_text = {}
-
-        def validated_head(rownum, text):
-            group = mapping.get(text[0].strip())
-            if group is None:
-                raise IngestError(
-                    f"row {rownum}: group {text[0]!r} is neither "
-                    f"{privileged_label!r} nor {unprivileged_label!r}")
-            try:
-                predicted = _binary(text[1])
-                actual = _binary(text[2])
-            except ValueError as exc:
-                raise IngestError(f"row {rownum}: {exc}") from exc
-            head = heads[text] = (group, predicted, actual)
-            return head
-
-        def new_cell(rownum, text):
-            head = heads.get(text[:3]) or validated_head(rownum, text[:3])
-            legitimate = text[3] if len(text) == 4 and text[3].strip() != "" else None
-            cell = by_text[text] = tally_cell(cells, head + (legitimate,))
-            return cell
-
+        by_text = {}  # each distinct raw key text is validated once
         for rownum, row in rows:
             text = key_of(row)
-            cell = by_text.get(text) or new_cell(rownum, text)
+            cell = by_text.get(text)
+            if cell is None:
+                cell = by_text[text] = tally_cell(cells, key(rownum, text))
             if s is None:
                 cell[0] += 1
                 continue
@@ -502,9 +494,9 @@ def _merge_cells(cells, pipe) -> None:
 
 def _binary(cell: str) -> int:
     v = cell.strip()
-    if v not in ("0", "1"):
+    if v != "0" and v != "1":
         raise ValueError(f"label {cell!r} must be 0 or 1")
-    return int(v)
+    return 1 if v == "1" else 0
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,10 @@
+import csv
+import io
 import os
 import random
 
 import pytest
+from hypothesis import strategies as st
 
 from complykit import ingest
 from complykit.decisions import PayoffMatrix
@@ -193,3 +196,63 @@ def random_document(rng: random.Random) -> PolicyDocument:
         decision=decision,
         on_violation=rng.choice(("explain", "explain", "halt")),
     )
+
+
+# ---------------------------------------------------------------------------
+# CSV strategies for the dataset and prediction readers
+
+CELLS = ["Male", " Male", "Female ", "Female", "Unknown", "",
+         "Exec-managerial", " Exec-managerial", "Other", "a,b", 'say "x"']
+UNQUOTED_CELLS = [c for c in CELLS if "," not in c and '"' not in c]
+
+
+@st.composite
+def dataset_csv(draw, cells=CELLS):
+    """CSV text whose columns hold `sex` and `occupation` among extras,
+    with padded and unmatched values, quoted commas, blank lines and LF
+    or CRLF line ends."""
+    extras = draw(st.integers(0, 3))
+    columns = [f"x{i}" for i in range(extras)]
+    columns.insert(draw(st.integers(0, extras)), "sex")
+    columns.insert(draw(st.integers(0, extras + 1)), "occupation")
+    rows = draw(st.lists(st.lists(st.sampled_from(cells), min_size=len(columns),
+                                  max_size=len(columns)), max_size=30))
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator=eol)
+    writer.writerow(columns)
+    for row in rows:
+        writer.writerow(row)
+        if draw(st.booleans()):
+            buf.write(eol)
+    return columns, buf.getvalue()
+
+
+PREDICTION_CELLS = {
+    "predicted": ["0", "1", " 1"],
+    "actual": ["0", "1", "0 "],
+    "score": ["0", "1", "0.25", " 0.5", "1e-3", "", " "],
+    "legitimate": ["a", " a", "b", "", " "],
+}
+
+
+@st.composite
+def prediction_csv(draw, labels=(PRIVILEGED, UNPRIVILEGED)):
+    """Quote-free prediction CSV text with or without the score and
+    legitimate columns, columns in any order, padded cells, blank lines
+    and LF or CRLF line ends. Groups are the two `labels`, padded or not."""
+    privileged, unprivileged = labels
+    cells = dict(PREDICTION_CELLS, group=[
+        privileged, " " + privileged, unprivileged + " ", unprivileged])
+    columns = ["group", "predicted", "actual"] + [
+        c for c in ("score", "legitimate") if draw(st.booleans())]
+    columns = draw(st.permutations(columns))
+    rows = draw(st.lists(st.tuples(*(st.sampled_from(cells[c])
+                                     for c in columns)), max_size=40))
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    lines = [",".join(columns)]
+    for row in rows:
+        lines.append(",".join(row))
+        if draw(st.booleans()):
+            lines.append("")
+    return eol.join(lines) + eol

@@ -1,9 +1,13 @@
+import dataclasses
 import io
 import json
 import os
+import random
+import re
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -11,7 +15,20 @@ from hypothesis import strategies as st
 
 from complykit import cli, decisions, fairness, ingest
 from complykit.cli import main
-from conftest import SCENARIO1_POLICY, force_shards
+from complykit.policy import (
+    FavorableSpec,
+    PolicyError,
+    ProtectedSpec,
+    parse_policy,
+    serialize_policy,
+)
+from conftest import (
+    SCENARIO1_POLICY,
+    dataset_csv,
+    force_shards,
+    prediction_csv,
+    random_document,
+)
 from schema_check import validate_report
 
 SMALL_DATASET = (
@@ -42,6 +59,42 @@ MATRIX_CELLS = (
     'a"b', '"\r\n"', "nan", "inf", "-inf", "1e308", "-1e308", "9" * 400,
     "-" + "9" * 400, "\r",
 )
+
+
+# Policy texts for the evaluate exit-code property: every input of the
+# golden diagnostics corpus, most of which do not parse.
+GOLDEN_POLICIES = [entry["input"] for entry in json.loads(
+    (Path(__file__).parent / "golden" / "policy_diagnostics.json")
+    .read_text(encoding="utf-8"))]
+
+
+@st.composite
+def evaluate_inputs(draw):
+    """A policy text, dataset text and prediction text (or None) for
+    `evaluate`: a golden corpus input, a random valid document, or a
+    random valid document bound to the dataset's `sex` and `occupation`
+    columns."""
+    source = draw(st.sampled_from(("golden", "random", "bound", "bound",
+                                   "bound")))
+    if source == "golden":
+        text = draw(st.sampled_from(GOLDEN_POLICIES))
+    else:
+        doc = random_document(random.Random(draw(st.integers(0, 2 ** 32 - 1))))
+        if source == "bound":
+            doc = dataclasses.replace(
+                doc, protected=ProtectedSpec("sex", "Male", "Female"),
+                favorable=FavorableSpec("occupation", "Exec-managerial"))
+        text = serialize_policy(doc)
+    labels = (fairness.PRIVILEGED, fairness.UNPRIVILEGED)
+    try:
+        protected = parse_policy(text).protected
+    except PolicyError:
+        protected = None
+    if protected is not None:
+        labels = (protected.privileged_value, protected.unprivileged_value)
+    _, dataset = draw(dataset_csv())
+    predictions = draw(st.none() | prediction_csv(labels))
+    return text, dataset, predictions
 
 
 @pytest.fixture(autouse=True)
@@ -199,6 +252,35 @@ class TestEvaluate:
         out = capsys.readouterr().out
         assert code == 1  # 5/15 female share deviates by more than 0.05
         assert "Composition audit" in out
+
+    def test_composition_counts_stripped_labels(self, workdir, capsys):
+        # The UCI Adult layout pads each cell after its comma separator;
+        # binding and the composition audit both strip the protected cell.
+        (workdir / "adult.csv").write_text(
+            "age, sex, occupation\n"
+            "39, Male, Exec-managerial\n50, Male, Other\n"
+            "38, Female, Exec-managerial\n53, Female, Other\n")
+        (workdir / "wide.law").write_text(SCENARIO1_POLICY.replace(
+            "range = [-0.01, 0.01]", "range = [-0.1, 0.1]"))
+        code = main(["evaluate", str(workdir / "wide.law"),
+                     "--dataset", str(workdir / "adult.csv"),
+                     "--deterministic", "--composition-reference", "0.5"])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "  share 'Female' = 0.5\n  share 'Male' = 0.5\n" in out
+        assert "deviation = 0.0, range [-0.05, 0.05] -> comply" in out
+
+    def test_bad_composition_range_rejected_before_reading(self, workdir,
+                                                           capsys):
+        code = main(["evaluate", str(workdir / "policy.law"),
+                     "--dataset", str(workdir / "absent.csv"),
+                     "--composition-range=0.1,-0.1"])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        assert "argument --composition-range: bad range '0.1,-0.1'; " \
+            "expected LO,HI" in err
+        assert "cannot read" not in err
 
     def test_predictions_pipeline(self, workdir, capsys):
         policy = workdir / "preds.law"
@@ -489,6 +571,67 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith(
             "internal error: RuntimeError: metric exploded\nTraceback")
+
+    @settings(max_examples=100, deadline=None)
+    @given(evaluate_inputs(),
+           st.sampled_from((None, None, None, MANIFEST, "declared_use=fraud\n",
+                            "synthetic=maybe\n", "model_id=\xff\n")),
+           st.sampled_from((None, "agent", "display", "both")),
+           st.sampled_from((None, "report.json", "report.json",
+                            "absent/report.json")),
+           st.sampled_from((None, None, None, "0.5", "0.4975", "0", "1",
+                            "nan")),
+           st.sampled_from((None, None, None, "-0.05,0.05", "-1,1", "0,0",
+                            "0.1,-0.1")),
+           st.booleans())
+    def test_evaluate_exit_code_contract(self, tmp_path_factory, inputs,
+                                         manifest, mode, json_name,
+                                         reference, rng, deterministic):
+        """Any evaluate run exits 0, 1 or 2; 1 exactly when the report does
+        not comply; 2 with nothing on stdout; every JSON report matches the
+        schema; and a policy `check` accepts raises no policy diagnostic."""
+        policy_text, dataset, predictions = inputs
+        work = tmp_path_factory.mktemp("evaluate")
+        policy_path = work / "policy.law"
+        policy_path.write_bytes(policy_text.encode("utf-8"))
+        (work / "data.csv").write_bytes(dataset.encode("utf-8"))
+        argv = ["evaluate", str(policy_path), "--dataset", str(work / "data.csv")]
+        if predictions is not None:
+            (work / "preds.csv").write_bytes(predictions.encode("utf-8"))
+            argv += ["--predictions", str(work / "preds.csv")]
+        if manifest is not None:
+            (work / "run.manifest").write_bytes(
+                manifest.encode("latin-1"))  # "\xff" is not UTF-8
+            argv += ["--manifest", str(work / "run.manifest")]
+        if mode is not None:
+            argv += ["--mode", mode]
+        if json_name is not None:
+            argv += ["--json", str(work / json_name)]
+        if reference is not None:
+            argv.append(f"--composition-reference={reference}")
+        if rng is not None:
+            argv.append(f"--composition-range={rng}")
+        if deterministic:
+            argv.append("--deterministic")
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            accepted = main(["check", str(policy_path)]) == 0
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 1, 2)
+        assert "internal error" not in err.getvalue()
+        if code == 2:
+            assert out.getvalue() == ""
+        if accepted:
+            assert not re.search(rf"^{re.escape(str(policy_path))}:\d+:\d+: ",
+                                 err.getvalue(), re.M)
+        written = work / "report.json"
+        if written.exists():
+            data = written.read_bytes()
+            validate_report(data)
+            if code != 2:
+                assert (code == 1) == \
+                    (json.loads(data)["overall_status"] != "comply")
 
 
 class TestDecide:

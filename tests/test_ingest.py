@@ -27,7 +27,13 @@ from complykit.ingest import (
 )
 from complykit.intervals import Interval
 from complykit.policy import parse_policy
-from conftest import SCENARIO1_POLICY, force_shards
+from conftest import (
+    SCENARIO1_POLICY,
+    UNQUOTED_CELLS,
+    dataset_csv,
+    force_shards,
+    prediction_csv,
+)
 
 # the twenty genders behind the generated CEO name list: 3 female, 17 male
 CEO_NAME_GENDERS = ["Female"] * 3 + ["Male"] * 17
@@ -134,33 +140,6 @@ class TestBindGroups:
             bind_groups(ds, self.policy)
 
 
-CELLS = ["Male", " Male", "Female ", "Female", "Unknown", "",
-         "Exec-managerial", " Exec-managerial", "Other", "a,b", 'say "x"']
-UNQUOTED_CELLS = [c for c in CELLS if "," not in c and '"' not in c]
-
-
-@st.composite
-def dataset_csv(draw, cells=CELLS):
-    """CSV text whose columns hold `sex` and `occupation` among extras,
-    with padded and unmatched values, quoted commas, blank lines and LF
-    or CRLF line ends."""
-    extras = draw(st.integers(0, 3))
-    columns = [f"x{i}" for i in range(extras)]
-    columns.insert(draw(st.integers(0, extras)), "sex")
-    columns.insert(draw(st.integers(0, extras + 1)), "occupation")
-    rows = draw(st.lists(st.lists(st.sampled_from(cells), min_size=len(columns),
-                                  max_size=len(columns)), max_size=30))
-    eol = draw(st.sampled_from(["\n", "\r\n"]))
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator=eol)
-    writer.writerow(columns)
-    for row in rows:
-        writer.writerow(row)
-        if draw(st.booleans()):
-            buf.write(eol)
-    return columns, buf.getvalue()
-
-
 def bind_by_rows(ds, policy):
     """Row-scanning reference: (favorable, total) per group, excluded."""
     g = ds.column_index(policy.protected.attribute)
@@ -261,11 +240,13 @@ class TestShardedCount:
         path = tmp_path_factory.mktemp("shard") / "d.csv"
         path.write_bytes(text.encode())
         serial = count_dataset(io.StringIO(text), names)
+
+        def no_serial_pass(source):
+            raise AssertionError("the serial pass ran")
+
         with pytest.MonkeyPatch.context() as mp:
             force_shards(mp, cpus)
-            sharded = ingest._count_sharded(path, names)
-            assert sharded is not None
-            assert list(sharded.items()) == list(serial.items())
+            mp.setattr(ingest, "_csv_table", no_serial_pass)
             assert list(count_dataset(path, names).items()) == \
                 list(serial.items())
 
@@ -328,34 +309,6 @@ class TestShardedCount:
         assert ingest._shard_cuts(path) is None
         assert count_dataset(path, ["sex", "occupation"]) == \
             Counter({("Male", "Other"): 10})
-
-
-PREDICTION_CELLS = {
-    "group": ["privileged", " privileged", "unprivileged ", "unprivileged"],
-    "predicted": ["0", "1", " 1"],
-    "actual": ["0", "1", "0 "],
-    "score": ["0", "1", "0.25", " 0.5", "1e-3", "", " "],
-    "legitimate": ["a", " a", "b", "", " "],
-}
-
-
-@st.composite
-def prediction_csv(draw):
-    """Quote-free prediction CSV text with or without the score and
-    legitimate columns, columns in any order, padded cells, blank lines
-    and LF or CRLF line ends."""
-    columns = ["group", "predicted", "actual"] + [
-        c for c in ("score", "legitimate") if draw(st.booleans())]
-    columns = draw(st.permutations(columns))
-    rows = draw(st.lists(st.tuples(*(st.sampled_from(PREDICTION_CELLS[c])
-                                     for c in columns)), max_size=40))
-    eol = draw(st.sampled_from(["\n", "\r\n"]))
-    lines = [",".join(columns)]
-    for row in rows:
-        lines.append(",".join(row))
-        if draw(st.booleans()):
-            lines.append("")
-    return eol.join(lines) + eol
 
 
 def cell_bytes(gp):

@@ -111,7 +111,7 @@ def test_records_rebuild_the_input_rows(rows):
     for g in GROUPS:
         assert Counter(r for r in gp.records if r.group == g) == Counter(
             r for r, _ in rows if r.group == g)
-        assert gp.summary.confusion[g] == confusion(
+        assert gp.confusion[g] == confusion(
             r for r, _ in rows if r.group == g)
 
 
@@ -175,7 +175,7 @@ def test_strata_and_bins_match_a_row_scan(rows, bins):
                 {k: c[g][0] for k, c in tally.items() if c[g][1]})
             for g in GROUPS}
     for gp in (GroupedPredictions(records), _read(rows)):
-        assert gp.summary.strata == flat
+        assert gp.strata == flat
         strata = METRIC_REGISTRY["conditional_statistical_parity"].compute(gp, None)
         assert list(strata.trace["per_stratum_gap"].items()) == gaps
         assert strata.trace["skipped_strata"] == skipped
