@@ -135,6 +135,7 @@ def cmd_evaluate(args) -> int:
         gp = ingest.read_predictions(args.predictions, *labels)
 
     metrics = _compute_metrics(doc, bound, gp)
+    del gp  # the report phase reuses the tally's memory
 
     audit = None
     if args.composition_reference is not None:

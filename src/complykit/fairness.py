@@ -44,13 +44,14 @@ class Record:
 
 
 class GroupedPredictions:
-    """Predictions reduced to a lossless tally of cells.
+    """Predictions reduced to a lossless tally.
 
-    A cell is `(group, predicted, actual, legitimate)` and holds
-    `[unscored row count, array('d') of scores]`, so the rows can be
-    rebuilt exactly (up to order). The cells are reduced once, at
-    construction, into the attributes below; every metric reads only the
-    reduced counts:
+    The tally maps each distinct raw key text to an `array('d')` of its
+    scores, and each text with unscored rows to their count. `key(text)`
+    gives a text's validated cell `(group, predicted, actual, legitimate)`;
+    texts that differ only in padding share a cell. The tally is reduced
+    once, at construction, into the attributes below; every metric reads
+    only the reduced counts:
 
     - `confusion`: group -> ConfusionCounts;
     - `strata`: group -> (rows, predicted positives), each a flat
@@ -58,47 +59,73 @@ class GroupedPredictions:
       collector tracks no per-stratum object;
     - `scores`: (group, actual) -> list of score arrays;
     - `unscored`: rows without a score.
+
+    `cells` rebuilds the cells from the tally, so the rows can be rebuilt
+    exactly (up to order).
     """
 
-    __slots__ = ("cells", "confusion", "strata", "scores", "unscored")
+    __slots__ = ("_scored", "_unscored", "_key",
+                 "confusion", "strata", "scores", "unscored")
 
     def __init__(self, records: Iterable[Record]):
-        cells = {}
+        scored = {}
+        unscored = {}
         for r in records:
-            cell = tally_cell(cells, (r.group, r.predicted, r.actual, r.legitimate))
+            key = (r.group, r.predicted, r.actual, r.legitimate)
+            scores = scored.get(key)
+            if scores is None:
+                scores = scored[key] = array("d")
             if r.score is None:
-                cell[0] += 1
+                unscored[key] = unscored.get(key, 0) + 1
             else:
-                cell[1].append(r.score)
-        self._reduce(cells)
+                scores.append(r.score)
+        self._reduce(scored, unscored, lambda key: key)
 
     @classmethod
-    def from_cells(cls, cells: dict) -> "GroupedPredictions":
-        """Wrap validated cells built with `tally_cell`; they are not copied."""
+    def from_tally(cls, scored: dict, unscored: dict,
+                   key) -> "GroupedPredictions":
+        """Wrap a tally, which is not copied.
+
+        `scored` maps every raw key text to an `array('d')` of its scores
+        (empty when it has none), `unscored` maps a text to its rows
+        without a score, and `key(text)` returns the text's validated cell.
+        """
         gp = cls.__new__(cls)
-        gp._reduce(cells)
+        gp._reduce(scored, unscored, key)
         return gp
 
-    def _reduce(self, cells):
+    def _reduce(self, scored, unscored, key):
         quadrants = {g: [[0, 0], [0, 0]] for g in GROUPS}  # [predicted][actual]
         strata = {g: ({}, {}) for g in GROUPS}
         scores = {(g, a): [] for g in GROUPS for a in (0, 1)}
-        unscored_total = 0
-        for (g, p, a, legitimate), (unscored, cell_scores) in cells.items():
-            n = unscored + len(cell_scores)
+        for text, text_scores in scored.items():
+            g, p, a, legitimate = key(text)
+            n = unscored.get(text, 0) + len(text_scores)
             quadrants[g][p][a] += n
             rows, positives = strata[g]
             rows[legitimate] = rows.get(legitimate, 0) + n
             positives[legitimate] = positives.get(legitimate, 0) + p * n
-            if cell_scores:
-                scores[g, a].append(cell_scores)
-            unscored_total += unscored
-        self.cells = cells
+            if text_scores:
+                scores[g, a].append(text_scores)
+        self._scored = scored
+        self._unscored = unscored
+        self._key = key
         self.confusion = {g: ConfusionCounts(tp=q[1][1], fp=q[1][0], tn=q[0][0], fn=q[0][1])
                           for g, q in quadrants.items()}
         self.strata = strata
         self.scores = scores
-        self.unscored = unscored_total
+        self.unscored = sum(unscored.values())
+
+    @property
+    def cells(self) -> dict:
+        """Validated cell -> `[unscored rows, array('d') of scores]`, built
+        on each access; texts sharing a cell merge in first-seen order."""
+        cells = {}
+        for text, scores in self._scored.items():
+            cell = cells.setdefault(self._key(text), [0, array("d")])
+            cell[0] += self._unscored.get(text, 0)
+            cell[1].extend(scores)
+        return cells
 
     @property
     def records(self) -> tuple:
@@ -110,20 +137,13 @@ class GroupedPredictions:
     def swapped(self) -> "GroupedPredictions":
         """Same data with the privileged/unprivileged assignment flipped."""
         flip = {PRIVILEGED: UNPRIVILEGED, UNPRIVILEGED: PRIVILEGED}
-        return GroupedPredictions.from_cells(
-            {(flip[g], p, a, l): cell for (g, p, a, l), cell in self.cells.items()})
+        key = self._key
 
+        def flipped(text):
+            g, p, a, l = key(text)
+            return flip[g], p, a, l
 
-def tally_cell(cells: dict, key: tuple) -> list:
-    """The cell for a validated key, created empty if new.
-
-    A cell is `[unscored row count, array('d') of scores]`: a reader adds
-    a row with `cell[0] += 1` or `cell[1].append(score)`.
-    """
-    cell = cells.get(key)
-    if cell is None:
-        cell = cells[key] = [0, array("d")]
-    return cell
+        return GroupedPredictions.from_tally(self._scored, self._unscored, flipped)
 
 
 @dataclass(frozen=True)

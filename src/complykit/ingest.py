@@ -12,6 +12,7 @@ import marshal
 import os
 import signal
 import threading
+from array import array
 from collections import Counter
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass
@@ -19,12 +20,7 @@ from functools import partial
 from operator import itemgetter
 from typing import Optional
 
-from .fairness import (
-    PRIVILEGED,
-    UNPRIVILEGED,
-    GroupedPredictions,
-    tally_cell,
-)
+from .fairness import PRIVILEGED, UNPRIVILEGED, GroupedPredictions
 from .intervals import Interval
 
 
@@ -102,11 +98,29 @@ def _row_counter(columns: tuple, names):
 
 
 def _dump_counts(counts, pipe) -> None:
-    marshal.dump(dict(counts), pipe)
+    _dump_marshal(dict(counts), pipe)
 
 
 def _merge_counts(counts, pipe) -> None:
-    counts.update(marshal.load(pipe))
+    counts.update(_load_marshal(pipe))
+
+
+def _dump_marshal(value, pipe) -> None:
+    """Write `value` marshalled, after its length as 8 little-endian bytes."""
+    data = marshal.dumps(value)
+    pipe.write(len(data).to_bytes(8, "little"))
+    pipe.write(data)
+
+
+def _load_marshal(pipe):
+    """Read a value written by `_dump_marshal` with one `read` of its bytes
+    (`marshal.load` on a pipe reads it item by item). A short read raises
+    EOFError, here or in `marshal.loads`."""
+    size = int.from_bytes(pipe.read(8), "little")
+    data = pipe.read(size)
+    if len(data) != size:
+        raise EOFError("shard result cut short")
+    return marshal.loads(data)
 
 
 # A file is split into at most one shard per usable CPU, each of at least
@@ -394,25 +408,45 @@ def read_predictions(source, privileged_label: str = PRIVILEGED,
 
     Group values must equal the given labels (a policy's privileged and
     unprivileged values, or the literal defaults). Rows stream into a
-    tally of cells; memory grows with the distinct cells plus one float
-    per scored row.
+    tally keyed by the raw text of their key columns, each distinct text
+    validated once; memory grows by one dict entry and one score array
+    per distinct text, plus one float per scored row.
 
     A path is tallied in byte-range shards on every usable CPU when
-    `_shard_cuts` finds that safe; the cells are the same, key order and
+    `_shard_cuts` finds that safe; the tally is the same, key order and
     score order included.
     """
-    prepare = partial(_prediction_tally, privileged_label=privileged_label,
-                      unprivileged_label=unprivileged_label)
-    return GroupedPredictions.from_cells(
-        _reduce_csv(source, prepare, _dump_cells, _merge_cells))
+    key = _prediction_key(privileged_label, unprivileged_label)
+    scored, unscored = _reduce_csv(
+        source, partial(_prediction_tally, key=key), _dump_cells, _merge_cells)
+    return GroupedPredictions.from_tally(scored, unscored, key)
 
 
-def _prediction_tally(columns: tuple, privileged_label: str,
-                      unprivileged_label: str):
+def _prediction_key(privileged_label: str, unprivileged_label: str):
+    """`key(text)`: the validated cell `(group, predicted, actual,
+    legitimate)` of a raw key text; ValueError names a bad cell."""
+    mapping = {privileged_label: PRIVILEGED, unprivileged_label: UNPRIVILEGED}
+
+    def key(text) -> tuple:
+        group = mapping.get(text[0].strip())
+        if group is None:
+            raise ValueError(f"group {text[0]!r} is neither "
+                             f"{privileged_label!r} nor {unprivileged_label!r}")
+        predicted = _binary(text[1])
+        actual = _binary(text[2])
+        legitimate = text[3] if len(text) == 4 and text[3].strip() != "" else None
+        return group, predicted, actual, legitimate
+
+    return key
+
+
+def _prediction_tally(columns: tuple, key):
     """`read_predictions`' row loop for a header of `columns`.
 
     Returns `tally(rows)`, which folds `(row number, cells)` pairs into a
-    new dict of `tally_cell` cells, validating every row.
+    new `(scored, unscored)` pair of dicts keyed by raw key text, as
+    `GroupedPredictions.from_tally` takes them, checking each new text
+    with `key` and every score.
     """
     for col in PREDICTION_COLUMNS:
         if col not in columns:
@@ -421,33 +455,21 @@ def _prediction_tally(columns: tuple, privileged_label: str,
         ("legitimate",) if "legitimate" in columns else ())
     key_of = itemgetter(*(columns.index(c) for c in key_columns))
     s = columns.index("score") if "score" in columns else None
-    mapping = {privileged_label: PRIVILEGED, unprivileged_label: UNPRIVILEGED}
 
-    def key(rownum, text) -> tuple:
-        """The validated cell key of a raw key text."""
-        group = mapping.get(text[0].strip())
-        if group is None:
-            raise IngestError(
-                f"row {rownum}: group {text[0]!r} is neither "
-                f"{privileged_label!r} nor {unprivileged_label!r}")
-        try:
-            predicted = _binary(text[1])
-            actual = _binary(text[2])
-        except ValueError as exc:
-            raise IngestError(f"row {rownum}: {exc}") from exc
-        legitimate = text[3] if len(text) == 4 and text[3].strip() != "" else None
-        return group, predicted, actual, legitimate
-
-    def tally(rows) -> dict:
-        cells = {}
-        by_text = {}  # each distinct raw key text is validated once
+    def tally(rows) -> tuple:
+        scored = {}
+        unscored = {}
         for rownum, row in rows:
             text = key_of(row)
-            cell = by_text.get(text)
-            if cell is None:
-                cell = by_text[text] = tally_cell(cells, key(rownum, text))
+            scores = scored.get(text)
+            if scores is None:
+                try:
+                    key(text)
+                except ValueError as exc:
+                    raise IngestError(f"row {rownum}: {exc}") from None
+                scores = scored[text] = array("d")
             if s is None:
-                cell[0] += 1
+                unscored[text] = unscored.get(text, 0) + 1
                 continue
             try:
                 score = float(row[s])
@@ -455,41 +477,48 @@ def _prediction_tally(columns: tuple, privileged_label: str,
                 if row[s].strip() != "":
                     raise IngestError(
                         f"row {rownum}: score {row[s]!r} is not a number") from None
-                cell[0] += 1
+                unscored[text] = unscored.get(text, 0) + 1
                 continue
             if not 0.0 <= score <= 1.0:
                 raise IngestError(
                     f"row {rownum}: score {score} outside [0, 1]")
-            cell[1].append(score)
-        return cells
+            scores.append(score)
+        return scored, unscored
 
     return tally
 
 
-# Scores per `array.fromfile` call when merging a child's cells: the
+# Scores per `array.fromfile` call when merging a child's tally: the
 # parent reads them straight into its own arrays in chunks this small, so
 # it never holds a child's score array twice.
 _MERGE_ITEMS = 4096
 
 
-def _dump_cells(cells, pipe) -> None:
-    """Write cells as one marshalled `(key, unscored, len(scores))` list,
-    then each score array in the same order."""
-    marshal.dump([(key, n, len(scores)) for key, (n, scores) in cells.items()],
-                 pipe)
-    for _, scores in cells.values():
+def _dump_cells(tally, pipe) -> None:
+    """Write a `(scored, unscored)` tally as a marshalled header (the
+    unscored dict, then `(text, len(scores))` pairs), then each score
+    array in the same order."""
+    scored, unscored = tally
+    _dump_marshal((unscored, [(text, len(scores))
+                              for text, scores in scored.items()]), pipe)
+    for scores in scored.values():
         scores.tofile(pipe)
 
 
-def _merge_cells(cells, pipe) -> None:
-    """Fold cells written by `_dump_cells` into `cells`, in their order."""
-    for key, unscored, n in marshal.load(pipe):
-        cell = tally_cell(cells, key)
-        cell[0] += unscored
+def _merge_cells(tally, pipe) -> None:
+    """Fold a tally written by `_dump_cells` into `tally`, in its order."""
+    scored, unscored = tally
+    more_unscored, lengths = _load_marshal(pipe)
+    for text, n in lengths:
+        scores = scored.get(text)
+        if scores is None:
+            scores = scored[text] = array("d")
         while n:
             k = min(n, _MERGE_ITEMS)
-            cell[1].fromfile(pipe, k)
+            scores.fromfile(pipe, k)
             n -= k
+    for text, n in more_unscored.items():
+        unscored[text] = unscored.get(text, 0) + n
 
 
 def _binary(cell: str) -> int:

@@ -1,7 +1,10 @@
 import csv
 import io
+import marshal
 import os
+import random
 import threading
+import tracemalloc
 from array import array
 from collections import Counter
 from fractions import Fraction
@@ -34,6 +37,11 @@ from conftest import (
     force_shards,
     prediction_csv,
 )
+
+
+def no_serial_pass(source):
+    raise AssertionError("the serial pass ran")
+
 
 # the twenty genders behind the generated CEO name list: 3 female, 17 male
 CEO_NAME_GENDERS = ["Female"] * 3 + ["Male"] * 17
@@ -241,9 +249,6 @@ class TestShardedCount:
         path.write_bytes(text.encode())
         serial = count_dataset(io.StringIO(text), names)
 
-        def no_serial_pass(source):
-            raise AssertionError("the serial pass ran")
-
         with pytest.MonkeyPatch.context() as mp:
             force_shards(mp, cpus)
             mp.setattr(ingest, "_csv_table", no_serial_pass)
@@ -315,6 +320,19 @@ def cell_bytes(gp):
     return [(key, n, scores.tobytes()) for key, (n, scores) in gp.cells.items()]
 
 
+def many_cells_csv(rows):
+    """A seeded prediction file of `rows` rows over thousands of distinct
+    cells, most holding one or two rows, some with a blank score."""
+    rng = random.Random(0)
+    lines = ["group,predicted,actual,score,legitimate"]
+    for _ in range(rows):
+        score = "" if rng.random() < 0.1 else f"0.{rng.randrange(10000):04d}"
+        lines.append(f"{rng.choice((PRIVILEGED, UNPRIVILEGED))},"
+                     f"{rng.randrange(2)},{rng.randrange(2)},{score},"
+                     f"k{rng.randrange(rows // 4):05d}")
+    return "\n".join(lines) + "\n"
+
+
 class TestShardedPredictions:
     @settings(max_examples=60, deadline=None)
     @given(prediction_csv(), st.integers(2, 4))
@@ -322,9 +340,6 @@ class TestShardedPredictions:
         path = tmp_path_factory.mktemp("shard") / "p.csv"
         path.write_bytes(text.encode())
         serial = cell_bytes(read_predictions(io.StringIO(text)))
-
-        def no_serial_pass(source):
-            raise AssertionError("the serial pass ran")
 
         with pytest.MonkeyPatch.context() as mp:
             force_shards(mp, cpus)
@@ -343,6 +358,52 @@ class TestShardedPredictions:
             ((PRIVILEGED, 1, 1, None), 0, array("d", [0.5] * 20).tobytes()),
             ((UNPRIVILEGED, 0, 1, None), 20, b""),
         ]
+
+    def test_header_over_a_pipe_buffer_equals_serial(self, tmp_path,
+                                                      monkeypatch, forks):
+        path = tmp_path / "p.csv"
+        path.write_text(many_cells_csv(12_000))
+        serial = read_predictions(path)
+        assert len(serial.cells) >= 5000
+        force_shards(monkeypatch, 2)
+        monkeypatch.setattr(ingest, "_csv_table", no_serial_pass)
+        sharded = read_predictions(path)
+        assert len(forks) == 1
+        assert cell_bytes(sharded) == cell_bytes(serial)
+        assert sharded.strata == serial.strata
+
+    def test_short_result_falls_back(self, tmp_path, monkeypatch, forks):
+        # Each length prefix claims one byte more than the dump writes.
+        def short_dump(value, pipe):
+            data = marshal.dumps(value)
+            pipe.write((len(data) + 1).to_bytes(8, "little") + data)
+
+        serial_passes = []
+        csv_table = ingest._csv_table
+
+        def recording_csv_table(source):
+            serial_passes.append(source)
+            return csv_table(source)
+
+        monkeypatch.setattr(ingest, "_dump_marshal", short_dump)
+        force_shards(monkeypatch, 3)
+        path = tmp_path / "p.csv"
+        for text in ("group,predicted,actual,score\n"
+                     + "privileged,1,1,0.5\nunprivileged,0,1,\n" * 20,
+                     "group,predicted,actual\n" + "privileged,1,1\n" * 40):
+            path.write_text(text)
+            serial = cell_bytes(read_predictions(io.StringIO(text)))
+            del forks[:]
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(ingest, "_csv_table", recording_csv_table)
+                assert cell_bytes(read_predictions(path)) == serial
+            assert len(forks) == 2 and serial_passes == [path]
+            del serial_passes[:]
+        path.write_text("sex\n" + "Male\nFemale\n" * 20)
+        monkeypatch.setattr(ingest, "_csv_table", recording_csv_table)
+        assert count_dataset(path, ["sex"]) == \
+            Counter({("Male",): 20, ("Female",): 20})
+        assert serial_passes == [path]
 
     def test_streams_small_quoted_and_threaded_never_fork(self, tmp_path,
                                                           monkeypatch):
@@ -441,6 +502,23 @@ class TestReadPredictions:
     def test_missing_file(self, tmp_path):
         with pytest.raises(IngestError, match="cannot read"):
             read_predictions(tmp_path / "absent.csv")
+
+    def test_tally_memory_per_distinct_cell(self, tmp_path):
+        # One dict entry and one score array per distinct key text: about
+        # 365-375 traced bytes per cell at the read's peak on CPython 3.10
+        # and 3.11, where a validated key tuple, a second dict entry and a
+        # [count, scores] list per cell took about 505.
+        path = tmp_path / "p.csv"
+        path.write_text(many_cells_csv(24_000))
+        tracemalloc.start()
+        try:
+            gp = read_predictions(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        cells = len(gp.cells)
+        assert cells >= 15_000
+        assert peak / cells < 440
 
     def test_unknown_group(self):
         csv_text = "group,predicted,actual\nmystery,1,1\n"

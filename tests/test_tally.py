@@ -63,20 +63,36 @@ def csv_rows(draw):
 
 
 row_lists = st.lists(csv_rows(), max_size=40)
+COLUMNS = ("group", "predicted", "actual", "score", "legitimate")
 
 
-def _csv_text(rows):
+def _csv_text(rows, columns=COLUMNS):
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["group", "predicted", "actual", "score", "legitimate"])
-    writer.writerows(cells for _, cells in rows)
+    writer.writerow(columns)
+    writer.writerows([cells[COLUMNS.index(c)] for c in columns]
+                     for _, cells in rows)
     return buf.getvalue()
 
 
-def _read(rows):
-    return read_predictions(io.StringIO(_csv_text(rows)),
+def _read(rows, columns=COLUMNS):
+    return read_predictions(io.StringIO(_csv_text(rows, columns)),
                             privileged_label="Male",
                             unprivileged_label="Female")
+
+
+@st.composite
+def csv_files(draw):
+    """(columns, rows) of a prediction file with or without the score and
+    legitimate columns; each row is a Record of what the file says and
+    its CSV cells, of which the file keeps the named columns."""
+    columns = COLUMNS[:3] + tuple(
+        c for c in COLUMNS[3:] if draw(st.booleans()))
+    rows = [(Record(r.group, r.predicted, r.actual,
+                    r.score if "score" in columns else None,
+                    r.legitimate if "legitimate" in columns else None), cells)
+            for r, cells in draw(row_lists)]
+    return columns, rows
 
 
 def _report(gp, bins):
@@ -113,6 +129,45 @@ def test_records_rebuild_the_input_rows(rows):
             r for r, _ in rows if r.group == g)
         assert gp.confusion[g] == confusion(
             r for r, _ in rows if r.group == g)
+
+
+def _row_scan_cells(columns, rows):
+    """`[(cell, unscored, scores)]` in first-seen cell order; a cell's
+    scores run text by text, in the order the texts first appear."""
+    key_columns = [COLUMNS.index(c) for c in columns if c != "score"]
+    texts = {}  # cell -> raw key text -> [unscored, scores]
+    for r, cells in rows:
+        text = tuple(cells[i] for i in key_columns)
+        tally = texts.setdefault(
+            (r.group, r.predicted, r.actual, r.legitimate), {}).setdefault(
+                text, [0, []])
+        if r.score is None:
+            tally[0] += 1
+        else:
+            tally[1].append(r.score)
+    return [(cell, sum(n for n, _ in by_text.values()),
+             [s for _, scores in by_text.values() for s in scores])
+            for cell, by_text in texts.items()]
+
+
+def _cell_list(gp):
+    return [(cell, n, list(scores)) for cell, (n, scores) in gp.cells.items()]
+
+
+@given(csv_files())
+def test_cells_view_matches_a_row_scan(file):
+    columns, rows = file
+    records = [r for r, _ in rows]
+    gp = _read(rows, columns)
+    assert _cell_list(gp) == _row_scan_cells(columns, rows)
+    assert Counter(gp.records) == Counter(records)
+    assert gp.strata == _row_scan_strata(records)
+    for g in GROUPS:
+        assert gp.confusion[g] == confusion(r for r in records if r.group == g)
+    twice = gp.swapped().swapped()
+    assert _cell_list(twice) == _cell_list(gp)
+    assert twice.confusion == gp.confusion
+    assert twice.strata == gp.strata
 
 
 @given(row_lists)
@@ -165,17 +220,27 @@ def _per_record_gaps(records, key_of, positive_of, sort_key=None):
     return tally, gaps, skipped
 
 
+def _strata_gaps(records):
+    return _per_record_gaps(
+        records, lambda r: r.legitimate, lambda r: r.predicted,
+        lambda k: ("", k) if k is None else (str(k), ""))
+
+
+def _row_scan_strata(records):
+    """`GroupedPredictions.strata` by a row scan: group -> (rows,
+    predicted positives) per legitimate value."""
+    tally, _, _ = _strata_gaps(records)
+    return {g: ({k: c[g][1] for k, c in tally.items() if c[g][1]},
+                {k: c[g][0] for k, c in tally.items() if c[g][1]})
+            for g in GROUPS}
+
+
 @given(row_lists, st.integers(2, 12))
 def test_strata_and_bins_match_a_row_scan(rows, bins):
     records = [r for r, _ in rows]
-    tally, gaps, skipped = _per_record_gaps(
-        records, lambda r: r.legitimate, lambda r: r.predicted,
-        lambda k: ("", k) if k is None else (str(k), ""))
-    flat = {g: ({k: c[g][1] for k, c in tally.items() if c[g][1]},
-                {k: c[g][0] for k, c in tally.items() if c[g][1]})
-            for g in GROUPS}
+    _, gaps, skipped = _strata_gaps(records)
     for gp in (GroupedPredictions(records), _read(rows)):
-        assert gp.strata == flat
+        assert gp.strata == _row_scan_strata(records)
         strata = METRIC_REGISTRY["conditional_statistical_parity"].compute(gp, None)
         assert list(strata.trace["per_stratum_gap"].items()) == gaps
         assert strata.trace["skipped_strata"] == skipped
