@@ -19,7 +19,6 @@ from .fairness import (
     MetricValue,
     Rates,
     Record,
-    confusion,
     rates,
     statistical_parity_difference,
     statistical_parity_from_counts,
@@ -34,7 +33,7 @@ from .ingest import (
     read_manifest,
     read_predictions,
 )
-from .intervals import Interval, percentile
+from .intervals import Interval
 from .policy import (
     ContextFinding,
     Diagnostic,
@@ -83,13 +82,11 @@ __all__ = [
     "check_manifest",
     "choose",
     "composition_audit",
-    "confusion",
     "decide",
     "evaluate",
     "hurwicz",
     "parse_policy",
     "parse_policy_with_diagnostics",
-    "percentile",
     "rates",
     "read_dataset",
     "read_manifest",

@@ -142,11 +142,9 @@ def cmd_evaluate(args) -> int:
         if doc.protected is None:
             raise ingest.IngestError(
                 "composition audit needs a protected_attribute in the policy")
-        # Stripped as `bind_counts` strips them, so a padded cell counts
-        # under the label it binds to.
         labels = Counter()
         for key, n in counts.items():
-            labels[key[0].strip()] += n
+            labels[key[0]] += n
         audit = ingest.composition_from_counts(
             labels, doc.protected.unprivileged_value,
             args.composition_reference, args.composition_range)

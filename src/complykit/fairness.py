@@ -17,7 +17,7 @@ from array import array
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import Iterable, Optional
+from typing import Optional
 
 PRIVILEGED = "privileged"
 UNPRIVILEGED = "unprivileged"
@@ -44,14 +44,14 @@ class Record:
 
 
 class GroupedPredictions:
-    """Predictions reduced to a lossless tally.
+    """Predictions reduced to counts from a lossless tally.
 
     The tally maps each distinct raw key text to an `array('d')` of its
     scores, and each text with unscored rows to their count. `key(text)`
     gives a text's validated cell `(group, predicted, actual, legitimate)`;
-    texts that differ only in padding share a cell. The tally is reduced
-    once, at construction, into the attributes below; every metric reads
-    only the reduced counts:
+    texts that differ only in padding share a cell. `read_predictions`
+    builds the tally; it is reduced once, at construction, into the
+    attributes below, and every metric reads only the reduced counts:
 
     - `confusion`: group -> ConfusionCounts;
     - `strata`: group -> (rows, predicted positives), each a flat
@@ -67,34 +67,13 @@ class GroupedPredictions:
     __slots__ = ("_scored", "_unscored", "_key",
                  "confusion", "strata", "scores", "unscored")
 
-    def __init__(self, records: Iterable[Record]):
-        scored = {}
-        unscored = {}
-        for r in records:
-            key = (r.group, r.predicted, r.actual, r.legitimate)
-            scores = scored.get(key)
-            if scores is None:
-                scores = scored[key] = array("d")
-            if r.score is None:
-                unscored[key] = unscored.get(key, 0) + 1
-            else:
-                scores.append(r.score)
-        self._reduce(scored, unscored, lambda key: key)
-
-    @classmethod
-    def from_tally(cls, scored: dict, unscored: dict,
-                   key) -> "GroupedPredictions":
-        """Wrap a tally, which is not copied.
+    def __init__(self, scored: dict, unscored: dict, key):
+        """Reduce a tally, which is not copied.
 
         `scored` maps every raw key text to an `array('d')` of its scores
         (empty when it has none), `unscored` maps a text to its rows
         without a score, and `key(text)` returns the text's validated cell.
         """
-        gp = cls.__new__(cls)
-        gp._reduce(scored, unscored, key)
-        return gp
-
-    def _reduce(self, scored, unscored, key):
         quadrants = {g: [[0, 0], [0, 0]] for g in GROUPS}  # [predicted][actual]
         strata = {g: ({}, {}) for g in GROUPS}
         scores = {(g, a): [] for g in GROUPS for a in (0, 1)}
@@ -133,17 +112,6 @@ class GroupedPredictions:
         return tuple(chain.from_iterable(
             [Record(g, p, a, None, l)] * unscored + [Record(g, p, a, s, l) for s in scores]
             for (g, p, a, l), (unscored, scores) in self.cells.items()))
-
-    def swapped(self) -> "GroupedPredictions":
-        """Same data with the privileged/unprivileged assignment flipped."""
-        flip = {PRIVILEGED: UNPRIVILEGED, UNPRIVILEGED: PRIVILEGED}
-        key = self._key
-
-        def flipped(text):
-            g, p, a, l = key(text)
-            return flip[g], p, a, l
-
-        return GroupedPredictions.from_tally(self._scored, self._unscored, flipped)
 
 
 @dataclass(frozen=True)
@@ -188,23 +156,6 @@ class MetricValue:
     @staticmethod
     def undefined(metric_id: str, reason: str, trace=None) -> "MetricValue":
         return MetricValue(metric_id, None, reason, trace or {})
-
-
-def confusion(records: Iterable[Record]) -> ConfusionCounts:
-    """Tally (predicted, actual) quadrants for one group's records."""
-    tp = fp = tn = fn = 0
-    for r in records:
-        if r.predicted == 1:
-            if r.actual == 1:
-                tp += 1
-            else:
-                fp += 1
-        else:
-            if r.actual == 1:
-                fn += 1
-            else:
-                tn += 1
-    return ConfusionCounts(tp=tp, fp=fp, tn=tn, fn=fn)
 
 
 def _ratio(num: int, den: int) -> Optional[float]:

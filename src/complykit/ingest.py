@@ -87,22 +87,14 @@ def count_dataset(source, names=()) -> Counter:
     `_shard_cuts` finds that safe; the result is the same Counter, key
     order included.
     """
-    return _reduce_csv(source, partial(_row_counter, names=names),
-                       _dump_counts, _merge_counts)
+    return _reduce_csv(source, partial(_row_counter, names=names))[1]
 
 
 def _row_counter(columns: tuple, names):
-    """`count_dataset`'s row loop: counts of `(row number, cells)` pairs."""
+    """`count_dataset`'s row loop: `({}, counts)` of `(row number, cells)`
+    pairs, a tally with no scores."""
     idx = [_column_index(columns, name) for name in names]
-    return lambda rows: _count_rows(map(itemgetter(1), rows), idx)
-
-
-def _dump_counts(counts, pipe) -> None:
-    _dump_marshal(dict(counts), pipe)
-
-
-def _merge_counts(counts, pipe) -> None:
-    counts.update(_load_marshal(pipe))
+    return lambda rows: ({}, _count_rows(map(itemgetter(1), rows), idx))
 
 
 def _dump_marshal(value, pipe) -> None:
@@ -121,6 +113,39 @@ def _load_marshal(pipe):
     if len(data) != size:
         raise EOFError("shard result cut short")
     return marshal.loads(data)
+
+
+# Scores per `array.fromfile` call when merging a child's tally: the
+# parent reads them straight into its own arrays in chunks this small, so
+# it never holds a child's score array twice.
+_MERGE_ITEMS = 4096
+
+
+def _dump_tally(tally, pipe) -> None:
+    """Write a `(scored, unscored)` tally as a marshalled header (the
+    unscored counts as a plain dict, since marshal rejects a Counter, then
+    `(text, len(scores))` pairs), then each score array in the same order."""
+    scored, unscored = tally
+    _dump_marshal((dict(unscored), [(text, len(scores))
+                                    for text, scores in scored.items()]), pipe)
+    for scores in scored.values():
+        scores.tofile(pipe)
+
+
+def _merge_tally(tally, pipe) -> None:
+    """Fold a tally written by `_dump_tally` into `tally`, in its order."""
+    scored, unscored = tally
+    more_unscored, lengths = _load_marshal(pipe)
+    for text, n in lengths:
+        scores = scored.get(text)
+        if scores is None:
+            scores = scored[text] = array("d")
+        while n:
+            k = min(n, _MERGE_ITEMS)
+            scores.fromfile(pipe, k)
+            n -= k
+    for text, n in more_unscored.items():
+        unscored[text] = unscored.get(text, 0) + n
 
 
 # A file is split into at most one shard per usable CPU, each of at least
@@ -201,11 +226,11 @@ def _count_range(path, start: int, end: int, width: int, reduce):
         return reduce(_csv_rows(csv.reader(fh), width))
 
 
-def _fork_shard(path, start: int, end: int, width: int, reduce, dump):
+def _fork_shard(path, start: int, end: int, width: int, reduce):
     """Fork a child that reduces bytes [start, end) into a pipe.
 
-    Returns `(pid, read end)`. The child writes its result with `dump`
-    and exits 0, or exits 1 on any error; it never returns.
+    Returns `(pid, read end)`. The child writes its tally with
+    `_dump_tally` and exits 0, or exits 1 on any error; it never returns.
     """
     r, w = os.pipe()
     try:
@@ -220,7 +245,7 @@ def _fork_shard(path, start: int, end: int, width: int, reduce, dump):
             os.close(r)
             result = _count_range(path, start, end, width, reduce)
             with open(w, "wb") as pipe:
-                dump(result, pipe)
+                _dump_tally(result, pipe)
             status = 0
         finally:
             os._exit(status)
@@ -228,16 +253,16 @@ def _fork_shard(path, start: int, end: int, width: int, reduce, dump):
     return pid, open(r, "rb")
 
 
-def _run_sharded(path, prepare, dump, merge):
+def _run_sharded(path, prepare):
     """Reduce a CSV path in byte-range shards, one forked child per shard
     but the first.
 
     `prepare(columns)` checks the header and returns `reduce(rows)`, which
-    folds `(row number, cells)` pairs into a new result. The parent
-    reduces shard 0, header included; each child reduces its range and
-    writes the result with `dump(result, pipe)`, and the parent folds it
-    into its own with `merge(result, pipe)`, in shard order, so a merge
-    that appends keeps serial order. None when `_shard_cuts` declines, or
+    folds `(row number, cells)` pairs into a new `(scored, unscored)`
+    tally. The parent reduces shard 0, header included; each child
+    reduces its range and writes its tally with `_dump_tally`, and the
+    parent folds it into its own with `_merge_tally`, in shard order, so
+    keys and scores keep serial order. None when `_shard_cuts` declines, or
     when any shard fails (a bad row, a child that dies, a short read or a
     trailing byte): the serial pass then reports the first bad row in
     file order.
@@ -253,12 +278,12 @@ def _run_sharded(path, prepare, dump, merge):
             for start, end in zip(cuts[1:], cuts[2:]):
                 if start < end:
                     children.append(_fork_shard(
-                        path, start, end, len(columns), reduce, dump))
+                        path, start, end, len(columns), reduce))
             result = reduce(rows)
         while children:
             pid, pipe = children[0]
             with pipe:
-                merge(result, pipe)
+                _merge_tally(result, pipe)
                 trailing = pipe.read(1)
             _, status = os.waitpid(pid, 0)
             del children[0]
@@ -276,15 +301,17 @@ def _run_sharded(path, prepare, dump, merge):
                 os.waitpid(pid, 0)
 
 
-def _reduce_csv(source, prepare, dump, merge):
-    """`prepare(columns)(rows)` over a CSV path or text stream.
+def _reduce_csv(source, prepare):
+    """`prepare(columns)(rows)` over a CSV path or text stream: a
+    `(scored, unscored)` tally, the one result shape that both CSV passes
+    reduce to and that `_dump_tally`/`_merge_tally` carry between shards.
 
     A path goes through `_run_sharded` first. A stream, a path it declines
     and a path with a failed shard get one serial `_csv_table` pass, which
     reports the first bad row in file order.
     """
     if not hasattr(source, "read"):
-        result = _run_sharded(source, prepare, dump, merge)
+        result = _run_sharded(source, prepare)
         if result is not None:
             return result
     with _csv_table(source) as (columns, rows):
@@ -318,6 +345,8 @@ def _csv_stream(fh):
         raise IngestError(f"input is not valid UTF-8: {exc}") from exc
     except csv.Error as exc:
         raise IngestError(f"row 1: {exc}") from exc
+    if header and header[0].startswith("\ufeff"):
+        header[0] = header[0][1:]  # the byte-order mark of a "CSV UTF-8" file
     if not header or all(not c.strip() for c in header):
         raise IngestError("missing header row")
     columns = tuple(c.strip() for c in header)
@@ -417,9 +446,8 @@ def read_predictions(source, privileged_label: str = PRIVILEGED,
     score order included.
     """
     key = _prediction_key(privileged_label, unprivileged_label)
-    scored, unscored = _reduce_csv(
-        source, partial(_prediction_tally, key=key), _dump_cells, _merge_cells)
-    return GroupedPredictions.from_tally(scored, unscored, key)
+    scored, unscored = _reduce_csv(source, partial(_prediction_tally, key=key))
+    return GroupedPredictions(scored, unscored, key)
 
 
 def _prediction_key(privileged_label: str, unprivileged_label: str):
@@ -445,7 +473,7 @@ def _prediction_tally(columns: tuple, key):
 
     Returns `tally(rows)`, which folds `(row number, cells)` pairs into a
     new `(scored, unscored)` pair of dicts keyed by raw key text, as
-    `GroupedPredictions.from_tally` takes them, checking each new text
+    the `GroupedPredictions` constructor takes them, checking each new text
     with `key` and every score.
     """
     for col in PREDICTION_COLUMNS:
@@ -488,39 +516,6 @@ def _prediction_tally(columns: tuple, key):
     return tally
 
 
-# Scores per `array.fromfile` call when merging a child's tally: the
-# parent reads them straight into its own arrays in chunks this small, so
-# it never holds a child's score array twice.
-_MERGE_ITEMS = 4096
-
-
-def _dump_cells(tally, pipe) -> None:
-    """Write a `(scored, unscored)` tally as a marshalled header (the
-    unscored dict, then `(text, len(scores))` pairs), then each score
-    array in the same order."""
-    scored, unscored = tally
-    _dump_marshal((unscored, [(text, len(scores))
-                              for text, scores in scored.items()]), pipe)
-    for scores in scored.values():
-        scores.tofile(pipe)
-
-
-def _merge_cells(tally, pipe) -> None:
-    """Fold a tally written by `_dump_cells` into `tally`, in its order."""
-    scored, unscored = tally
-    more_unscored, lengths = _load_marshal(pipe)
-    for text, n in lengths:
-        scores = scored.get(text)
-        if scores is None:
-            scores = scored[text] = array("d")
-        while n:
-            k = min(n, _MERGE_ITEMS)
-            scores.fromfile(pipe, k)
-            n -= k
-    for text, n in more_unscored.items():
-        unscored[text] = unscored.get(text, 0) + n
-
-
 def _binary(cell: str) -> int:
     v = cell.strip()
     if v != "0" and v != "1":
@@ -542,9 +537,10 @@ MANIFEST_KEYS = ("dataset_source", "model_id", "declared_use", "synthetic")
 
 
 def read_text(path) -> str:
-    """The whole UTF-8 text of `path`; IngestError if it cannot be read."""
+    """The whole UTF-8 text of `path`, less a leading byte-order mark;
+    IngestError if it cannot be read."""
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             return fh.read()
     except OSError as exc:
         raise IngestError(f"cannot read {path}: {exc.strerror}") from exc
@@ -593,7 +589,8 @@ class CompositionAudit:
 
 def composition_audit(labels, unprivileged_value: str, reference_share: float,
                       rng: Interval) -> CompositionAudit:
-    """Audit a label list's composition against a reference share."""
+    """Audit a label list's composition against a reference share, as
+    `composition_from_counts` audits the list's counts."""
     return composition_from_counts(Counter(labels), unprivileged_value,
                                    reference_share, rng)
 
@@ -603,13 +600,18 @@ def composition_from_counts(label_counts, unprivileged_value: str,
                             rng: Interval) -> CompositionAudit:
     """Audit label counts (label -> positive count) against a reference share.
 
-    The deviation is the unprivileged value's observed share minus the
-    reference share; the verdict is interval membership.
+    Labels are stripped of surrounding whitespace, as `bind_counts` strips
+    protected cells, and labels that strip to the same text are counted
+    together. The deviation is the unprivileged value's observed share
+    minus the reference share; the verdict is interval membership.
     """
-    n = sum(label_counts.values())
+    counts = Counter()
+    for label, count in label_counts.items():
+        counts[label.strip()] += count
+    n = sum(counts.values())
     if not n:
         raise IngestError("composition audit needs at least one label")
-    shares = {value: label_counts[value] / n for value in sorted(label_counts)}
+    shares = {value: counts[value] / n for value in sorted(counts)}
     share = shares.get(unprivileged_value, 0.0)
     deviation = share - reference_share
     return CompositionAudit(

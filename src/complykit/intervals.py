@@ -1,4 +1,4 @@
-"""Closed intervals and order statistics used for legitimacy checks."""
+"""Closed intervals used for legitimacy checks."""
 
 from __future__ import annotations
 
@@ -31,23 +31,3 @@ class Interval:
     def __str__(self) -> str:
         return f"[{self.lo}, {self.hi}]"
 
-
-def percentile(data, p: float) -> float:
-    """Percentile by linear interpolation of order statistics.
-
-    Sorts ascending and interpolates at rank (n - 1) * p. This is the
-    single normative method used throughout the library so that results
-    are auditable and reproducible.
-    """
-    if not data:
-        raise ValueError("percentile of empty data")
-    if not 0.0 <= p <= 1.0:
-        raise ValueError("p must lie in [0, 1]")
-    xs = sorted(data)
-    r = (len(xs) - 1) * p
-    lo = math.floor(r)
-    hi = math.ceil(r)
-    if lo == hi:
-        return float(xs[lo])
-    frac = r - lo
-    return xs[lo] + frac * (xs[hi] - xs[lo])

@@ -8,12 +8,7 @@ from hypothesis import strategies as st
 
 from complykit import ingest
 from complykit.decisions import PayoffMatrix
-from complykit.fairness import (
-    PRIVILEGED,
-    UNPRIVILEGED,
-    GroupedPredictions,
-    Record,
-)
+from complykit.fairness import PRIVILEGED, UNPRIVILEGED, Record
 from complykit.intervals import Interval
 from complykit.policy import (
     DecisionSpec,
@@ -23,6 +18,7 @@ from complykit.policy import (
     PolicyDocument,
     ProtectedSpec,
 )
+from reference import predictions_of
 
 SCENARIO1_POLICY = """\
 policy "scenario-1" {
@@ -93,7 +89,7 @@ def records_from_counts(group, tp=0, fp=0, tn=0, fn=0):
 
 def gp_from_counts(unpriv, priv):
     """Build GroupedPredictions from per-group confusion count dicts."""
-    return GroupedPredictions(
+    return predictions_of(
         records_from_counts(UNPRIVILEGED, **unpriv)
         + records_from_counts(PRIVILEGED, **priv))
 

@@ -1,0 +1,61 @@
+"""Row-level reference implementations that the tests compare the library
+against.
+
+The library reduces a prediction file straight to a tally; these build
+the same `GroupedPredictions` from `Record`s, flip its groups row by row
+and count confusion quadrants by scanning rows, so that a test can check
+the reduction against a computation that never sees the tally.
+"""
+
+from array import array
+
+from complykit.fairness import (
+    PRIVILEGED,
+    UNPRIVILEGED,
+    ConfusionCounts,
+    GroupedPredictions,
+    Record,
+)
+
+FLIP = {PRIVILEGED: UNPRIVILEGED, UNPRIVILEGED: PRIVILEGED}
+
+
+def predictions_of(records) -> GroupedPredictions:
+    """`GroupedPredictions` of Records: a tally keyed by each Record's
+    cell `(group, predicted, actual, legitimate)`, with an identity key."""
+    scored = {}
+    unscored = {}
+    for r in records:
+        key = (r.group, r.predicted, r.actual, r.legitimate)
+        scores = scored.get(key)
+        if scores is None:
+            scores = scored[key] = array("d")
+        if r.score is None:
+            unscored[key] = unscored.get(key, 0) + 1
+        else:
+            scores.append(r.score)
+    return GroupedPredictions(scored, unscored, lambda key: key)
+
+
+def swapped(gp: GroupedPredictions) -> GroupedPredictions:
+    """`gp`'s rows with the privileged/unprivileged assignment flipped."""
+    return predictions_of(
+        Record(FLIP[r.group], r.predicted, r.actual, r.score, r.legitimate)
+        for r in gp.records)
+
+
+def confusion(records) -> ConfusionCounts:
+    """Tally (predicted, actual) quadrants for one group's records."""
+    tp = fp = tn = fn = 0
+    for r in records:
+        if r.predicted == 1:
+            if r.actual == 1:
+                tp += 1
+            else:
+                fp += 1
+        else:
+            if r.actual == 1:
+                fn += 1
+            else:
+                tn += 1
+    return ConfusionCounts(tp=tp, fp=fp, tn=tn, fn=fn)

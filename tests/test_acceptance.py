@@ -13,7 +13,6 @@ from complykit.decisions import PayoffMatrix, choose, hurwicz, regret_matrix, sa
 from complykit.fairness import (
     PRIVILEGED,
     UNPRIVILEGED,
-    GroupedPredictions,
     Record,
     accuracy_equality_gap,
     balance_negative_gap,
@@ -40,6 +39,7 @@ from complykit.policy import (
     serialize_policy,
 )
 from conftest import SCENARIO1_POLICY, random_document
+from reference import confusion, predictions_of, swapped
 from schema_check import validate_report
 
 TABLE_MATRIX = PayoffMatrix(
@@ -175,22 +175,22 @@ def _random_gp(rng):
                 group, rng.randint(0, 1), rng.randint(0, 1),
                 rng.choice([None, rng.randint(0, 100) / 100.0]),
                 rng.choice([None, "a", "b"])))
-    return GroupedPredictions(records)
+    return predictions_of(records)
 
 
 def test_criterion_6_fairness_properties():
     rng = random.Random(61)
     for trial in range(1000):
         gp = _random_gp(rng)
-        swapped = gp.swapped()
+        flipped = swapped(gp)
         for metric in SIGNED:
-            a, b = metric(gp), metric(swapped)
+            a, b = metric(gp), metric(flipped)
             assert a.is_defined == b.is_defined
             if a.is_defined:
                 assert b.value == -a.value
 
         unprivileged = [r for r in gp.records if r.group == UNPRIVILEGED]
-        mirrored = GroupedPredictions(
+        mirrored = predictions_of(
             unprivileged
             + [Record(PRIVILEGED, r.predicted, r.actual, r.score, r.legitimate)
                for r in unprivileged])
@@ -208,7 +208,6 @@ def test_criterion_6_fairness_properties():
                                          and abs(fpr_gap) <= tol)
 
         for group in (UNPRIVILEGED, PRIVILEGED):
-            from complykit.fairness import confusion
             r = rates(confusion(r for r in gp.records if r.group == group))
             for pair in ((r.tpr, r.fnr), (r.tnr, r.fpr), (r.ppv, r.fdr),
                          (r.npv, r.for_)):

@@ -493,6 +493,33 @@ class TestShardedPredictions:
         assert ingest._shard_cuts(path)[1] <= len(head)
         assert self.evaluate(preds_dir, capsys, path) == serial
 
+    @pytest.mark.parametrize("cpus", [1, 4], ids=["serial", "sharded"])
+    def test_byte_order_marks_are_ignored(self, preds_dir, capsys,
+                                          monkeypatch, forks, cpus):
+        # Spreadsheets save "CSV UTF-8" with a leading byte-order mark,
+        # and some editors save text files with one.
+        (preds_dir / "many.csv").write_bytes(
+            b"group,predicted,actual,score,legitimate\n" + PREDICTION_ROWS * 4)
+        marked = preds_dir / "marked"
+        marked.mkdir()
+        for name in ("preds.law", "data.csv", "many.csv", "run.manifest"):
+            (marked / name).write_bytes(
+                "\ufeff".encode() + (preds_dir / name).read_bytes())
+
+        def run(inputs):
+            code = main(["evaluate", str(inputs / "preds.law"),
+                         "--dataset", str(inputs / "data.csv"),
+                         "--predictions", str(inputs / "many.csv"),
+                         "--manifest", str(inputs / "run.manifest"),
+                         "--deterministic"])
+            return (code, *capsys.readouterr())
+
+        expected = run(preds_dir)
+        assert expected[0] in (0, 1) and "calibration" in expected[1]
+        force_shards(monkeypatch, cpus)
+        assert run(marked) == expected
+        assert len(forks) == (0 if cpus == 1 else 6)
+
     @pytest.mark.parametrize("failure", ["dead", "truncated", "trailing",
                                          "exit-3"])
     def test_failed_child_falls_back(self, preds_dir, capsys, monkeypatch,
@@ -507,11 +534,11 @@ class TestShardedPredictions:
             monkeypatch.setattr(ingest, "_count_range",
                                 lambda *args: os._exit(9))
         else:
-            dump = ingest._dump_cells
+            dump = ingest._dump_tally
 
-            def bad_dump(cells, pipe):
+            def bad_dump(tally, pipe):
                 buf = io.BytesIO()
-                dump(cells, buf)
+                dump(tally, buf)
                 data = buf.getvalue()
                 if failure == "exit-3":  # a whole stream, then a failure
                     pipe.write(data)
@@ -520,7 +547,7 @@ class TestShardedPredictions:
                 pipe.write(data[:-8] if failure == "truncated"
                            else data + b"\0")
 
-            monkeypatch.setattr(ingest, "_dump_cells", bad_dump)
+            monkeypatch.setattr(ingest, "_dump_tally", bad_dump)
         del serial_passes[:]
         assert self.evaluate(preds_dir, capsys, path) == expected
         assert serial_passes[-1] == str(path)  # predictions fell back

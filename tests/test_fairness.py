@@ -9,7 +9,6 @@ from complykit.fairness import (
     PRIVILEGED,
     UNPRIVILEGED,
     ConfusionCounts,
-    GroupedPredictions,
     Record,
     accuracy_equality_gap,
     balance_negative_gap,
@@ -17,7 +16,6 @@ from complykit.fairness import (
     calibration_gap,
     conditional_statistical_parity,
     conditional_use_accuracy_gap,
-    confusion,
     equal_acceptance_rate_gap,
     equal_opportunity_gap,
     equalized_odds_gap,
@@ -30,21 +28,25 @@ from complykit.fairness import (
     treatment_equality,
 )
 from conftest import gp_from_counts, records_from_counts
+from reference import predictions_of, swapped
 
 
 class TestConfusion:
     def test_empty(self):
-        assert confusion([]) == ConfusionCounts(0, 0, 0, 0)
+        assert predictions_of([]).confusion == {
+            UNPRIVILEGED: ConfusionCounts(0, 0, 0, 0),
+            PRIVILEGED: ConfusionCounts(0, 0, 0, 0)}
 
     def test_one_per_quadrant(self):
         recs = [Record(PRIVILEGED, 1, 1), Record(PRIVILEGED, 1, 0),
                 Record(PRIVILEGED, 0, 1), Record(PRIVILEGED, 0, 0)]
-        assert confusion(recs) == ConfusionCounts(tp=1, fp=1, tn=1, fn=1)
+        assert predictions_of(recs).confusion[PRIVILEGED] == \
+            ConfusionCounts(tp=1, fp=1, tn=1, fn=1)
 
     def test_exhaustive_tally(self):
         # oracle: explicit enumeration of every record quadrant
         recs = records_from_counts(PRIVILEGED, tp=8, fp=2, fn=2, tn=8)
-        c = confusion(recs)
+        c = predictions_of(recs).confusion[PRIVILEGED]
         assert (c.tp, c.fp, c.fn, c.tn) == (8, 2, 2, 8)
 
 
@@ -131,7 +133,7 @@ class TestErrorRateBalances:
         gp = gp_from_counts({"fn": 2, "tp": 2}, {"fn": 2, "tp": 2})
         assert equal_opportunity_gap(gp).value == 0
         gp2 = gp_from_counts({"fn": 1, "tp": 3}, {"fn": 1, "tp": 1})
-        assert equal_opportunity_gap(gp2.swapped()).value == \
+        assert equal_opportunity_gap(swapped(gp2)).value == \
             -equal_opportunity_gap(gp2).value
 
     def test_predictive_equality_rational(self):
@@ -218,7 +220,7 @@ class TestConditionalStatisticalParity:
                 + [self._rec(UNPRIVILEGED, 0, "a")] * 1
                 + [self._rec(PRIVILEGED, 1, "a")] * 1
                 + [self._rec(PRIVILEGED, 0, "a")] * 3)
-        gp = GroupedPredictions(recs)
+        gp = predictions_of(recs)
         spd = equal_acceptance_rate_gap(gp).value
         assert conditional_statistical_parity(gp).value == abs(spd)
 
@@ -228,7 +230,7 @@ class TestConditionalStatisticalParity:
             for group in (UNPRIVILEGED, PRIVILEGED):
                 recs += [self._rec(group, 1, stratum),
                          self._rec(group, 0, stratum)]
-        assert conditional_statistical_parity(GroupedPredictions(recs)).value == 0
+        assert conditional_statistical_parity(predictions_of(recs)).value == 0
 
     def test_max_over_strata(self):
         # stratum a gap 0.1, stratum b gap 0.4
@@ -242,20 +244,20 @@ class TestConditionalStatisticalParity:
             + [self._rec(PRIVILEGED, 1, "b")] * 1
             + [self._rec(PRIVILEGED, 0, "b")] * 9
         )
-        mv = conditional_statistical_parity(GroupedPredictions(recs))
+        mv = conditional_statistical_parity(predictions_of(recs))
         assert mv.value == pytest.approx(0.4, abs=1e-12)
 
     def test_skipped_strata_logged(self):
         recs = [self._rec(UNPRIVILEGED, 1, "only-u")]
-        mv = conditional_statistical_parity(GroupedPredictions(recs))
+        mv = conditional_statistical_parity(predictions_of(recs))
         assert not mv.is_defined
         assert mv.reason == "no comparable stratum"
         assert "only-u" in mv.trace["skipped_strata"]
 
     def test_blank_and_empty_strata_sort_apart(self):
         # a None stratum sorts before "" instead of raising TypeError
-        gp = GroupedPredictions([Record(PRIVILEGED, 1, 1, None, ""),
-                                 Record(UNPRIVILEGED, 1, 1, None, None)])
+        gp = predictions_of([Record(PRIVILEGED, 1, 1, None, ""),
+                             Record(UNPRIVILEGED, 1, 1, None, None)])
         mv = conditional_statistical_parity(gp)
         assert not mv.is_defined
         assert mv.trace["skipped_strata"] == [None, ""]
@@ -268,20 +270,20 @@ class TestCalibration:
             recs += [Record(group, 1, 1, score=0.9),
                      Record(group, 1, 0, score=0.9),
                      Record(group, 0, 0, score=0.1)]
-        assert calibration_gap(GroupedPredictions(recs)).value == 0
+        assert calibration_gap(predictions_of(recs)).value == 0
 
     def test_single_bin_oracle(self):
         recs = ([Record(UNPRIVILEGED, 1, 1, score=0.55)]
                 + [Record(UNPRIVILEGED, 1, 0, score=0.55)]
                 + [Record(PRIVILEGED, 1, 1, score=0.55)]
                 + [Record(PRIVILEGED, 1, 0, score=0.55)] * 3)
-        mv = calibration_gap(GroupedPredictions(recs))
+        mv = calibration_gap(predictions_of(recs))
         assert mv.value == pytest.approx(0.25, abs=1e-12)
 
     def test_no_comparable_bin(self):
         recs = [Record(UNPRIVILEGED, 1, 1, score=0.1),
                 Record(PRIVILEGED, 1, 1, score=0.9)]
-        mv = calibration_gap(GroupedPredictions(recs))
+        mv = calibration_gap(predictions_of(recs))
         assert not mv.is_defined
         assert mv.reason == "no comparable bin"
 
@@ -301,7 +303,7 @@ class TestBalance:
         for group in (UNPRIVILEGED, PRIVILEGED):
             recs += [Record(group, 1, 1, score=0.7),
                      Record(group, 0, 0, score=0.2)]
-        gp = GroupedPredictions(recs)
+        gp = predictions_of(recs)
         assert balance_positive_gap(gp).value == 0
         assert balance_negative_gap(gp).value == 0
 
@@ -311,13 +313,13 @@ class TestBalance:
                 Record(PRIVILEGED, 1, 1, score=0.6),
                 Record(UNPRIVILEGED, 0, 0, score=0.5),
                 Record(PRIVILEGED, 0, 0, score=0.5)]
-        mv = balance_positive_gap(GroupedPredictions(recs))
+        mv = balance_positive_gap(predictions_of(recs))
         assert mv.value == pytest.approx(0.2, abs=1e-12)
 
     def test_no_positives_undefined(self):
         recs = [Record(UNPRIVILEGED, 0, 0, score=0.5),
                 Record(PRIVILEGED, 1, 1, score=0.5)]
-        mv = balance_positive_gap(GroupedPredictions(recs))
+        mv = balance_positive_gap(predictions_of(recs))
         assert not mv.is_defined
         assert "no actual positives" in mv.reason
 
@@ -346,7 +348,7 @@ def _record_strategy(group):
 
 
 gp_strategy = st.builds(
-    lambda u, p: GroupedPredictions(u + p),
+    lambda u, p: predictions_of(u + p),
     st.lists(_record_strategy(UNPRIVILEGED), min_size=1, max_size=12),
     st.lists(_record_strategy(PRIVILEGED), min_size=1, max_size=12),
 )
@@ -374,10 +376,10 @@ ALL_METRICS = SIGNED_METRICS + (
 class TestMetricProperties:
     @given(gp_strategy)
     def test_antisymmetry(self, gp):
-        swapped = gp.swapped()
+        flipped = swapped(gp)
         for metric in SIGNED_METRICS:
             a = metric(gp)
-            b = metric(swapped)
+            b = metric(flipped)
             assert a.is_defined == b.is_defined
             if a.is_defined:
                 assert b.value == -a.value
@@ -386,7 +388,7 @@ class TestMetricProperties:
     def test_zero_on_identity(self, urecs):
         mirrored = [Record(PRIVILEGED, r.predicted, r.actual, r.score,
                            r.legitimate) for r in urecs]
-        gp = GroupedPredictions(urecs + mirrored)
+        gp = predictions_of(urecs + mirrored)
         for metric in ALL_METRICS:
             mv = metric(gp)
             if mv.is_defined:
@@ -413,7 +415,7 @@ class TestMetricProperties:
     def test_permutation_invariance(self, gp, seed):
         shuffled = list(gp.records)
         random.Random(seed).shuffle(shuffled)
-        gp2 = GroupedPredictions(shuffled)
+        gp2 = predictions_of(shuffled)
         for metric in ALL_METRICS:
             a, b = metric(gp), metric(gp2)
             assert a.is_defined == b.is_defined

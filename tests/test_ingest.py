@@ -37,6 +37,7 @@ from conftest import (
     force_shards,
     prediction_csv,
 )
+from reference import confusion
 
 
 def no_serial_pass(source):
@@ -207,7 +208,7 @@ class TestCountDataset:
             return
         audit = composition_from_counts(labels, "Female", 0.5, rng)
         assert audit == composition_audit(ds.column("sex"), "Female", 0.5, rng)
-        column = ds.column("sex")
+        column = [cell.strip() for cell in ds.column("sex")]
         assert audit.shares == {v: column.count(v) / len(column)
                                 for v in sorted(set(column))}
         assert list(audit.shares) == sorted(audit.shares)
@@ -440,7 +441,6 @@ class TestReadPredictions:
                     "privileged,0,1\nprivileged,0,0\n"
                     "unprivileged,1,1\n")
         gp = read_predictions(io.StringIO(csv_text))
-        from complykit.fairness import confusion
         c = confusion(r for r in gp.records if r.group == PRIVILEGED)
         assert (c.tp, c.fp, c.fn, c.tn) == (1, 1, 1, 1)
         assert len([r for r in gp.records if r.group == UNPRIVILEGED]) == 1
@@ -585,3 +585,14 @@ class TestCompositionAudit:
     def test_empty_labels(self):
         with pytest.raises(IngestError):
             composition_audit([], "F", 0.5, Interval(-1, 1))
+
+    def test_padded_labels_strip_and_merge(self):
+        # As `complykit evaluate` counts a UCI-layout file (`39, Female`).
+        audit = composition_audit([" Female", " Male"], "Female", 0.5,
+                                  Interval(-0.05, 0.05))
+        assert audit.shares == {"Female": 0.5, "Male": 0.5}
+        assert audit.deviation == 0
+        assert audit.within_range
+        audit = composition_audit(["Female", " Female ", "Male", "Male "],
+                                  "Female", 0.5, Interval(-0.05, 0.05))
+        assert audit.shares == {"Female": 0.5, "Male": 0.5}

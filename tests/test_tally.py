@@ -1,9 +1,11 @@
 """Property tests for the prediction tally.
 
-`read_predictions` streams CSV rows into per-cell tallies and
-`GroupedPredictions(records)` builds the same tally from Records; both
-must describe exactly the rows they were given, and every metric must
-read the same from either.
+`read_predictions` streams CSV rows into a tally keyed by raw key text,
+and the row-level oracle in `reference.py` builds one from Records
+(`predictions_of`), flips groups row by row (`swapped`) and counts
+quadrants by scanning rows (`confusion`). The library's reduction must
+describe exactly the rows it was given, and every metric must read the
+same from the CSV as from the oracle.
 """
 
 import csv
@@ -20,18 +22,16 @@ from complykit.fairness import (
     METRIC_REGISTRY,
     PRIVILEGED,
     UNPRIVILEGED,
-    GroupedPredictions,
     Record,
     balance_negative_gap,
     balance_positive_gap,
-    confusion,
 )
 from complykit.ingest import read_predictions
 from complykit.intervals import Interval
 from complykit.policy import MetricConstraint, PolicyDocument
 from complykit.report import evaluate, render, to_json
+from reference import FLIP, confusion, predictions_of, swapped
 
-FLIP = {PRIVILEGED: UNPRIVILEGED, UNPRIVILEGED: PRIVILEGED}
 LABELS = {PRIVILEGED: "Male", UNPRIVILEGED: "Female"}
 
 pad = st.sampled_from(("", " ", "  "))
@@ -75,10 +75,8 @@ def _csv_text(rows, columns=COLUMNS):
     return buf.getvalue()
 
 
-def _read(rows, columns=COLUMNS):
-    return read_predictions(io.StringIO(_csv_text(rows, columns)),
-                            privileged_label="Male",
-                            unprivileged_label="Female")
+def _read(rows, columns=COLUMNS, labels=("Male", "Female")):
+    return read_predictions(io.StringIO(_csv_text(rows, columns)), *labels)
 
 
 @st.composite
@@ -108,7 +106,7 @@ def _report(gp, bins):
 @given(row_lists, st.integers(2, 12))
 def test_csv_and_records_agree_on_every_metric(rows, bins):
     from_csv = _read(rows)
-    from_records = GroupedPredictions(r for r, _ in rows)
+    from_records = predictions_of(r for r, _ in rows)
     metrics_csv, text_csv, json_csv = _report(from_csv, bins)
     metrics_rec, text_rec, json_rec = _report(from_records, bins)
     for mid in METRIC_REGISTRY:
@@ -122,7 +120,7 @@ def test_csv_and_records_agree_on_every_metric(rows, bins):
 def test_records_rebuild_the_input_rows(rows):
     expected = Counter(r for r, _ in rows)
     assert Counter(_read(rows).records) == expected
-    gp = GroupedPredictions(r for r, _ in rows)
+    gp = predictions_of(r for r, _ in rows)
     assert Counter(gp.records) == expected
     for g in GROUPS:
         assert Counter(r for r in gp.records if r.group == g) == Counter(
@@ -164,7 +162,7 @@ def test_cells_view_matches_a_row_scan(file):
     assert gp.strata == _row_scan_strata(records)
     for g in GROUPS:
         assert gp.confusion[g] == confusion(r for r in records if r.group == g)
-    twice = gp.swapped().swapped()
+    twice = swapped(swapped(gp))
     assert _cell_list(twice) == _cell_list(gp)
     assert twice.confusion == gp.confusion
     assert twice.strata == gp.strata
@@ -172,12 +170,14 @@ def test_cells_view_matches_a_row_scan(file):
 
 @given(row_lists)
 def test_swapped_equals_swapping_each_record(rows):
-    gp = GroupedPredictions(r for r, _ in rows)
-    one_by_one = GroupedPredictions(
+    one_by_one = predictions_of(
         Record(FLIP[r.group], r.predicted, r.actual, r.score, r.legitimate)
         for r, _ in rows)
-    assert Counter(gp.swapped().records) == Counter(one_by_one.records)
-    assert _report(gp.swapped(), 10)[1:] == _report(one_by_one, 10)[1:]
+    # The same file read with the two labels exchanged is the flipped tally.
+    for gp in (swapped(predictions_of(r for r, _ in rows)),
+               swapped(_read(rows)), _read(rows, labels=("Female", "Male"))):
+        assert Counter(gp.records) == Counter(one_by_one.records)
+        assert _report(gp, 10)[1:] == _report(one_by_one, 10)[1:]
 
 
 @given(st.lists(st.tuples(st.sampled_from(GROUPS), st.integers(0, 1),
@@ -188,7 +188,7 @@ def test_balance_means_are_fsum_of_the_scores(rows, seed):
     shuffled = list(rows)
     random.Random(seed).shuffle(shuffled)
     for order in (rows, shuffled):
-        gp = GroupedPredictions(Record(g, 0, a, s) for g, a, s in order)
+        gp = predictions_of(Record(g, 0, a, s) for g, a, s in order)
         for actual, metric in ((1, balance_positive_gap),
                                (0, balance_negative_gap)):
             mv = metric(gp)
@@ -239,7 +239,7 @@ def _row_scan_strata(records):
 def test_strata_and_bins_match_a_row_scan(rows, bins):
     records = [r for r, _ in rows]
     _, gaps, skipped = _strata_gaps(records)
-    for gp in (GroupedPredictions(records), _read(rows)):
+    for gp in (predictions_of(records), _read(rows)):
         assert gp.strata == _row_scan_strata(records)
         strata = METRIC_REGISTRY["conditional_statistical_parity"].compute(gp, None)
         assert list(strata.trace["per_stratum_gap"].items()) == gaps
@@ -249,7 +249,7 @@ def test_strata_and_bins_match_a_row_scan(rows, bins):
     _, gaps, skipped = _per_record_gaps(
         records, lambda r: min(int(r.score * bins), bins - 1), lambda r: r.actual)
     constraint = MetricConstraint("calibration", Interval(-1, 1), bins)
-    for gp in (GroupedPredictions(records), _read(rows)):
+    for gp in (predictions_of(records), _read(rows)):
         cal = METRIC_REGISTRY["calibration"].compute(gp, constraint)
         assert list(cal.trace["per_bin_gap"].items()) == gaps
         assert cal.trace["skipped_bins"] == skipped
