@@ -9,13 +9,12 @@ stdout carries the report; diagnostics and logging go to stderr.
 from __future__ import annotations
 
 import argparse
-import datetime
 import math
 import os
 import sys
 from collections import Counter
 
-from . import decisions, fairness, ingest, policy, report
+from . import decisions, fairness, ingest, policy
 from .intervals import Interval
 
 EXIT_OK = 0
@@ -106,6 +105,8 @@ def _finite_float(text):
 
 
 def cmd_evaluate(args) -> int:
+    from . import report  # only evaluate writes a report
+
     _, doc = _load_policy(args.policy)
 
     findings = []
@@ -153,6 +154,7 @@ def cmd_evaluate(args) -> int:
 
     created_at = None
     if not args.deterministic:
+        import datetime
         created_at = datetime.datetime.now(datetime.timezone.utc).isoformat()
 
     result = report.evaluate(doc, metrics, audit=audit, findings=findings,

@@ -15,9 +15,9 @@ expected to order actions by preference.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
+from ._value import Value
 from .ingest import _csv_table
 
 CRITERIA = ("wald", "hurwicz", "savage")
@@ -27,8 +27,7 @@ class DecisionError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class PayoffMatrix:
+class PayoffMatrix(Value):
     actions: tuple
     states: tuple
     values: tuple  # tuple of row tuples, |actions| x |states|
@@ -55,9 +54,7 @@ class PayoffMatrix:
             if not math.isfinite(max(column) - min(column)):
                 raise DecisionError(
                     f"payoffs under state {state!r} span more than a float can hold")
-        object.__setattr__(self, "actions", actions)
-        object.__setattr__(self, "states", states)
-        object.__setattr__(self, "values", rows)
+        super().__init__(actions, states, rows)
 
     @classmethod
     def from_csv(cls, path) -> "PayoffMatrix":
@@ -81,8 +78,7 @@ class PayoffMatrix:
         return cls(actions, columns[1:], values)
 
 
-@dataclass(frozen=True)
-class StrategyChoice:
+class StrategyChoice(Value):
     criterion: str
     action_index: int
     action_label: str

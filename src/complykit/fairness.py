@@ -15,32 +15,43 @@ from __future__ import annotations
 import math
 from array import array
 from collections import Counter
-from dataclasses import dataclass, field
 from itertools import chain
 from typing import Optional
+
+from ._value import Value, _set
 
 PRIVILEGED = "privileged"
 UNPRIVILEGED = "unprivileged"
 GROUPS = (UNPRIVILEGED, PRIVILEGED)
 
 
-@dataclass(frozen=True)
-class Record:
-    """One scored/labelled observation for one group."""
+class Record(Value):
+    """One scored/labelled observation for one group.
 
+    `GroupedPredictions.records` builds one per row, so a Record has slots
+    and a constructor of its own.
+    """
+
+    __slots__ = ("group", "predicted", "actual", "score", "legitimate")
     group: str  # "privileged" or "unprivileged"
     predicted: int  # 0 or 1
     actual: int  # 0 or 1
-    score: Optional[float] = None  # in [0, 1] when present
-    legitimate: Optional[str] = None  # stratification factor
+    score: Optional[float]  # in [0, 1] when present
+    legitimate: Optional[str]  # stratification factor
 
-    def __post_init__(self):
-        if self.group not in GROUPS:
-            raise ValueError(f"unknown group {self.group!r}")
-        if self.predicted not in (0, 1) or self.actual not in (0, 1):
+    def __init__(self, group: str, predicted: int, actual: int,
+                 score: Optional[float] = None, legitimate: Optional[str] = None):
+        if group not in GROUPS:
+            raise ValueError(f"unknown group {group!r}")
+        if predicted not in (0, 1) or actual not in (0, 1):
             raise ValueError("labels must be binary")
-        if self.score is not None and not 0.0 <= self.score <= 1.0:
-            raise ValueError(f"score {self.score} outside [0, 1]")
+        if score is not None and not 0.0 <= score <= 1.0:
+            raise ValueError(f"score {score} outside [0, 1]")
+        _set(self, "group", group)
+        _set(self, "predicted", predicted)
+        _set(self, "actual", actual)
+        _set(self, "score", score)
+        _set(self, "legitimate", legitimate)
 
 
 class GroupedPredictions:
@@ -114,8 +125,7 @@ class GroupedPredictions:
             for (g, p, a, l), (unscored, scores) in self.cells.items()))
 
 
-@dataclass(frozen=True)
-class ConfusionCounts:
+class ConfusionCounts(Value):
     tp: int = 0
     fp: int = 0
     tn: int = 0
@@ -126,8 +136,7 @@ class ConfusionCounts:
         return self.tp + self.fp + self.tn + self.fn
 
 
-@dataclass(frozen=True)
-class Rates:
+class Rates(Value):
     """Confusion-matrix rates; None marks a zero-denominator rate."""
 
     tpr: Optional[float]
@@ -140,14 +149,13 @@ class Rates:
     for_: Optional[float]
 
 
-@dataclass
-class MetricValue:
+class MetricValue(Value, frozen=False):
     """A metric result: either a real value or Undefined with a reason."""
 
     metric_id: str
     value: Optional[float]
     reason: Optional[str] = None
-    trace: dict = field(default_factory=dict)
+    trace: dict = {}
 
     @property
     def is_defined(self) -> bool:
@@ -393,8 +401,7 @@ def balance_negative_gap(gp: GroupedPredictions) -> MetricValue:
     return _balance_gap(gp, "balance_negative", 0)
 
 
-@dataclass(frozen=True)
-class MetricInfo:
+class MetricInfo(Value):
     metric_id: str
     compute: object  # callable(gp, constraint) -> MetricValue
     dataset_level: bool = False

@@ -15,11 +15,11 @@ import threading
 from array import array
 from collections import Counter
 from contextlib import contextmanager, suppress
-from dataclasses import dataclass
 from functools import partial
 from operator import itemgetter
 from typing import Optional
 
+from ._value import Value
 from .fairness import PRIVILEGED, UNPRIVILEGED, GroupedPredictions
 from .intervals import Interval
 
@@ -28,8 +28,7 @@ class IngestError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Dataset:
+class Dataset(Value):
     columns: tuple
     rows: tuple  # tuples of string cells, len == len(columns)
 
@@ -216,8 +215,11 @@ class _ByteRange(io.RawIOBase):
 
 
 def _open_range(path, start: int, end: int):
+    """Text of the bytes [start, end) of a file, less a leading byte-order
+    mark when `start` is 0."""
     return io.TextIOWrapper(io.BufferedReader(_ByteRange(path, start, end)),
-                            encoding="utf-8", newline="")
+                            encoding="utf-8-sig" if start == 0 else "utf-8",
+                            newline="")
 
 
 def _count_range(path, start: int, end: int, width: int, reduce):
@@ -325,28 +327,33 @@ def _csv_table(source):
     `rows` yields `(row number, cells)` for each non-blank row, the header
     being row 1. A missing or repeated header name, a ragged row, a
     malformed row and invalid UTF-8 raise IngestError, for the first bad
-    row in file order.
+    row in file order. A leading byte-order mark (spreadsheets save "CSV
+    UTF-8" with one) is dropped before the header is parsed.
     """
     if hasattr(source, "read"):
-        yield _csv_stream(source)
+        yield _csv_stream(_without_bom(source))
         return
     try:
-        with open(source, newline="", encoding="utf-8") as fh:
+        with open(source, newline="", encoding="utf-8-sig") as fh:
             yield _csv_stream(fh)
     except OSError as exc:
         raise IngestError(f"cannot read {source}: {exc.strerror}") from exc
 
 
-def _csv_stream(fh):
-    reader = csv.reader(fh)
+def _without_bom(stream):
+    """The lines of a text stream, less a leading byte-order mark."""
+    yield stream.readline().removeprefix("\ufeff")
+    yield from stream
+
+
+def _csv_stream(lines):
+    reader = csv.reader(lines)
     try:
         header = next(reader, None)
     except UnicodeDecodeError as exc:
         raise IngestError(f"input is not valid UTF-8: {exc}") from exc
     except csv.Error as exc:
         raise IngestError(f"row 1: {exc}") from exc
-    if header and header[0].startswith("\ufeff"):
-        header[0] = header[0][1:]  # the byte-order mark of a "CSV UTF-8" file
     if not header or all(not c.strip() for c in header):
         raise IngestError("missing header row")
     columns = tuple(c.strip() for c in header)
@@ -372,8 +379,7 @@ def _csv_rows(reader, width: int):
         raise IngestError(f"row {rownum + 1}: {exc}") from exc
 
 
-@dataclass(frozen=True)
-class BoundGroups:
+class BoundGroups(Value):
     """Per-group favorable/total tallies for a dataset-level parity check."""
 
     favorable_unprivileged: int
@@ -523,8 +529,7 @@ def _binary(cell: str) -> int:
     return 1 if v == "1" else 0
 
 
-@dataclass(frozen=True)
-class RunManifest:
+class RunManifest(Value):
     """What a run intends to use, checked against the policy's context."""
 
     dataset_source: str = ""
@@ -575,8 +580,7 @@ def read_manifest(path) -> RunManifest:
     )
 
 
-@dataclass(frozen=True)
-class CompositionAudit:
+class CompositionAudit(Value):
     """Observed group shares versus a policy reference share."""
 
     shares: dict  # group value -> proportion of labels

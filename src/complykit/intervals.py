@@ -3,21 +3,22 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+
+from ._value import Value
 
 
-@dataclass(frozen=True)
-class Interval:
+class Interval(Value):
     """Closed interval [lo, hi]. Both endpoints belong to the interval."""
 
     lo: float
     hi: float
 
-    def __post_init__(self):
-        if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
+    def __init__(self, lo: float, hi: float):
+        if not (math.isfinite(lo) and math.isfinite(hi)):
             raise ValueError("interval endpoints must be finite")
-        if self.lo > self.hi:
-            raise ValueError(f"inverted interval: [{self.lo}, {self.hi}]")
+        if lo > hi:
+            raise ValueError(f"inverted interval: [{lo}, {hi}]")
+        super().__init__(lo, hi)
 
     def contains(self, x: float) -> bool:
         return self.lo <= x <= self.hi

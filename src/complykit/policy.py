@@ -46,9 +46,9 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
+from ._value import Value
 from .decisions import CRITERIA, DecisionError, PayoffMatrix
 from .fairness import resolve_metric_id
 from .intervals import Interval
@@ -63,8 +63,7 @@ DEFAULT_LAMBDA = 0.5
 DEFAULT_ON_VIOLATION = "explain"
 
 
-@dataclass(frozen=True)
-class Diagnostic:
+class Diagnostic(Value):
     kind: str  # LexError | SyntaxError | SemanticError
     line: int  # 1-based
     col: int  # 1-based
@@ -85,44 +84,38 @@ class PolicyError(Exception):
 # ---------------------------------------------------------------------------
 # Document model
 
-@dataclass(frozen=True)
-class ProtectedSpec:
+class ProtectedSpec(Value):
     attribute: str
     privileged_value: str
     unprivileged_value: str
 
 
-@dataclass(frozen=True)
-class FavorableSpec:
+class FavorableSpec(Value):
     attribute: str
     value: str
 
 
-@dataclass(frozen=True)
-class MetricConstraint:
+class MetricConstraint(Value):
     metric_id: str
     range: Interval
     bins: int = DEFAULT_BINS
     tolerance: float = DEFAULT_TOLERANCE
 
 
-@dataclass(frozen=True)
-class ModelSpec:
+class ModelSpec(Value):
     model_id: str
     description: Optional[str] = None
     acceptable_uses: frozenset = frozenset()
     synthetic_data_capability: bool = False
 
 
-@dataclass(frozen=True)
-class DecisionSpec:
+class DecisionSpec(Value):
     payoffs: PayoffMatrix
     criterion: str
     hurwicz_lambda: float = DEFAULT_LAMBDA
 
 
-@dataclass(frozen=True)
-class PolicyDocument:
+class PolicyDocument(Value):
     name: str
     protected: Optional[ProtectedSpec] = None
     favorable: Optional[FavorableSpec] = None
@@ -685,8 +678,7 @@ APPROVED = "approved"
 VIOLATION = "violation"
 
 
-@dataclass(frozen=True)
-class ContextFinding:
+class ContextFinding(Value):
     subject: str  # e.g. "source <url>", "model <id>"
     status: str  # approved | violation
     reason: str

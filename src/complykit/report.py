@@ -13,9 +13,9 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
 from typing import Optional
 
+from ._value import Value
 from .decisions import StrategyChoice
 from .fairness import MetricValue
 from .ingest import CompositionAudit
@@ -29,8 +29,7 @@ EXPLAIN = "explain"
 ERROR = "error"
 
 
-@dataclass(frozen=True)
-class ConstraintVerdict:
+class ConstraintVerdict(Value):
     constraint_id: str  # metric id as declared in the policy
     value: Optional[float]
     reason: Optional[str]  # Undefined reason, if any
@@ -38,11 +37,10 @@ class ConstraintVerdict:
     tolerance: float
     status: str  # comply | explain | error
     explanation: str
-    trace: dict = field(default_factory=dict)
+    trace: dict = {}
 
 
-@dataclass(frozen=True)
-class ComplianceReport:
+class ComplianceReport(Value):
     policy_name: str
     findings: tuple  # ContextFindings
     verdicts: tuple  # ConstraintVerdicts

@@ -1,4 +1,3 @@
-import dataclasses
 import io
 import json
 import os
@@ -17,6 +16,7 @@ from complykit import cli, decisions, fairness, ingest
 from complykit.cli import main
 from complykit.policy import (
     FavorableSpec,
+    PolicyDocument,
     PolicyError,
     ProtectedSpec,
     parse_policy,
@@ -81,9 +81,11 @@ def evaluate_inputs(draw):
     else:
         doc = random_document(random.Random(draw(st.integers(0, 2 ** 32 - 1))))
         if source == "bound":
-            doc = dataclasses.replace(
-                doc, protected=ProtectedSpec("sex", "Male", "Female"),
-                favorable=FavorableSpec("occupation", "Exec-managerial"))
+            doc = PolicyDocument(
+                doc.name, ProtectedSpec("sex", "Male", "Female"),
+                FavorableSpec("occupation", "Exec-managerial"), doc.metrics,
+                doc.approved_sources, doc.approved_models, doc.decision,
+                doc.on_violation)
         text = serialize_policy(doc)
     labels = (fairness.PRIVILEGED, fairness.UNPRIVILEGED)
     try:
@@ -676,6 +678,17 @@ class TestDecide:
         assert code == 0
         assert "regret matrix:" in out
         assert "chosen: High" in out
+
+    def test_byte_order_mark_before_a_quoted_header(self, workdir, capsys):
+        # A spreadsheet quotes a header cell that holds a comma.
+        header, rows = MATRIX_CSV.split("\n", 1)
+        header = header.replace("class", '"action, class"')
+        (workdir / "marked.csv").write_text("\ufeff" + header + "\n" + rows,
+                                            encoding="utf-8")
+        runs = [(main(["decide", "--matrix", str(workdir / name),
+                       "--criterion", "savage"]), *capsys.readouterr())
+                for name in ("matrix.csv", "marked.csv")]
+        assert runs[0][0] == 0 and runs[1] == runs[0]
 
     def test_non_utf8_matrix_exit_two(self, workdir, capsys):
         (workdir / "bad.csv").write_bytes(b"class,s\n\xff,1\n")

@@ -434,6 +434,45 @@ class TestShardedPredictions:
         assert not worker.is_alive()
 
 
+class TestByteOrderMark:
+    """A leading byte-order mark is dropped before `csv` parses the header,
+    so a quoted first header cell is read too (`csv` kept the quotes as
+    text when the mark came before them)."""
+
+    DATASET = '"sex","occupation"\nMale,x\nFemale,y\nMale,x\n'
+    PREDICTIONS = ('"group","predicted","actual","score"\n'
+                   + "privileged,1,1,0.5\nunprivileged,0,1,\n" * 20)
+
+    def test_serial(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("\ufeff" + self.DATASET, encoding="utf-8")
+        assert count_dataset(path, ["sex"]) == Counter({("Male",): 2,
+                                                        ("Female",): 1})
+
+    def test_stream(self):
+        assert count_dataset(io.StringIO("\ufeff" + self.DATASET), ["sex"]) \
+            == count_dataset(io.StringIO(self.DATASET), ["sex"])
+        # a mark is dropped only at the start of the stream
+        with pytest.raises(IngestError, match="expected 2 cells, got 1"):
+            count_dataset(io.StringIO("a,b\n\ufeff\n"))
+
+    def test_sharded(self, tmp_path, monkeypatch, forks):
+        # A file holding a `"` is never sharded, so this one is read by the
+        # serial pass whatever the CPU count.
+        expected = cell_bytes(read_predictions(io.StringIO(self.PREDICTIONS)))
+        path = tmp_path / "p.csv"
+        path.write_text("\ufeff" + self.PREDICTIONS, encoding="utf-8")
+        force_shards(monkeypatch, 3)
+        assert cell_bytes(read_predictions(path)) == expected
+        assert forks == []
+        # Without quotes the file is sharded, and shard 0 drops the mark.
+        monkeypatch.setattr(ingest, "_csv_table", no_serial_pass)
+        path.write_text("\ufeff" + self.PREDICTIONS.replace('"', ""),
+                        encoding="utf-8")
+        assert cell_bytes(read_predictions(path)) == expected
+        assert len(forks) == 2
+
+
 class TestReadPredictions:
     def test_quadrants(self):
         csv_text = ("group,predicted,actual\n"
