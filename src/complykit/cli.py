@@ -179,7 +179,7 @@ def cmd_decide(args) -> int:
     if choice.regret_matrix is not None:
         lines.append("regret matrix:")
         for label, row in zip(matrix.actions, choice.regret_matrix):
-            lines.append(f"  {label}: [" + ", ".join(repr(v) for v in row) + "]")
+            lines.append(f"  {label}: {list(row)}")
     lines.append(f"chosen: {choice.action_label} (value {choice.value!r})")
     print("\n".join(lines))
     return EXIT_OK

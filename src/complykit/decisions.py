@@ -91,7 +91,7 @@ class StrategyChoice(Value):
 def _argbest(scores, best):
     """Index of the first score attaining best(scores)."""
     target = best(scores)
-    return next(i for i, s in enumerate(scores) if s == target), target
+    return scores.index(target), target
 
 
 def wald(m: PayoffMatrix) -> StrategyChoice:
@@ -110,12 +110,9 @@ def hurwicz(m: PayoffMatrix, lam: float) -> StrategyChoice:
 
 
 def regret_matrix(m: PayoffMatrix) -> tuple:
-    col_max = [max(m.values[i][j] for i in range(len(m.actions)))
-               for j in range(len(m.states))]
-    return tuple(
-        tuple(col_max[j] - row[j] for j in range(len(m.states)))
-        for row in m.values
-    )
+    col_max = [max(column) for column in zip(*m.values)]
+    return tuple(tuple(c - v for c, v in zip(col_max, row))
+                 for row in m.values)
 
 
 def savage(m: PayoffMatrix) -> StrategyChoice:

@@ -58,8 +58,7 @@ def _count_rows(rows, idx) -> Counter:
         return Counter(map(itemgetter(*idx), rows))
     if idx:
         # itemgetter of one index returns the bare cell, not a 1-tuple
-        cells = Counter(map(itemgetter(idx[0]), rows))
-        return Counter({(cell,): n for cell, n in cells.items()})
+        return Counter(zip(map(itemgetter(idx[0]), rows)))
     n = sum(1 for _ in rows)
     return Counter({(): n} if n else {})
 

@@ -568,18 +568,14 @@ class _Parser:
 def parse_policy_with_diagnostics(text: str):
     """Total parse: returns (document or None, diagnostics)."""
     tokens, diags = _lex(text)
-    parser = _Parser(tokens, diags)
-    doc = parser.parse_document()
-    if parser.diags:
-        return None, list(parser.diags)
-    return doc, []
+    return _Parser(tokens, diags).parse_document(), diags
 
 
 def parse_policy(text: str) -> PolicyDocument:
     """Parse and check a policy; raises PolicyError with diagnostics."""
     doc, diags = parse_policy_with_diagnostics(text)
     if doc is None:
-        raise PolicyError(diags or [Diagnostic(SYNTAX, 1, 1, "empty input")])
+        raise PolicyError(diags)
     return doc
 
 
@@ -697,42 +693,33 @@ def check_manifest(doc: PolicyDocument, manifest) -> list:
     """
     findings = []
 
+    def finding(subject, approved, reason_if_approved, reason_if_not):
+        findings.append(ContextFinding(subject, APPROVED, reason_if_approved)
+                        if approved else
+                        ContextFinding(subject, VIOLATION, reason_if_not))
+
     if manifest.dataset_source:
-        subject = f"source {manifest.dataset_source}"
         if not doc.approved_sources:
-            findings.append(ContextFinding(
-                subject, APPROVED, "policy declares no source restrictions"))
-        elif manifest.dataset_source in doc.approved_sources:
-            findings.append(ContextFinding(
-                subject, APPROVED, "listed in approved_sources"))
+            finding(f"source {manifest.dataset_source}", True,
+                    "policy declares no source restrictions", None)
         else:
-            findings.append(ContextFinding(
-                subject, VIOLATION, "unknown source"))
+            finding(f"source {manifest.dataset_source}",
+                    manifest.dataset_source in doc.approved_sources,
+                    "listed in approved_sources", "unknown source")
 
     if manifest.model_id:
-        subject = f"model {manifest.model_id}"
         model = doc.model(manifest.model_id)
+        finding(f"model {manifest.model_id}", model is not None,
+                "listed in approved models", "unknown model")
         if model is None:
-            findings.append(ContextFinding(subject, VIOLATION,
-                                           "unknown model"))
             return findings
-        findings.append(ContextFinding(subject, APPROVED,
-                                       "listed in approved models"))
         if manifest.declared_use is not None:
-            use_subject = f"use {manifest.declared_use}"
-            if manifest.declared_use in model.acceptable_uses:
-                findings.append(ContextFinding(
-                    use_subject, APPROVED, "listed in acceptable_uses"))
-            else:
-                findings.append(ContextFinding(
-                    use_subject, VIOLATION, "use not acceptable"))
+            finding(f"use {manifest.declared_use}",
+                    manifest.declared_use in model.acceptable_uses,
+                    "listed in acceptable_uses", "use not acceptable")
         if manifest.synthetic:
-            syn_subject = "synthetic data generation"
-            if model.synthetic_data_capability:
-                findings.append(ContextFinding(
-                    syn_subject, APPROVED, "model declares the capability"))
-            else:
-                findings.append(ContextFinding(
-                    syn_subject, VIOLATION,
-                    "synthetic data requested but capability is false"))
+            finding("synthetic data generation",
+                    model.synthetic_data_capability,
+                    "model declares the capability",
+                    "synthetic data requested but capability is false")
     return findings

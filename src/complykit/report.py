@@ -61,22 +61,17 @@ def judge_constraint(constraint: MetricConstraint,
             constraint.metric_id, None, None, interval, constraint.tolerance,
             ERROR, "metric was not computed (missing input)")
     if not metric.is_defined:
-        return ConstraintVerdict(
-            constraint.metric_id, None, metric.reason, interval,
-            constraint.tolerance, EXPLAIN,
-            f"value undefined: {metric.reason}", metric.trace)
-    effective = interval.widened(constraint.tolerance)
-    if effective.contains(metric.value):
-        return ConstraintVerdict(
-            constraint.metric_id, metric.value, None, interval,
-            constraint.tolerance, COMPLY,
-            f"value {metric.value!r} within legitimate interval {interval}",
-            metric.trace)
+        status, explanation = EXPLAIN, f"value undefined: {metric.reason}"
+    elif interval.widened(constraint.tolerance).contains(metric.value):
+        status, explanation = COMPLY, (
+            f"value {metric.value!r} within legitimate interval {interval}")
+    else:
+        status, explanation = EXPLAIN, (
+            f"value outside legitimate interval: {metric.value!r} not in "
+            f"{interval}")
     return ConstraintVerdict(
-        constraint.metric_id, metric.value, None, interval,
-        constraint.tolerance, EXPLAIN,
-        f"value outside legitimate interval: {metric.value!r} not in "
-        f"{interval}", metric.trace)
+        constraint.metric_id, metric.value, metric.reason, interval,
+        constraint.tolerance, status, explanation, metric.trace)
 
 
 def evaluate(policy: PolicyDocument, metrics, audit=None, findings=(),
@@ -111,12 +106,6 @@ def evaluate(policy: PolicyDocument, metrics, audit=None, findings=(),
 # ---------------------------------------------------------------------------
 # Text rendering
 
-def _fmt(v) -> str:
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
-
-
 def _agent_lines(report: ComplianceReport):
     lines = [f"Policy {report.policy_name}: {report.overall_status}"]
     for f in report.findings:
@@ -134,11 +123,11 @@ def _agent_lines(report: ComplianceReport):
         a = report.audit
         status = COMPLY if a.within_range else EXPLAIN
         lines.append(f"Composition audit: {status} — deviation "
-                     f"{_fmt(a.deviation)} vs range {a.range}")
+                     f"{a.deviation} vs range {a.range}")
     if report.strategy is not None:
         s = report.strategy
         lines.append(f"Strategy ({s.criterion}): {s.action_label} "
-                     f"(value {_fmt(s.value)})")
+                     f"(value {s.value})")
     return lines
 
 
@@ -150,11 +139,11 @@ def _trace_lines(trace: dict, indent: str):
             lines.append(f"{indent}{key}:")
             lines.extend(_trace_lines(value, indent + "  "))
         elif isinstance(value, MetricValue):
-            rendered = _fmt(value.value) if value.is_defined \
+            rendered = value.value if value.is_defined \
                 else f"undefined ({value.reason})"
             lines.append(f"{indent}{key} = {rendered}")
         else:
-            lines.append(f"{indent}{key} = {_fmt(value)}")
+            lines.append(f"{indent}{key} = {value}")
     return lines
 
 
@@ -172,10 +161,10 @@ def _display_lines(report: ComplianceReport):
         lines.append("")
         lines.append("Constraints:")
         for v in report.verdicts:
-            shown = _fmt(v.value) if v.value is not None else "undefined"
+            shown = v.value if v.value is not None else "undefined"
             lines.append(f"  [{v.status}] {v.constraint_id} = {shown}, "
                          f"legitimate interval {v.interval}"
-                         + (f", tolerance {_fmt(v.tolerance)}"
+                         + (f", tolerance {v.tolerance}"
                             if v.tolerance else ""))
             lines.append(f"    {v.explanation}")
             lines.extend(_trace_lines(v.trace, "    "))
@@ -184,25 +173,24 @@ def _display_lines(report: ComplianceReport):
         lines.append("")
         lines.append("Composition audit:")
         for value, share in a.shares.items():
-            lines.append(f"  share {value!r} = {_fmt(share)}")
+            lines.append(f"  share {value!r} = {share}")
         lines.append(f"  reference share for {a.unprivileged_value!r} = "
-                     f"{_fmt(a.reference_share)}")
-        lines.append(f"  deviation = {_fmt(a.deviation)}, range {a.range} "
+                     f"{a.reference_share}")
+        lines.append(f"  deviation = {a.deviation}, range {a.range} "
                      f"-> {'comply' if a.within_range else 'violation'}")
     if report.strategy is not None:
         s = report.strategy
         lines.append("")
         lines.append(f"Strategy ({s.criterion}):")
         lines.append(f"  chosen: {s.action_label} (index {s.action_index}, "
-                     f"value {_fmt(s.value)})")
-        lines.append("  per-action scores: ["
-                     + ", ".join(_fmt(x) for x in s.scores) + "]")
+                     f"value {s.value})")
+        lines.append(f"  per-action scores: {list(s.scores)}")
         if s.regret_matrix is not None:
             lines.append("  regret matrix:")
             for row in s.regret_matrix:
-                lines.append("    [" + ", ".join(_fmt(x) for x in row) + "]")
+                lines.append(f"    {list(row)}")
         if s.hurwicz_lambda is not None:
-            lines.append(f"  lambda = {_fmt(s.hurwicz_lambda)}")
+            lines.append(f"  lambda = {s.hurwicz_lambda}")
     return lines
 
 

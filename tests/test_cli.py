@@ -679,6 +679,34 @@ class TestDecide:
         assert "regret matrix:" in out
         assert "chosen: High" in out
 
+    @pytest.mark.parametrize("criterion, expected", [
+        ("wald", "criterion: wald\n"
+                 "  a: -0.0\n"
+                 "  b: -0.2\n"
+                 "chosen: a (value -0.0)\n"),
+        ("hurwicz", "criterion: hurwicz\n"
+                    "  a: 5000000000000000.0\n"
+                    "  b: -0.1\n"
+                    "chosen: a (value 5000000000000000.0)\n"),
+        ("savage", "criterion: savage\n"
+                   "  a: 1e-20\n"
+                   "  b: 1e+16\n"
+                   "regret matrix:\n"
+                   "  a: [0.0, 0.0, 1e-20]\n"
+                   "  b: [0.30000000000000004, 1e+16, 0.0]\n"
+                   "chosen: a (value 1e-20)\n"),
+    ])
+    def test_float_text_at_the_edges(self, tmp_path, capsys, criterion,
+                                     expected):
+        """Scores, regret rows and the chosen value print each float as
+        its shortest round-trip text."""
+        (tmp_path / "edges.csv").write_text(
+            "class,s1,s2,s3\na,0.1,1e16,-0.0\nb,-0.2,0,1e-20\n")
+        code = main(["decide", "--matrix", str(tmp_path / "edges.csv"),
+                     "--criterion", criterion])
+        assert code == 0
+        assert capsys.readouterr().out == expected
+
     def test_byte_order_mark_before_a_quoted_header(self, workdir, capsys):
         # A spreadsheet quotes a header cell that holds a comma.
         header, rows = MATRIX_CSV.split("\n", 1)

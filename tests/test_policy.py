@@ -312,3 +312,68 @@ class TestCheckManifest:
         findings = check_manifest(doc, RunManifest(
             dataset_source="anywhere"))
         assert findings[0].is_approved
+
+    CONTEXT_POLICY = parse_policy(
+        'policy "context" {\n'
+        '  approved_sources { "src-a" }\n'
+        '  approved_model "m-able" { acceptable_uses = ["recruitment"]\n'
+        '    synthetic_data_capability = true }\n'
+        '  approved_model "m-unable" { synthetic_data_capability = false }\n'
+        '}\n')
+    OPEN_POLICY = parse_policy('policy "open" {}')
+
+    @pytest.mark.parametrize("doc, manifest, expected", [
+        (CONTEXT_POLICY, RunManifest(), []),
+        (OPEN_POLICY, RunManifest(dataset_source="anywhere"),
+         [("source anywhere", "approved",
+           "policy declares no source restrictions")]),
+        (CONTEXT_POLICY, RunManifest(dataset_source="src-a"),
+         [("source src-a", "approved", "listed in approved_sources")]),
+        (CONTEXT_POLICY, RunManifest(dataset_source="src-b"),
+         [("source src-b", "violation", "unknown source")]),
+        (CONTEXT_POLICY, RunManifest(model_id="m-other",
+                                     declared_use="recruitment",
+                                     synthetic=True),
+         [("model m-other", "violation", "unknown model")]),
+        (CONTEXT_POLICY, RunManifest(dataset_source="src-b",
+                                     model_id="m-other",
+                                     declared_use="recruitment",
+                                     synthetic=True),
+         [("source src-b", "violation", "unknown source"),
+          ("model m-other", "violation", "unknown model")]),
+        (CONTEXT_POLICY, RunManifest(model_id="m-able"),
+         [("model m-able", "approved", "listed in approved models")]),
+        (CONTEXT_POLICY, RunManifest(model_id="m-able",
+                                     declared_use="recruitment"),
+         [("model m-able", "approved", "listed in approved models"),
+          ("use recruitment", "approved", "listed in acceptable_uses")]),
+        (CONTEXT_POLICY, RunManifest(model_id="m-unable",
+                                     declared_use="recruitment"),
+         [("model m-unable", "approved", "listed in approved models"),
+          ("use recruitment", "violation", "use not acceptable")]),
+        (CONTEXT_POLICY, RunManifest(model_id="m-able", synthetic=True),
+         [("model m-able", "approved", "listed in approved models"),
+          ("synthetic data generation", "approved",
+           "model declares the capability")]),
+        (CONTEXT_POLICY, RunManifest(model_id="m-unable", synthetic=True),
+         [("model m-unable", "approved", "listed in approved models"),
+          ("synthetic data generation", "violation",
+           "synthetic data requested but capability is false")]),
+        (CONTEXT_POLICY, RunManifest(dataset_source="src-a",
+                                     model_id="m-able",
+                                     declared_use="recruitment",
+                                     synthetic=True),
+         [("source src-a", "approved", "listed in approved_sources"),
+          ("model m-able", "approved", "listed in approved models"),
+          ("use recruitment", "approved", "listed in acceptable_uses"),
+          ("synthetic data generation", "approved",
+           "model declares the capability")]),
+    ], ids=["empty", "no-restrictions", "listed-source", "unknown-source",
+            "unknown-model-alone", "unknown-model-after-source",
+            "listed-model", "acceptable-use", "unacceptable-use",
+            "synthetic-capable", "synthetic-incapable", "every-item"])
+    def test_every_finding(self, doc, manifest, expected):
+        """Each branch gives one exact finding, in manifest order; an
+        unknown model ends the check."""
+        findings = check_manifest(doc, manifest)
+        assert [(f.subject, f.status, f.reason) for f in findings] == expected

@@ -4,9 +4,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from complykit.decisions import PayoffMatrix, wald
+from complykit.decisions import PayoffMatrix, StrategyChoice, wald
 from complykit.fairness import MetricValue, statistical_parity_from_counts
-from complykit.ingest import composition_audit
+from complykit.ingest import CompositionAudit, composition_audit
 from complykit.intervals import Interval
 from complykit.policy import ContextFinding, parse_policy
 from complykit.report import (
@@ -15,6 +15,7 @@ from complykit.report import (
     EXPLAIN,
     _json_value,
     evaluate,
+    judge_constraint,
     render,
     render_auto,
     to_json,
@@ -114,6 +115,44 @@ class TestEvaluate:
             if narrow.verdicts[0].status == COMPLY:
                 assert wide.verdicts[0].status == COMPLY
 
+    TOLERANT_POLICY = parse_policy(
+        'policy "p" { metric statistical_parity_difference '
+        '{ range = [-0.01, 0.01]; tolerance = 0.02 } }')
+
+    @pytest.mark.parametrize("policy, metric, expected", [
+        (SPD_POLICY, None,
+         (None, None, 0.0, ERROR, "metric was not computed (missing input)",
+          {})),
+        (SPD_POLICY,
+         MetricValue.undefined("statistical_parity_difference",
+                               "empty group: unprivileged", {"n": 0}),
+         (None, "empty group: unprivileged", 0.0, EXPLAIN,
+          "value undefined: empty group: unprivileged", {"n": 0})),
+        (SPD_POLICY,
+         MetricValue("statistical_parity_difference", 0.005, trace={"n": 3}),
+         (0.005, None, 0.0, COMPLY,
+          "value 0.005 within legitimate interval [-0.01, 0.01]", {"n": 3})),
+        (TOLERANT_POLICY,
+         MetricValue("statistical_parity_difference", 0.02, trace={"n": 3}),
+         (0.02, None, 0.02, COMPLY,
+          "value 0.02 within legitimate interval [-0.01, 0.01]", {"n": 3})),
+        (SPD_POLICY,
+         MetricValue("statistical_parity_difference", 0.1 + 0.2,
+                     trace={"n": 3}),
+         (0.30000000000000004, None, 0.0, EXPLAIN,
+          "value outside legitimate interval: 0.30000000000000004 not in "
+          "[-0.01, 0.01]", {"n": 3})),
+    ], ids=["missing-input", "undefined", "comply", "comply-by-tolerance",
+            "explain"])
+    def test_every_verdict(self, policy, metric, expected):
+        """Each outcome's exact fields; the interval is shown unwidened."""
+        constraint = policy.metrics[0]
+        v = judge_constraint(constraint, metric)
+        assert (v.constraint_id, v.interval) == (
+            "statistical_parity_difference", Interval(-0.01, 0.01))
+        assert (v.value, v.reason, v.tolerance, v.status, v.explanation,
+                v.trace) == expected
+
 
 class TestRender:
     def _scenario1_report(self):
@@ -158,6 +197,75 @@ class TestRender:
         assert report.strategy.action_label == "Strictly comply"
         text = render(report, "display")
         assert "Strictly comply" in text
+
+    def test_float_text_at_the_edges(self):
+        """Every float a report prints is its shortest round-trip text."""
+        policy = parse_policy(
+            'policy "edges" {'
+            ' metric statistical_parity_difference'
+            ' { range = [-0.1, 0.1] tolerance = 0.00000000000000000001 }'
+            ' metric equal_opportunity { range = [0, 10000000000000000] } }')
+        edges = (1e-20, 1e16, 0.1 + 0.2, -0.0)
+        metrics = [
+            MetricValue("statistical_parity_difference", 0.1 + 0.2, trace={
+                "tiny": 1e-20, "huge": 1e16, "zero": -0.0, "count": 3,
+                "gap": MetricValue("gap", -0.0),
+                "group": {"rate": 0.1 + 0.2}}),
+            MetricValue("equal_opportunity", 1e16),
+        ]
+        audit = CompositionAudit({"F": 1e-20, "M": 0.1 + 0.2}, "F", 1e16,
+                                 -0.0, Interval(-0.0, 1e-20), True)
+        strategy = StrategyChoice("savage", 1, "b", -0.0, edges,
+                                  regret_matrix=(edges, (-0.0, 0.1 + 0.2)),
+                                  hurwicz_lambda=0.1 + 0.2)
+        report = evaluate(policy, metrics, audit=audit, strategy=strategy,
+                          findings=[ContextFinding("source s", "approved",
+                                                   "listed")])
+        assert render(report, "agent") == (
+            "Policy edges: explain\n"
+            "Context source s: approved\n"
+            "Constraint statistical_parity_difference: explain — value "
+            "outside legitimate interval: 0.30000000000000004 not in "
+            "[-0.1, 0.1]\n"
+            "Constraint equal_opportunity: comply\n"
+            "Composition audit: comply — deviation -0.0 vs range "
+            "[-0.0, 1e-20]\n"
+            "Strategy (savage): b (value -0.0)\n")
+        assert render(report, "display") == """\
+Policy: edges
+Overall: explain
+
+Operational context:
+  [approved] source s — listed
+
+Constraints:
+  [explain] statistical_parity_difference = 0.30000000000000004, \
+legitimate interval [-0.1, 0.1], tolerance 1e-20
+    value outside legitimate interval: 0.30000000000000004 not in [-0.1, 0.1]
+    count = 3
+    gap = -0.0
+    group:
+      rate = 0.30000000000000004
+    huge = 1e+16
+    tiny = 1e-20
+    zero = -0.0
+  [comply] equal_opportunity = 1e+16, legitimate interval [0.0, 1e+16]
+    value 1e+16 within legitimate interval [0.0, 1e+16]
+
+Composition audit:
+  share 'F' = 1e-20
+  share 'M' = 0.30000000000000004
+  reference share for 'F' = 1e+16
+  deviation = -0.0, range [-0.0, 1e-20] -> comply
+
+Strategy (savage):
+  chosen: b (index 1, value -0.0)
+  per-action scores: [1e-20, 1e+16, 0.30000000000000004, -0.0]
+  regret matrix:
+    [1e-20, 1e+16, 0.30000000000000004, -0.0]
+    [-0.0, 0.30000000000000004]
+  lambda = 0.30000000000000004
+"""
 
 
 class TestToJson:
