@@ -6,9 +6,8 @@ a `dict` default is copied for each instance. The fields give the class a
 constructor that takes them by position or by name, a `repr` of the form
 `Name(a=1, b='x')`, equality with instances of the same class only, and a
 hash of the field values. Instances are frozen: assigning or deleting an
-attribute raises AttributeError. A class made with `frozen=False` is
-mutable and unhashable. Copies and pickles are rebuilt through the
-constructor.
+attribute raises AttributeError. Copies and pickles are rebuilt through
+the constructor.
 
 The fields are read once, when the class is created; no code is generated.
 """
@@ -19,15 +18,11 @@ _set = object.__setattr__
 class Value:
     __slots__ = ()
 
-    def __init_subclass__(cls, frozen=True, **kwargs):
+    def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
         cls._fields = tuple(cls.__annotations__)
         cls._defaults = {name: cls.__dict__[name] for name in cls._fields
                          if name in cls.__dict__}
-        if not frozen:
-            cls.__setattr__ = object.__setattr__
-            cls.__delattr__ = object.__delattr__
-            cls.__hash__ = None
 
     def __init__(self, *args, **kwargs):
         name, fields = type(self).__name__, self._fields

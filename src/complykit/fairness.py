@@ -136,20 +136,7 @@ class ConfusionCounts(Value):
         return self.tp + self.fp + self.tn + self.fn
 
 
-class Rates(Value):
-    """Confusion-matrix rates; None marks a zero-denominator rate."""
-
-    tpr: Optional[float]
-    tnr: Optional[float]
-    fpr: Optional[float]
-    fnr: Optional[float]
-    ppv: Optional[float]
-    npv: Optional[float]
-    fdr: Optional[float]
-    for_: Optional[float]
-
-
-class MetricValue(Value, frozen=False):
+class MetricValue(Value):
     """A metric result: either a real value or Undefined with a reason."""
 
     metric_id: str
@@ -170,43 +157,30 @@ def _ratio(num: int, den: int) -> Optional[float]:
     return num / den if den else None
 
 
-def rates(c: ConfusionCounts) -> Rates:
-    return Rates(
-        tpr=_ratio(c.tp, c.tp + c.fn),
-        tnr=_ratio(c.tn, c.fp + c.tn),
-        fpr=_ratio(c.fp, c.fp + c.tn),
-        fnr=_ratio(c.fn, c.tp + c.fn),
-        ppv=_ratio(c.tp, c.tp + c.fp),
-        npv=_ratio(c.tn, c.tn + c.fn),
-        fdr=_ratio(c.fp, c.tp + c.fp),
-        for_=_ratio(c.fn, c.tn + c.fn),
-    )
-
-
 def _rate_gap(gp: GroupedPredictions, metric_id: str, rate_name: str,
-              denominator_desc: str) -> MetricValue:
-    """Generic unprivileged-minus-privileged gap for one confusion rate."""
+              ratio_of, denominator_desc: str) -> MetricValue:
+    """Generic unprivileged-minus-privileged gap for one confusion rate.
+
+    `ratio_of(counts)` gives the rate's (numerator, denominator) counts.
+    """
     cs = gp.confusion
-    rs = {g: rates(cs[g]) for g in GROUPS}
-    trace = {
-        g: {"counts": cs[g], rate_name: getattr(rs[g], rate_name)}
-        for g in GROUPS
-    }
+    rate = {g: _ratio(*ratio_of(cs[g])) for g in GROUPS}
+    trace = {g: {"counts": cs[g], rate_name: rate[g]} for g in GROUPS}
     for g in GROUPS:
-        if getattr(rs[g], rate_name) is None:
+        if rate[g] is None:
             return MetricValue.undefined(
                 metric_id, f"{g} group has no {denominator_desc}", trace)
-    gap = getattr(rs[UNPRIVILEGED], rate_name) - getattr(rs[PRIVILEGED], rate_name)
-    return MetricValue(metric_id, gap, trace=trace)
+    return MetricValue(metric_id, rate[UNPRIVILEGED] - rate[PRIVILEGED], trace=trace)
 
 
 def statistical_parity_from_counts(favorable_unpriv: int, total_unpriv: int,
-                                   favorable_priv: int, total_priv: int) -> MetricValue:
+                                   favorable_priv: int, total_priv: int, *,
+                                   metric_id: str = "statistical_parity_difference"
+                                   ) -> MetricValue:
     """P(favorable | unprivileged) - P(favorable | privileged) from raw tallies."""
-    mid = "statistical_parity_difference"
     if total_unpriv == 0 or total_priv == 0:
         empty = UNPRIVILEGED if total_unpriv == 0 else PRIVILEGED
-        return MetricValue.undefined(mid, f"empty group: {empty}")
+        return MetricValue.undefined(metric_id, f"empty group: {empty}")
     p_u = favorable_unpriv / total_unpriv
     p_p = favorable_priv / total_priv
     trace = {
@@ -215,16 +189,14 @@ def statistical_parity_from_counts(favorable_unpriv: int, total_unpriv: int,
         PRIVILEGED: {"favorable": favorable_priv, "total": total_priv,
                      "proportion": p_p},
     }
-    return MetricValue(mid, p_u - p_p, trace=trace)
+    return MetricValue(metric_id, p_u - p_p, trace=trace)
 
 
 def _parity_on(gp: GroupedPredictions, metric_id: str, positives_of) -> MetricValue:
     cs = gp.confusion
-    mv = statistical_parity_from_counts(
+    return statistical_parity_from_counts(
         positives_of(cs[UNPRIVILEGED]), cs[UNPRIVILEGED].total,
-        positives_of(cs[PRIVILEGED]), cs[PRIVILEGED].total)
-    mv.metric_id = metric_id
-    return mv
+        positives_of(cs[PRIVILEGED]), cs[PRIVILEGED].total, metric_id=metric_id)
 
 
 def statistical_parity_difference(gp: GroupedPredictions) -> MetricValue:
@@ -238,15 +210,18 @@ def equal_acceptance_rate_gap(gp: GroupedPredictions) -> MetricValue:
 
 
 def predictive_parity_gap(gp: GroupedPredictions) -> MetricValue:
-    return _rate_gap(gp, "predictive_parity", "ppv", "predicted positives")
+    return _rate_gap(gp, "predictive_parity", "ppv",
+                     lambda c: (c.tp, c.tp + c.fp), "predicted positives")
 
 
 def equal_opportunity_gap(gp: GroupedPredictions) -> MetricValue:
-    return _rate_gap(gp, "equal_opportunity", "fnr", "actual positives")
+    return _rate_gap(gp, "equal_opportunity", "fnr",
+                     lambda c: (c.fn, c.tp + c.fn), "actual positives")
 
 
 def predictive_equality_gap(gp: GroupedPredictions) -> MetricValue:
-    return _rate_gap(gp, "predictive_equality", "fpr", "actual negatives")
+    return _rate_gap(gp, "predictive_equality", "fpr",
+                     lambda c: (c.fp, c.fp + c.tn), "actual negatives")
 
 
 def accuracy_equality_gap(gp: GroupedPredictions) -> MetricValue:
@@ -274,7 +249,8 @@ def _max_abs_pair(metric_id: str, first: MetricValue,
 
 def equalized_odds_gap(gp: GroupedPredictions) -> MetricValue:
     """max(|TPR gap|, |FPR gap|)."""
-    tpr_gap = _rate_gap(gp, "tpr_gap", "tpr", "actual positives")
+    tpr_gap = _rate_gap(gp, "tpr_gap", "tpr",
+                        lambda c: (c.tp, c.tp + c.fn), "actual positives")
     fpr_gap = predictive_equality_gap(gp)
     return _max_abs_pair("equalized_odds", tpr_gap, fpr_gap)
 
@@ -282,7 +258,8 @@ def equalized_odds_gap(gp: GroupedPredictions) -> MetricValue:
 def conditional_use_accuracy_gap(gp: GroupedPredictions) -> MetricValue:
     """max(|PPV gap|, |NPV gap|)."""
     ppv_gap = predictive_parity_gap(gp)
-    npv_gap = _rate_gap(gp, "npv_gap", "npv", "predicted negatives")
+    npv_gap = _rate_gap(gp, "npv_gap", "npv",
+                        lambda c: (c.tn, c.tn + c.fn), "predicted negatives")
     return _max_abs_pair("conditional_use_accuracy", ppv_gap, npv_gap)
 
 

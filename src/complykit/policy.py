@@ -707,19 +707,22 @@ def check_manifest(doc: PolicyDocument, manifest) -> list:
                     manifest.dataset_source in doc.approved_sources,
                     "listed in approved_sources", "unknown source")
 
+    # uses and the capability are approved per model, so without a
+    # model_id nothing can approve them
+    model, refusal = None, "manifest names no model_id"
     if manifest.model_id:
-        model = doc.model(manifest.model_id)
+        model, refusal = doc.model(manifest.model_id), None
         finding(f"model {manifest.model_id}", model is not None,
                 "listed in approved models", "unknown model")
         if model is None:
             return findings
-        if manifest.declared_use is not None:
-            finding(f"use {manifest.declared_use}",
-                    manifest.declared_use in model.acceptable_uses,
-                    "listed in acceptable_uses", "use not acceptable")
-        if manifest.synthetic:
-            finding("synthetic data generation",
-                    model.synthetic_data_capability,
-                    "model declares the capability",
-                    "synthetic data requested but capability is false")
+    if manifest.declared_use is not None:
+        finding(f"use {manifest.declared_use}",
+                model and manifest.declared_use in model.acceptable_uses,
+                "listed in acceptable_uses", refusal or "use not acceptable")
+    if manifest.synthetic:
+        finding("synthetic data generation",
+                model and model.synthetic_data_capability,
+                "model declares the capability",
+                refusal or "synthetic data requested but capability is false")
     return findings

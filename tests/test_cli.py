@@ -218,6 +218,26 @@ class TestEvaluate:
         assert code == 2
         assert "is not valid UTF-8" in capsys.readouterr().err
 
+    def test_use_and_synthetic_without_model_exit_one(self, workdir, capsys):
+        (workdir / "model.law").write_text(
+            'policy "p" { approved_model "m1" { acceptable_uses = '
+            '["recruitment"] synthetic_data_capability = false } }')
+        manifest = "declared_use=credit-scoring\nsynthetic=true\n"
+        (workdir / "use.manifest").write_text(manifest)
+        argv = ["evaluate", str(workdir / "model.law"),
+                "--dataset", str(workdir / "data.csv"),
+                "--manifest", str(workdir / "use.manifest"), "--mode", "agent"]
+        assert main(argv) == 1
+        assert capsys.readouterr().out == (
+            "Policy p: explain\n"
+            "Context use credit-scoring: violation — manifest names no model_id\n"
+            "Context synthetic data generation: violation — "
+            "manifest names no model_id\n")
+        # naming the model judges the same items against it
+        (workdir / "use.manifest").write_text("model_id=m1\n" + manifest)
+        assert main(argv) == 1
+        assert capsys.readouterr().out.count(": violation — ") == 2
+
     def test_ragged_last_row_without_protected_attribute(self, workdir,
                                                          capsys):
         (workdir / "bare.law").write_text('policy "bare" {}')

@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from complykit.fairness import (
+    GROUPS,
     PRIVILEGED,
     UNPRIVILEGED,
     ConfusionCounts,
@@ -21,14 +22,13 @@ from complykit.fairness import (
     equalized_odds_gap,
     predictive_equality_gap,
     predictive_parity_gap,
-    rates,
     resolve_metric_id,
     statistical_parity_difference,
     statistical_parity_from_counts,
     treatment_equality,
 )
 from conftest import gp_from_counts, records_from_counts
-from reference import predictions_of, swapped
+from reference import confusion, predictions_of, swapped
 
 
 class TestConfusion:
@@ -50,36 +50,55 @@ class TestConfusion:
         assert (c.tp, c.fp, c.fn, c.tn) == (8, 2, 2, 8)
 
 
+# Every per-group rate a rate gap traces: (metric, component or None,
+# rate, the rate's (numerator, denominator) of a group's counts).
+RATE_GAPS = [
+    (predictive_parity_gap, None, "ppv", lambda c: (c.tp, c.tp + c.fp)),
+    (equal_opportunity_gap, None, "fnr", lambda c: (c.fn, c.tp + c.fn)),
+    (predictive_equality_gap, None, "fpr", lambda c: (c.fp, c.fp + c.tn)),
+    (equalized_odds_gap, "tpr_gap", "tpr", lambda c: (c.tp, c.tp + c.fn)),
+    (equalized_odds_gap, "predictive_equality", "fpr",
+     lambda c: (c.fp, c.fp + c.tn)),
+    (conditional_use_accuracy_gap, "predictive_parity", "ppv",
+     lambda c: (c.tp, c.tp + c.fp)),
+    (conditional_use_accuracy_gap, "npv_gap", "npv",
+     lambda c: (c.tn, c.tn + c.fn)),
+]
+
+
+def traced_rate(gp, metric, component, rate, group):
+    mv = metric(gp)
+    if component:
+        mv = mv.trace["components"][component]
+    return mv.trace[group][rate]
+
+
 class TestRates:
     def test_balanced_counts(self):
-        r = rates(ConfusionCounts(tp=8, fp=2, tn=8, fn=2))
-        assert r.tpr == 0.8
-        assert r.fpr == pytest.approx(0.2)
-        assert r.ppv == 0.8
-        assert r.npv == 0.8
+        counts = {"tp": 8, "fp": 2, "tn": 8, "fn": 2}
+        gp = gp_from_counts(counts, counts)
+        for metric, component, rate, _ in RATE_GAPS:
+            expected = 0.2 if rate in ("fnr", "fpr") else 0.8
+            for g in GROUPS:
+                assert traced_rate(gp, metric, component, rate, g) == expected
 
     def test_zero_denominators(self):
-        r = rates(ConfusionCounts(tp=0, fp=0, tn=5, fn=0))
-        assert r.tpr is None
-        assert r.fpr == 0
-        assert r.ppv is None
+        gp = gp_from_counts({"tn": 5}, {"tp": 1, "fp": 1, "tn": 1, "fn": 1})
+        assert traced_rate(gp, predictive_parity_gap, None, "ppv",
+                           UNPRIVILEGED) is None
+        mv = predictive_parity_gap(gp)
+        assert not mv.is_defined
+        assert mv.reason == "unprivileged group has no predicted positives"
+        assert traced_rate(gp, equalized_odds_gap, "tpr_gap", "tpr",
+                           UNPRIVILEGED) is None
+        assert traced_rate(gp, predictive_equality_gap, None, "fpr",
+                           UNPRIVILEGED) == 0
 
     def test_ppv_rational(self):
-        r = rates(ConfusionCounts(tp=2, fp=1, fn=1, tn=6))
-        assert r.ppv == pytest.approx(float(Fraction(2, 3)), abs=1e-15)
-
-    @given(st.integers(0, 50), st.integers(0, 50),
-           st.integers(0, 50), st.integers(0, 50))
-    def test_identities(self, tp, fp, tn, fn):
-        r = rates(ConfusionCounts(tp, fp, tn, fn))
-        if r.tpr is not None:
-            assert abs(r.tpr + r.fnr - 1) <= 1e-12
-        if r.tnr is not None:
-            assert abs(r.tnr + r.fpr - 1) <= 1e-12
-        if r.ppv is not None:
-            assert abs(r.ppv + r.fdr - 1) <= 1e-12
-        if r.npv is not None:
-            assert abs(r.npv + r.for_ - 1) <= 1e-12
+        gp = gp_from_counts({"tp": 2, "fp": 1, "fn": 1, "tn": 6},
+                            {"tp": 1, "fp": 1})
+        assert traced_rate(gp, predictive_parity_gap, None, "ppv",
+                           UNPRIVILEGED) == float(Fraction(2, 3))
 
 
 class TestStatisticalParity:
@@ -421,3 +440,17 @@ class TestMetricProperties:
             assert a.is_defined == b.is_defined
             if a.is_defined:
                 assert a.value == b.value
+
+    @given(gp_strategy)
+    def test_each_rate_is_its_count_ratio(self, gp):
+        """Each traced rate is `num / den` of the row-scanned counts, bit
+        for bit, and None exactly when `den` is 0."""
+        for g in GROUPS:
+            counts = confusion(r for r in gp.records if r.group == g)
+            for metric, component, rate, ratio_of in RATE_GAPS:
+                num, den = ratio_of(counts)
+                traced = traced_rate(gp, metric, component, rate, g)
+                if den:
+                    assert traced == num / den
+                else:
+                    assert traced is None

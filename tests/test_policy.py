@@ -368,12 +368,23 @@ class TestCheckManifest:
           ("use recruitment", "approved", "listed in acceptable_uses"),
           ("synthetic data generation", "approved",
            "model declares the capability")]),
+        (CONTEXT_POLICY, RunManifest(declared_use="recruitment"),
+         [("use recruitment", "violation", "manifest names no model_id")]),
+        (CONTEXT_POLICY, RunManifest(dataset_source="src-a",
+                                     declared_use="credit-scoring",
+                                     synthetic=True),
+         [("source src-a", "approved", "listed in approved_sources"),
+          ("use credit-scoring", "violation", "manifest names no model_id"),
+          ("synthetic data generation", "violation",
+           "manifest names no model_id")]),
     ], ids=["empty", "no-restrictions", "listed-source", "unknown-source",
             "unknown-model-alone", "unknown-model-after-source",
             "listed-model", "acceptable-use", "unacceptable-use",
-            "synthetic-capable", "synthetic-incapable", "every-item"])
+            "synthetic-capable", "synthetic-incapable", "every-item",
+            "use-without-model", "use-and-synthetic-without-model"])
     def test_every_finding(self, doc, manifest, expected):
         """Each branch gives one exact finding, in manifest order; an
-        unknown model ends the check."""
+        unknown model ends the check, and with no model nothing approves a
+        use or synthetic data."""
         findings = check_manifest(doc, manifest)
         assert [(f.subject, f.status, f.reason) for f in findings] == expected
