@@ -108,6 +108,9 @@ def cmd_evaluate(args) -> int:
     from . import report  # only evaluate writes a report
 
     _, doc = _load_policy(args.policy)
+    if args.composition_reference is not None and doc.protected is None:
+        raise ingest.IngestError(
+            "composition audit needs a protected_attribute in the policy")
 
     findings = []
     if args.manifest:
@@ -140,9 +143,6 @@ def cmd_evaluate(args) -> int:
 
     audit = None
     if args.composition_reference is not None:
-        if doc.protected is None:
-            raise ingest.IngestError(
-                "composition audit needs a protected_attribute in the policy")
         labels = Counter()
         for key, n in counts.items():
             labels[key[0]] += n

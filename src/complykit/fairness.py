@@ -402,7 +402,7 @@ def _mk_registry():
         MetricInfo("conditional_statistical_parity",
                    plain(conditional_statistical_parity)),
         MetricInfo("calibration",
-                   lambda gp, c: calibration_gap(gp, c.bins if c else 10)),
+                   lambda gp, c: calibration_gap(gp, c.bins)),
         MetricInfo("balance_positive", plain(balance_positive_gap)),
         MetricInfo("balance_negative", plain(balance_negative_gap)),
     ]

@@ -95,24 +95,6 @@ def _row_counter(columns: tuple, names):
     return lambda rows: ({}, _count_rows(map(itemgetter(1), rows), idx))
 
 
-def _dump_marshal(value, pipe) -> None:
-    """Write `value` marshalled, after its length as 8 little-endian bytes."""
-    data = marshal.dumps(value)
-    pipe.write(len(data).to_bytes(8, "little"))
-    pipe.write(data)
-
-
-def _load_marshal(pipe):
-    """Read a value written by `_dump_marshal` with one `read` of its bytes
-    (`marshal.load` on a pipe reads it item by item). A short read raises
-    EOFError, here or in `marshal.loads`."""
-    size = int.from_bytes(pipe.read(8), "little")
-    data = pipe.read(size)
-    if len(data) != size:
-        raise EOFError("shard result cut short")
-    return marshal.loads(data)
-
-
 # Scores per `array.fromfile` call when merging a child's tally: the
 # parent reads them straight into its own arrays in chunks this small, so
 # it never holds a child's score array twice.
@@ -120,20 +102,30 @@ _MERGE_ITEMS = 4096
 
 
 def _dump_tally(tally, pipe) -> None:
-    """Write a `(scored, unscored)` tally as a marshalled header (the
-    unscored counts as a plain dict, since marshal rejects a Counter, then
+    """Write a `(scored, unscored)` tally as one frame: the length of its
+    marshalled header as 8 little-endian bytes, the header (the unscored
+    counts as a plain dict, since marshal rejects a Counter, then
     `(text, len(scores))` pairs), then each score array in the same order."""
     scored, unscored = tally
-    _dump_marshal((dict(unscored), [(text, len(scores))
-                                    for text, scores in scored.items()]), pipe)
+    header = marshal.dumps((dict(unscored), [
+        (text, len(scores)) for text, scores in scored.items()]))
+    pipe.write(len(header).to_bytes(8, "little"))
+    pipe.write(header)
     for scores in scored.values():
         scores.tofile(pipe)
 
 
 def _merge_tally(tally, pipe) -> None:
-    """Fold a tally written by `_dump_tally` into `tally`, in its order."""
+    """Fold a tally written by `_dump_tally` into `tally`, in its order. The
+    header is read with one `read` (`marshal.load` on a pipe reads it item
+    by item). A frame cut short raises EOFError, here or in `marshal.loads`
+    or `array.fromfile` (ValueError if it is cut inside a score)."""
     scored, unscored = tally
-    more_unscored, lengths = _load_marshal(pipe)
+    size = int.from_bytes(pipe.read(8), "little")
+    header = pipe.read(size)
+    if len(header) != size:
+        raise EOFError("shard result cut short")
+    more_unscored, lengths = marshal.loads(header)
     for text, n in lengths:
         scores = scored.get(text)
         if scores is None:
@@ -324,10 +316,11 @@ def _csv_table(source):
     """Open a CSV path or text stream as `(columns, rows)`.
 
     `rows` yields `(row number, cells)` for each non-blank row, the header
-    being row 1. A missing or repeated header name, a ragged row, a
-    malformed row and invalid UTF-8 raise IngestError, for the first bad
-    row in file order. A leading byte-order mark (spreadsheets save "CSV
-    UTF-8" with one) is dropped before the header is parsed.
+    being row 1. A missing or repeated header name, a ragged row and a
+    malformed row raise IngestError, for the first bad row in file order;
+    invalid UTF-8 raises it, naming no row, when its block is decoded. A
+    leading byte-order mark (spreadsheets save "CSV UTF-8" with one) is
+    dropped before the header is parsed.
     """
     if hasattr(source, "read"):
         yield _csv_stream(_without_bom(source))

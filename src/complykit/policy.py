@@ -196,12 +196,6 @@ def _lex(text: str):
 # ---------------------------------------------------------------------------
 # Parser
 
-ITEM_KEYWORDS = {
-    "protected_attribute", "favorable_outcome", "metric", "approved_sources",
-    "approved_model", "decision", "on_violation",
-}
-
-
 def _value(tok: Optional[Token], default=None):
     return default if tok is None else tok.value
 
@@ -563,6 +557,10 @@ class _Parser:
                        if tok.type == "IDENT" else SYNTAX)
             if tok.type == "IDENT":
                 self.next()
+
+
+# The grammar's item keywords: one `_Parser.item_<keyword>` method each.
+ITEM_KEYWORDS = {n[5:] for n in vars(_Parser) if n.startswith("item_")}
 
 
 def parse_policy_with_diagnostics(text: str):

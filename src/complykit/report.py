@@ -11,8 +11,8 @@ text and JSON.
 
 from __future__ import annotations
 
+import json
 import math
-import re
 from typing import Optional
 
 from ._value import Value
@@ -83,8 +83,6 @@ def evaluate(policy: PolicyDocument, metrics, audit=None, findings=(),
     Every constraint in the policy appears exactly once among verdicts,
     in declaration order.
     """
-    if not isinstance(metrics, dict):
-        metrics = {m.metric_id: m for m in metrics}
     verdicts = tuple(judge_constraint(c, metrics.get(c.metric_id))
                      for c in policy.metrics)
     ok = (all(v.status == COMPLY for v in verdicts)
@@ -225,14 +223,9 @@ def render_auto(report: ComplianceReport) -> str:
 # ---------------------------------------------------------------------------
 # JSON serialization
 
-# `"`, `\\` and the C0 controls are escaped; DEL and non-ASCII pass through.
-_JSON_ESCAPE = re.compile(r'["\\\x00-\x1f]')
-_JSON_ESCAPES = {'"': '\\"', "\\": "\\\\",
-                 **{chr(i): f"\\u{i:04x}" for i in range(0x20)}}
-
-
-def _json_escape(m) -> str:
-    return _JSON_ESCAPES[m.group()]
+# `"`, `\\` and the C0 controls are escaped as `json.dumps` escapes them;
+# DEL and non-ASCII pass through.
+_json_string = json.JSONEncoder(ensure_ascii=False).encode
 
 
 def _json_value(v) -> str:
@@ -249,7 +242,7 @@ def _json_value(v) -> str:
             raise ValueError(f"JSON has no encoding for the float {v!r}")
         return format(v, ".17g")
     if isinstance(v, str):
-        return '"' + _JSON_ESCAPE.sub(_json_escape, v) + '"'
+        return _json_string(v)
     if isinstance(v, (list, tuple)):
         return "[" + ", ".join(_json_value(x) for x in v) + "]"
     if isinstance(v, dict):

@@ -304,6 +304,34 @@ class TestEvaluate:
             "expected LO,HI" in err
         assert "cannot read" not in err
 
+    def test_composition_needs_protected_before_reading(self, workdir,
+                                                        capsys):
+        (workdir / "bare.law").write_text(
+            'policy "bare" { metric equal_opportunity { range = [0, 1] } }\n')
+        code = main(["evaluate", str(workdir / "bare.law"),
+                     "--dataset", str(workdir / "absent.csv"),
+                     "--manifest", str(workdir / "absent.manifest"),
+                     "--composition-reference", "0.5"])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        assert err == ("composition audit needs a protected_attribute in "
+                       "the policy\n")
+
+    def test_control_characters_in_json_strings(self, workdir, capsys):
+        # A policy string may hold a tab, which JSON writes as `\t`.
+        (workdir / "tab.law").write_text(SCENARIO1_POLICY.replace(
+            '"scenario-1"', '"a\tb"'))
+        out_path = workdir / "report.json"
+        main(["evaluate", str(workdir / "tab.law"),
+              "--dataset", str(workdir / "data.csv"),
+              "--deterministic", "--json", str(out_path)])
+        assert "Policy: a\tb\n" in capsys.readouterr().out
+        data = out_path.read_bytes()
+        assert b'"policy": "a\\tb"' in data
+        assert json.loads(data)["policy"] == "a\tb"
+        validate_report(data)
+
     def test_predictions_pipeline(self, workdir, capsys):
         policy = workdir / "preds.law"
         policy.write_text(

@@ -1,6 +1,5 @@
 import csv
 import io
-import marshal
 import os
 import random
 import threading
@@ -373,11 +372,47 @@ class TestShardedPredictions:
         assert cell_bytes(sharded) == cell_bytes(serial)
         assert sharded.strata == serial.strata
 
+    def test_tally_frame_round_trip(self):
+        # 10,000 scores take three `_MERGE_ITEMS` chunks.
+        long = array("d", (i / 7 for i in range(10_000)))
+        theirs = ({"privileged,1,1": array("d", [0.25, 0.5]),
+                   "unprivileged,0,1": long, "privileged,0,0": array("d")},
+                  Counter({"unprivileged,1,0": 3, "privileged,1,1": 2}))
+        ours = ({"unprivileged,0,1": array("d", [0.75]),
+                 "privileged,1,0": array("d", [1.0])},
+                {"privileged,1,1": 4})
+        buf = io.BytesIO()
+        ingest._dump_tally(theirs, buf)
+        frame = buf.getvalue()
+        pipe = io.BytesIO(frame)
+        ingest._merge_tally(ours, pipe)
+        assert pipe.read() == b""
+        scored, unscored = ours
+        assert list(scored) == ["unprivileged,0,1", "privileged,1,0",
+                                "privileged,1,1", "privileged,0,0"]
+        assert scored["unprivileged,0,1"] == array("d", [0.75]) + long
+        assert scored["privileged,1,0"] == array("d", [1.0])
+        assert scored["privileged,1,1"] == array("d", [0.25, 0.5])
+        assert scored["privileged,0,0"] == array("d")
+        assert unscored == {"privileged,1,1": 6, "unprivileged,1,0": 3}
+        assert list(unscored) == ["privileged,1,1", "unprivileged,1,0"]
+        size = int.from_bytes(frame[:8], "little")
+        for cut in (0, 4, 8, 8 + size // 2, 8 + size + 8, len(frame) - 8):
+            with pytest.raises(EOFError):
+                ingest._merge_tally(({}, {}), io.BytesIO(frame[:cut]))
+        with pytest.raises(ValueError):  # cut inside a score
+            ingest._merge_tally(({}, {}), io.BytesIO(frame[:-1]))
+
     def test_short_result_falls_back(self, tmp_path, monkeypatch, forks):
         # Each length prefix claims one byte more than the dump writes.
-        def short_dump(value, pipe):
-            data = marshal.dumps(value)
-            pipe.write((len(data) + 1).to_bytes(8, "little") + data)
+        dump = ingest._dump_tally
+
+        def short_dump(tally, pipe):
+            buf = io.BytesIO()
+            dump(tally, buf)
+            data = buf.getvalue()
+            size = int.from_bytes(data[:8], "little")
+            pipe.write((size + 1).to_bytes(8, "little") + data[8:])
 
         serial_passes = []
         csv_table = ingest._csv_table
@@ -386,7 +421,7 @@ class TestShardedPredictions:
             serial_passes.append(source)
             return csv_table(source)
 
-        monkeypatch.setattr(ingest, "_dump_marshal", short_dump)
+        monkeypatch.setattr(ingest, "_dump_tally", short_dump)
         force_shards(monkeypatch, 3)
         path = tmp_path / "p.csv"
         for text in ("group,predicted,actual,score\n"

@@ -1,10 +1,12 @@
 import math
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from complykit import policy
 from complykit.decisions import CRITERIA, PayoffMatrix, choose
 from complykit.ingest import RunManifest
 from complykit.intervals import Interval
@@ -42,6 +44,18 @@ NUMERIC_POLICY = (
 
 
 class TestParse:
+    def test_item_keywords_are_the_grammar_items(self):
+        # Each `item` alternative of the grammar opens with its keyword.
+        grammar = policy.__doc__
+        rules = re.search(r"item\s+:=\s+(\w+(?:\s*\|\s*\w+)*)", grammar)
+        keywords = {re.search(rf'^\s+{rule}\s+:= "(\w+)"', grammar,
+                              re.M).group(1)
+                    for rule in re.findall(r"\w+", rules.group(1))}
+        assert keywords == {
+            "protected_attribute", "favorable_outcome", "metric",
+            "approved_sources", "approved_model", "decision", "on_violation"}
+        assert policy.ITEM_KEYWORDS == keywords
+
     def test_minimal_document(self):
         doc = parse_policy(
             'policy "p" { protected_attribute sex '

@@ -27,52 +27,38 @@ SPD_POLICY = parse_policy(
     'policy "p" { metric statistical_parity_difference '
     '{ range = [-0.01, 0.01] } }')
 
+SPD = "statistical_parity_difference"
+
 ADULT_SPD = statistical_parity_from_counts(1748, 15351, 4338, 31648)
 
 
-def _json_string_by_loop(v):
-    """The per-character escape loop `_json_value` used before its regex."""
-    out = ['"']
-    for ch in v:
-        if ch == '"':
-            out.append('\\"')
-        elif ch == "\\":
-            out.append("\\\\")
-        elif ord(ch) < 0x20:
-            out.append(f"\\u{ord(ch):04x}")
-        else:
-            out.append(ch)
-    out.append('"')
-    return "".join(out)
-
-
 def spd_metric(value):
-    return MetricValue("statistical_parity_difference", value)
+    return MetricValue(SPD, value)
 
 
 class TestEvaluate:
     def test_outside_interval_explains(self):
-        report = evaluate(SPD_POLICY, [ADULT_SPD])
+        report = evaluate(SPD_POLICY, {SPD: ADULT_SPD})
         verdict = report.verdicts[0]
         assert verdict.status == EXPLAIN
         assert "outside legitimate interval" in verdict.explanation
         assert report.overall_status == EXPLAIN
 
     def test_interior_point_complies(self):
-        report = evaluate(SPD_POLICY, [spd_metric(0.0)])
+        report = evaluate(SPD_POLICY, {SPD: spd_metric(0.0)})
         assert report.verdicts[0].status == COMPLY
         assert report.overall_status == COMPLY
 
     def test_undefined_explains_with_reason(self):
         mv = MetricValue.undefined("statistical_parity_difference",
                                    "empty group: unprivileged")
-        report = evaluate(SPD_POLICY, [mv])
+        report = evaluate(SPD_POLICY, {SPD: mv})
         verdict = report.verdicts[0]
         assert verdict.status == EXPLAIN
         assert "empty group: unprivileged" in verdict.explanation
 
     def test_missing_metric_is_error(self):
-        report = evaluate(SPD_POLICY, [])
+        report = evaluate(SPD_POLICY, {})
         assert report.verdicts[0].status == ERROR
 
     def test_every_constraint_appears_once(self):
@@ -81,7 +67,7 @@ class TestEvaluate:
             ' metric statistical_parity_difference { range = [-0.1, 0.1] }'
             ' metric equalized_odds { range = [0, 0.2] }'
             ' metric calibration { range = [0, 0.1] } }')
-        report = evaluate(policy, [spd_metric(0.0)])
+        report = evaluate(policy, {SPD: spd_metric(0.0)})
         ids = [v.constraint_id for v in report.verdicts]
         assert ids == ["statistical_parity_difference", "equalized_odds",
                        "calibration"]
@@ -90,28 +76,29 @@ class TestEvaluate:
         policy = parse_policy(
             'policy "p" { metric statistical_parity_difference '
             '{ range = [-0.01, 0.01]; tolerance = 0.02 } }')
-        report = evaluate(policy, [ADULT_SPD])
+        report = evaluate(policy, {SPD: ADULT_SPD})
         assert report.verdicts[0].status == COMPLY
 
     def test_violating_finding_breaks_overall(self):
         finding = ContextFinding("source x", "violation", "unknown source")
-        report = evaluate(SPD_POLICY, [spd_metric(0.0)], findings=[finding])
+        report = evaluate(SPD_POLICY, {SPD: spd_metric(0.0)},
+                          findings=[finding])
         assert report.overall_status == EXPLAIN
 
     def test_failed_audit_breaks_overall(self):
         audit = composition_audit(["F"] * 3 + ["M"] * 17, "F", 0.4975,
                                   Interval(-0.05, 0.05))
-        report = evaluate(SPD_POLICY, [spd_metric(0.0)], audit=audit)
+        report = evaluate(SPD_POLICY, {SPD: spd_metric(0.0)}, audit=audit)
         assert report.overall_status == EXPLAIN
 
     def test_monotonic_in_interval_width(self):
         # widening an interval never flips comply -> explain
         for value in (-0.5, -0.02, 0.0, 0.3):
-            narrow = evaluate(SPD_POLICY, [spd_metric(value)])
+            narrow = evaluate(SPD_POLICY, {SPD: spd_metric(value)})
             wide_policy = parse_policy(
                 'policy "p" { metric statistical_parity_difference '
                 '{ range = [-1, 1] } }')
-            wide = evaluate(wide_policy, [spd_metric(value)])
+            wide = evaluate(wide_policy, {SPD: spd_metric(value)})
             if narrow.verdicts[0].status == COMPLY:
                 assert wide.verdicts[0].status == COMPLY
 
@@ -157,10 +144,11 @@ class TestEvaluate:
 class TestRender:
     def _scenario1_report(self):
         doc = parse_policy(SCENARIO1_POLICY)
-        return evaluate(doc, [ADULT_SPD], strategy=wald(doc.decision.payoffs))
+        return evaluate(doc, {SPD: ADULT_SPD},
+                        strategy=wald(doc.decision.payoffs))
 
     def test_agent_mode_comply_lines(self):
-        report = evaluate(SPD_POLICY, [spd_metric(0.0)])
+        report = evaluate(SPD_POLICY, {SPD: spd_metric(0.0)})
         lines = render(report, "agent").strip().split("\n")
         assert all(line.endswith("comply") for line in lines)
 
@@ -184,7 +172,7 @@ class TestRender:
         assert "Constraints:" in text
 
     def test_no_mode_renders_nothing(self):
-        report = evaluate(SPD_POLICY, [spd_metric(0.0)],
+        report = evaluate(SPD_POLICY, {SPD: spd_metric(0.0)},
                           display_mode=False, agent_mode=False)
         assert render_auto(report) == ""
 
@@ -206,13 +194,13 @@ class TestRender:
             ' { range = [-0.1, 0.1] tolerance = 0.00000000000000000001 }'
             ' metric equal_opportunity { range = [0, 10000000000000000] } }')
         edges = (1e-20, 1e16, 0.1 + 0.2, -0.0)
-        metrics = [
-            MetricValue("statistical_parity_difference", 0.1 + 0.2, trace={
+        metrics = {
+            SPD: MetricValue(SPD, 0.1 + 0.2, trace={
                 "tiny": 1e-20, "huge": 1e16, "zero": -0.0, "count": 3,
                 "gap": MetricValue("gap", -0.0),
                 "group": {"rate": 0.1 + 0.2}}),
-            MetricValue("equal_opportunity", 1e16),
-        ]
+            "equal_opportunity": MetricValue("equal_opportunity", 1e16),
+        }
         audit = CompositionAudit({"F": 1e-20, "M": 0.1 + 0.2}, "F", 1e16,
                                  -0.0, Interval(-0.0, 1e-20), True)
         strategy = StrategyChoice("savage", 1, "b", -0.0, edges,
@@ -271,14 +259,14 @@ Strategy (savage):
 class TestToJson:
     def test_empty_constraints(self):
         doc = parse_policy('policy "empty" {}')
-        blob = to_json(evaluate(doc, []))
+        blob = to_json(evaluate(doc, {}))
         obj = json.loads(blob)
         assert obj["verdicts"] == []
         assert obj["schema_version"] == 1
         assert obj["overall_status"] == "comply"
 
     def test_round_trip_preserves_values(self):
-        report = evaluate(SPD_POLICY, [ADULT_SPD])
+        report = evaluate(SPD_POLICY, {SPD: ADULT_SPD})
         obj = json.loads(to_json(report))
         verdict = obj["verdicts"][0]
         assert verdict["value"] == -0.023201469667745764
@@ -286,22 +274,23 @@ class TestToJson:
         assert verdict["status"] == "explain"
 
     def test_seventeen_significant_digits(self):
-        report = evaluate(SPD_POLICY, [ADULT_SPD])
+        report = evaluate(SPD_POLICY, {SPD: ADULT_SPD})
         assert b"-0.023201469667745764" in to_json(report)
 
     def test_byte_identical_runs(self):
         doc = parse_policy(SCENARIO1_POLICY)
         audit = composition_audit(["F"] * 3 + ["M"] * 17, "F", 0.4975,
                                   Interval(-0.05, 0.05))
-        a = to_json(evaluate(doc, [ADULT_SPD], audit=audit,
+        a = to_json(evaluate(doc, {SPD: ADULT_SPD}, audit=audit,
                              strategy=wald(doc.decision.payoffs)))
-        b = to_json(evaluate(doc, [ADULT_SPD], audit=audit,
+        b = to_json(evaluate(doc, {SPD: ADULT_SPD}, audit=audit,
                              strategy=wald(doc.decision.payoffs)))
         assert a == b
 
     def test_strategy_block(self):
         m = PayoffMatrix(["hi", "lo"], ["a", "b"], [[1, 2], [0, 3]])
-        report = evaluate(SPD_POLICY, [spd_metric(0.0)], strategy=wald(m))
+        report = evaluate(SPD_POLICY, {SPD: spd_metric(0.0)},
+                          strategy=wald(m))
         obj = json.loads(to_json(report))
         assert obj["strategy"]["action"] == "hi"
         assert obj["strategy"]["scores"] == [1.0, 0.0]
@@ -311,19 +300,19 @@ class TestToJson:
         for value in (float("nan"), float("inf"), float("-inf")):
             audit = composition_audit(["F", "M"], "F", value,
                                       Interval(-0.05, 0.05))
-            report = evaluate(doc, [ADULT_SPD], audit=audit)
+            report = evaluate(doc, {SPD: ADULT_SPD}, audit=audit)
             with pytest.raises(ValueError, match="no encoding"):
                 to_json(report)
 
     @given(st.one_of(st.text(), st.text('"\\\x00\x01\x1f\x7f\x80a\u2028')))
-    def test_strings_escape_as_the_loop_did(self, text):
+    def test_strings_escape_as_json_dumps(self, text):
         out = _json_value(text)
-        assert out == _json_string_by_loop(text)
+        assert out == json.dumps(text, ensure_ascii=False)
         assert json.loads(out) == text
 
     def test_matches_schema(self):
         doc = parse_policy(SCENARIO1_POLICY)
         audit = composition_audit(["F"] * 3 + ["M"] * 17, "F", 0.4975,
                                   Interval(-0.05, 0.05))
-        validate_report(to_json(evaluate(doc, [ADULT_SPD], audit=audit,
+        validate_report(to_json(evaluate(doc, {SPD: ADULT_SPD}, audit=audit,
                                          strategy=wald(doc.decision.payoffs))))
