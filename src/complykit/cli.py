@@ -14,7 +14,8 @@ import os
 import sys
 from collections import Counter
 
-from . import decisions, fairness, ingest, policy
+from . import decisions, policy
+from ._shared import IngestError, read_text
 from .intervals import Interval
 
 EXIT_OK = 0
@@ -39,7 +40,7 @@ def _maybe_colorize(text: str) -> str:
 
 
 def _load_policy(path):
-    text = ingest.read_text(path)
+    text = read_text(path)
     return text, policy.parse_policy(text)
 
 
@@ -48,7 +49,7 @@ def _write_bytes(path, data: bytes) -> None:
         with open(path, "wb") as fh:
             fh.write(data)
     except OSError as exc:
-        raise ingest.IngestError(f"cannot write {path}: {exc.strerror}") from exc
+        raise IngestError(f"cannot write {path}: {exc.strerror}") from exc
 
 
 def cmd_check(args) -> int:
@@ -71,6 +72,7 @@ def cmd_fmt(args) -> int:
 
 def _compute_metrics(doc, bound, gp):
     """One MetricValue (or None) per declared constraint."""
+    from . import fairness
     metrics = {}
     for constraint in doc.metrics:
         info = fairness.METRIC_REGISTRY[constraint.metric_id]
@@ -105,11 +107,11 @@ def _finite_float(text):
 
 
 def cmd_evaluate(args) -> int:
-    from . import report  # only evaluate writes a report
+    from . import ingest, report  # only evaluate reads data and reports
 
     _, doc = _load_policy(args.policy)
     if args.composition_reference is not None and doc.protected is None:
-        raise ingest.IngestError(
+        raise IngestError(
             "composition audit needs a protected_attribute in the policy")
 
     findings = []
@@ -250,7 +252,7 @@ def main(argv=None) -> int:
     except policy.PolicyError as exc:
         for diag in exc.diagnostics:
             print(f"{args.policy}:{diag}", file=sys.stderr)
-    except (ingest.IngestError, decisions.DecisionError) as exc:
+    except (IngestError, decisions.DecisionError) as exc:
         print(exc, file=sys.stderr)
     except BrokenPipeError:
         # The reader of stdout went away. Point stdout at devnull so that

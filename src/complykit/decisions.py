@@ -18,7 +18,6 @@ import math
 from typing import Optional, Sequence
 
 from ._value import Value
-from .ingest import _csv_table
 
 CRITERIA = ("wald", "hurwicz", "savage")
 
@@ -64,6 +63,7 @@ class PayoffMatrix(Value):
         distinct, blank rows are skipped, and an unreadable file, invalid
         UTF-8 or a malformed or ragged row raise a row-numbered IngestError.
         """
+        from .ingest import _csv_table
         actions = []
         values = []
         with _csv_table(path) as (columns, rows):

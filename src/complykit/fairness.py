@@ -18,6 +18,7 @@ from collections import Counter
 from itertools import chain
 from typing import Optional
 
+from ._shared import METRIC_IDS, resolve_metric_id  # re-exported
 from ._value import Value, _set
 
 PRIVILEGED = "privileged"
@@ -410,11 +411,3 @@ def _mk_registry():
 
 
 METRIC_REGISTRY = _mk_registry()
-
-# Accepted legacy spelling from existing operational-context dictionaries.
-METRIC_ALIASES = {"stat_mean_difference": "statistical_parity_difference"}
-
-
-def resolve_metric_id(name: str) -> Optional[str]:
-    name = METRIC_ALIASES.get(name, name)
-    return name if name in METRIC_REGISTRY else None

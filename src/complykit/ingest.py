@@ -19,13 +19,10 @@ from functools import partial
 from operator import itemgetter
 from typing import Optional
 
+from ._shared import IngestError, read_text  # re-exported
 from ._value import Value
 from .fairness import PRIVILEGED, UNPRIVILEGED, GroupedPredictions
 from .intervals import Interval
-
-
-class IngestError(ValueError):
-    pass
 
 
 class Dataset(Value):
@@ -531,18 +528,6 @@ class RunManifest(Value):
 
 
 MANIFEST_KEYS = ("dataset_source", "model_id", "declared_use", "synthetic")
-
-
-def read_text(path) -> str:
-    """The whole UTF-8 text of `path`, less a leading byte-order mark;
-    IngestError if it cannot be read."""
-    try:
-        with open(path, encoding="utf-8-sig") as fh:
-            return fh.read()
-    except OSError as exc:
-        raise IngestError(f"cannot read {path}: {exc.strerror}") from exc
-    except UnicodeDecodeError as exc:
-        raise IngestError(f"{path} is not valid UTF-8: {exc}") from exc
 
 
 def read_manifest(path) -> RunManifest:

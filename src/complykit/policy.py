@@ -48,9 +48,9 @@ import math
 import re
 from typing import NamedTuple, Optional
 
+from ._shared import resolve_metric_id
 from ._value import Value
 from .decisions import CRITERIA, DecisionError, PayoffMatrix
-from .fairness import resolve_metric_id
 from .intervals import Interval
 
 LEX = "LexError"
@@ -137,37 +137,47 @@ class PolicyDocument(Value):
 
 # `[0-9]`, not `\d`, so that non-ASCII digits are lex errors. Only `space`
 # can hold a newline: comments and strings end before one.
+# A comma-separated list of numbers in brackets on one line is one ROW token
+# of its floats and text, unless a number in it is not finite. A payoff row
+# takes a ROW whole; any other rule gets it split by `_PLAIN`, the same
+# grammar less rows, and so the plain grammar's tokens.
 _TOKEN = re.compile(r"""
-    (?P<space>[ \t\r\n]+)
+    (?P<row>\[[ \t]*NUM(?:[ \t]*,[ \t]*NUM)*[ \t]*\])
+  | (?P<space>[ \t\r\n]+)
   | (?P<comment>\#[^\n]*)
   | (?P<punct>[{}\[\],=;])
   | (?P<string>"(?P<body>(?:[^"\\\n]|\\[^\n]?)*)"?)
-  | (?P<number>[+-]?[0-9]+(?:\.[0-9]+)?)
+  | (?P<number>NUM)
   | (?P<ident>[a-z_][a-z0-9_]*)
   | (?P<other>.)
-""", re.VERBOSE)
+""".replace("NUM", r"[+-]?[0-9]+(?:\.[0-9]+)?"), re.VERBOSE)
+_PLAIN = re.compile(_TOKEN.pattern.split("|", 1)[1], re.VERBOSE)  # less `row`
 _ESCAPE = re.compile(r'\\(["\\]?)')
 _IDENT = re.compile(r"[a-z_][a-z0-9_]*")
 
 
 class Token(NamedTuple):
-    type: str  # IDENT STRING NUMBER { } [ ] , = ; EOF
-    value: object
+    type: str  # IDENT STRING NUMBER ROW { } [ ] , = ; EOF
+    value: object  # a ROW's is (its floats, its text)
     line: int
     col: int
 
 
-def _lex(text: str):
+def _lex(text: str, pattern=_TOKEN):
     tokens = []
     diags = []
     line, line_start = 1, 0
-    for m in _TOKEN.finditer(text):
+    for m in pattern.finditer(text):
         kind, lexeme = m.lastgroup, m.group()
         col = m.start() - line_start + 1
         if kind == "space":
             if "\n" in lexeme:
                 line += lexeme.count("\n")
                 line_start = m.start() + lexeme.rindex("\n") + 1
+        elif kind == "row":
+            values = list(map(float, lexeme[1:-1].split(",")))
+            row = Token("ROW", (values, lexeme), line, col)
+            tokens += [row] if all(map(math.isfinite, values)) else _split_row(row)
         elif kind == "punct":
             tokens.append(Token(lexeme, lexeme, line, col))
         elif kind == "ident":
@@ -193,6 +203,12 @@ def _lex(text: str):
     return tokens, diags
 
 
+def _split_row(row: Token) -> list:
+    """The `[`, NUMBER, `,` and `]` tokens of a ROW, at their own columns."""
+    return [t._replace(line=row.line, col=row.col + t.col - 1)
+            for t in _lex(row.value[1], _PLAIN)[0][:-1]]
+
+
 # ---------------------------------------------------------------------------
 # Parser
 
@@ -202,23 +218,27 @@ def _value(tok: Optional[Token], default=None):
 
 class _Parser:
     def __init__(self, tokens, diags):
-        self.tokens = tokens
-        self.pos = 0
+        self.tokens = tokens[::-1]  # a stack: the next token is last
         self.diags = diags
 
     # -- token helpers ------------------------------------------------
 
     def peek(self) -> Token:
-        return self.tokens[self.pos]
+        """The next token, a ROW split into its tokens first."""
+        if self.tokens[-1].type == "ROW":
+            self.tokens += reversed(_split_row(self.tokens.pop()))
+        return self.tokens[-1]
 
     def next(self) -> Token:
-        tok = self.tokens[self.pos]
+        tok = self.tokens[-1]
         if tok.type != "EOF":
-            self.pos += 1
+            self.tokens.pop()
         return tok
 
     def at(self, ttype: str) -> bool:
-        return self.peek().type == ttype
+        """Whether the next token, a ROW unsplit, has type `ttype`; for
+        `]`, `,`, `;` and EOF the answer is the same after a split."""
+        return self.tokens[-1].type == ttype
 
     def error(self, tok: Token, message: str, kind: str = SYNTAX):
         self.diags.append(Diagnostic(kind, tok.line, tok.col, message))
@@ -245,13 +265,13 @@ class _Parser:
         return repr(tok.type)
 
     def skip_separators(self):
-        while self.peek().type == ";":
+        while self.at(";"):
             self.next()
 
     def sync_to_item(self):
-        """Skip tokens until a plausible item start or block end."""
+        """Skip tokens, a ROW whole, to a plausible item start or block end."""
         while True:
-            tok = self.peek()
+            tok = self.tokens[-1]
             if tok.type == "EOF" or tok.type == "}":
                 return
             if tok.type == "IDENT" and tok.value in ITEM_KEYWORDS:
@@ -343,6 +363,12 @@ class _Parser:
 
     def parse_strings(self) -> Optional[list]:
         return self.parse_list(lambda: _value(self.parse_string()))
+
+    def parse_row(self) -> Optional[list]:
+        """A payoff row: a ROW taken whole, else `[ number, ... ]`."""
+        if self.at("ROW"):
+            return self.next().value[0]
+        return self.parse_list(lambda: _value(self.parse_number()))
 
     def parse_block(self, fields: dict, context: str):
         """Parse `{ key = value ... }`, each value by `fields[key]()`.
@@ -523,9 +549,7 @@ class _Parser:
         values, keys = self.parse_block({
             "actions": self.parse_strings,
             "states": self.parse_strings,
-            "payoffs": lambda: self.parse_list(
-                lambda: self.parse_list(lambda: _value(self.parse_number())),
-                sync=False),
+            "payoffs": lambda: self.parse_list(self.parse_row, sync=False),
             "criterion": self.parse_criterion,
             "lambda": lambda: self.parse_checked(
                 lambda v: 0.0 <= v <= 1.0, "lambda must lie in [0, 1]"),
@@ -582,7 +606,7 @@ def parse_policy(text: str) -> PolicyDocument:
 
 def _fmt_number(x: float) -> str:
     if x == int(x) and abs(x) < 1e15:
-        return str(int(x))
+        return str(int(x)) if x or math.copysign(1.0, x) > 0 else "-0"
     r = repr(x)
     if "e" in r:
         # The grammar has no exponent form: write the same digits
@@ -628,7 +652,7 @@ def serialize_policy(doc: PolicyDocument) -> str:
                    f"{_fmt_number(m.range.hi)}]")
         if m.bins != DEFAULT_BINS:
             out.append(f"    bins = {m.bins}")
-        if m.tolerance != DEFAULT_TOLERANCE:
+        if _fmt_number(m.tolerance) != _fmt_number(DEFAULT_TOLERANCE):
             out.append(f"    tolerance = {_fmt_number(m.tolerance)}")
         out.append("  }")
     if doc.approved_sources:
@@ -656,7 +680,7 @@ def serialize_policy(doc: PolicyDocument) -> str:
             for row in d.payoffs.values)
         out.append(f"    payoffs = [{rows}]")
         out.append(f"    criterion = {d.criterion}")
-        if d.hurwicz_lambda != DEFAULT_LAMBDA:
+        if _fmt_number(d.hurwicz_lambda) != _fmt_number(DEFAULT_LAMBDA):
             out.append(f"    lambda = {_fmt_number(d.hurwicz_lambda)}")
         out.append("  }")
     if doc.on_violation != DEFAULT_ON_VIOLATION:

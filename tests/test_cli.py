@@ -873,6 +873,39 @@ class TestFmt:
         assert main(["fmt", str(path)]) == 0
         assert capsys.readouterr().out == text
 
+    def test_negative_zero_keeps_the_report(self, workdir, capsys):
+        # -0 reads as -0.0, which the report prints as -0.0 and -0
+        path = workdir / "zero.law"
+        path.write_text(
+            'policy "z" {\n'
+            '  protected_attribute sex { privileged = "Male" '
+            'unprivileged = "Female" }\n'
+            '  favorable_outcome occupation { value = "Exec-managerial" }\n'
+            '  metric statistical_parity_difference {\n'
+            '    range = [-0, 0.5]\n'
+            '    tolerance = -0\n'
+            '  }\n'
+            '  decision { actions = ["a"] states = ["s"] payoffs = [[-0]] '
+            'criterion = hurwicz lambda = -0 }\n'
+            '}\n')
+        assert main(["fmt", str(path)]) == 1
+        canonical = workdir / "canonical.law"
+        canonical.write_text(capsys.readouterr().out)
+        assert "tolerance = -0\n" in canonical.read_text()
+
+        def report(policy):
+            json_path = workdir / (policy.stem + ".json")
+            code = main(["evaluate", str(policy), "--dataset",
+                         str(workdir / "data.csv"), "--deterministic",
+                         "--json", str(json_path)])
+            return code, capsys.readouterr().out, json_path.read_bytes()
+
+        original = report(path)
+        assert "legitimate interval [-0.0, 0.5]" in original[1]
+        assert b'"lo": -0' in original[2]
+        assert b'"tolerance": -0' in original[2]
+        assert report(canonical) == original
+
     def test_invalid_file_exit_two(self, workdir, capsys):
         bad = workdir / "bad.law"
         bad.write_text("not a policy")

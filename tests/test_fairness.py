@@ -5,8 +5,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from complykit import policy
 from complykit.fairness import (
     GROUPS,
+    METRIC_IDS,
+    METRIC_REGISTRY,
     PRIVILEGED,
     UNPRIVILEGED,
     ConfusionCounts,
@@ -27,6 +30,7 @@ from complykit.fairness import (
     statistical_parity_from_counts,
     treatment_equality,
 )
+from complykit.policy import parse_policy
 from conftest import gp_from_counts, records_from_counts
 from reference import confusion, predictions_of, swapped
 
@@ -350,6 +354,16 @@ class TestRegistry:
 
     def test_unknown_is_none(self):
         assert resolve_metric_id("made_up_metric") is None
+
+    def test_policy_accepts_the_registry_ids_in_order(self):
+        # the parser reads the ids from `_shared`, without this module
+        assert METRIC_IDS == tuple(METRIC_REGISTRY)
+        assert policy.resolve_metric_id is resolve_metric_id
+        text = ('policy "p" {\n' + "".join(
+            f"  metric {mid} {{ range = [0, 1] }}\n" for mid in METRIC_IDS)
+            + "}\n")
+        assert [c.metric_id for c in parse_policy(text).metrics] == \
+            list(METRIC_REGISTRY)
 
 
 # ---------------------------------------------------------------------------

@@ -243,6 +243,72 @@ class TestSerialize:
         assert parse_policy(serialize_policy(doc)) == doc
 
 
+# Payoff matrix text for the row property: signed integers and decimals,
+# with the separators a hand-written matrix holds. A row with a newline or
+# a comment in it is lexed token by token; one without is one ROW token.
+MATRIX_CELL = st.builds(
+    lambda sign, digits, fraction: sign + digits + fraction,
+    st.sampled_from(["", "-", "+"]),
+    st.text("0123456789", min_size=1, max_size=6),
+    st.sampled_from(["", ".5", ".25", ".125", ".0"]))
+CELL_SEPARATOR = st.sampled_from([", ", ",", ",\t", "\t,\t", " , ", ",\n  "])
+ROW_SEPARATOR = st.sampled_from([", ", ",", ",\n    ", "\n    ",
+                                 ",  # next row\n    ", "\t,\t"])
+ROW_PADDING = st.sampled_from(["", " ", "\t"])
+
+
+@st.composite
+def payoff_texts(draw):
+    """(cells, the matrix text as a list of pieces, each cell's piece)."""
+    m, n = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    cells = [[draw(MATRIX_CELL) for _ in range(n)] for _ in range(m)]
+    pieces, at = ["["], {}
+    for i, row in enumerate(cells):
+        if i:
+            pieces.append(draw(ROW_SEPARATOR))
+        pieces += ["[", draw(ROW_PADDING)]
+        for j, cell in enumerate(row):
+            if j:
+                pieces.append(draw(CELL_SEPARATOR))
+            at[i, j] = len(pieces)
+            pieces.append(cell)
+        pieces += [draw(ROW_PADDING), "]"]
+    pieces.append("]")
+    return cells, pieces, at
+
+
+def _matrix_policy(cells, payoffs):
+    actions = ", ".join(f'"a{i}"' for i in range(len(cells)))
+    states = ", ".join(f'"s{j}"' for j in range(len(cells[0])))
+    return ('policy "p" {\n  decision {\n'
+            f"    actions = [{actions}]\n    states = [{states}]\n"
+            f"    payoffs = {payoffs}\n    criterion = savage\n  }}\n}}\n")
+
+
+class TestPayoffRows:
+    @given(payoff_texts(), st.data())
+    @settings(max_examples=300)
+    def test_rows_parse_to_their_floats(self, matrix, data):
+        cells, pieces, at = matrix
+        doc = parse_policy(_matrix_policy(cells, "".join(pieces)))
+        assert doc.decision.payoffs.values == tuple(
+            tuple(float(c) for c in row) for row in cells)
+        assert parse_policy(serialize_policy(doc)) == doc
+
+        # an overflowing cell is reported once, at its own line:col
+        i, j = data.draw(st.sampled_from(sorted(at)))
+        pieces[at[i, j]] = "9" * 400
+        text = _matrix_policy(cells, "".join(pieces))
+        offset = text.index("payoffs = ") + len("payoffs = ") + sum(
+            map(len, pieces[:at[i, j]]))
+        line = text.count("\n", 0, offset) + 1
+        col = offset - text.rfind("\n", 0, offset)
+        _, diags = parse_policy_with_diagnostics(text)
+        too_large = [(d.line, d.col) for d in diags
+                     if d.message == "number is too large to represent"]
+        assert too_large == [(line, col)]
+
+
 class TestFuzz:
     @given(st.text(max_size=80))
     @settings(max_examples=400)

@@ -37,6 +37,27 @@ _INSERTS = (
 _DECISION = ('decision { actions = ["a", "b"] states = ["s"] '
              'payoffs = [[1], [2]] criterion = wald }')
 
+
+def _decision(payoffs, actions=1, states=2, criterion="wald"):
+    """A policy with one decision block over `payoffs`, spliced in as text."""
+    names = ", ".join(f'"a{i}"' for i in range(actions))
+    columns = ", ".join(f'"s{j}"' for j in range(states))
+    return (f'policy "p" {{ decision {{ actions = [{names}] '
+            f'states = [{columns}] payoffs = {payoffs} '
+            f'criterion = {criterion} }} }}')
+
+
+_ROW_OF_20 = "[" + ", ".join(
+    "9" * 400 if j == 9 else str(j) for j in range(20)) + "]"
+_MATRIX_10 = ("policy \"p\" {\n  decision {\n"
+              "    actions = [" + ", ".join(f'"a{i}"' for i in range(10)) + "]\n"
+              "    states = [" + ", ".join(f'"s{j}"' for j in range(10)) + "]\n"
+              "    payoffs = [\n"
+              + ",\n".join("      [" + ", ".join(
+                  str((i * 7 + j * 3) % 11 - 5) + ("" if j % 3 else ".25")
+                  for j in range(10)) + "]" for i in range(10))
+              + "\n    ]\n    criterion = savage\n  }\n}\n").replace("\n", "\r\n")
+
 HAND_WRITTEN = (
     # empty, blank and comment-only input
     "", "   \n\t", "# only a comment", "# comment\n",
@@ -183,6 +204,47 @@ HAND_WRITTEN = (
     'policy "p" { decision { actions = ["a"] states = ["s"] payoffs = [[1]] '
     'criterion = hurwicz lambda = 0.2 lambda = 2 } }',
     _DECISION.replace("wald }", "wald criterion = wald }"),
+    # bracketed number lists: payoff rows and every other place one can stand
+    _decision("[[1,\n 2], [3, 4]]", actions=2),
+    _decision("[[1, # two\n 2], [3, 4]]", actions=2),
+    _decision("[[1, 2,], [3, 4]]", actions=2),
+    _decision("[[1 2], [3, 4]]", actions=2),
+    _decision("[[\t1,\t2\t], [3 ,4\t]]", actions=2),
+    _decision("[[+3, -0.5], [-0, +0.0]]", actions=2),
+    _decision(f"[{_ROW_OF_20}, [1]]", actions=2, states=20),
+    _decision(f"[[{'9' * 400}, 1]]"),
+    _decision(f"[[1, {'9' * 400}]]"),
+    _decision("[1, 2]", actions=2, states=1),
+    _decision("[[[1, 2]]]"),
+    _decision("[[1, 2], 3]", actions=2),
+    _decision("[[1, 2] [3, 4]]", actions=2),
+    _decision("[[1, 2]", actions=1),
+    _decision("[[1.5.2, 2]]"),
+    _decision("[[1, 2]]", criterion="[1]"),
+    _decision("[[1, 2]] lambda = [0.5]", criterion="hurwicz"),
+    'policy "p" { metric calibration { range = [0.5, 0.1] } }',
+    'policy "p" { metric calibration { range = [1, 2, 3] } }',
+    'policy "p" { metric calibration { range = [] } }',
+    'policy "p" { metric calibration { range = [,] } }',
+    'policy "p" { metric calibration { range = [ 0 ,\t1 ] } }',
+    'policy "p" { metric calibration { range = [0, 1] bins = [5] } }',
+    'policy "p" { metric calibration { range = [0, 1] tolerance = [0] } }',
+    'policy "p" { metric [1] { range = [0, 1] } }',
+    'policy "p" { protected_attribute [1] '
+    '{ privileged = "M" unprivileged = "F" } }',
+    'policy "p" { favorable_outcome y { value = [1, 2] } }',
+    'policy "p" { approved_sources { "a" [1, 2] "b" } }',
+    'policy "p" { approved_model "m" { acceptable_uses = [1, 2] } }',
+    'policy "p" { approved_model "m" { synthetic_data_capability = [1] } }',
+    'policy "p" { decision { actions = [1, 2] states = ["s"] '
+    'payoffs = [[1], [2]] criterion = wald } }',
+    'policy "p" { on_violation = [1, 2] }',
+    'policy "p" { [1, 2] metric calibration { range = [0, 1] } }',
+    'policy "p" { metric calibration { [0, 1] } }',
+    'policy "p" {} [1, 2]',
+    'policy [1] {}',
+    "[1, 2]",
+    _MATRIX_10,
 )
 
 

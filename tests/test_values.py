@@ -1,6 +1,6 @@
 """The value types: plain classes with the constructor, `repr`, equality,
 hashing and immutability of frozen dataclasses, and a start-up that loads
-neither `dataclasses` nor, for `check`, the report layer."""
+neither `dataclasses` nor, for `check`, the report, metric or CSV layers."""
 
 import copy
 import os
@@ -261,7 +261,8 @@ import complykit.cli
 for name in ("dataclasses", "inspect"):
     assert name not in sys.modules, name
 assert complykit.cli.main(["check", sys.argv[1]]) == 0
-for name in ("complykit.report", "datetime"):
+for name in ("complykit.report", "complykit.ingest", "complykit.fairness",
+             "csv", "datetime"):
     assert name not in sys.modules, name
 """
 
@@ -274,3 +275,26 @@ def test_check_imports_only_what_it_runs(tmp_path):
         [sys.executable, "-B", "-S", "-c", START_UP, str(policy)],
         env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
+
+
+# `decide` reads its matrix with `ingest`'s CSV reader, which
+# `PayoffMatrix.from_csv` imports when it runs.
+DECIDE = """
+import sys
+import complykit.cli
+assert "complykit.ingest" not in sys.modules
+assert complykit.cli.main(["decide", "--matrix", sys.argv[1],
+                           "--criterion", "savage"]) == 0
+assert "complykit.ingest" in sys.modules
+"""
+
+
+def test_decide_imports_the_csv_reader_when_it_runs(tmp_path):
+    matrix = tmp_path / "matrix.csv"
+    matrix.write_text("action,calm,storm\nsail,3,-2\nwait,1,1\n")
+    src = str(Path(complykit.__file__).parents[1])
+    done = subprocess.run(
+        [sys.executable, "-B", "-S", "-c", DECIDE, str(matrix)],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.endswith("chosen: wait (value 2.0)\n")
