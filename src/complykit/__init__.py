@@ -16,7 +16,7 @@ _EXPORTS = {
     "decisions": ("PayoffMatrix", "StrategyChoice", "choose", "decide",
                   "hurwicz", "savage", "wald"),
     "fairness": ("ConfusionCounts", "GroupedPredictions", "MetricValue",
-                 "Record", "statistical_parity_difference",
+                 "statistical_parity_difference",
                  "statistical_parity_from_counts"),
     "ingest": ("CompositionAudit", "Dataset", "RunManifest", "bind_groups",
                "composition_audit", "read_dataset", "read_manifest",

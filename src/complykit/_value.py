@@ -16,8 +16,6 @@ _set = object.__setattr__
 
 
 class Value:
-    __slots__ = ()
-
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
         cls._fields = tuple(cls.__annotations__)

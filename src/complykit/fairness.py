@@ -19,40 +19,11 @@ from itertools import chain
 from typing import Optional
 
 from ._shared import METRIC_IDS, resolve_metric_id  # re-exported
-from ._value import Value, _set
+from ._value import Value
 
 PRIVILEGED = "privileged"
 UNPRIVILEGED = "unprivileged"
 GROUPS = (UNPRIVILEGED, PRIVILEGED)
-
-
-class Record(Value):
-    """One scored/labelled observation for one group.
-
-    `GroupedPredictions.records` builds one per row, so a Record has slots
-    and a constructor of its own.
-    """
-
-    __slots__ = ("group", "predicted", "actual", "score", "legitimate")
-    group: str  # "privileged" or "unprivileged"
-    predicted: int  # 0 or 1
-    actual: int  # 0 or 1
-    score: Optional[float]  # in [0, 1] when present
-    legitimate: Optional[str]  # stratification factor
-
-    def __init__(self, group: str, predicted: int, actual: int,
-                 score: Optional[float] = None, legitimate: Optional[str] = None):
-        if group not in GROUPS:
-            raise ValueError(f"unknown group {group!r}")
-        if predicted not in (0, 1) or actual not in (0, 1):
-            raise ValueError("labels must be binary")
-        if score is not None and not 0.0 <= score <= 1.0:
-            raise ValueError(f"score {score} outside [0, 1]")
-        _set(self, "group", group)
-        _set(self, "predicted", predicted)
-        _set(self, "actual", actual)
-        _set(self, "score", score)
-        _set(self, "legitimate", legitimate)
 
 
 class GroupedPredictions:
@@ -120,9 +91,10 @@ class GroupedPredictions:
 
     @property
     def records(self) -> tuple:
-        """The rows as Records, rebuilt cell by cell."""
+        """The rows as `(group, predicted, actual, score, legitimate)`
+        tuples, rebuilt cell by cell; an unscored row's score is None."""
         return tuple(chain.from_iterable(
-            [Record(g, p, a, None, l)] * unscored + [Record(g, p, a, s, l) for s in scores]
+            [(g, p, a, None, l)] * unscored + [(g, p, a, s, l) for s in scores]
             for (g, p, a, l), (unscored, scores) in self.cells.items()))
 
 

@@ -269,13 +269,16 @@ class _Parser:
             self.next()
 
     def sync_to_item(self):
-        """Skip tokens, a ROW whole, to a plausible item start or block end."""
+        """Skip tokens, a ROW and a braced group whole, to a plausible item
+        start or block end."""
+        depth = 0
         while True:
             tok = self.tokens[-1]
-            if tok.type == "EOF" or tok.type == "}":
+            if tok.type == "EOF" or depth == 0 and tok.type == "}":
                 return
-            if tok.type == "IDENT" and tok.value in ITEM_KEYWORDS:
+            if depth == 0 and tok.type == "IDENT" and tok.value in ITEM_KEYWORDS:
                 return
+            depth += (tok.type == "{") - (tok.type == "}")
             self.next()
 
     def items(self, open_tok: Token):

@@ -175,7 +175,7 @@ def _display_lines(report: ComplianceReport):
         lines.append(f"  reference share for {a.unprivileged_value!r} = "
                      f"{a.reference_share}")
         lines.append(f"  deviation = {a.deviation}, range {a.range} "
-                     f"-> {'comply' if a.within_range else 'violation'}")
+                     f"-> {COMPLY if a.within_range else EXPLAIN}")
     if report.strategy is not None:
         s = report.strategy
         lines.append("")

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from complykit import ingest
 from complykit.decisions import PayoffMatrix
-from complykit.fairness import PRIVILEGED, UNPRIVILEGED, Record
+from complykit.fairness import PRIVILEGED, UNPRIVILEGED
 from complykit.intervals import Interval
 from complykit.policy import (
     DecisionSpec,
@@ -18,7 +18,7 @@ from complykit.policy import (
     PolicyDocument,
     ProtectedSpec,
 )
-from reference import predictions_of
+from reference import Record, predictions_of
 
 SCENARIO1_POLICY = """\
 policy "scenario-1" {

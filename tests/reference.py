@@ -8,16 +8,32 @@ the reduction against a computation that never sees the tally.
 """
 
 from array import array
+from typing import NamedTuple, Optional
 
 from complykit.fairness import (
     PRIVILEGED,
     UNPRIVILEGED,
     ConfusionCounts,
     GroupedPredictions,
-    Record,
 )
 
 FLIP = {PRIVILEGED: UNPRIVILEGED, UNPRIVILEGED: PRIVILEGED}
+
+
+class Record(NamedTuple):
+    """One prediction row, in the field order of `GroupedPredictions.records`,
+    so a Record equals the plain row tuple with the same fields."""
+
+    group: str  # PRIVILEGED or UNPRIVILEGED
+    predicted: int  # 0 or 1
+    actual: int  # 0 or 1
+    score: Optional[float] = None
+    legitimate: Optional[str] = None  # the stratum
+
+
+def records(gp: GroupedPredictions) -> list:
+    """`gp.records` as Records."""
+    return [Record._make(r) for r in gp.records]
 
 
 def predictions_of(records) -> GroupedPredictions:
@@ -40,8 +56,7 @@ def predictions_of(records) -> GroupedPredictions:
 def swapped(gp: GroupedPredictions) -> GroupedPredictions:
     """`gp`'s rows with the privileged/unprivileged assignment flipped."""
     return predictions_of(
-        Record(FLIP[r.group], r.predicted, r.actual, r.score, r.legitimate)
-        for r in gp.records)
+        r._replace(group=FLIP[r.group]) for r in records(gp))
 
 
 def confusion(records) -> ConfusionCounts:

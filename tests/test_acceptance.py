@@ -13,7 +13,6 @@ from complykit.decisions import PayoffMatrix, choose, hurwicz, regret_matrix, sa
 from complykit.fairness import (
     PRIVILEGED,
     UNPRIVILEGED,
-    Record,
     accuracy_equality_gap,
     balance_negative_gap,
     balance_positive_gap,
@@ -38,7 +37,7 @@ from complykit.policy import (
     serialize_policy,
 )
 from conftest import SCENARIO1_POLICY, random_document
-from reference import predictions_of, swapped
+from reference import Record, predictions_of, records, swapped
 from schema_check import validate_report
 
 TABLE_MATRIX = PayoffMatrix(
@@ -188,7 +187,7 @@ def test_criterion_6_fairness_properties():
             if a.is_defined:
                 assert b.value == -a.value
 
-        unprivileged = [r for r in gp.records if r.group == UNPRIVILEGED]
+        unprivileged = [r for r in records(gp) if r.group == UNPRIVILEGED]
         mirrored = predictions_of(
             unprivileged
             + [Record(PRIVILEGED, r.predicted, r.actual, r.score, r.legitimate)

@@ -356,6 +356,37 @@ class TestEvaluate:
         assert "equalized_odds" in out
 
 
+    def test_metric_without_its_input_is_an_error_verdict(self, workdir,
+                                                          capsys):
+        policy = workdir / "eo.law"
+        policy.write_text(
+            'policy "eo" {\n'
+            '  protected_attribute sex '
+            '{ privileged = "Male" unprivileged = "Female" }\n'
+            '  favorable_outcome occupation { value = "Exec-managerial" }\n'
+            '  metric equal_opportunity { range = [-0.1, 0.1] }\n'
+            '}\n')
+        code = main(["evaluate", str(policy),
+                     "--dataset", str(workdir / "data.csv"),
+                     "--json", str(workdir / "report.json"),
+                     "--deterministic", "--mode", "agent"])
+        assert code == 1
+        assert capsys.readouterr().out == (
+            "Policy eo: explain\n"
+            "Constraint equal_opportunity: error — metric was not computed "
+            "(missing input)\n")
+        verdict, = json.loads((workdir / "report.json").read_bytes())["verdicts"]
+        assert (verdict["status"], verdict["explanation"]) == (
+            "error", "metric was not computed (missing input)")
+
+    def test_non_numeric_composition_reference_exit_two(self, workdir, capsys):
+        code = main(["evaluate", str(workdir / "policy.law"),
+                     "--dataset", str(workdir / "data.csv"),
+                     "--composition-reference", "abc"])
+        assert code == 2
+        assert "argument --composition-reference: not a number: 'abc'" in \
+            capsys.readouterr().err
+
     def test_nonfinite_composition_reference_exit_two(self, workdir, capsys):
         for value in ("nan", "inf", "-inf"):
             code = main(["evaluate", str(workdir / "policy.law"),

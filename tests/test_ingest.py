@@ -36,7 +36,7 @@ from conftest import (
     force_shards,
     prediction_csv,
 )
-from reference import confusion
+from reference import confusion, records
 
 
 def no_serial_pass(source):
@@ -146,6 +146,18 @@ class TestBindGroups:
         ds = self._dataset([("Unknown", "Other")])
         with pytest.raises(IngestError, match="empty"):
             bind_groups(ds, self.policy)
+
+    @pytest.mark.parametrize("text, missing", [
+        ('policy "p" { favorable_outcome occupation { value = "x" } }',
+         "protected_attribute"),
+        ('policy "p" { protected_attribute sex '
+         '{ privileged = "Male" unprivileged = "Female" } }',
+         "favorable_outcome"),
+    ])
+    def test_policy_without_a_binding_item(self, text, missing):
+        with pytest.raises(IngestError) as exc:
+            bind_counts(Counter({("Male", "x"): 1}), parse_policy(text))
+        assert str(exc.value) == f"policy declares no {missing}"
 
 
 def bind_by_rows(ds, policy):
@@ -288,6 +300,13 @@ class TestShardedCount:
         monkeypatch.setattr(ingest, "SHARD_BYTES", 1)
         assert count_dataset(io.StringIO("sex\n" + "Male\n" * 50),
                              ["sex"]) == Counter({("Male",): 50})
+
+    def test_cpu_count_without_an_affinity_call(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert ingest._usable_cpus() == 3
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert ingest._usable_cpus() == 1
 
     def test_threaded_process_never_forks(self, tmp_path, monkeypatch):
         force_shards(monkeypatch, 2)
@@ -515,16 +534,16 @@ class TestReadPredictions:
                     "privileged,0,1\nprivileged,0,0\n"
                     "unprivileged,1,1\n")
         gp = read_predictions(io.StringIO(csv_text))
-        c = confusion(r for r in gp.records if r.group == PRIVILEGED)
+        c = confusion(r for r in records(gp) if r.group == PRIVILEGED)
         assert (c.tp, c.fp, c.fn, c.tn) == (1, 1, 1, 1)
-        assert len([r for r in gp.records if r.group == UNPRIVILEGED]) == 1
+        assert len([r for r in records(gp) if r.group == UNPRIVILEGED]) == 1
 
     def test_custom_group_labels(self):
         csv_text = "group,predicted,actual\nMale,1,1\nFemale,0,0\n"
         gp = read_predictions(io.StringIO(csv_text),
                               privileged_label="Male",
                               unprivileged_label="Female")
-        assert len([r for r in gp.records if r.group == PRIVILEGED]) == 1
+        assert len([r for r in records(gp) if r.group == PRIVILEGED]) == 1
 
     def test_score_out_of_range(self):
         csv_text = "group,predicted,actual,score\nprivileged,1,1,1.2\n"
@@ -621,6 +640,19 @@ class TestManifest:
         path.write_text("surprise=1\n")
         with pytest.raises(IngestError, match="unknown key"):
             read_manifest(path)
+
+    @pytest.mark.parametrize("text, message", [
+        ("model_id=m1\njust a line\n",
+         "manifest line 2: expected key=value"),
+        ("model_id=m1\n# note\n model_id = m2\n",
+         "manifest line 3: duplicate key 'model_id'"),
+    ])
+    def test_malformed_line(self, tmp_path, text, message):
+        path = tmp_path / "run.manifest"
+        path.write_text(text)
+        with pytest.raises(IngestError) as exc:
+            read_manifest(path)
+        assert str(exc.value) == message
 
     def test_bad_synthetic(self, tmp_path):
         path = tmp_path / "run.manifest"

@@ -13,9 +13,10 @@ def test_all_is_every_public_name_init_imports():
         for name in names:
             assert getattr(complykit, name) is getattr(
                 import_module(f"complykit.{module}"), name), name
-    # The row-scan confusion is test code (reference.py), no metric uses
-    # a percentile, and each rate gap computes its own rate.
-    for name in ("confusion", "percentile", "Rates", "rates"):
+    # The row-scan confusion and the Record row type are test code
+    # (reference.py), no metric uses a percentile, and each rate gap
+    # computes its own rate.
+    for name in ("confusion", "percentile", "Rates", "rates", "Record"):
         assert not hasattr(complykit, name), name
-    for name in ("Rates", "rates"):
+    for name in ("Rates", "rates", "Record"):
         assert not hasattr(import_module("complykit.fairness"), name), name

@@ -85,6 +85,21 @@ class TestParse:
         assert any(d.kind == SYNTAX and "unclosed '{' opened at 2:12"
                    in d.message for d in diags)
 
+    def test_recovery_skips_the_block_of_a_header_without_a_name(self):
+        # The item's own `}` is skipped with its block, so it does not end
+        # the policy and the items after it are still checked.
+        _, diags = parse_policy_with_diagnostics(
+            'policy "p" { favorable_outcome 5 { value = "a" } '
+            'metric nosuch { range = [0, 1] } '
+            'metric calibration { range = [2, 1] } }')
+        assert [str(d) for d in diags] == [
+            "1:32: SyntaxError: expected a name, found NUMBER 5.0",
+            "1:32: SyntaxError: expected '{', found NUMBER 5.0",
+            "1:57: SemanticError: unknown metric id 'nosuch'",
+            "1:113: SemanticError: inverted interval: [2.0, 1.0]",
+            "1:90: SemanticError: metric 'calibration' needs a range",
+        ]
+
     def test_diagnostics_have_positions_inside_input(self):
         text = 'policy "p" {\n  metric nope { range = [0, 1] }\n}'
         _, diags = parse_policy_with_diagnostics(text)

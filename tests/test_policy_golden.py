@@ -245,6 +245,14 @@ HAND_WRITTEN = (
     'policy [1] {}',
     "[1, 2]",
     _MATRIX_10,
+    # recovery skips the braced group of an item header without its name
+    'policy "p" { favorable_outcome 5 { value = "a" } '
+    'metric calibration { range = [0, 1] } }',
+    'policy "p" { favorable_outcome 5 { value = "a" } '
+    'metric nosuch { range = [0, 1] } }',
+    'policy "p" { protected_attribute [1] '
+    '{ privileged = "M" unprivileged = "F" } '
+    'metric calibration { range = [2, 1] } }',
 )
 
 

@@ -91,6 +91,19 @@ class TestEvaluate:
         report = evaluate(SPD_POLICY, {SPD: spd_metric(0.0)}, audit=audit)
         assert report.overall_status == EXPLAIN
 
+    @pytest.mark.parametrize("labels, word", [
+        (["F"] * 3 + ["M"] * 17, EXPLAIN),
+        (["F", "M"] * 10, COMPLY),
+    ])
+    def test_audit_status_word_is_the_same_in_every_mode(self, labels, word):
+        audit = composition_audit(labels, "F", 0.4975, Interval(-0.05, 0.05))
+        report = evaluate(SPD_POLICY, {SPD: spd_metric(0.0)}, audit=audit)
+        assert f"Composition audit: {word} — deviation" in render(report,
+                                                                  "agent")
+        display = render(report, "display").splitlines()
+        assert [line for line in display
+                if line.startswith("  deviation = ")][0].endswith(f"-> {word}")
+
     def test_monotonic_in_interval_width(self):
         # widening an interval never flips comply -> explain
         for value in (-0.5, -0.02, 0.0, 0.3):

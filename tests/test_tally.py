@@ -22,7 +22,6 @@ from complykit.fairness import (
     METRIC_REGISTRY,
     PRIVILEGED,
     UNPRIVILEGED,
-    Record,
     balance_negative_gap,
     balance_positive_gap,
 )
@@ -30,7 +29,7 @@ from complykit.ingest import read_predictions
 from complykit.intervals import Interval
 from complykit.policy import MetricConstraint, PolicyDocument
 from complykit.report import evaluate, render, to_json
-from reference import FLIP, confusion, predictions_of, swapped
+from reference import FLIP, Record, confusion, predictions_of, records, swapped
 
 LABELS = {PRIVILEGED: "Male", UNPRIVILEGED: "Female"}
 
@@ -123,7 +122,7 @@ def test_records_rebuild_the_input_rows(rows):
     gp = predictions_of(r for r, _ in rows)
     assert Counter(gp.records) == expected
     for g in GROUPS:
-        assert Counter(r for r in gp.records if r.group == g) == Counter(
+        assert Counter(r for r in records(gp) if r.group == g) == Counter(
             r for r, _ in rows if r.group == g)
         assert gp.confusion[g] == confusion(
             r for r, _ in rows if r.group == g)

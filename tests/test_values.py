@@ -18,7 +18,6 @@ from complykit.fairness import (
     ConfusionCounts,
     MetricInfo,
     MetricValue,
-    Record,
 )
 from complykit.ingest import BoundGroups, CompositionAudit, Dataset, RunManifest
 from complykit.intervals import Interval
@@ -53,12 +52,11 @@ REPRS = [
      "StrategyChoice(criterion='savage', action_index=0, "
      "action_label='a', value=0.0, scores=(0.0,), "
      'regret_matrix=((0.0,),), hurwicz_lambda=None)'),
-    (Record("privileged", 1, 0),
-     "Record(group='privileged', predicted=1, actual=0, score=None, "
-     'legitimate=None)'),
-    (Record("unprivileged", 0, 1, 0.25, "x"),
-     "Record(group='unprivileged', predicted=0, actual=1, score=0.25, "
-     "legitimate='x')"),
+    (FavorableSpec("y", ""),
+     "FavorableSpec(attribute='y', value='')"),
+    (ContextFinding("source s", "violation", "not in approved sources"),
+     "ContextFinding(subject='source s', status='violation', "
+     "reason='not in approved sources')"),
     (ConfusionCounts(tp=60, fp=24, tn=70, fn=11),
      'ConfusionCounts(tp=60, fp=24, tn=70, fn=11)'),
     (ConfusionCounts(),
@@ -181,7 +179,7 @@ IDS = [f"{type(value).__name__}-{i}" for i, value in enumerate(VALUES)]
 
 def test_every_value_type_has_a_recorded_repr():
     assert {type(value) for value in VALUES} == set(Value.__subclasses__())
-    assert len(set(Value.__subclasses__())) == 21
+    assert len(set(Value.__subclasses__())) == 20
 
 
 @pytest.mark.parametrize("value, expected", REPRS, ids=IDS)
@@ -229,7 +227,7 @@ def test_constructor_takes_fields_by_position_or_name():
     assert Interval(lo=0, hi=1) == Interval(0, hi=1) == Interval(0, 1)
     assert ConfusionCounts(fn=2) == ConfusionCounts(0, 0, 0, 2)
     assert MetricConstraint("m", Interval(0, 1), tolerance=0.5).bins == 10
-    assert Record("privileged", 1, 1, legitimate="a").score is None
+    assert RunManifest(model_id="m1").declared_use is None
     # a dict default is a new dict for each instance
     first, second = MetricValue("m", 1.0), MetricValue("m", 1.0)
     assert first.trace == {} and first.trace is not second.trace
@@ -237,19 +235,9 @@ def test_constructor_takes_fields_by_position_or_name():
                  lambda: ConfusionCounts(tq=1),
                  lambda: ConfusionCounts(1, tp=1),
                  lambda: ProtectedSpec("sex", "Male"),
-                 lambda: Interval(0),
-                 lambda: Record("privileged", 1)):
+                 lambda: Interval(0)):
         with pytest.raises(TypeError):
             call()
-
-
-def test_record_validates_its_fields():
-    with pytest.raises(ValueError, match="unknown group"):
-        Record("other", 1, 1)
-    with pytest.raises(ValueError, match="labels must be binary"):
-        Record("privileged", 1, 2)
-    with pytest.raises(ValueError, match="outside"):
-        Record("privileged", 1, 1, 1.5)
 
 
 # pytest itself imports `dataclasses` and `inspect`, so the modules a
