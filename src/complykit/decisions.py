@@ -63,11 +63,11 @@ class PayoffMatrix(Value):
         distinct, blank rows are skipped, and an unreadable file, invalid
         UTF-8 or a malformed or ragged row raise a row-numbered IngestError.
         """
-        from .ingest import _csv_table
+        from .ingest import _csv_rows, _csv_table
         actions = []
         values = []
-        with _csv_table(path) as (columns, rows):
-            for r, row in rows:
+        with _csv_table(path) as (columns, reader):
+            for r, row in _csv_rows(reader, len(columns)):
                 actions.append(row[0].strip())
                 try:
                     values.append([float(v) for v in row[1:]])

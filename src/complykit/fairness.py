@@ -29,12 +29,14 @@ GROUPS = (UNPRIVILEGED, PRIVILEGED)
 class GroupedPredictions:
     """Predictions reduced to counts from a lossless tally.
 
-    The tally maps each distinct raw key text to an `array('d')` of its
-    scores, and each text with unscored rows to their count. `key(text)`
-    gives a text's validated cell `(group, predicted, actual, legitimate)`;
-    texts that differ only in padding share a cell. `read_predictions`
-    builds the tally; it is reduced once, at construction, into the
-    attributes below, and every metric reads only the reduced counts:
+    The tally is two-level: a prefix (the raw `(group, predicted, actual)`
+    text) maps each raw legitimate text under it to an `array('d')` of its
+    scores, and to its count of unscored rows. `key(prefix)` gives a
+    prefix's validated `(group, predicted, actual)` and `stratum(text)` a
+    legitimate text's stratum; texts that differ only in padding share a
+    cell. `read_predictions` builds the tally; it is reduced once, at
+    construction, into the attributes below, and every metric reads only
+    the reduced counts:
 
     - `confusion`: group -> ConfusionCounts;
     - `strata`: group -> (rows, predicted positives), each a flat
@@ -47,46 +49,59 @@ class GroupedPredictions:
     exactly (up to order).
     """
 
-    __slots__ = ("_scored", "_unscored", "_key",
+    __slots__ = ("_scored", "_unscored", "_key", "_stratum",
                  "confusion", "strata", "scores", "unscored")
 
-    def __init__(self, scored: dict, unscored: dict, key):
+    def __init__(self, scored: dict, unscored: dict, key, stratum):
         """Reduce a tally, which is not copied.
 
-        `scored` maps every raw key text to an `array('d')` of its scores
-        (empty when it has none), `unscored` maps a text to its rows
-        without a score, and `key(text)` returns the text's validated cell.
+        `scored` maps every prefix to `{legitimate text: array('d') of
+        scores}` (an empty array when the text has none), and `unscored`
+        maps a prefix to `{legitimate text: rows without a score}`. `key`
+        runs once per prefix and `stratum` once per (prefix, text) pair.
         """
         quadrants = {g: [[0, 0], [0, 0]] for g in GROUPS}  # [predicted][actual]
         strata = {g: ({}, {}) for g in GROUPS}
         scores = {(g, a): [] for g in GROUPS for a in (0, 1)}
-        for text, text_scores in scored.items():
-            g, p, a, legitimate = key(text)
-            n = unscored.get(text, 0) + len(text_scores)
-            quadrants[g][p][a] += n
+        for prefix, by_text in scored.items():
+            g, p, a = key(prefix)
+            counts = unscored.get(prefix, {})
             rows, positives = strata[g]
-            rows[legitimate] = rows.get(legitimate, 0) + n
-            positives[legitimate] = positives.get(legitimate, 0) + p * n
-            if text_scores:
-                scores[g, a].append(text_scores)
+            arrays = scores[g, a]
+            total = 0
+            for text, text_scores in by_text.items():
+                legitimate = stratum(text)
+                n = counts.get(text, 0) + len(text_scores)
+                total += n
+                rows[legitimate] = rows.get(legitimate, 0) + n
+                positives[legitimate] = positives.get(legitimate, 0) + p * n
+                if text_scores:
+                    arrays.append(text_scores)
+            quadrants[g][p][a] += total
         self._scored = scored
         self._unscored = unscored
         self._key = key
+        self._stratum = stratum
         self.confusion = {g: ConfusionCounts(tp=q[1][1], fp=q[1][0], tn=q[0][0], fn=q[0][1])
                           for g, q in quadrants.items()}
         self.strata = strata
         self.scores = scores
-        self.unscored = sum(unscored.values())
+        self.unscored = sum(sum(c.values()) for c in unscored.values())
 
     @property
     def cells(self) -> dict:
         """Validated cell -> `[unscored rows, array('d') of scores]`, built
-        on each access; texts sharing a cell merge in first-seen order."""
+        on each access in first-seen prefix order, then first-seen text
+        order within a prefix; texts sharing a cell merge in that order."""
         cells = {}
-        for text, scores in self._scored.items():
-            cell = cells.setdefault(self._key(text), [0, array("d")])
-            cell[0] += self._unscored.get(text, 0)
-            cell[1].extend(scores)
+        for prefix, by_text in self._scored.items():
+            g, p, a = self._key(prefix)
+            counts = self._unscored.get(prefix, {})
+            for text, scores in by_text.items():
+                cell = cells.setdefault((g, p, a, self._stratum(text)),
+                                        [0, array("d")])
+                cell[0] += counts.get(text, 0)
+                cell[1].extend(scores)
         return cells
 
     @property
@@ -250,17 +265,22 @@ def treatment_equality(gp: GroupedPredictions) -> MetricValue:
     return MetricValue("treatment_equality", value, trace=trace)
 
 
-def _gaps_by_key(counts: dict, sort_key=None) -> tuple:
+def _gaps_by_key(counts: dict) -> tuple:
     """Per-key positive-rate gaps from `{group: (rows, positives)}` counts.
 
-    Returns `({key: gap}, [skipped keys])` in sorted key order; a key is
-    skipped when either group has no rows under it.
+    Returns `({key: gap}, [skipped keys])` in sorted key order, a None key
+    (the blank stratum) first; a key is skipped when either group has no
+    rows under it.
     """
     rows_u, positives_u = counts[UNPRIVILEGED]
     rows_p, positives_p = counts[PRIVILEGED]
     gaps = {}
     skipped = []
-    for key in sorted(rows_u.keys() | rows_p.keys(), key=sort_key):
+    keys = rows_u.keys() | rows_p.keys()
+    ordered = [None] if None in keys else []
+    keys.discard(None)
+    ordered += sorted(keys)
+    for key in ordered:
         n_u = rows_u.get(key, 0)
         n_p = rows_p.get(key, 0)
         if n_u and n_p:
@@ -276,8 +296,7 @@ def conditional_statistical_parity(gp: GroupedPredictions) -> MetricValue:
     Strata where either group is absent are skipped and listed in the trace.
     """
     mid = "conditional_statistical_parity"
-    gaps, skipped = _gaps_by_key(
-        gp.strata, lambda s: ("", 0) if s is None else (str(s), 1))
+    gaps, skipped = _gaps_by_key(gp.strata)
     trace = {"per_stratum_gap": gaps, "skipped_strata": skipped}
     if not gaps:
         return MetricValue.undefined(mid, "no comparable stratum", trace)

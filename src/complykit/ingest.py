@@ -67,8 +67,9 @@ def read_dataset(source) -> Dataset:
     it. `evaluate` streams its dataset through `count_dataset` instead;
     this loader serves the library and the benchmark's traced pipeline.
     """
-    with _csv_table(source) as (columns, rows):
-        return Dataset(columns, tuple([tuple(row) for _, row in rows]))
+    with _csv_table(source) as (columns, reader):
+        return Dataset(columns, tuple(
+            [tuple(row) for _, row in _csv_rows(reader, len(columns))]))
 
 
 def count_dataset(source, names=()) -> Counter:
@@ -82,14 +83,16 @@ def count_dataset(source, names=()) -> Counter:
     `_shard_cuts` finds that safe; the result is the same Counter, key
     order included.
     """
-    return _reduce_csv(source, partial(_row_counter, names=names))[1]
+    return _reduce_csv(source, partial(_row_counter, names=names))[1][()]
 
 
 def _row_counter(columns: tuple, names):
-    """`count_dataset`'s row loop: `({}, counts)` of `(row number, cells)`
-    pairs, a tally with no scores."""
+    """`count_dataset`'s row loop: a tally with no scores whose one prefix,
+    `()`, maps each tuple of named cells to its row count."""
     idx = [_column_index(columns, name) for name in names]
-    return lambda rows: ({}, _count_rows(map(itemgetter(1), rows), idx))
+    width = len(columns)
+    return lambda reader: ({}, {(): _count_rows(
+        map(itemgetter(1), _csv_rows(reader, width)), idx)})
 
 
 # Scores per `array.fromfile` call when merging a child's tally: the
@@ -100,16 +103,21 @@ _MERGE_ITEMS = 4096
 
 def _dump_tally(tally, pipe) -> None:
     """Write a `(scored, unscored)` tally as one frame: the length of its
-    marshalled header as 8 little-endian bytes, the header (the unscored
-    counts as a plain dict, since marshal rejects a Counter, then
-    `(text, len(scores))` pairs), then each score array in the same order."""
+    marshalled header as 8 little-endian bytes, the header, then each score
+    array in the header's order. The header holds two lists of `(prefix,
+    legitimate, n)` entries, one per distinct (prefix, stratum) text: the
+    rows without a score, then the scores."""
     scored, unscored = tally
-    header = marshal.dumps((dict(unscored), [
-        (text, len(scores)) for text, scores in scored.items()]))
+    header = marshal.dumps((
+        [(prefix, text, n) for prefix, counts in unscored.items()
+         for text, n in counts.items()],
+        [(prefix, text, len(scores)) for prefix, by_text in scored.items()
+         for text, scores in by_text.items()]))
     pipe.write(len(header).to_bytes(8, "little"))
     pipe.write(header)
-    for scores in scored.values():
-        scores.tofile(pipe)
+    for by_text in scored.values():
+        for scores in by_text.values():
+            scores.tofile(pipe)
 
 
 def _merge_tally(tally, pipe) -> None:
@@ -123,16 +131,15 @@ def _merge_tally(tally, pipe) -> None:
     if len(header) != size:
         raise EOFError("shard result cut short")
     more_unscored, lengths = marshal.loads(header)
-    for text, n in lengths:
-        scores = scored.get(text)
-        if scores is None:
-            scores = scored[text] = array("d")
+    for prefix, text, n in lengths:
+        scores = scored.setdefault(prefix, {}).setdefault(text, array("d"))
         while n:
             k = min(n, _MERGE_ITEMS)
             scores.fromfile(pipe, k)
             n -= k
-    for text, n in more_unscored.items():
-        unscored[text] = unscored.get(text, 0) + n
+    for prefix, text, n in more_unscored:
+        counts = unscored.setdefault(prefix, {})
+        counts[text] = counts.get(text, 0) + n
 
 
 # A file is split into at most one shard per usable CPU, each of at least
@@ -210,13 +217,13 @@ def _open_range(path, start: int, end: int):
                             newline="")
 
 
-def _count_range(path, start: int, end: int, width: int, reduce):
+def _count_range(path, start: int, end: int, reduce):
     """`reduce` of the header-less rows in bytes [start, end) of a CSV."""
     with _open_range(path, start, end) as fh:
-        return reduce(_csv_rows(csv.reader(fh), width))
+        return reduce(csv.reader(fh))
 
 
-def _fork_shard(path, start: int, end: int, width: int, reduce):
+def _fork_shard(path, start: int, end: int, reduce):
     """Fork a child that reduces bytes [start, end) into a pipe.
 
     Returns `(pid, read end)`. The child writes its tally with
@@ -233,7 +240,7 @@ def _fork_shard(path, start: int, end: int, width: int, reduce):
         status = 1
         try:
             os.close(r)
-            result = _count_range(path, start, end, width, reduce)
+            result = _count_range(path, start, end, reduce)
             with open(w, "wb") as pipe:
                 _dump_tally(result, pipe)
             status = 0
@@ -247,12 +254,12 @@ def _run_sharded(path, prepare):
     """Reduce a CSV path in byte-range shards, one forked child per shard
     but the first.
 
-    `prepare(columns)` checks the header and returns `reduce(rows)`, which
-    folds `(row number, cells)` pairs into a new `(scored, unscored)`
-    tally. The parent reduces shard 0, header included; each child
-    reduces its range and writes its tally with `_dump_tally`, and the
-    parent folds it into its own with `_merge_tally`, in shard order, so
-    keys and scores keep serial order. None when `_shard_cuts` declines, or
+    `prepare(columns)` checks the header and returns `reduce(reader)`,
+    which folds the rows of a `csv.reader` past the header into a new
+    `(scored, unscored)` tally. The parent reduces shard 0, header
+    included; each child reduces its range and writes its tally with
+    `_dump_tally`, and the parent folds it into its own with
+    `_merge_tally`, in shard order, so keys and scores keep serial order. None when `_shard_cuts` declines, or
     when any shard fails (a bad row, a child that dies, a short read or a
     trailing byte): the serial pass then reports the first bad row in
     file order.
@@ -263,13 +270,12 @@ def _run_sharded(path, prepare):
     children = []
     try:
         with _open_range(path, 0, cuts[1]) as fh:
-            columns, rows = _csv_stream(fh)
+            columns, reader = _csv_stream(fh)
             reduce = prepare(columns)
             for start, end in zip(cuts[1:], cuts[2:]):
                 if start < end:
-                    children.append(_fork_shard(
-                        path, start, end, len(columns), reduce))
-            result = reduce(rows)
+                    children.append(_fork_shard(path, start, end, reduce))
+            result = reduce(reader)
         while children:
             pid, pipe = children[0]
             with pipe:
@@ -292,9 +298,10 @@ def _run_sharded(path, prepare):
 
 
 def _reduce_csv(source, prepare):
-    """`prepare(columns)(rows)` over a CSV path or text stream: a
-    `(scored, unscored)` tally, the one result shape that both CSV passes
-    reduce to and that `_dump_tally`/`_merge_tally` carry between shards.
+    """`prepare(columns)(reader)` over a CSV path or text stream: a
+    `(scored, unscored)` tally of `{prefix: {legitimate: ...}}` dicts, the
+    one result shape that both CSV passes reduce to and that
+    `_dump_tally`/`_merge_tally` carry between shards.
 
     A path goes through `_run_sharded` first. A stream, a path it declines
     and a path with a failed shard get one serial `_csv_table` pass, which
@@ -304,16 +311,16 @@ def _reduce_csv(source, prepare):
         result = _run_sharded(source, prepare)
         if result is not None:
             return result
-    with _csv_table(source) as (columns, rows):
-        return prepare(columns)(rows)
+    with _csv_table(source) as (columns, reader):
+        return prepare(columns)(reader)
 
 
 @contextmanager
 def _csv_table(source):
-    """Open a CSV path or text stream as `(columns, rows)`.
+    """Open a CSV path or text stream as `(columns, reader)`.
 
-    `rows` yields `(row number, cells)` for each non-blank row, the header
-    being row 1. A missing or repeated header name, a ragged row and a
+    `reader` is the `csv.reader` past the header; `_csv_rows` checks its
+    rows. A missing or repeated header name, a ragged row and a
     malformed row raise IngestError, for the first bad row in file order;
     invalid UTF-8 raises it, naming no row, when its block is decoded. A
     leading byte-order mark (spreadsheets save "CSV UTF-8" with one) is
@@ -339,33 +346,43 @@ def _csv_stream(lines):
     reader = csv.reader(lines)
     try:
         header = next(reader, None)
-    except UnicodeDecodeError as exc:
-        raise IngestError(f"input is not valid UTF-8: {exc}") from exc
-    except csv.Error as exc:
-        raise IngestError(f"row 1: {exc}") from exc
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise _reader_error(exc, 0) from exc
     if not header or all(not c.strip() for c in header):
         raise IngestError("missing header row")
     columns = tuple(c.strip() for c in header)
     repeated = [name for name, n in Counter(columns).items() if n > 1]
     if repeated:
         raise IngestError(f"row 1: column {repeated[0]!r} appears more than once")
-    return columns, _csv_rows(reader, len(columns))
+    return columns, reader
 
 
 def _csv_rows(reader, width: int):
+    """`(row number, cells)` for each non-blank row of `reader`, a
+    `csv.reader` past the header (row 1), checked as `_csv_table` says."""
     rownum = 1
     try:
-        for rownum, row in enumerate(reader, start=2):
-            if len(row) != width:
-                if not row:
-                    continue
-                raise IngestError(
-                    f"row {rownum}: expected {width} cells, got {len(row)}")
+        for rownum, row in enumerate(reader, 2):
+            if len(row) != width and _is_blank(rownum, row, width):
+                continue
             yield rownum, row
-    except UnicodeDecodeError as exc:
-        raise IngestError(f"input is not valid UTF-8: {exc}") from exc
-    except csv.Error as exc:
-        raise IngestError(f"row {rownum + 1}: {exc}") from exc
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise _reader_error(exc, rownum) from exc
+
+
+def _is_blank(rownum: int, row: list, width: int) -> bool:
+    """For a row that is not `width` cells: True when it is blank, and
+    skipped; a ragged row raises IngestError."""
+    if row:
+        raise IngestError(f"row {rownum}: expected {width} cells, got {len(row)}")
+    return True
+
+
+def _reader_error(exc, rownum: int) -> IngestError:
+    """The IngestError for a `csv.reader` that failed after row `rownum`."""
+    if isinstance(exc, UnicodeDecodeError):
+        return IngestError(f"input is not valid UTF-8: {exc}")
+    return IngestError(f"row {rownum + 1}: {exc}")
 
 
 class BoundGroups(Value):
@@ -432,9 +449,10 @@ def read_predictions(source, privileged_label: str = PRIVILEGED,
 
     Group values must equal the given labels (a policy's privileged and
     unprivileged values, or the literal defaults). Rows stream into a
-    tally keyed by the raw text of their key columns, each distinct text
-    validated once; memory grows by one dict entry and one score array
-    per distinct text, plus one float per scored row.
+    two-level tally: the raw `(group, predicted, actual)` text of a row,
+    its prefix, then its raw legitimate text. Each distinct prefix is
+    validated once; memory grows by one dict entry and one score array per
+    distinct (prefix, stratum) text, plus one float per scored row.
 
     A path is tallied in byte-range shards on every usable CPU when
     `_shard_cuts` finds that safe; the tally is the same, key order and
@@ -442,70 +460,87 @@ def read_predictions(source, privileged_label: str = PRIVILEGED,
     """
     key = _prediction_key(privileged_label, unprivileged_label)
     scored, unscored = _reduce_csv(source, partial(_prediction_tally, key=key))
-    return GroupedPredictions(scored, unscored, key)
+    return GroupedPredictions(scored, unscored, key, _stratum)
 
 
 def _prediction_key(privileged_label: str, unprivileged_label: str):
-    """`key(text)`: the validated cell `(group, predicted, actual,
-    legitimate)` of a raw key text; ValueError names a bad cell."""
+    """`key(prefix)`: the validated `(group, predicted, actual)` of a raw
+    prefix text; ValueError names a bad cell."""
     mapping = {privileged_label: PRIVILEGED, unprivileged_label: UNPRIVILEGED}
 
-    def key(text) -> tuple:
-        group = mapping.get(text[0].strip())
+    def key(prefix) -> tuple:
+        group = mapping.get(prefix[0].strip())
         if group is None:
-            raise ValueError(f"group {text[0]!r} is neither "
+            raise ValueError(f"group {prefix[0]!r} is neither "
                              f"{privileged_label!r} nor {unprivileged_label!r}")
-        predicted = _binary(text[1])
-        actual = _binary(text[2])
-        legitimate = text[3] if len(text) == 4 and text[3].strip() != "" else None
-        return group, predicted, actual, legitimate
+        return group, _binary(prefix[1]), _binary(prefix[2])
 
     return key
+
+
+def _stratum(text: str) -> Optional[str]:
+    """The stratum of a raw legitimate text: the text, or None when it is
+    blank (the tally keys a file with no legitimate column by "")."""
+    return text if text.strip() else None
 
 
 def _prediction_tally(columns: tuple, key):
     """`read_predictions`' row loop for a header of `columns`.
 
-    Returns `tally(rows)`, which folds `(row number, cells)` pairs into a
-    new `(scored, unscored)` pair of dicts keyed by raw key text, as
-    the `GroupedPredictions` constructor takes them, checking each new text
-    with `key` and every score.
+    Returns `tally(reader)`, which folds the rows of a `csv.reader` past the
+    header into a new `(scored, unscored)` pair of `{prefix: {legitimate
+    text: ...}}` dicts, as the `GroupedPredictions` constructor takes them,
+    checking each new prefix with `key` and every score. It reads `reader`
+    itself, not through `_csv_rows`, for speed, and checks each row's width
+    and the reader's errors with the same helpers.
     """
     for col in PREDICTION_COLUMNS:
         if col not in columns:
             raise IngestError(f"predictions are missing column {col!r}")
-    key_columns = PREDICTION_COLUMNS + (
-        ("legitimate",) if "legitimate" in columns else ())
-    key_of = itemgetter(*(columns.index(c) for c in key_columns))
+    width = len(columns)
+    prefix_of = itemgetter(*map(columns.index, PREDICTION_COLUMNS))
+    legit = columns.index("legitimate") if "legitimate" in columns else None
     s = columns.index("score") if "score" in columns else None
 
-    def tally(rows) -> tuple:
+    def tally(reader) -> tuple:
         scored = {}
         unscored = {}
-        for rownum, row in rows:
-            text = key_of(row)
-            scores = scored.get(text)
-            if scores is None:
-                try:
-                    key(text)
-                except ValueError as exc:
-                    raise IngestError(f"row {rownum}: {exc}") from None
-                scores = scored[text] = array("d")
-            if s is None:
-                unscored[text] = unscored.get(text, 0) + 1
-                continue
-            try:
-                score = float(row[s])
-            except ValueError:
-                if row[s].strip() != "":
-                    raise IngestError(
-                        f"row {rownum}: score {row[s]!r} is not a number") from None
-                unscored[text] = unscored.get(text, 0) + 1
-                continue
-            if not 0.0 <= score <= 1.0:
-                raise IngestError(
-                    f"row {rownum}: score {score} outside [0, 1]")
-            scores.append(score)
+        rownum = 1
+        try:
+            for rownum, row in enumerate(reader, 2):
+                if len(row) != width and _is_blank(rownum, row, width):
+                    continue
+                prefix = prefix_of(row)
+                by_text = scored.get(prefix)
+                if by_text is None:
+                    try:
+                        key(prefix)
+                    except ValueError as exc:
+                        raise IngestError(f"row {rownum}: {exc}") from None
+                    by_text = scored[prefix] = {}
+                text = "" if legit is None else row[legit]
+                scores = by_text.get(text)
+                if scores is None:
+                    scores = by_text[text] = array("d")
+                if s is not None:
+                    try:
+                        score = float(row[s])
+                    except ValueError:
+                        if row[s].strip() != "":
+                            raise IngestError(f"row {rownum}: score {row[s]!r} "
+                                              "is not a number") from None
+                    else:
+                        if not 0.0 <= score <= 1.0:
+                            raise IngestError(
+                                f"row {rownum}: score {score} outside [0, 1]")
+                        scores.append(score)
+                        continue
+                counts = unscored.get(prefix)
+                if counts is None:
+                    counts = unscored[prefix] = {}
+                counts[text] = counts.get(text, 0) + 1
+        except (UnicodeDecodeError, csv.Error) as exc:
+            raise _reader_error(exc, rownum) from exc
         return scored, unscored
 
     return tally

@@ -377,7 +377,8 @@ class _Parser:
         """Parse `{ key = value ... }`, each value by `fields[key]()`.
 
         Returns (values, keys): for each key given, the value its last
-        assignment parsed (None if that failed) and its last key token.
+        assignment parsed (None if that failed, already reported) and its
+        last key token. A key in `keys` is never also reported as missing.
         """
         values, keys = {}, {}
         open_tok = self.expect("{", "'{'")
@@ -386,8 +387,12 @@ class _Parser:
             return values, keys
         for tok in self.items(open_tok):
             if tok.type != "IDENT" or tok.value not in fields:
-                self.error(tok, f"unexpected {self._describe(tok)} in "
-                                f"{context} block")
+                # a value its field's parser already reported is skipped
+                # without a second diagnostic
+                if not self.diags or (self.diags[-1].line,
+                                      self.diags[-1].col) != (tok.line, tok.col):
+                    self.error(tok, f"unexpected {self._describe(tok)} in "
+                                    f"{context} block")
                 self.next()
                 continue
             key = self.next()
@@ -449,16 +454,18 @@ class _Parser:
 
     def item_protected_attribute(self, kw: Token, doc: dict):
         attribute = self.expect(("IDENT", "STRING"), "a name")
-        values, _ = self.parse_block({"privileged": self.parse_string,
-                                      "unprivileged": self.parse_string},
-                                     "protected_attribute")
+        values, keys = self.parse_block({"privileged": self.parse_string,
+                                         "unprivileged": self.parse_string},
+                                        "protected_attribute")
         privileged = values.get("privileged")
         unprivileged = values.get("unprivileged")
         if attribute is None:
             return
-        if privileged is None or unprivileged is None:
+        if "privileged" not in keys or "unprivileged" not in keys:
             self.error(kw, "protected_attribute needs privileged and "
                            "unprivileged values", SEMANTIC)
+        elif privileged is None or unprivileged is None:
+            return
         elif privileged.value == unprivileged.value:
             self.error(unprivileged,
                        "privileged and unprivileged values must differ",
@@ -469,19 +476,19 @@ class _Parser:
 
     def item_favorable_outcome(self, kw: Token, doc: dict):
         attribute = self.expect(("IDENT", "STRING"), "a name")
-        values, _ = self.parse_block({"value": self.parse_string},
-                                     "favorable_outcome")
+        values, keys = self.parse_block({"value": self.parse_string},
+                                        "favorable_outcome")
         value = values.get("value")
         if attribute is None:
             return
-        if value is None:
+        if "value" not in keys:
             self.error(kw, "favorable_outcome needs a value", SEMANTIC)
-        else:
+        elif value is not None:
             doc["favorable"] = FavorableSpec(attribute.value, value.value)
 
     def item_metric(self, kw: Token, doc: dict):
         name_tok = self.expect("IDENT", "a metric id")
-        values, _ = self.parse_block({
+        values, keys = self.parse_block({
             "range": self.parse_interval,
             "bins": lambda: self.parse_checked(
                 lambda v: v == int(v) and v >= 2,
@@ -501,8 +508,9 @@ class _Parser:
             return
         span = values.get("range")
         if span is None:
-            self.error(name_tok, f"metric {metric_id!r} needs a range",
-                       SEMANTIC)
+            if "range" not in keys:
+                self.error(name_tok, f"metric {metric_id!r} needs a range",
+                           SEMANTIC)
             return
         tolerance_tok = values.get("tolerance")
         tolerance = _value(tolerance_tok, DEFAULT_TOLERANCE)
@@ -557,11 +565,12 @@ class _Parser:
             "lambda": lambda: self.parse_checked(
                 lambda v: 0.0 <= v <= 1.0, "lambda must lie in [0, 1]"),
         }, "decision")
-        missing = [k for k in ("actions", "states", "payoffs", "criterion")
-                   if values.get(k) is None]
+        required = ("actions", "states", "payoffs", "criterion")
+        missing = [k for k in required if k not in keys]
         if missing:
             self.error(kw, "decision block is missing: " + ", ".join(missing),
                        SEMANTIC)
+        if missing or any(values[k] is None for k in required):
             return
         try:
             matrix = PayoffMatrix(values["actions"], values["states"],

@@ -37,20 +37,25 @@ def records(gp: GroupedPredictions) -> list:
 
 
 def predictions_of(records) -> GroupedPredictions:
-    """`GroupedPredictions` of Records: a tally keyed by each Record's
-    cell `(group, predicted, actual, legitimate)`, with an identity key."""
+    """`GroupedPredictions` of Records: a tally whose prefixes are each
+    Record's `(group, predicted, actual)` and whose legitimate texts are its
+    stratum as it is, with an identity `key` and `stratum`."""
     scored = {}
     unscored = {}
     for r in records:
-        key = (r.group, r.predicted, r.actual, r.legitimate)
-        scores = scored.get(key)
-        if scores is None:
-            scores = scored[key] = array("d")
+        prefix = (r.group, r.predicted, r.actual)
+        scores = scored.setdefault(prefix, {}).setdefault(
+            r.legitimate, array("d"))
         if r.score is None:
-            unscored[key] = unscored.get(key, 0) + 1
+            counts = unscored.setdefault(prefix, {})
+            counts[r.legitimate] = counts.get(r.legitimate, 0) + 1
         else:
             scores.append(r.score)
-    return GroupedPredictions(scored, unscored, lambda key: key)
+    return GroupedPredictions(scored, unscored, _same, _same)
+
+
+def _same(value):
+    return value
 
 
 def swapped(gp: GroupedPredictions) -> GroupedPredictions:

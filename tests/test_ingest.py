@@ -391,15 +391,58 @@ class TestShardedPredictions:
         assert cell_bytes(sharded) == cell_bytes(serial)
         assert sharded.strata == serial.strata
 
+    def test_padded_prefixes_and_blank_strata_merge_across_shards(
+            self, tmp_path, monkeypatch, forks):
+        # Each shard brings new padded variants of one prefix, which
+        # validate to the same cell, and blank and whitespace legitimate
+        # cells, which are all the stratum None; one text is in every shard.
+        blocks = (
+            ["privileged,1,1,0.5,a", "privileged,1,1,0.25,",
+             "unprivileged,0,1,,a"],
+            [" privileged , 1,1,0.75,a", "privileged,1,1,0.125, ",
+             "privileged,1,1,,a", "privileged,1,1,0.5,a"],
+            ["privileged, 1,1,1,  ", "unprivileged,0,1,0.5, ",
+             " privileged ,1,1,,b", "privileged,1,1,0.5,a"],
+        )
+        header = "group,predicted,actual,score,legitimate\n"
+        shards = ["".join(line + "\n" for line in block) * 30
+                  for block in blocks]
+        shards[0] = header + shards[0]
+        # blank lines even the shards out, so that the cuts fall between them
+        width = max(map(len, shards))
+        shards = [shard + "\n" * (width - len(shard)) for shard in shards]
+        path = tmp_path / "p.csv"
+        path.write_text("".join(shards))
+        serial = read_predictions(io.StringIO(path.read_text()))
+        force_shards(monkeypatch, 3)
+        cuts = ingest._shard_cuts(path)
+        data = path.read_bytes()
+        assert [data[a:b].decode() for a, b in zip(cuts, cuts[1:])] == shards
+        monkeypatch.setattr(ingest, "_csv_table", no_serial_pass)
+        sharded = read_predictions(path)
+        assert len(forks) == 2
+        assert cell_bytes(sharded) == cell_bytes(serial)
+        assert sharded.strata == serial.strata
+        assert {k: (n, len(s)) for k, (n, s) in sharded.cells.items()} == {
+            (PRIVILEGED, 1, 1, "a"): (30, 120),
+            (PRIVILEGED, 1, 1, None): (0, 90),
+            (UNPRIVILEGED, 0, 1, "a"): (30, 0),
+            (UNPRIVILEGED, 0, 1, None): (0, 30),
+            (PRIVILEGED, 1, 1, "b"): (30, 0),
+        }
+
     def test_tally_frame_round_trip(self):
         # 10,000 scores take three `_MERGE_ITEMS` chunks.
         long = array("d", (i / 7 for i in range(10_000)))
-        theirs = ({"privileged,1,1": array("d", [0.25, 0.5]),
-                   "unprivileged,0,1": long, "privileged,0,0": array("d")},
-                  Counter({"unprivileged,1,0": 3, "privileged,1,1": 2}))
-        ours = ({"unprivileged,0,1": array("d", [0.75]),
-                 "privileged,1,0": array("d", [1.0])},
-                {"privileged,1,1": 4})
+        p11, u01 = ("privileged", "1", "1"), ("unprivileged", "0", "1")
+        p00, p10 = ("privileged", "0", "0"), (" privileged ", "1", "0")
+        theirs = ({p11: {"a": array("d", [0.25, 0.5]), "": array("d")},
+                   u01: {"a": long, "b": array("d", [1.0]), "c": array("d")},
+                   p00: {" ": array("d")}},
+                  {p11: {"": 2}, u01: {"b": 1, "c": 2}, p00: {" ": 3}})
+        ours = ({u01: {"b": array("d", [0.75])},
+                 p10: {"a": array("d", [0.0])}},
+                {u01: {"b": 4}})
         buf = io.BytesIO()
         ingest._dump_tally(theirs, buf)
         frame = buf.getvalue()
@@ -407,14 +450,19 @@ class TestShardedPredictions:
         ingest._merge_tally(ours, pipe)
         assert pipe.read() == b""
         scored, unscored = ours
-        assert list(scored) == ["unprivileged,0,1", "privileged,1,0",
-                                "privileged,1,1", "privileged,0,0"]
-        assert scored["unprivileged,0,1"] == array("d", [0.75]) + long
-        assert scored["privileged,1,0"] == array("d", [1.0])
-        assert scored["privileged,1,1"] == array("d", [0.25, 0.5])
-        assert scored["privileged,0,0"] == array("d")
-        assert unscored == {"privileged,1,1": 6, "unprivileged,1,0": 3}
-        assert list(unscored) == ["privileged,1,1", "unprivileged,1,0"]
+        # new prefixes follow ours in their order, and new texts follow
+        # ours within a prefix
+        assert list(scored) == [u01, p10, p11, p00]
+        assert list(scored[u01]) == ["b", "a", "c"]
+        assert scored[u01] == {"b": array("d", [0.75, 1.0]), "a": long,
+                               "c": array("d")}
+        assert scored[p10] == {"a": array("d", [0.0])}
+        assert list(scored[p11]) == ["a", ""]
+        assert scored[p11] == {"a": array("d", [0.25, 0.5]), "": array("d")}
+        assert scored[p00] == {" ": array("d")}
+        assert unscored == {u01: {"b": 5, "c": 2}, p11: {"": 2}, p00: {" ": 3}}
+        assert list(unscored) == [u01, p11, p00]
+        assert list(unscored[u01]) == ["b", "c"]
         size = int.from_bytes(frame[:8], "little")
         for cut in (0, 4, 8, 8 + size // 2, 8 + size + 8, len(frame) - 8):
             with pytest.raises(EOFError):
@@ -592,15 +640,74 @@ class TestReadPredictions:
             (PRIVILEGED, 1, 1, None): (2, []),
         }
 
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_no_legitimate_column(self, tmp_path, monkeypatch, cpus):
+        # every row is in the stratum None
+        path = tmp_path / "p.csv"
+        path.write_text("group,predicted,actual,score\n"
+                        + "privileged,1,1,0.25\n privileged,1,1,\n"
+                          "unprivileged,0,1,0.5\n" * 3)
+        force_shards(monkeypatch, cpus)
+        gp = read_predictions(path)
+        assert {k: (n, list(s)) for k, (n, s) in gp.cells.items()} == {
+            (PRIVILEGED, 1, 1, None): (3, [0.25] * 3),
+            (UNPRIVILEGED, 0, 1, None): (0, [0.5] * 3),
+        }
+        assert gp.strata == {PRIVILEGED: ({None: 6}, {None: 6}),
+                             UNPRIVILEGED: ({None: 3}, {None: 0})}
+        assert gp.unscored == 3
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_no_score_column(self, tmp_path, monkeypatch, cpus):
+        # every row is unscored, and no cell holds a score
+        path = tmp_path / "p.csv"
+        path.write_text("group,predicted,actual,legitimate\n"
+                        + "privileged,1,1,a\nprivileged,1,1, \n"
+                          "unprivileged,0,0,a\nunprivileged ,0,0,a\n" * 3)
+        force_shards(monkeypatch, cpus)
+        gp = read_predictions(path)
+        assert {k: (n, list(s)) for k, (n, s) in gp.cells.items()} == {
+            (PRIVILEGED, 1, 1, "a"): (3, []),
+            (PRIVILEGED, 1, 1, None): (3, []),
+            (UNPRIVILEGED, 0, 0, "a"): (6, []),
+        }
+        assert gp.strata == {PRIVILEGED: ({"a": 3, None: 3}, {"a": 3, None: 3}),
+                             UNPRIVILEGED: ({"a": 6}, {"a": 0})}
+        assert gp.unscored == 12
+        assert not any(gp.scores.values())
+
+    def test_key_runs_once_per_prefix(self, monkeypatch):
+        # The tally validates each distinct (group, predicted, actual) text
+        # once and the reduction maps it once, however many strata it holds.
+        calls = []
+        make_key = ingest._prediction_key
+
+        def counting_key(*labels):
+            key = make_key(*labels)
+
+            def counted(prefix):
+                calls.append(prefix)
+                return key(prefix)
+            return counted
+
+        monkeypatch.setattr(ingest, "_prediction_key", counting_key)
+        gp = read_predictions(io.StringIO(many_cells_csv(12_000)))
+        assert Counter(calls) == {
+            (g, p, a): 2 for g in (PRIVILEGED, UNPRIVILEGED)
+            for p in "01" for a in "01"}
+        assert len(gp.cells) >= 8_000
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(IngestError, match="cannot read"):
             read_predictions(tmp_path / "absent.csv")
 
     def test_tally_memory_per_distinct_cell(self, tmp_path):
-        # One dict entry and one score array per distinct key text: about
-        # 365-375 traced bytes per cell at the read's peak on CPython 3.10
-        # and 3.11, where a validated key tuple, a second dict entry and a
-        # [count, scores] list per cell took about 505.
+        # One dict entry and one score array per distinct (prefix, stratum)
+        # text: about 222 traced bytes per cell at the read's peak on
+        # CPython 3.11 (212-242 on 3.10-3.13), where a 4-cell key tuple per
+        # text took about 367 (350-377), and a validated key tuple, a second
+        # dict entry and a [count, scores] list per cell before that about
+        # 505. The bound keeps the 440/367 headroom.
         path = tmp_path / "p.csv"
         path.write_text(many_cells_csv(24_000))
         tracemalloc.start()
@@ -611,7 +718,7 @@ class TestReadPredictions:
             tracemalloc.stop()
         cells = len(gp.cells)
         assert cells >= 15_000
-        assert peak / cells < 440
+        assert peak / cells < 266
 
     def test_unknown_group(self):
         csv_text = "group,predicted,actual\nmystery,1,1\n"

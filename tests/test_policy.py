@@ -97,7 +97,6 @@ class TestParse:
             "1:32: SyntaxError: expected '{', found NUMBER 5.0",
             "1:57: SemanticError: unknown metric id 'nosuch'",
             "1:113: SemanticError: inverted interval: [2.0, 1.0]",
-            "1:90: SemanticError: metric 'calibration' needs a range",
         ]
 
     def test_diagnostics_have_positions_inside_input(self):
@@ -120,6 +119,41 @@ class TestParse:
             'policy "p" { metric calibration { range = [1, 0] } }')
         assert any(d.kind == SEMANTIC and "inverted interval" in d.message
                    for d in diags)
+
+    # A field whose assignment failed is reported once, for its value: not
+    # again as missing, nor its value token again as unexpected.
+    @pytest.mark.parametrize("text, message", [
+        ('policy "p" { metric calibration { range = [2, 1] } }',
+         "1:44: SemanticError: inverted interval: [2.0, 1.0]"),
+        ('policy "p" { favorable_outcome occupation { value = 5 } }',
+         "1:53: SyntaxError: expected a string, found NUMBER 5.0"),
+        ('policy "p" { protected_attribute sex '
+         '{ privileged = 1 unprivileged = "F" } }',
+         "1:53: SyntaxError: expected a string, found NUMBER 1.0"),
+        ('policy "p" { decision { actions = ["a"] states = ["s"] '
+         'payoffs = [[1]] criterion = laplace } }',
+         "1:84: SemanticError: unknown criterion 'laplace'; expected wald, "
+         "hurwicz, or savage"),
+    ])
+    def test_failed_field_is_reported_once(self, text, message):
+        _, diags = parse_policy_with_diagnostics(text)
+        assert [str(d) for d in diags] == [message]
+
+    @pytest.mark.parametrize("text, message", [
+        ('policy "p" { metric calibration { bins = 5 } }',
+         "1:21: SemanticError: metric 'calibration' needs a range"),
+        ('policy "p" { favorable_outcome occupation { } }',
+         "1:14: SemanticError: favorable_outcome needs a value"),
+        ('policy "p" { protected_attribute sex { privileged = "M" } }',
+         "1:14: SemanticError: protected_attribute needs privileged and "
+         "unprivileged values"),
+        ('policy "p" { decision { criterion = wald } }',
+         "1:14: SemanticError: decision block is missing: actions, states, "
+         "payoffs"),
+    ])
+    def test_absent_field_is_missing(self, text, message):
+        _, diags = parse_policy_with_diagnostics(text)
+        assert [str(d) for d in diags] == [message]
 
     def test_duplicate_metric_rejected(self):
         _, diags = parse_policy_with_diagnostics(

@@ -1,7 +1,8 @@
 """Property tests for the prediction tally.
 
-`read_predictions` streams CSV rows into a tally keyed by raw key text,
-and the row-level oracle in `reference.py` builds one from Records
+`read_predictions` streams CSV rows into a tally keyed by the raw
+`(group, predicted, actual)` text, then by the raw legitimate text, and
+the row-level oracle in `reference.py` builds one from Records
 (`predictions_of`), flips groups row by row (`swapped`) and counts
 quadrants by scanning rows (`confusion`). The library's reduction must
 describe exactly the rows it was given, and every metric must read the
@@ -129,22 +130,27 @@ def test_records_rebuild_the_input_rows(rows):
 
 
 def _row_scan_cells(columns, rows):
-    """`[(cell, unscored, scores)]` in first-seen cell order; a cell's
-    scores run text by text, in the order the texts first appear."""
-    key_columns = [COLUMNS.index(c) for c in columns if c != "score"]
-    texts = {}  # cell -> raw key text -> [unscored, scores]
+    """`[(cell, unscored, scores)]` in the tally's order: prefix texts (the
+    raw group, predicted and actual cells) in first-seen order, then the
+    legitimate texts under each prefix in first-seen order. A cell is
+    listed where its first (prefix, text) pair falls, and its scores run
+    pair by pair in that order."""
+    texts = {}  # prefix text -> legitimate text -> [cell, unscored, scores]
     for r, cells in rows:
-        text = tuple(cells[i] for i in key_columns)
-        tally = texts.setdefault(
-            (r.group, r.predicted, r.actual, r.legitimate), {}).setdefault(
-                text, [0, []])
+        tally = texts.setdefault(tuple(cells[:3]), {}).setdefault(
+            cells[4] if "legitimate" in columns else "",
+            [(r.group, r.predicted, r.actual, r.legitimate), 0, []])
         if r.score is None:
-            tally[0] += 1
+            tally[1] += 1
         else:
-            tally[1].append(r.score)
-    return [(cell, sum(n for n, _ in by_text.values()),
-             [s for _, scores in by_text.values() for s in scores])
-            for cell, by_text in texts.items()]
+            tally[2].append(r.score)
+    merged = {}
+    for by_text in texts.values():
+        for cell, n, scores in by_text.values():
+            entry = merged.setdefault(cell, [0, []])
+            entry[0] += n
+            entry[1] += scores
+    return [(cell, n, scores) for cell, (n, scores) in merged.items()]
 
 
 def _cell_list(gp):
@@ -161,8 +167,13 @@ def test_cells_view_matches_a_row_scan(file):
     assert gp.strata == _row_scan_strata(records)
     for g in GROUPS:
         assert gp.confusion[g] == confusion(r for r in records if r.group == g)
+    # Swapping keeps the order of the rows it rebuilds; re-tallying them
+    # folds padded prefix variants together, so cells listed between two
+    # variants can move, while each cell keeps its rows and score order.
     twice = swapped(swapped(gp))
-    assert _cell_list(twice) == _cell_list(gp)
+    assert _cell_list(twice) == _cell_list(
+        predictions_of(map(Record._make, gp.records)))
+    assert gp.cells == twice.cells
     assert twice.confusion == gp.confusion
     assert twice.strata == gp.strata
 
