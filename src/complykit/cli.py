@@ -88,12 +88,15 @@ def _compute_metrics(doc, bound, gp):
 
 
 def _parse_range(text):
+    message = f"bad range {text!r}; expected LO,HI"
     try:
         lo, hi = (float(part) for part in text.split(","))
-        return Interval(lo, hi)
     except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"bad range {text!r}; expected LO,HI") from None
+        raise argparse.ArgumentTypeError(message) from None
+    try:
+        return Interval(lo, hi)
+    except ValueError as exc:  # inverted, or an endpoint not finite
+        raise argparse.ArgumentTypeError(f"{message} ({exc})") from None
 
 
 def _finite_float(text):

@@ -40,6 +40,14 @@ positionally, since the grammar has no exponent form.
 
 Parsing is total: any byte input produces either a checked document or a
 list of diagnostics with line:column positions, never an unhandled crash.
+Each syntax error is reported once, and the parser recovers by one rule:
+it gives up the value the error stands in and skips, past any `[` or `{`
+group, to the next key of the block or to the block's `}`. An error in
+an item outside its block, and a second copy of a section, skip the item
+to the next item keyword. A stray token where a key or an item belongs
+is skipped alone first. A semantic error (an inverted interval,
+`bins = 1`, a number too large for a float) drops its value but skips
+nothing.
 """
 
 from __future__ import annotations
@@ -216,10 +224,15 @@ def _value(tok: Optional[Token], default=None):
     return default if tok is None else tok.value
 
 
+class _Abandon(Exception):
+    """A syntax error, already reported: give up the value or item."""
+
+
 class _Parser:
     def __init__(self, tokens, diags):
         self.tokens = tokens[::-1]  # a stack: the next token is last
         self.diags = diags
+        self.open = 0  # the `[`s the value being parsed has not yet closed
 
     # -- token helpers ------------------------------------------------
 
@@ -243,18 +256,20 @@ class _Parser:
     def error(self, tok: Token, message: str, kind: str = SYNTAX):
         self.diags.append(Diagnostic(kind, tok.line, tok.col, message))
 
-    def expect(self, types, what: str, values=None) -> Optional[Token]:
+    def expect(self, types, what: str, values=None) -> Token:
         """The next token if its type is in `types` and, when `values` is
-        given, its value is in `values`; else None after "expected {what}".
+        given, its value is in `values`; else "expected {what}" and
+        _Abandon.
 
         `types` is one token type or a tuple of them (no token type is a
         substring of another).
         """
         tok = self.peek()
         if tok.type in types and (values is None or tok.value in values):
+            self.open += (tok.type == "[") - (tok.type == "]")
             return self.next()
         self.error(tok, f"expected {what}, found {self._describe(tok)}")
-        return None
+        raise _Abandon
 
     @staticmethod
     def _describe(tok: Token) -> str:
@@ -268,18 +283,30 @@ class _Parser:
         while self.at(";"):
             self.next()
 
-    def sync_to_item(self):
-        """Skip tokens, a ROW and a braced group whole, to a plausible item
-        start or block end."""
-        depth = 0
+    def sync(self, stop):
+        """Skip the rest of an abandoned value or item: tokens, a ROW and
+        each `{` group whole, to a `}` or end of input, or to a keyword in
+        `stop`. Inside a `[`, the ones the value left open included, a
+        keyword stops the skip only if an `=` follows it, which shows that
+        the `[` was never closed."""
+        brackets, braces, self.open = self.open, 0, 0
         while True:
             tok = self.tokens[-1]
-            if tok.type == "EOF" or depth == 0 and tok.type == "}":
+            if tok.type == "EOF" or tok.type == "}" and not braces:
                 return
-            if depth == 0 and tok.type == "IDENT" and tok.value in ITEM_KEYWORDS:
+            if (tok.type == "IDENT" and tok.value in stop and not braces
+                    and (not brackets or self.tokens[-2].type == "=")):
                 return
-            depth += (tok.type == "{") - (tok.type == "}")
+            brackets = max(brackets + (tok.type == "[") - (tok.type == "]"), 0)
+            braces += (tok.type == "{") - (tok.type == "}")
             self.next()
+
+    def skip_stray(self, tok: Token, message: str, stop):
+        """Report `tok`, which cannot start a key or an item, and skip it
+        alone (a stray `[` or `{` opens no group), then to `stop`."""
+        self.error(tok, message)
+        self.next()
+        self.sync(stop)
 
     def items(self, open_tok: Token):
         """Yield each item token of the block `open_tok` opened, skipping
@@ -299,10 +326,12 @@ class _Parser:
             yield tok
 
     # -- value parsers ------------------------------------------------
+    # Each reports a syntax error by _Abandon, and a semantic one by
+    # returning None after consuming the whole value.
 
     def parse_number(self) -> Optional[Token]:
         tok = self.expect("NUMBER", "a number")
-        if tok is not None and not math.isfinite(tok.value):
+        if not math.isfinite(tok.value):
             self.error(tok, "number is too large to represent", SEMANTIC)
             return None
         return tok
@@ -315,13 +344,11 @@ class _Parser:
             return None
         return tok
 
-    def parse_string(self) -> Optional[Token]:
+    def parse_string(self) -> Token:
         return self.expect("STRING", "a string")
 
     def parse_criterion(self) -> Optional[str]:
         tok = self.expect("IDENT", "a criterion name")
-        if tok is None:
-            return None
         if tok.value in CRITERIA:
             return tok.value
         self.error(tok, f"unknown criterion {tok.value!r}; expected "
@@ -329,8 +356,7 @@ class _Parser:
         return None
 
     def parse_interval(self) -> Optional[Interval]:
-        if self.expect("[", "'['") is None:
-            return None
+        self.expect("[", "'['")
         lo = self.parse_number()
         self.expect(",", "','")
         hi = self.parse_number()
@@ -343,29 +369,19 @@ class _Parser:
             return None
         return Interval(lo.value, hi.value)
 
-    def parse_list(self, parse_item, sync: bool = True) -> Optional[list]:
-        """`[ item, ... ]` with optional commas; None after a bad item.
-
-        A bad item skips to the next item keyword or `}` unless `sync` is
-        false (a payoff row without its `[` leaves the rest in place).
-        """
-        if self.expect("[", "'['") is None:
-            return None
+    def parse_list(self, parse_item) -> Optional[list]:
+        """`[ item, ... ]` with optional commas; None if an item is."""
+        self.expect("[", "'['")
         items = []
         while not self.at("]") and not self.at("EOF"):
-            item = parse_item()
-            if item is None:
-                if sync:
-                    self.sync_to_item()
-                return None
-            items.append(item)
+            items.append(parse_item())
             if self.at(","):
                 self.next()
         self.expect("]", "']'")
-        return items
+        return None if None in items else items
 
     def parse_strings(self) -> Optional[list]:
-        return self.parse_list(lambda: _value(self.parse_string()))
+        return self.parse_list(lambda: self.parse_string().value)
 
     def parse_row(self) -> Optional[list]:
         """A payoff row: a ROW taken whole, else `[ number, ... ]`."""
@@ -381,37 +397,31 @@ class _Parser:
         last key token. A key in `keys` is never also reported as missing.
         """
         values, keys = {}, {}
-        open_tok = self.expect("{", "'{'")
-        if open_tok is None:
-            self.sync_to_item()
-            return values, keys
-        for tok in self.items(open_tok):
+        for tok in self.items(self.expect("{", "'{'")):
             if tok.type != "IDENT" or tok.value not in fields:
-                # a value its field's parser already reported is skipped
-                # without a second diagnostic
-                if not self.diags or (self.diags[-1].line,
-                                      self.diags[-1].col) != (tok.line, tok.col):
-                    self.error(tok, f"unexpected {self._describe(tok)} in "
-                                    f"{context} block")
-                self.next()
+                self.skip_stray(tok, f"unexpected {self._describe(tok)} in "
+                                     f"{context} block", fields)
                 continue
             key = self.next()
             if key.value in keys:
                 self.error(key, f"duplicate {key.value!r} in {context} block",
                            SEMANTIC)
-            keys[key.value] = key
-            self.expect("=", "'='")
-            values[key.value] = fields[key.value]()
+            keys[key.value], values[key.value] = key, None
+            try:
+                self.expect("=", "'='")
+                values[key.value] = fields[key.value]()
+            except _Abandon:
+                self.sync(fields)
         return values, keys
 
     # -- items ----------------------------------------------------------
 
     def parse_document(self) -> Optional[PolicyDocument]:
-        if self.expect("IDENT", "'policy'", ("policy",)) is None:
-            return None
-        name = _value(self.parse_string(), "")
-        open_tok = self.expect("{", "'{'")
-        if open_tok is None:
+        try:
+            self.expect("IDENT", "'policy'", ("policy",))
+            name = self.parse_string().value
+            open_tok = self.expect("{", "'{'")
+        except _Abandon:
             return None
 
         doc = {"name": name, "protected": None, "favorable": None,
@@ -421,18 +431,20 @@ class _Parser:
 
         for tok in self.items(open_tok):
             if tok.type != "IDENT" or tok.value not in ITEM_KEYWORDS:
-                self.error(tok, f"expected a policy item, found "
-                                f"{self._describe(tok)}")
-                self.next()
-                self.sync_to_item()
+                self.skip_stray(tok, f"expected a policy item, found "
+                                     f"{self._describe(tok)}", ITEM_KEYWORDS)
                 continue
             keyword = self.next()
-            if keyword.value not in ("metric", "approved_model"):
+            try:
                 if keyword.value in seen_sections:
                     self.error(keyword, f"duplicate {keyword.value} section",
                                SEMANTIC)
-                seen_sections.add(keyword.value)
-            getattr(self, "item_" + keyword.value)(keyword, doc)
+                    raise _Abandon  # skip the second copy whole
+                if keyword.value not in ("metric", "approved_model"):
+                    seen_sections.add(keyword.value)
+                getattr(self, "item_" + keyword.value)(keyword, doc)
+            except _Abandon:
+                self.sync(ITEM_KEYWORDS)
 
         self.skip_separators()
         trailing = self.peek()
@@ -459,8 +471,6 @@ class _Parser:
                                         "protected_attribute")
         privileged = values.get("privileged")
         unprivileged = values.get("unprivileged")
-        if attribute is None:
-            return
         if "privileged" not in keys or "unprivileged" not in keys:
             self.error(kw, "protected_attribute needs privileged and "
                            "unprivileged values", SEMANTIC)
@@ -479,8 +489,6 @@ class _Parser:
         values, keys = self.parse_block({"value": self.parse_string},
                                         "favorable_outcome")
         value = values.get("value")
-        if attribute is None:
-            return
         if "value" not in keys:
             self.error(kw, "favorable_outcome needs a value", SEMANTIC)
         elif value is not None:
@@ -496,8 +504,6 @@ class _Parser:
             "tolerance": lambda: self.parse_checked(
                 lambda v: v >= 0, "tolerance must be nonnegative"),
         }, "metric")
-        if name_tok is None:
-            return
         metric_id = resolve_metric_id(name_tok.value)
         if metric_id is None:
             self.error(name_tok, f"unknown metric id {name_tok.value!r}",
@@ -525,16 +531,13 @@ class _Parser:
                                                tolerance))
 
     def item_approved_sources(self, kw: Token, doc: dict):
-        open_tok = self.expect("{", "'{'")
-        if open_tok is None:
-            self.sync_to_item()
-            return
-        for _ in self.items(open_tok):
-            source = self.expect("STRING", "a source URL string")
-            if source is None:
-                self.next()
+        for tok in self.items(self.expect("{", "'{'")):
+            if tok.type != "STRING":
+                # the block has no keys: skip to its `}`
+                self.skip_stray(tok, f"expected a source URL string, found "
+                                     f"{self._describe(tok)}", ())
                 continue
-            doc["sources"].add(source.value)
+            doc["sources"].add(self.next().value)
             if self.at(","):
                 self.next()
 
@@ -546,8 +549,6 @@ class _Parser:
             "synthetic_data_capability": lambda: self.expect(
                 "IDENT", "true or false", ("true", "false")),
         }, "approved_model")
-        if id_tok is None:
-            return
         if any(m.model_id == id_tok.value for m in doc["models"]):
             self.error(id_tok, f"duplicate model {id_tok.value!r}", SEMANTIC)
             return
@@ -560,7 +561,7 @@ class _Parser:
         values, keys = self.parse_block({
             "actions": self.parse_strings,
             "states": self.parse_strings,
-            "payoffs": lambda: self.parse_list(self.parse_row, sync=False),
+            "payoffs": lambda: self.parse_list(self.parse_row),
             "criterion": self.parse_criterion,
             "lambda": lambda: self.parse_checked(
                 lambda v: 0.0 <= v <= 1.0, "lambda must lie in [0, 1]"),
@@ -584,15 +585,12 @@ class _Parser:
 
     def item_on_violation(self, kw: Token, doc: dict):
         self.expect("=", "'='")
-        tok = self.peek()
-        if tok.type == "IDENT" and tok.value in ("explain", "halt"):
-            doc["on_violation"] = self.next().value
+        tok = self.expect("IDENT", "explain or halt")
+        if tok.value in ("explain", "halt"):
+            doc["on_violation"] = tok.value
         else:
             self.error(tok, f"expected explain or halt, found "
-                            f"{self._describe(tok)}", SEMANTIC
-                       if tok.type == "IDENT" else SYNTAX)
-            if tok.type == "IDENT":
-                self.next()
+                            f"{self._describe(tok)}", SEMANTIC)
 
 
 # The grammar's item keywords: one `_Parser.item_<keyword>` method each.

@@ -304,6 +304,24 @@ class TestEvaluate:
             "expected LO,HI" in err
         assert "cannot read" not in err
 
+    @pytest.mark.parametrize("value, reason", [
+        ("0.1,-0.1", " (inverted interval: [0.1, -0.1])"),
+        ("nan,1", " (interval endpoints must be finite)"),
+        ("0,-inf", " (interval endpoints must be finite)"),
+        ("0.1", ""),
+        ("0,1,2", ""),
+        ("lo,hi", ""),
+    ])
+    def test_bad_composition_range_gives_its_reason(self, workdir, capsys,
+                                                    value, reason):
+        code = main(["evaluate", str(workdir / "policy.law"),
+                     "--dataset", str(workdir / "absent.csv"),
+                     f"--composition-range={value}"])
+        out, err = capsys.readouterr()
+        assert (code, out) == (2, "")
+        assert err.endswith("argument --composition-range: bad range "
+                            f"{value!r}; expected LO,HI{reason}\n")
+
     def test_composition_needs_protected_before_reading(self, workdir,
                                                         capsys):
         (workdir / "bare.law").write_text(

@@ -94,7 +94,6 @@ class TestParse:
             'metric calibration { range = [2, 1] } }')
         assert [str(d) for d in diags] == [
             "1:32: SyntaxError: expected a name, found NUMBER 5.0",
-            "1:32: SyntaxError: expected '{', found NUMBER 5.0",
             "1:57: SemanticError: unknown metric id 'nosuch'",
             "1:113: SemanticError: inverted interval: [2.0, 1.0]",
         ]
@@ -138,6 +137,57 @@ class TestParse:
     def test_failed_field_is_reported_once(self, text, message):
         _, diags = parse_policy_with_diagnostics(text)
         assert [str(d) for d in diags] == [message]
+
+    # A syntax error gives up its value, brackets and all, and parsing
+    # resumes at the block's next key: the fields after it are still
+    # parsed and checked, and none is taken for missing.
+    @pytest.mark.parametrize("text, messages", [
+        ('policy "p" { decision { actions = ["a", 1] states = ["s"] '
+         'payoffs = [[1]] criterion = wald } }',
+         ["1:41: SyntaxError: expected a string, found NUMBER 1.0"]),
+        ('policy "p" { approved_model "m" { acceptable_uses = [1] '
+         'description = 5 } }',
+         ["1:54: SyntaxError: expected a string, found NUMBER 1.0",
+          "1:71: SyntaxError: expected a string, found NUMBER 5.0"]),
+        ('policy "p" { metric calibration { range = [1 x] } }',
+         ["1:46: SyntaxError: expected ',', found IDENT 'x'"]),
+        # a key inside the brackets the value opened is skipped with them,
+        # unless its `=` shows that the value left a bracket unclosed
+        ('policy "p" { decision { actions = ["a"] states = ["s"] '
+         'payoffs = [[1 criterion]] criterion = wald } }',
+         ["1:70: SyntaxError: expected a number, found IDENT 'criterion'"]),
+        ('policy "p" { decision { actions = ["a"] states = ["s"] '
+         'payoffs = [[1] criterion = wald } }',
+         ["1:71: SyntaxError: expected '[', found IDENT 'criterion'"]),
+        # an item gives up the rest of itself to the next item keyword
+        ('policy "p" { on_violation = "halt" }',
+         ["1:29: SyntaxError: expected explain or halt, found STRING 'halt'"]),
+        ('policy "p" { on_violation = [1, 2] '
+         'metric calibration { range = [2, 1] } }',
+         ["1:29: SyntaxError: expected explain or halt, found '['",
+          "1:66: SemanticError: inverted interval: [2.0, 1.0]"]),
+        # a stray `{` where a key, source or item belongs is skipped alone,
+        # so the braces stay balanced
+        ('policy "p" { favorable_outcome y { { value = "a" } '
+         'metric calibration { range = [2, 1] } }',
+         ["1:36: SyntaxError: unexpected '{' in favorable_outcome block",
+          "1:82: SemanticError: inverted interval: [2.0, 1.0]"]),
+        ('policy "p" { approved_sources { { "a" } '
+         'metric calibration { range = [2, 1] } }',
+         ["1:33: SyntaxError: expected a source URL string, found '{'",
+          "1:71: SemanticError: inverted interval: [2.0, 1.0]"]),
+        ('policy "p" { { metric calibration { range = [2, 1] } }',
+         ["1:14: SyntaxError: expected a policy item, found '{'",
+          "1:46: SemanticError: inverted interval: [2.0, 1.0]"]),
+        # a second copy of a section is reported once, and skipped
+        ('policy "p" { decision {} decision {} }',
+         ["1:14: SemanticError: decision block is missing: actions, states, "
+          "payoffs, criterion",
+          "1:26: SemanticError: duplicate decision section"]),
+    ])
+    def test_recovery_reports_each_syntax_error_once(self, text, messages):
+        _, diags = parse_policy_with_diagnostics(text)
+        assert [str(d) for d in diags] == messages
 
     @pytest.mark.parametrize("text, message", [
         ('policy "p" { metric calibration { bins = 5 } }',

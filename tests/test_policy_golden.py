@@ -10,6 +10,10 @@ change to what the parser accepts, reports or formats shows here.
 Regenerate the file with the current parser (and review the diff):
 
     PYTHONPATH=src python3 tests/test_policy_golden.py
+
+It prints how the corpus moved against the copy it replaces: the inputs
+whose accept/reject outcome, canonical text or first diagnostic changed,
+and the number of diagnostics before and after.
 """
 
 import json
@@ -253,6 +257,20 @@ HAND_WRITTEN = (
     'policy "p" { protected_attribute [1] '
     '{ privileged = "M" unprivileged = "F" } '
     'metric calibration { range = [2, 1] } }',
+    # recovery gives up a bad value to the block's next key: past the
+    # brackets the value opened, unless a `key =` shows one left unclosed
+    'policy "p" { metric calibration { range = [1 x] } }',
+    'policy "p" { approved_model "m" { acceptable_uses = [1] '
+    'description = 5 } }',
+    _decision("[[1 criterion]]"),
+    # a stray `{` where a key, source or item belongs is skipped alone;
+    # a second copy of a section is skipped whole
+    'policy "p" { favorable_outcome y { { value = "a" } '
+    'metric calibration { range = [2, 1] } }',
+    'policy "p" { approved_sources { { "a" } '
+    'metric calibration { range = [2, 1] } }',
+    'policy "p" { on_violation = halt on_violation = [1, 2] '
+    'metric calibration { range = [2, 1] } }',
 )
 
 
@@ -289,8 +307,12 @@ def outcome(text):
             "canonical": serialize_policy(doc) if doc is not None else None}
 
 
+def _entries():
+    return json.loads(CORPUS.read_text(encoding="utf-8"))
+
+
 def test_policy_diagnostics_corpus():
-    entries = json.loads(CORPUS.read_text(encoding="utf-8"))
+    entries = _entries()
     assert len(entries) > 400
     mismatched = [e["input"] for e in entries
                   if outcome(e["input"]) != {"diagnostics": e["diagnostics"],
@@ -300,7 +322,67 @@ def test_policy_diagnostics_corpus():
         f"{mismatched[0]!r}")
 
 
+def test_no_fault_is_reported_twice_at_one_position():
+    # Recovery reports each fault once. Only the `unclosed '{'` reports of
+    # nested blocks share a position: all stand at end of input.
+    for entry in _entries():
+        seen = set()
+        for diagnostic in entry["diagnostics"]:
+            position, kind, message = diagnostic.split(": ", 2)
+            if not message.startswith("unclosed '{'"):
+                message = None
+            assert (position, kind, message) not in seen, entry
+            seen.add((position, kind, message))
+
+
+def corpus_moves(old, new):
+    """Lines saying how corpus entries `new` differ from `old`: inputs
+    whose accept/reject outcome flipped, whose canonical text or whose
+    first diagnostic changed, and the diagnostic totals."""
+    before = {e["input"]: e for e in old}
+    moved = {"accept/reject flipped": [], "canonical text changed": [],
+             "first diagnostic changed": []}
+    for entry in new:
+        was = before.get(entry["input"])
+        if was is None:
+            continue
+        if (was["canonical"] is None) != (entry["canonical"] is None):
+            moved["accept/reject flipped"].append(entry["input"])
+        elif was["canonical"] != entry["canonical"]:
+            moved["canonical text changed"].append(entry["input"])
+        if was["diagnostics"][:1] != entry["diagnostics"][:1]:
+            moved["first diagnostic changed"].append(entry["input"])
+    lines = []
+    for what, inputs in moved.items():
+        lines.append(f"{len(inputs)} inputs: {what}")
+        lines += [f"  {text!r}" for text in inputs]
+    kept = sum(e["input"] in before for e in new)
+    lines.append(f"{len(new) - kept} inputs added, {len(old) - kept} dropped")
+    lines.append(f"diagnostics: {sum(len(e['diagnostics']) for e in old)} "
+                 f"before, {sum(len(e['diagnostics']) for e in new)} after")
+    return lines
+
+
+def test_corpus_moves_names_each_changed_input():
+    def entry(text, diagnostics, canonical=None):
+        return {"input": text, "diagnostics": diagnostics,
+                "canonical": canonical}
+    old = [entry("a", ["1:1: x"]), entry("b", [], "B"), entry("c", [], "C"),
+           entry("gone", ["1:1: x"])]
+    new = [entry("a", ["1:1: x", "1:2: y"]), entry("b", ["1:1: z"]),
+           entry("c", [], "C2"), entry("added", [])]
+    assert corpus_moves(old, new) == [
+        "1 inputs: accept/reject flipped", "  'b'",
+        "1 inputs: canonical text changed", "  'c'",
+        "1 inputs: first diagnostic changed", "  'b'",
+        "1 inputs added, 1 dropped",
+        "diagnostics: 2 before, 3 after",
+    ]
+
+
 if __name__ == "__main__":
-    CORPUS.write_text(json.dumps(
-        [{"input": text, **outcome(text)} for text in corpus_inputs()],
-        indent=1, ensure_ascii=True) + "\n", encoding="utf-8")
+    entries = [{"input": text, **outcome(text)} for text in corpus_inputs()]
+    if CORPUS.exists():
+        print("\n".join(corpus_moves(_entries(), entries)))
+    CORPUS.write_text(json.dumps(entries, indent=1, ensure_ascii=True) + "\n",
+                      encoding="utf-8")
