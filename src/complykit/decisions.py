@@ -73,6 +73,8 @@ class PayoffMatrix(Value):
                     values.append([float(v) for v in row[1:]])
                 except ValueError as exc:
                     raise DecisionError(f"row {r}: {exc}") from exc
+                if not all(map(math.isfinite, values[-1])):
+                    raise DecisionError(f"row {r}: payoffs must be finite")
         if len(columns) < 2 or not actions:
             raise DecisionError("matrix file needs a header row and one action row")
         return cls(actions, columns[1:], values)

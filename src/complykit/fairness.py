@@ -31,12 +31,11 @@ class GroupedPredictions:
 
     The tally is two-level: a prefix (the raw `(group, predicted, actual)`
     text) maps each raw legitimate text under it to an `array('d')` of its
-    scores, and to its count of unscored rows. `key(prefix)` gives a
-    prefix's validated `(group, predicted, actual)` and `stratum(text)` a
-    legitimate text's stratum; texts that differ only in padding share a
-    cell. `read_predictions` builds the tally; it is reduced once, at
-    construction, into the attributes below, and every metric reads only
-    the reduced counts:
+    scores, and to its count of unscored rows. `keys` maps each prefix to
+    its validated `(group, predicted, actual)`, and `_stratum` maps each
+    text to its stratum, one rule for a CSV's tally and a test's alike.
+    `read_predictions` builds the tally; it is reduced once, at
+    construction, into the attributes below, which every metric reads:
 
     - `confusion`: group -> ConfusionCounts;
     - `strata`: group -> (rows, predicted positives), each a flat
@@ -49,28 +48,26 @@ class GroupedPredictions:
     exactly (up to order).
     """
 
-    __slots__ = ("_scored", "_unscored", "_key", "_stratum",
+    __slots__ = ("_scored", "_unscored", "_keys",
                  "confusion", "strata", "scores", "unscored")
 
-    def __init__(self, scored: dict, unscored: dict, key, stratum):
-        """Reduce a tally, which is not copied.
-
-        `scored` maps every prefix to `{legitimate text: array('d') of
-        scores}` (an empty array when the text has none), and `unscored`
-        maps a prefix to `{legitimate text: rows without a score}`. `key`
-        runs once per prefix and `stratum` once per (prefix, text) pair.
-        """
+    def __init__(self, scored: dict, unscored: dict, keys: dict):
+        """Reduce a tally, which is not copied: `scored` maps every prefix
+        to `{legitimate text: array('d') of scores}` (empty when the text
+        has none), `unscored` maps a prefix to `{legitimate text: rows
+        without a score}`, and `keys` maps every prefix of `scored` to its
+        `(group, predicted, actual)`."""
         quadrants = {g: [[0, 0], [0, 0]] for g in GROUPS}  # [predicted][actual]
         strata = {g: ({}, {}) for g in GROUPS}
         scores = {(g, a): [] for g in GROUPS for a in (0, 1)}
         for prefix, by_text in scored.items():
-            g, p, a = key(prefix)
+            g, p, a = keys[prefix]
             counts = unscored.get(prefix, {})
             rows, positives = strata[g]
             arrays = scores[g, a]
             total = 0
             for text, text_scores in by_text.items():
-                legitimate = stratum(text)
+                legitimate = _stratum(text)
                 n = counts.get(text, 0) + len(text_scores)
                 total += n
                 rows[legitimate] = rows.get(legitimate, 0) + n
@@ -80,8 +77,7 @@ class GroupedPredictions:
             quadrants[g][p][a] += total
         self._scored = scored
         self._unscored = unscored
-        self._key = key
-        self._stratum = stratum
+        self._keys = keys
         self.confusion = {g: ConfusionCounts(tp=q[1][1], fp=q[1][0], tn=q[0][0], fn=q[0][1])
                           for g, q in quadrants.items()}
         self.strata = strata
@@ -95,11 +91,10 @@ class GroupedPredictions:
         order within a prefix; texts sharing a cell merge in that order."""
         cells = {}
         for prefix, by_text in self._scored.items():
-            g, p, a = self._key(prefix)
+            key = self._keys[prefix]
             counts = self._unscored.get(prefix, {})
             for text, scores in by_text.items():
-                cell = cells.setdefault((g, p, a, self._stratum(text)),
-                                        [0, array("d")])
+                cell = cells.setdefault((*key, _stratum(text)), [0, array("d")])
                 cell[0] += counts.get(text, 0)
                 cell[1].extend(scores)
         return cells
@@ -111,6 +106,11 @@ class GroupedPredictions:
         return tuple(chain.from_iterable(
             [(g, p, a, None, l)] * unscored + [(g, p, a, s, l) for s in scores]
             for (g, p, a, l), (unscored, scores) in self.cells.items()))
+
+
+def _stratum(text: Optional[str]) -> Optional[str]:
+    """A legitimate text's stratum: None if missing or blank, else the text."""
+    return text if text and text.strip() else None
 
 
 class ConfusionCounts(Value):

@@ -451,8 +451,10 @@ def read_predictions(source, privileged_label: str = PRIVILEGED,
     unprivileged values, or the literal defaults). Rows stream into a
     two-level tally: the raw `(group, predicted, actual)` text of a row,
     its prefix, then its raw legitimate text. Each distinct prefix is
-    validated once; memory grows by one dict entry and one score array per
-    distinct (prefix, stratum) text, plus one float per scored row.
+    validated once, then mapped once to its `keys` entry; memory grows by
+    one dict entry and one score array per distinct (prefix, stratum)
+    text, plus one float per scored row. A blank legitimate text, or the
+    `""` of a file with no such column, reduces to the None stratum.
 
     A path is tallied in byte-range shards on every usable CPU when
     `_shard_cuts` finds that safe; the tally is the same, key order and
@@ -460,7 +462,8 @@ def read_predictions(source, privileged_label: str = PRIVILEGED,
     """
     key = _prediction_key(privileged_label, unprivileged_label)
     scored, unscored = _reduce_csv(source, partial(_prediction_tally, key=key))
-    return GroupedPredictions(scored, unscored, key, _stratum)
+    return GroupedPredictions(scored, unscored,
+                              {prefix: key(prefix) for prefix in scored})
 
 
 def _prediction_key(privileged_label: str, unprivileged_label: str):
@@ -476,12 +479,6 @@ def _prediction_key(privileged_label: str, unprivileged_label: str):
         return group, _binary(prefix[1]), _binary(prefix[2])
 
     return key
-
-
-def _stratum(text: str) -> Optional[str]:
-    """The stratum of a raw legitimate text: the text, or None when it is
-    blank (the tally keys a file with no legitimate column by "")."""
-    return text if text.strip() else None
 
 
 def _prediction_tally(columns: tuple, key):

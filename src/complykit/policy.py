@@ -363,11 +363,11 @@ class _Parser:
         self.expect("]", "']'")
         if lo is None or hi is None:
             return None
-        if lo.value > hi.value:
-            self.error(lo, f"inverted interval: [{lo.value}, {hi.value}]",
-                       SEMANTIC)
+        try:
+            return Interval(lo.value, hi.value)
+        except ValueError as exc:
+            self.error(lo, str(exc), SEMANTIC)
             return None
-        return Interval(lo.value, hi.value)
 
     def parse_list(self, parse_item) -> Optional[list]:
         """`[ item, ... ]` with optional commas; None if an item is."""

@@ -87,7 +87,7 @@ def evaluate(policy: PolicyDocument, metrics, audit=None, findings=(),
                      for c in policy.metrics)
     ok = (all(v.status == COMPLY for v in verdicts)
           and all(f.is_approved for f in findings)
-          and (audit is None or audit.within_range))
+          and (audit is None or _audit_status(audit) == COMPLY))
     return ComplianceReport(
         policy_name=policy.name,
         findings=tuple(findings),
@@ -99,6 +99,10 @@ def evaluate(policy: PolicyDocument, metrics, audit=None, findings=(),
         agent_mode=agent_mode,
         created_at=created_at,
     )
+
+
+def _audit_status(audit: CompositionAudit) -> str:
+    return COMPLY if audit.within_range else EXPLAIN
 
 
 # ---------------------------------------------------------------------------
@@ -119,8 +123,7 @@ def _agent_lines(report: ComplianceReport):
                          f"{v.explanation}")
     if report.audit is not None:
         a = report.audit
-        status = COMPLY if a.within_range else EXPLAIN
-        lines.append(f"Composition audit: {status} — deviation "
+        lines.append(f"Composition audit: {_audit_status(a)} — deviation "
                      f"{a.deviation} vs range {a.range}")
     if report.strategy is not None:
         s = report.strategy
@@ -175,7 +178,7 @@ def _display_lines(report: ComplianceReport):
         lines.append(f"  reference share for {a.unprivileged_value!r} = "
                      f"{a.reference_share}")
         lines.append(f"  deviation = {a.deviation}, range {a.range} "
-                     f"-> {COMPLY if a.within_range else EXPLAIN}")
+                     f"-> {_audit_status(a)}")
     if report.strategy is not None:
         s = report.strategy
         lines.append("")

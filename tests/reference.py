@@ -38,8 +38,9 @@ def records(gp: GroupedPredictions) -> list:
 
 def predictions_of(records) -> GroupedPredictions:
     """`GroupedPredictions` of Records: a tally whose prefixes are each
-    Record's `(group, predicted, actual)` and whose legitimate texts are its
-    stratum as it is, with an identity `key` and `stratum`."""
+    Record's `(group, predicted, actual)`, each its own key, and whose
+    legitimate texts are its `legitimate` as it is; the reduction maps a
+    None or blank one to the None stratum, as it does for a CSV."""
     scored = {}
     unscored = {}
     for r in records:
@@ -51,11 +52,8 @@ def predictions_of(records) -> GroupedPredictions:
             counts[r.legitimate] = counts.get(r.legitimate, 0) + 1
         else:
             scores.append(r.score)
-    return GroupedPredictions(scored, unscored, _same, _same)
-
-
-def _same(value):
-    return value
+    return GroupedPredictions(scored, unscored,
+                              {prefix: prefix for prefix in scored})
 
 
 def swapped(gp: GroupedPredictions) -> GroupedPredictions:

@@ -453,6 +453,39 @@ class TestEvaluate:
 SMALL_ROWS = SMALL_DATASET.split("\n", 1)[1].encode()
 
 
+class _Terminal(io.StringIO):
+    def isatty(self):
+        return True
+
+
+class TestColor:
+    """Report status words are colored on a terminal unless NO_COLOR is
+    set, and never in a pipe or file."""
+
+    def evaluate(self, workdir, stdout):
+        with redirect_stdout(stdout):
+            code = main(["evaluate", str(workdir / "policy.law"),
+                         "--dataset", str(workdir / "data.csv"),
+                         "--manifest", str(workdir / "run.manifest"),
+                         "--deterministic"])
+        assert code == 0
+        return stdout.getvalue()
+
+    def test_terminal_gets_color(self, workdir, monkeypatch):
+        monkeypatch.delenv("NO_COLOR", raising=False)
+        plain = self.evaluate(workdir, io.StringIO())
+        colored = self.evaluate(workdir, _Terminal())
+        assert "[comply]" in plain and "\x1b" not in plain
+        assert colored == plain.replace(
+            "[comply]", "\x1b[32m[comply]\x1b[0m").replace(
+            "[approved]", "\x1b[32m[approved]\x1b[0m")
+
+    def test_no_color_turns_it_off(self, workdir, monkeypatch):
+        monkeypatch.setenv("NO_COLOR", "1")
+        assert self.evaluate(workdir, _Terminal()) == \
+            self.evaluate(workdir, io.StringIO())
+
+
 class TestShardedEvaluate:
     """With sharding forced, evaluate's output and errors stay serial."""
 
@@ -848,7 +881,9 @@ class TestDecide:
     @pytest.mark.parametrize("data, message", [
         (b"class,s,s\na,1,2\n", "row 1: column 's' appears more than once"),
         (b"class,s1,s2\na,1,2\nb,1\n", "row 3: expected 3 cells, got 2"),
-    ], ids=["repeated-header", "ragged"])
+        (b"action,a,b\nx,1,2\ny,3,nan\n", "row 3: payoffs must be finite"),
+        (b"action,a\nx,-inf\n", "row 2: payoffs must be finite"),
+    ], ids=["repeated-header", "ragged", "nan", "infinite"])
     def test_bad_matrix_exit_two(self, tmp_path, capsys, data, message):
         (tmp_path / "bad.csv").write_bytes(data)
         code = main(["decide", "--matrix", str(tmp_path / "bad.csv"),

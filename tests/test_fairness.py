@@ -277,12 +277,21 @@ class TestConditionalStatisticalParity:
         assert "only-u" in mv.trace["skipped_strata"]
 
     def test_blank_and_empty_strata_sort_apart(self):
-        # a None stratum sorts before "" instead of raising TypeError
-        gp = predictions_of([Record(PRIVILEGED, 1, 1, None, ""),
+        # a None stratum sorts before "a" instead of raising TypeError
+        gp = predictions_of([Record(PRIVILEGED, 1, 1, None, "a"),
                              Record(UNPRIVILEGED, 1, 1, None, None)])
         mv = conditional_statistical_parity(gp)
         assert not mv.is_defined
-        assert mv.trace["skipped_strata"] == [None, ""]
+        assert mv.trace["skipped_strata"] == [None, "a"]
+
+    def test_missing_and_blank_texts_are_one_stratum(self):
+        # the reduction's one blank rule, for a test tally as for a CSV
+        gp = predictions_of([Record(PRIVILEGED, 1, 1, None, text)
+                             for text in (None, "", " ", "a", " a")])
+        assert gp.strata[PRIVILEGED][0] == {None: 3, "a": 1, " a": 1}
+        assert list(gp.cells) == [(PRIVILEGED, 1, 1, None),
+                                  (PRIVILEGED, 1, 1, "a"),
+                                  (PRIVILEGED, 1, 1, " a")]
 
 
 class TestCalibration:

@@ -1,4 +1,5 @@
 import csv
+import errno
 import io
 import os
 import random
@@ -507,6 +508,54 @@ class TestShardedPredictions:
         assert count_dataset(path, ["sex"]) == \
             Counter({("Male",): 20, ("Female",): 20})
         assert serial_passes == [path]
+
+    @pytest.mark.parametrize("failing", [1, 2])
+    def test_failed_fork_falls_back(self, tmp_path, monkeypatch, failing):
+        # os.fork raising (at a process limit, say) on the first or the
+        # second child: one serial pass gives the same tally, every pipe
+        # the shard runner opened is closed and the first child is reaped.
+        fork, pipe = os.fork, os.pipe
+        calls, pids, fds, serial_passes = [], [], [], []
+
+        def flaky_fork():
+            calls.append(None)
+            if len(calls) == failing:
+                raise OSError(errno.EAGAIN, "fork refused")
+            pid = fork()
+            if pid:
+                pids.append(pid)
+            return pid
+
+        def recording_pipe():
+            ends = pipe()
+            fds.extend(ends)
+            return ends
+
+        csv_table = ingest._csv_table
+
+        def recording_csv_table(source):
+            serial_passes.append(source)
+            return csv_table(source)
+
+        text = ("group,predicted,actual,score\n"
+                + "privileged,1,1,0.5\nunprivileged,0,1,\n" * 20)
+        path = tmp_path / "p.csv"
+        path.write_text(text)
+        serial = cell_bytes(read_predictions(io.StringIO(text)))
+        force_shards(monkeypatch, 3)
+        monkeypatch.setattr(os, "fork", flaky_fork)
+        monkeypatch.setattr(os, "pipe", recording_pipe)
+        monkeypatch.setattr(ingest, "_csv_table", recording_csv_table)
+        assert cell_bytes(read_predictions(path)) == serial
+        assert serial_passes == [path]
+        assert len(calls) == failing and len(pids) == failing - 1
+        assert len(fds) == 2 * failing
+        for fd in fds:
+            with pytest.raises(OSError):
+                os.fstat(fd)
+        for pid in pids:
+            with pytest.raises(ChildProcessError):
+                os.waitpid(pid, os.WNOHANG)
 
     def test_streams_small_quoted_and_threaded_never_fork(self, tmp_path,
                                                           monkeypatch):

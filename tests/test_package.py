@@ -20,3 +20,10 @@ def test_all_is_every_public_name_init_imports():
         assert not hasattr(complykit, name), name
     for name in ("Rates", "rates", "Record"):
         assert not hasattr(import_module("complykit.fairness"), name), name
+
+
+def test_dir_lists_every_export():
+    listed = dir(complykit)
+    assert listed == sorted(set(listed))
+    assert set(complykit.__all__) <= set(listed)
+    assert "__version__" in listed

@@ -317,6 +317,10 @@ class TestToJson:
             with pytest.raises(ValueError, match="no encoding"):
                 to_json(report)
 
+    def test_unsupported_type_refused(self):
+        with pytest.raises(TypeError, match="cannot serialize set"):
+            _json_value({"trace": [1.0, {2}]})
+
     @given(st.one_of(st.text(), st.text('"\\\x00\x01\x1f\x7f\x80a\u2028')))
     def test_strings_escape_as_json_dumps(self, text):
         out = _json_value(text)
