@@ -11,11 +11,13 @@ import io
 import marshal
 import os
 import signal
+import stat
 import threading
 from array import array
 from collections import Counter
 from contextlib import contextmanager, suppress
 from functools import partial
+from itertools import chain
 from operator import itemgetter
 from typing import Optional
 
@@ -79,9 +81,9 @@ def count_dataset(source, names=()) -> Counter:
     every row, but holds only the distinct tuples of raw (unstripped)
     cells. A missing column is reported before any row is read.
 
-    A path is counted in byte-range shards on every usable CPU when
-    `_shard_cuts` finds that safe; the result is the same Counter, key
-    order included.
+    A regular file with no `"` byte is split by `_split_rows`, not `csv`,
+    in byte-range shards on every usable CPU (one for a small file; see
+    `_shard_cuts`); the result is the same Counter, key order included.
     """
     return _reduce_csv(source, partial(_row_counter, names=names))[1][()]
 
@@ -161,21 +163,23 @@ def _shard_cuts(path):
     The offsets run from 0 to the file size, each later one just past a
     `\n` after the header. They are safe only when the file holds no `"`
     byte: then no record spans a line, so every `\n` ends a record (CRLF
-    too). None when that does not hold, when the file is smaller than
-    two shards of `SHARD_BYTES`, or when the process cannot fork or runs
-    more than one thread.
+    too), and `_split_rows` can read each shard. None when that does not
+    hold or `path` is not a regular file (the scan would consume a pipe).
+    The cuts are `[0, size]`, one shard, when the file is smaller
+    than two shards of `SHARD_BYTES`, one CPU is usable, or the process
+    cannot fork or runs more than one thread.
     """
-    if not hasattr(os, "fork") or threading.active_count() != 1:
-        return None
     try:
+        if not stat.S_ISREG(os.stat(path).st_mode):
+            return None  # never opened here, so a named pipe is opened once
         with open(path, "rb") as fh:
             size = os.fstat(fh.fileno()).st_size
-            shards = min(_usable_cpus(), size // SHARD_BYTES)
-            if shards < 2:
-                return None
             for chunk in iter(partial(fh.read, _SCAN_BYTES), b""):
                 if b'"' in chunk:
                     return None
+            shards = 1
+            if hasattr(os, "fork") and threading.active_count() == 1:
+                shards = max(1, min(_usable_cpus(), size // SHARD_BYTES))
             fh.seek(0)
             header_end = len(fh.readline())
             cuts = [0]
@@ -186,6 +190,40 @@ def _shard_cuts(path):
             return cuts + [size]
     except OSError:
         return None
+
+
+# Characters per read in `_split_rows`. Larger blocks split a 52 MB,
+# 15-column file only slightly faster (64 Ki by about 3%) and hold more
+# memory at once.
+_BLOCK_CHARS = 1 << 14
+
+
+def _split_rows(fh):
+    """The non-blank rows of quote-free CSV text, as `csv.reader` reads
+    them, split with `str.split` in blocks of `_BLOCK_CHARS`.
+
+    With no `"` in the text each record is one line and each field one
+    comma-separated piece (RFC 4180). Blank lines are dropped, where
+    `csv.reader` yields `[]`, so a reduction's row numbers may run short;
+    `_run_sharded` discards its errors. ValueError for text `csv` could
+    read otherwise: a CR before any character but LF, a NUL (which `csv`
+    rejects before Python 3.11), or a line longer than
+    `csv.field_size_limit()`.
+    """
+    limit = csv.field_size_limit()
+    rest = ""  # the unfinished last line of the text read so far
+    # A final "\n" ends an unterminated last line.
+    for block in chain(iter(partial(fh.read, _BLOCK_CHARS), ""), ("\n",)):
+        text = rest + block
+        end = text.rfind("\n") + 1
+        body, rest = text[:end].replace("\r\n", "\n"), text[end:]
+        lines = body.split("\n")
+        if ("\r" in body or "\0" in body or len(rest) > limit
+                or max(map(len, lines)) > limit):
+            raise ValueError("text that csv could read otherwise")
+        for line in lines:
+            if line:
+                yield line.split(",")
 
 
 class _ByteRange(io.RawIOBase):
@@ -218,9 +256,10 @@ def _open_range(path, start: int, end: int):
 
 
 def _count_range(path, start: int, end: int, reduce):
-    """`reduce` of the header-less rows in bytes [start, end) of a CSV."""
+    """`reduce` of the header-less rows in bytes [start, end) of a
+    quote-free CSV, split by `_split_rows`."""
     with _open_range(path, start, end) as fh:
-        return reduce(csv.reader(fh))
+        return reduce(_split_rows(fh))
 
 
 def _fork_shard(path, start: int, end: int, reduce):
@@ -251,18 +290,18 @@ def _fork_shard(path, start: int, end: int, reduce):
 
 
 def _run_sharded(path, prepare):
-    """Reduce a CSV path in byte-range shards, one forked child per shard
-    but the first.
+    """Reduce a quote-free CSV path in byte-range shards, split by
+    `_split_rows`: the parent reduces shard 0, header included, and one
+    forked child reduces each later shard.
 
-    `prepare(columns)` checks the header and returns `reduce(reader)`,
-    which folds the rows of a `csv.reader` past the header into a new
-    `(scored, unscored)` tally. The parent reduces shard 0, header
-    included; each child reduces its range and writes its tally with
-    `_dump_tally`, and the parent folds it into its own with
-    `_merge_tally`, in shard order, so keys and scores keep serial order. None when `_shard_cuts` declines, or
-    when any shard fails (a bad row, a child that dies, a short read or a
-    trailing byte): the serial pass then reports the first bad row in
-    file order.
+    `prepare(columns)` checks the header and returns `reduce(rows)`, which
+    folds the rows past the header into a new `(scored, unscored)` tally.
+    Each child writes its tally with `_dump_tally`, and the parent folds
+    it into its own with `_merge_tally`, in shard order, so keys and
+    scores keep serial order. None when `_shard_cuts` declines, or when
+    any shard fails (a bad row, text `_split_rows` refuses, a child that
+    dies, a short read or a trailing byte): the serial `csv` pass then
+    reports the first bad row in file order.
     """
     cuts = _shard_cuts(path)
     if cuts is None:
@@ -270,12 +309,12 @@ def _run_sharded(path, prepare):
     children = []
     try:
         with _open_range(path, 0, cuts[1]) as fh:
-            columns, reader = _csv_stream(fh)
+            columns, _ = _csv_stream(fh)
             reduce = prepare(columns)
             for start, end in zip(cuts[1:], cuts[2:]):
                 if start < end:
                     children.append(_fork_shard(path, start, end, reduce))
-            result = reduce(reader)
+            result = reduce(_split_rows(fh))
         while children:
             pid, pipe = children[0]
             with pipe:
@@ -298,14 +337,16 @@ def _run_sharded(path, prepare):
 
 
 def _reduce_csv(source, prepare):
-    """`prepare(columns)(reader)` over a CSV path or text stream: a
+    """`prepare(columns)(rows)` over a CSV path or text stream: a
     `(scored, unscored)` tally of `{prefix: {legitimate: ...}}` dicts, the
     one result shape that both CSV passes reduce to and that
     `_dump_tally`/`_merge_tally` carry between shards.
 
-    A path goes through `_run_sharded` first. A stream, a path it declines
-    and a path with a failed shard get one serial `_csv_table` pass, which
-    reports the first bad row in file order.
+    A path goes through `_run_sharded` first, which splits a quote-free
+    regular file without `csv`. A stream, a path it declines (a quoted
+    file, a pipe) and a path with a failed shard get one serial
+    `csv.reader` pass through `_csv_table`, which reports the first bad
+    row in file order.
     """
     if not hasattr(source, "read"):
         result = _run_sharded(source, prepare)
@@ -317,7 +358,9 @@ def _reduce_csv(source, prepare):
 
 @contextmanager
 def _csv_table(source):
-    """Open a CSV path or text stream as `(columns, reader)`.
+    """Open a CSV path or text stream as `(columns, reader)`: the serial
+    pass, for streams, for paths `_run_sharded` declines and for locating
+    a bad row when a sharded pass fails.
 
     `reader` is the `csv.reader` past the header; `_csv_rows` checks its
     rows. A missing or repeated header name, a ragged row and a
@@ -456,9 +499,10 @@ def read_predictions(source, privileged_label: str = PRIVILEGED,
     text, plus one float per scored row. A blank legitimate text, or the
     `""` of a file with no such column, reduces to the None stratum.
 
-    A path is tallied in byte-range shards on every usable CPU when
-    `_shard_cuts` finds that safe; the tally is the same, key order and
-    score order included.
+    A regular file with no `"` byte is split by `_split_rows`, not `csv`,
+    in byte-range shards on every usable CPU (one for a small file; see
+    `_shard_cuts`); the tally is the same, key order and score order
+    included.
     """
     key = _prediction_key(privileged_label, unprivileged_label)
     scored, unscored = _reduce_csv(source, partial(_prediction_tally, key=key))
@@ -484,12 +528,13 @@ def _prediction_key(privileged_label: str, unprivileged_label: str):
 def _prediction_tally(columns: tuple, key):
     """`read_predictions`' row loop for a header of `columns`.
 
-    Returns `tally(reader)`, which folds the rows of a `csv.reader` past the
-    header into a new `(scored, unscored)` pair of `{prefix: {legitimate
-    text: ...}}` dicts, as the `GroupedPredictions` constructor takes them,
-    checking each new prefix with `key` and every score. It reads `reader`
-    itself, not through `_csv_rows`, for speed, and checks each row's width
-    and the reader's errors with the same helpers.
+    Returns `tally(reader)`, which folds the rows past the header (from a
+    `csv.reader` or `_split_rows`) into a new `(scored, unscored)` pair of
+    `{prefix: {legitimate text: ...}}` dicts, as the `GroupedPredictions`
+    constructor takes them, checking each new prefix with `key` and every
+    score. It reads `reader` itself, not through `_csv_rows`, for speed,
+    and checks each row's width and the reader's errors with the same
+    helpers.
     """
     for col in PREDICTION_COLUMNS:
         if col not in columns:

@@ -1,3 +1,4 @@
+import fcntl
 import io
 import json
 import os
@@ -701,6 +702,64 @@ class TestShardedPredictions:
         del serial_passes[:]
         assert self.evaluate(preds_dir, capsys, path) == expected
         assert serial_passes == [] and len(forks) == 4
+
+    @pytest.mark.skipif(not hasattr(fcntl, "F_GETPIPE_SZ"),
+                        reason="needs Linux pipe sizes")
+    @pytest.mark.parametrize("held", [True, False], ids=["held", "plain"])
+    def test_named_pipes_give_the_file_report(self, preds_dir, held):
+        # A pipe is not a regular file: it is opened and read once, by the
+        # serial pass, whether a shell holds it for the command, as in
+        # `evaluate … --dataset <(cat dataset.csv)`, or not.
+        inputs = {
+            "data.csv": b"sex,occupation\n" + SMALL_ROWS * 1000,
+            "many.csv": b"group,predicted,actual,score,legitimate\n"
+                        + PREDICTION_ROWS * 100,
+        }
+        for name, data in inputs.items():
+            (preds_dir / name).write_bytes(data)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [os.path.dirname(os.path.dirname(cli.__file__))]
+            + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+
+        def evaluate(dataset, predictions):
+            proc = subprocess.run(
+                [sys.executable, "-m", "complykit.cli", "evaluate",
+                 str(preds_dir / "preds.law"), "--dataset", str(dataset),
+                 "--predictions", str(predictions), "--deterministic"],
+                capture_output=True, env=env, timeout=60)
+            return proc.returncode, proc.stdout, proc.stderr
+
+        expected = evaluate(preds_dir / "data.csv", preds_dir / "many.csv")
+        assert expected[0] == 1 and b"calibration" in expected[1]
+        copy = ("import shutil, sys\n"
+                "with open(sys.argv[1], 'rb') as src, "
+                "open(sys.argv[2], 'wb') as dst:\n"
+                "    shutil.copyfileobj(src, dst)\n")
+        fifos, ends, writers = [], [], []
+        try:
+            for name, data in inputs.items():
+                fifo = preds_dir / (name + ".fifo")
+                os.mkfifo(fifo)
+                fifos.append(fifo)
+                if held:
+                    # Hold a read end, as a shell holds the pipe of
+                    # `<(cat …)` for its command; with more than the pipe
+                    # holds to write, the writer is still there for each
+                    # open of the path.
+                    ends.append(os.open(fifo, os.O_RDONLY | os.O_NONBLOCK))
+                    assert len(data) > fcntl.fcntl(ends[-1],
+                                                   fcntl.F_GETPIPE_SZ)
+                writers.append(subprocess.Popen(
+                    [sys.executable, "-c", copy, str(preds_dir / name),
+                     str(fifo)]))
+            assert evaluate(*fifos) == expected
+            assert [proc.wait(timeout=60) for proc in writers] == [0, 0]
+        finally:
+            for proc in writers:
+                proc.kill()
+                proc.wait(timeout=60)
+            for fd in ends:
+                os.close(fd)
 
 
 class TestExitCodes:

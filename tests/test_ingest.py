@@ -10,7 +10,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from complykit import ingest
@@ -309,16 +309,20 @@ class TestShardedCount:
         monkeypatch.setattr(os, "cpu_count", lambda: None)
         assert ingest._usable_cpus() == 1
 
-    def test_threaded_process_never_forks(self, tmp_path, monkeypatch):
+    def test_threaded_process_never_forks(self, tmp_path, monkeypatch,
+                                          forks):
         force_shards(monkeypatch, 2)
         path = tmp_path / "d.csv"
         path.write_text("sex\n" + "Male\n" * 50)
-        assert ingest._shard_cuts(path) is not None
+        assert len(ingest._shard_cuts(path)) == 3
         release = threading.Event()
         worker = threading.Thread(target=release.wait)
         worker.start()
         try:
-            assert ingest._shard_cuts(path) is None
+            # one shard, split in this process
+            assert len(ingest._shard_cuts(path)) == 2
+            assert count_dataset(path, ["sex"]) == Counter({("Male",): 50})
+            assert forks == []
         finally:
             release.set()
             worker.join(timeout=10)
@@ -583,6 +587,128 @@ class TestShardedPredictions:
             release.set()
             worker.join(timeout=10)
         assert not worker.is_alive()
+
+
+# Pieces `csv` and a naive split could read differently, for
+# `quote_free_csv`: commas, line ends of every kind, NUL and multibyte
+# characters.
+SPLIT_PIECES = [",", "\n", "\r\n", "\r", " ", "\0", "\u00e9", "\u20ac"]
+# `csv.field_size_limit()` while a table with a long line is read
+LOW_FIELD_LIMIT = 40
+
+
+@st.composite
+def quote_free_csv(draw, columns, cells):
+    """`(data, low_limit)`: the bytes of a quote-free CSV with a header of
+    `columns`, rows of `cells`, CRLF or LF line ends and blank lines, and
+    any of: up to three `SPLIT_PIECES` among the cells, rows one cell short
+    or long, whitespace-only lines and lone CR line ends, a line longer
+    than `LOW_FIELD_LIMIT` (then `low_limit` is True), an invalid UTF-8
+    sequence. The `@example`s of `TestSplitPass` hold each alone."""
+    pieces = draw(st.lists(st.sampled_from(SPLIT_PIECES), max_size=3,
+                           unique=True))
+    cell = st.sampled_from(cells + pieces) \
+        | st.lists(st.sampled_from(cells + pieces), max_size=3).map("".join)
+    widths = [len(columns)]
+    if draw(st.booleans()):
+        widths += [len(columns) - 1, len(columns) + 1]
+    eols = ["\n", "\r\n", "\n\n", "\r\n\r\n"]
+    if draw(st.booleans()):
+        eols += ["\r", "\n \n", "\r\r\n"]
+    lines = [",".join(columns)]
+    for _ in range(draw(st.integers(0, 12))):
+        width = draw(st.sampled_from(widths))
+        lines.append(",".join(draw(st.lists(cell, min_size=width,
+                                            max_size=width))))
+    low_limit = draw(st.booleans())
+    if low_limit:
+        # fields at or over the limit: `csv` reads the first, not the second
+        field = "x" * draw(st.sampled_from([LOW_FIELD_LIMIT // 2,
+                                            LOW_FIELD_LIMIT + 1]))
+        lines.insert(draw(st.integers(1, len(lines))),
+                     ",".join([field] * len(columns)))
+    text = "".join(line + draw(st.sampled_from(eols)) for line in lines[:-1])
+    text += lines[-1] + draw(st.sampled_from([""] + eols))
+    data = text.encode()
+    if draw(st.booleans()):
+        at = draw(st.integers(len(lines[0]), len(data)))
+        data = data[:at] + draw(st.sampled_from([b"\xff", b"\xe2\x82"])) \
+            + data[at:]
+    return data, low_limit
+
+
+def outcome(read, source):
+    """`read(source)`, or the message of the IngestError it raised."""
+    try:
+        return read(source)
+    except IngestError as exc:
+        return str(exc)
+
+
+class TestSplitPass:
+    """A quote-free file split without `csv` (`_split_rows`), in one shard
+    or in several, gives what the `csv` pass over a stream of the same
+    bytes gives: the same Counter or tally, in the same order, or the same
+    IngestError. Blocks of 1 to 7 characters cut CRLF pairs; a line
+    longer than the field limit fits in the default block."""
+
+    def check(self, tmp_path_factory, table, read):
+        data, low_limit = table
+        path = tmp_path_factory.mktemp("split") / "t.csv"
+        path.write_bytes(data)
+        serial_passes = []
+        csv_table = ingest._csv_table
+
+        def recording_csv_table(source):
+            serial_passes.append(source)
+            return csv_table(source)
+
+        limit = csv.field_size_limit()
+        try:
+            if low_limit:
+                csv.field_size_limit(LOW_FIELD_LIMIT)
+            with open(path, newline="", encoding="utf-8-sig") as fh:
+                expected = outcome(read, fh)
+            text = data.decode(errors="replace")
+            # Nothing here makes the split pass give up: no serial pass.
+            splits = not isinstance(expected, str) and not low_limit \
+                and "\0" not in text and "\ufffd" not in text \
+                and "\r" not in (text + "\n").replace("\r\n", "")
+            for block in (1, 2, 3, 7, ingest._BLOCK_CHARS):
+                for cpus in (1, 3):
+                    with pytest.MonkeyPatch.context() as mp:
+                        force_shards(mp, cpus)
+                        mp.setattr(ingest, "_BLOCK_CHARS", block)
+                        mp.setattr(ingest, "_csv_table", recording_csv_table)
+                        assert outcome(read, path) == expected
+                    if splits:
+                        assert serial_passes == []
+        finally:
+            csv.field_size_limit(limit)
+
+    @settings(max_examples=60, deadline=None)
+    @given(quote_free_csv(["sex", "occupation"], UNQUOTED_CELLS),
+           st.lists(st.sampled_from(["sex", "occupation"]), max_size=2))
+    @example((b"sex,occupation\r\nMale,Other\r\n\r\nFemale,Other", False),
+             ["sex"])
+    @example((b"sex,occupation\r\nMale\r,Other\r\n", False), ["sex"])
+    @example((b"sex,occupation\nMale,Oth\0er\nMale,Other\r", False), ["sex"])
+    @example((b"sex,occupation\nMale," + b"x" * 41 + b"\n", True), ["sex"])
+    @example((b"sex,occupation\nMale,\xe2\x82\n", False), ["sex"])
+    def test_dataset(self, tmp_path_factory, table, names):
+        self.check(tmp_path_factory, table,
+                   lambda source: list(count_dataset(source, names).items()))
+
+    @settings(max_examples=60, deadline=None)
+    @given(quote_free_csv(["group", "predicted", "actual", "score",
+                           "legitimate"],
+                          [PRIVILEGED, UNPRIVILEGED, " " + PRIVILEGED, "0",
+                           "1", "0.25", " 0.5", "a", "b"]))
+    @example((b"group,predicted,actual,score,legitimate\r\n"
+              b"privileged,1,1,0.5,a\r\n\r\nunprivileged,0,1,,b", False))
+    def test_predictions(self, tmp_path_factory, table):
+        self.check(tmp_path_factory, table,
+                   lambda source: cell_bytes(read_predictions(source)))
 
 
 class TestByteOrderMark:
