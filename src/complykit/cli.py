@@ -141,7 +141,10 @@ def cmd_evaluate(args) -> int:
         if doc.protected is not None:
             labels = (doc.protected.privileged_value,
                       doc.protected.unprivileged_value)
-        gp = ingest.read_predictions(args.predictions, *labels)
+        # Each shard of the prediction pass counts its own calibration bins.
+        bins = [c.bins for c in doc.metrics if c.metric_id == "calibration"]
+        gp = ingest.read_predictions(args.predictions, *labels,
+                                     calibration_bins=bins)
 
     metrics = _compute_metrics(doc, bound, gp)
     del gp  # the report phase reuses the tally's memory

@@ -23,7 +23,7 @@ from typing import Optional
 
 from ._shared import IngestError, read_text  # re-exported
 from ._value import Value
-from .fairness import PRIVILEGED, UNPRIVILEGED, GroupedPredictions
+from .fairness import PRIVILEGED, UNPRIVILEGED, GroupedPredictions, _bin_rows
 from .intervals import Interval
 
 
@@ -89,12 +89,13 @@ def count_dataset(source, names=()) -> Counter:
 
 
 def _row_counter(columns: tuple, names):
-    """`count_dataset`'s row loop: a tally with no scores whose one prefix,
-    `()`, maps each tuple of named cells to its row count."""
+    """`count_dataset`'s row loop: a tally with no scores and no bin counts
+    whose one prefix, `()`, maps each tuple of named cells to its row
+    count."""
     idx = [_column_index(columns, name) for name in names]
     width = len(columns)
     return lambda reader: ({}, {(): _count_rows(
-        map(itemgetter(1), _csv_rows(reader, width)), idx)})
+        map(itemgetter(1), _csv_rows(reader, width)), idx)}, {})
 
 
 # Scores per `array.fromfile` call when merging a child's tally: the
@@ -104,17 +105,21 @@ _MERGE_ITEMS = 4096
 
 
 def _dump_tally(tally, pipe) -> None:
-    """Write a `(scored, unscored)` tally as one frame: the length of its
-    marshalled header as 8 little-endian bytes, the header, then each score
-    array in the header's order. The header holds two lists of `(prefix,
-    legitimate, n)` entries, one per distinct (prefix, stratum) text: the
-    rows without a score, then the scores."""
-    scored, unscored = tally
+    """Write a `(scored, unscored, bin_counts)` tally as one frame: the
+    length of its marshalled header as 8 little-endian bytes, the header,
+    then each score array in the header's order. The header holds two
+    lists of `(prefix, legitimate, n)` entries, one per distinct (prefix,
+    stratum) text: the rows without a score, then the scores. A third list
+    holds the calibration bin counts as `(bins, (group, actual), bin,
+    rows)` entries."""
+    scored, unscored, bin_counts = tally
     header = marshal.dumps((
         [(prefix, text, n) for prefix, counts in unscored.items()
          for text, n in counts.items()],
         [(prefix, text, len(scores)) for prefix, by_text in scored.items()
-         for text, scores in by_text.items()]))
+         for text, scores in by_text.items()],
+        [(bins, cell, b, n) for bins, binned in bin_counts.items()
+         for cell, counts in binned.items() for b, n in counts.items()]))
     pipe.write(len(header).to_bytes(8, "little"))
     pipe.write(header)
     for by_text in scored.values():
@@ -123,16 +128,17 @@ def _dump_tally(tally, pipe) -> None:
 
 
 def _merge_tally(tally, pipe) -> None:
-    """Fold a tally written by `_dump_tally` into `tally`, in its order. The
-    header is read with one `read` (`marshal.load` on a pipe reads it item
-    by item). A frame cut short raises EOFError, here or in `marshal.loads`
-    or `array.fromfile` (ValueError if it is cut inside a score)."""
-    scored, unscored = tally
+    """Fold a tally written by `_dump_tally` into `tally`, in its order;
+    row and bin counts add. The header is read with one `read`
+    (`marshal.load` on a pipe reads it item by item). A frame cut short
+    raises EOFError, here or in `marshal.loads` or `array.fromfile`
+    (ValueError if it is cut inside a score)."""
+    scored, unscored, bin_counts = tally
     size = int.from_bytes(pipe.read(8), "little")
     header = pipe.read(size)
     if len(header) != size:
         raise EOFError("shard result cut short")
-    more_unscored, lengths = marshal.loads(header)
+    more_unscored, lengths, more_bins = marshal.loads(header)
     for prefix, text, n in lengths:
         scores = scored.setdefault(prefix, {}).setdefault(text, array("d"))
         while n:
@@ -142,6 +148,9 @@ def _merge_tally(tally, pipe) -> None:
     for prefix, text, n in more_unscored:
         counts = unscored.setdefault(prefix, {})
         counts[text] = counts.get(text, 0) + n
+    for bins, cell, b, n in more_bins:
+        counts = bin_counts.setdefault(bins, {}).setdefault(cell, {})
+        counts[b] = counts.get(b, 0) + n
 
 
 # A file is split into at most one shard per usable CPU, each of at least
@@ -295,13 +304,13 @@ def _run_sharded(path, prepare):
     forked child reduces each later shard.
 
     `prepare(columns)` checks the header and returns `reduce(rows)`, which
-    folds the rows past the header into a new `(scored, unscored)` tally.
-    Each child writes its tally with `_dump_tally`, and the parent folds
-    it into its own with `_merge_tally`, in shard order, so keys and
-    scores keep serial order. None when `_shard_cuts` declines, or when
-    any shard fails (a bad row, text `_split_rows` refuses, a child that
-    dies, a short read or a trailing byte): the serial `csv` pass then
-    reports the first bad row in file order.
+    folds the rows past the header into a new `(scored, unscored,
+    bin_counts)` tally. Each child writes its tally with `_dump_tally`,
+    and the parent folds it into its own with `_merge_tally`, in shard
+    order, so keys and scores keep serial order. None when `_shard_cuts`
+    declines, or when any shard fails (a bad row, text `_split_rows`
+    refuses, a child that dies, a short read or a trailing byte): the
+    serial `csv` pass then reports the first bad row in file order.
     """
     cuts = _shard_cuts(path)
     if cuts is None:
@@ -338,9 +347,10 @@ def _run_sharded(path, prepare):
 
 def _reduce_csv(source, prepare):
     """`prepare(columns)(rows)` over a CSV path or text stream: a
-    `(scored, unscored)` tally of `{prefix: {legitimate: ...}}` dicts, the
-    one result shape that both CSV passes reduce to and that
-    `_dump_tally`/`_merge_tally` carry between shards.
+    `(scored, unscored, bin_counts)` tally, two `{prefix: {legitimate:
+    ...}}` dicts and one of calibration bin counts, the one result shape
+    that both CSV passes reduce to and that `_dump_tally`/`_merge_tally`
+    carry between shards.
 
     A path goes through `_run_sharded` first, which splits a quote-free
     regular file without `csv`. A stream, a path it declines (a quoted
@@ -487,7 +497,8 @@ PREDICTION_COLUMNS = ("group", "predicted", "actual")
 
 
 def read_predictions(source, privileged_label: str = PRIVILEGED,
-                     unprivileged_label: str = UNPRIVILEGED) -> GroupedPredictions:
+                     unprivileged_label: str = UNPRIVILEGED, *,
+                     calibration_bins=()) -> GroupedPredictions:
     """Read a prediction CSV with columns group,predicted,actual[,score,legitimate].
 
     Group values must equal the given labels (a policy's privileged and
@@ -503,11 +514,20 @@ def read_predictions(source, privileged_label: str = PRIVILEGED,
     in byte-range shards on every usable CPU (one for a small file; see
     `_shard_cuts`); the tally is the same, key order and score order
     included.
+
+    For each number in `calibration_bins` (`evaluate` passes the policy's
+    calibration `bins`) each shard also counts its scores into
+    calibration bins, in parallel, and the shards' counts add up to
+    `bin_counts`, which `calibration_gap` then reads instead of binning
+    every score again. None are kept when a row has no score, since
+    calibration is Undefined then (a shard that tallies one bins nothing).
     """
     key = _prediction_key(privileged_label, unprivileged_label)
-    scored, unscored = _reduce_csv(source, partial(_prediction_tally, key=key))
+    scored, unscored, bin_counts = _reduce_csv(
+        source, partial(_prediction_tally, key=key, bins=calibration_bins))
     return GroupedPredictions(scored, unscored,
-                              {prefix: key(prefix) for prefix in scored})
+                              {prefix: key(prefix) for prefix in scored},
+                              {} if unscored else bin_counts)
 
 
 def _prediction_key(privileged_label: str, unprivileged_label: str):
@@ -525,16 +545,18 @@ def _prediction_key(privileged_label: str, unprivileged_label: str):
     return key
 
 
-def _prediction_tally(columns: tuple, key):
+def _prediction_tally(columns: tuple, key, bins=()):
     """`read_predictions`' row loop for a header of `columns`.
 
     Returns `tally(reader)`, which folds the rows past the header (from a
-    `csv.reader` or `_split_rows`) into a new `(scored, unscored)` pair of
-    `{prefix: {legitimate text: ...}}` dicts, as the `GroupedPredictions`
-    constructor takes them, checking each new prefix with `key` and every
-    score. It reads `reader` itself, not through `_csv_rows`, for speed,
-    and checks each row's width and the reader's errors with the same
-    helpers.
+    `csv.reader` or `_split_rows`) into a new `(scored, unscored,
+    bin_counts)` tally, as the `GroupedPredictions` constructor takes it,
+    checking each new prefix with `key` and every score. The first two
+    are `{prefix: {legitimate text: ...}}` dicts. The row loop reads
+    `reader` itself, not through `_csv_rows`, for speed, and checks each
+    row's width and the reader's errors with the same helpers. After it,
+    `bin_counts` maps each number in `bins` to the `_bin_rows` counts of
+    the scores; it is `{}` when a row had no score.
     """
     for col in PREDICTION_COLUMNS:
         if col not in columns:
@@ -583,7 +605,13 @@ def _prediction_tally(columns: tuple, key):
                 counts[text] = counts.get(text, 0) + 1
         except (UnicodeDecodeError, csv.Error) as exc:
             raise _reader_error(exc, rownum) from exc
-        return scored, unscored
+        bin_counts = {}
+        if bins and not unscored:
+            cells = [(g, a) for g, _, a in map(key, scored)]
+            for b in bins:
+                bin_counts[b] = _bin_rows(
+                    zip(cells, map(dict.values, scored.values())), b)
+        return scored, unscored, bin_counts
 
     return tally
 

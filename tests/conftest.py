@@ -233,18 +233,24 @@ PREDICTION_CELLS = {
 
 
 @st.composite
-def prediction_csv(draw, labels=(PRIVILEGED, UNPRIVILEGED)):
-    """Quote-free prediction CSV text with or without the score and
-    legitimate columns, columns in any order, padded cells, blank lines
-    and LF or CRLF line ends. Groups are the two `labels`, padded or not."""
+def prediction_csv(draw, labels=(PRIVILEGED, UNPRIVILEGED),
+                   scores=PREDICTION_CELLS["score"],
+                   optional=("score", "legitimate"), min_rows=0):
+    """Quote-free prediction CSV text of `min_rows` to 40 rows, with or
+    without each `optional` column (score and legitimate are always or
+    optionally present), columns in any order, padded cells, blank lines
+    and LF or CRLF line ends. Groups are the two `labels`, padded or not,
+    and score cells are drawn from `scores`."""
     privileged, unprivileged = labels
-    cells = dict(PREDICTION_CELLS, group=[
+    cells = dict(PREDICTION_CELLS, score=scores, group=[
         privileged, " " + privileged, unprivileged + " ", unprivileged])
     columns = ["group", "predicted", "actual"] + [
-        c for c in ("score", "legitimate") if draw(st.booleans())]
+        c for c in ("score", "legitimate")
+        if c not in optional or draw(st.booleans())]
     columns = draw(st.permutations(columns))
     rows = draw(st.lists(st.tuples(*(st.sampled_from(cells[c])
-                                     for c in columns)), max_size=40))
+                                     for c in columns)),
+                         min_size=min_rows, max_size=40))
     eol = draw(st.sampled_from(["\n", "\r\n"]))
     lines = [",".join(columns)]
     for row in rows:

@@ -703,6 +703,48 @@ class TestShardedPredictions:
         assert self.evaluate(preds_dir, capsys, path) == expected
         assert serial_passes == [] and len(forks) == 4
 
+    @pytest.mark.parametrize("cpus", [1, 3])
+    def test_calibration_reads_the_bin_counts_of_the_shards(
+            self, preds_dir, capsys, monkeypatch, forks, cpus):
+        # Every row scored: the report is the one binning `gp.scores` in
+        # the metric gives, and the metric phase bins nothing.
+        path = preds_dir / "scored.csv"
+        path.write_bytes(b"group,predicted,actual,score,legitimate\n"
+                         + PREDICTION_ROWS.replace(b",,", b",0.5,") * 4)
+        read = ingest.read_predictions
+        with monkeypatch.context() as mp:
+            mp.setattr(ingest, "read_predictions",
+                       lambda *args, calibration_bins: read(*args))
+            expected = self.evaluate(preds_dir, capsys, path)
+        assert expected[0] in (0, 1) and "calibration" in expected[1]
+        assert "lack scores" not in expected[1]
+
+        def no_binning(*args):
+            raise AssertionError("the metric binned the scores")
+
+        force_shards(monkeypatch, cpus)
+        monkeypatch.setattr(fairness, "_bin_rows", no_binning)
+        assert self.evaluate(preds_dir, capsys, path) == expected
+        assert len(forks) == (0 if cpus == 1 else 4)
+
+    @pytest.mark.parametrize("cpus", [1, 3])
+    def test_no_calibration_constraint_bins_nothing(
+            self, preds_dir, capsys, monkeypatch, cpus):
+        (preds_dir / "preds.law").write_text(PREDICTION_POLICY.replace(
+            "calibration", "predictive_parity"))
+        path = preds_dir / "scored.csv"
+        path.write_bytes(b"group,predicted,actual,score,legitimate\n"
+                         + PREDICTION_ROWS.replace(b",,", b",0.5,") * 4)
+        expected = self.evaluate(preds_dir, capsys, path)
+        assert expected[0] in (0, 1) and "calibration" not in expected[1]
+
+        def no_binning(*args):
+            raise AssertionError("scores were binned")
+
+        force_shards(monkeypatch, cpus)
+        monkeypatch.setattr(fairness, "_bin_counts", no_binning)
+        assert self.evaluate(preds_dir, capsys, path) == expected
+
     @pytest.mark.skipif(not hasattr(fcntl, "F_GETPIPE_SZ"),
                         reason="needs Linux pipe sizes")
     @pytest.mark.parametrize("held", [True, False], ids=["held", "plain"])

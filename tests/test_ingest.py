@@ -1,6 +1,7 @@
 import csv
 import errno
 import io
+import math
 import os
 import random
 import threading
@@ -14,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from complykit import ingest
-from complykit.fairness import PRIVILEGED, UNPRIVILEGED
+from complykit.fairness import PRIVILEGED, UNPRIVILEGED, calibration_gap
 from complykit.ingest import (
     Dataset,
     IngestError,
@@ -30,6 +31,7 @@ from complykit.ingest import (
 )
 from complykit.intervals import Interval
 from complykit.policy import parse_policy
+from complykit.report import _json_value, _trace_obj
 from conftest import (
     SCENARIO1_POLICY,
     UNQUOTED_CELLS,
@@ -441,20 +443,25 @@ class TestShardedPredictions:
         long = array("d", (i / 7 for i in range(10_000)))
         p11, u01 = ("privileged", "1", "1"), ("unprivileged", "0", "1")
         p00, p10 = ("privileged", "0", "0"), (" privileged ", "1", "0")
+        # Bin counts add per (bins, cell, bin); big bin numbers travel too.
+        u1, p0 = (UNPRIVILEGED, 1), (PRIVILEGED, 0)
         theirs = ({p11: {"a": array("d", [0.25, 0.5]), "": array("d")},
                    u01: {"a": long, "b": array("d", [1.0]), "c": array("d")},
                    p00: {" ": array("d")}},
-                  {p11: {"": 2}, u01: {"b": 1, "c": 2}, p00: {" ": 3}})
+                  {p11: {"": 2}, u01: {"b": 1, "c": 2}, p00: {" ": 3}},
+                  {10: {u1: {9: 2, 0: 1}, p0: {3: 4}},
+                   2**53: {u1: {2**53 - 1: 5}}})
         ours = ({u01: {"b": array("d", [0.75])},
                  p10: {"a": array("d", [0.0])}},
-                {u01: {"b": 4}})
+                {u01: {"b": 4}},
+                {10: {u1: {0: 7, 5: 1}}, 3: {p0: {1: 1}}})
         buf = io.BytesIO()
         ingest._dump_tally(theirs, buf)
         frame = buf.getvalue()
         pipe = io.BytesIO(frame)
         ingest._merge_tally(ours, pipe)
         assert pipe.read() == b""
-        scored, unscored = ours
+        scored, unscored, bin_counts = ours
         # new prefixes follow ours in their order, and new texts follow
         # ours within a prefix
         assert list(scored) == [u01, p10, p11, p00]
@@ -468,12 +475,14 @@ class TestShardedPredictions:
         assert unscored == {u01: {"b": 5, "c": 2}, p11: {"": 2}, p00: {" ": 3}}
         assert list(unscored) == [u01, p11, p00]
         assert list(unscored[u01]) == ["b", "c"]
+        assert bin_counts == {10: {u1: {0: 8, 5: 1, 9: 2}, p0: {3: 4}},
+                              3: {p0: {1: 1}}, 2**53: {u1: {2**53 - 1: 5}}}
         size = int.from_bytes(frame[:8], "little")
         for cut in (0, 4, 8, 8 + size // 2, 8 + size + 8, len(frame) - 8):
             with pytest.raises(EOFError):
-                ingest._merge_tally(({}, {}), io.BytesIO(frame[:cut]))
+                ingest._merge_tally(({}, {}, {}), io.BytesIO(frame[:cut]))
         with pytest.raises(ValueError):  # cut inside a score
-            ingest._merge_tally(({}, {}), io.BytesIO(frame[:-1]))
+            ingest._merge_tally(({}, {}, {}), io.BytesIO(frame[:-1]))
 
     def test_short_result_falls_back(self, tmp_path, monkeypatch, forks):
         # Each length prefix claims one byte more than the dump writes.
@@ -587,6 +596,79 @@ class TestShardedPredictions:
             release.set()
             worker.join(timeout=10)
         assert not worker.is_alive()
+
+
+CALIBRATION_BINS = (2, 3, 10, 1000, 2**53)
+
+
+@st.composite
+def calibration_case(draw):
+    """`(bins, text)`: a prediction CSV whose every score is 0, 1, the
+    least subnormal, the greatest float below 1, or one of some edges
+    `k / bins` of the bins or their float neighbours."""
+    bins = draw(st.sampled_from(CALIBRATION_BINS))
+    scores = {0.0, 1.0, 5e-324, 1 - 2**-53}
+    for k in draw(st.lists(st.integers(0, bins), min_size=1, max_size=3)):
+        edge = k / bins
+        scores |= {edge, math.nextafter(edge, 0.0), math.nextafter(edge, 1.0)}
+    return bins, draw(prediction_csv(scores=sorted(map(repr, scores)),
+                                     optional=("legitimate",), min_rows=8))
+
+
+def metric_bytes(mv):
+    """A MetricValue as the JSON report writes it."""
+    return _json_value(_trace_obj(mv))
+
+
+class TestCalibrationBins:
+    """Bin counts from the prediction reduction (`calibration_bins`) give
+    the calibration gap of binning `gp.scores` in the metric."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(calibration_case(), st.integers(2, 4))
+    def test_reduced_counts_equal_the_metric_path(self, tmp_path_factory,
+                                                  case, cpus):
+        bins, text = case
+        reference = read_predictions(io.StringIO(text))
+        assert reference.bin_counts == {}
+        expected = calibration_gap(reference, bins)
+        path = tmp_path_factory.mktemp("bins") / "p.csv"
+        path.write_bytes(text.encode())
+        # 7 bins too, so that the gap must pick its own bins' counts
+        both = (7, bins)
+        gps = [read_predictions(io.StringIO(text), calibration_bins=both)]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ingest, "_csv_table", no_serial_pass)
+            gps.append(read_predictions(path, calibration_bins=both))
+            force_shards(mp, cpus)
+            gps.append(read_predictions(path, calibration_bins=both))
+        for gp in gps:
+            assert set(gp.bin_counts) == {7, bins}
+            got = calibration_gap(gp, bins)
+            assert (got.value, got.reason, got.trace) == \
+                (expected.value, expected.reason, expected.trace)
+            assert metric_bytes(got) == metric_bytes(expected)
+
+    @pytest.mark.parametrize("text, reason", [
+        ("group,predicted,actual,score\n"
+         + "privileged,1,1,0.5\nunprivileged,0,1,0.25\n" * 30
+         + "unprivileged,1,1,\n", "1 record(s)"),
+        ("group,predicted,actual\n"
+         + "privileged,1,1\nunprivileged,0,1\n" * 30, "60 record(s)"),
+    ], ids=["blank-in-last-shard", "no-score-column"])
+    def test_unscored_rows_give_the_metric_path_reason(
+            self, tmp_path, monkeypatch, forks, text, reason):
+        expected = calibration_gap(read_predictions(io.StringIO(text)), 10)
+        assert expected.reason == \
+            f"{reason} lack scores required by this metric"
+        path = tmp_path / "p.csv"
+        path.write_text(text)
+        force_shards(monkeypatch, 3)
+        monkeypatch.setattr(ingest, "_csv_table", no_serial_pass)
+        gp = read_predictions(path, calibration_bins=[10])
+        assert len(forks) == 2
+        assert gp.bin_counts == {}
+        assert calibration_gap(gp, 10) == expected
 
 
 # Pieces `csv` and a naive split could read differently, for
