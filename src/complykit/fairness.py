@@ -44,7 +44,7 @@ class GroupedPredictions:
       collector tracks no per-stratum object;
     - `scores`: (group, actual) -> list of score arrays;
     - `unscored`: rows without a score;
-    - `bin_counts`: calibration bin counts, as the constructor takes them.
+    - `bin_counts`: bins -> counts per bin, in the shape of `strata`.
 
     `cells` rebuilds the cells from the tally, so the rows can be rebuilt
     exactly (up to order).
@@ -62,10 +62,10 @@ class GroupedPredictions:
         `(group, predicted, actual)`.
 
         `bin_counts` maps a number of calibration bins to the
-        `_bin_rows` counts of every score, `{(group, actual): {bin:
-        rows}}`, as the shards of `read_predictions` count them;
-        `calibration_gap` reads them instead of binning `scores` again.
-        None or `{}` when none were counted, as when a row has no score.
+        `_bin_rows` counts of every score, as the shards of
+        `read_predictions` add them up; `calibration_gap` reads them
+        instead of binning `scores` again. None or `{}` when none were
+        counted, as when a row has no score.
         """
         quadrants = {g: [[0, 0], [0, 0]] for g in GROUPS}  # [predicted][actual]
         strata = {g: ({}, {}) for g in GROUPS}
@@ -276,29 +276,34 @@ def treatment_equality(gp: GroupedPredictions) -> MetricValue:
     return MetricValue("treatment_equality", value, trace=trace)
 
 
-def _gaps_by_key(counts: dict) -> tuple:
-    """Per-key positive-rate gaps from `{group: (rows, positives)}` counts.
+def _gaps_by_key(metric_id: str, counts: dict, key: str, keys: str,
+                 **trace) -> MetricValue:
+    """Worst positive-rate gap over the keys (strata or bins) of `{group:
+    (rows, positives)}` counts, each a `{key: count}` dict.
 
-    Returns `({key: gap}, [skipped keys])` in sorted key order, a None key
-    (the blank stratum) first; a key is skipped when either group has no
-    rows under it.
+    The trace is `trace`, then `per_<key>_gap` and `skipped_<keys>`, the
+    keys where either group has no rows, in sorted order with a None key
+    (the blank stratum) first; with no gap the value is Undefined, "no
+    comparable <key>". `Fraction` counts give exact gaps.
     """
     rows_u, positives_u = counts[UNPRIVILEGED]
     rows_p, positives_p = counts[PRIVILEGED]
-    gaps = {}
-    skipped = []
-    keys = rows_u.keys() | rows_p.keys()
-    ordered = [None] if None in keys else []
-    keys.discard(None)
-    ordered += sorted(keys)
-    for key in ordered:
-        n_u = rows_u.get(key, 0)
-        n_p = rows_p.get(key, 0)
+    gaps = trace[f"per_{key}_gap"] = {}
+    skipped = trace[f"skipped_{keys}"] = []
+    present = rows_u.keys() | rows_p.keys()
+    ordered = [None] if None in present else []
+    present.discard(None)
+    ordered += sorted(present)
+    for k in ordered:
+        n_u = rows_u.get(k, 0)
+        n_p = rows_p.get(k, 0)
         if n_u and n_p:
-            gaps[key] = positives_u[key] / n_u - positives_p[key] / n_p
+            gaps[k] = positives_u[k] / n_u - positives_p[k] / n_p
         else:
-            skipped.append(key)
-    return gaps, skipped
+            skipped.append(k)
+    if not gaps:
+        return MetricValue.undefined(metric_id, f"no comparable {key}", trace)
+    return MetricValue(metric_id, max(map(abs, gaps.values())), trace=trace)
 
 
 def conditional_statistical_parity(gp: GroupedPredictions) -> MetricValue:
@@ -306,12 +311,8 @@ def conditional_statistical_parity(gp: GroupedPredictions) -> MetricValue:
 
     Strata where either group is absent are skipped and listed in the trace.
     """
-    mid = "conditional_statistical_parity"
-    gaps, skipped = _gaps_by_key(gp.strata)
-    trace = {"per_stratum_gap": gaps, "skipped_strata": skipped}
-    if not gaps:
-        return MetricValue.undefined(mid, "no comparable stratum", trace)
-    return MetricValue(mid, max(abs(v) for v in gaps.values()), trace=trace)
+    return _gaps_by_key("conditional_statistical_parity", gp.strata,
+                        "stratum", "strata")
 
 
 def _require_scores(gp: GroupedPredictions, metric_id: str):
@@ -337,27 +338,29 @@ def _bin_counts(score_arrays, bins: int) -> Counter:
 
 
 def _bin_rows(cells, bins: int) -> dict:
-    """`{(group, actual): {bin: rows}}` of `((group, actual), score
-    arrays)` pairs, summed over pairs that share a cell.
+    """`{group: (rows, positives)}` per bin, the strata's shape, of
+    `((group, actual), score arrays)` pairs; positives are `actual` × rows.
 
     Counts are ints and the top-bin fold applies to each pair's counts
     alone, so counts of parts of the scores (a shard's, say) add up to
     the counts of the whole.
     """
-    binned = {}
-    for cell, arrays in cells:
-        counts = binned.setdefault(cell, {})
+    binned = {g: ({}, {}) for g in GROUPS}
+    for (g, actual), arrays in cells:
+        rows, positives = binned[g]
         for b, n in _bin_counts(arrays, bins).items():
-            counts[b] = counts.get(b, 0) + n
+            rows[b] = rows.get(b, 0) + n
+            positives[b] = positives.get(b, 0) + actual * n
     return binned
 
 
 def calibration_gap(gp: GroupedPredictions, bins: int = 10) -> MetricValue:
     """Worst per-bin positive-rate gap over equal-width score bins.
 
-    The bin counts are `gp.bin_counts[bins]` when the reduction counted
-    them, else `_bin_rows` of `gp.scores`; the two are equal. Bins with
-    only one group present are skipped and logged in the trace.
+    The bin counts, `{group: (rows, positives)}` per bin as for strata,
+    are `gp.bin_counts[bins]` when the reduction counted them, else
+    `_bin_rows` of `gp.scores`; the two are equal. Both are judged as
+    strata are, by `_gaps_by_key`.
     """
     mid = "calibration"
     if bins < 2:
@@ -368,17 +371,7 @@ def calibration_gap(gp: GroupedPredictions, bins: int = 10) -> MetricValue:
     binned = gp.bin_counts.get(bins)
     if binned is None:
         binned = _bin_rows(gp.scores.items(), bins)
-    counts = {g: ({}, {}) for g in GROUPS}  # group -> (rows, positives) per bin
-    for (g, actual), by_bin in binned.items():
-        rows, positives = counts[g]
-        for b, n in by_bin.items():
-            rows[b] = rows.get(b, 0) + n
-            positives[b] = positives.get(b, 0) + actual * n
-    per_bin, skipped = _gaps_by_key(counts)
-    trace = {"bins": bins, "per_bin_gap": per_bin, "skipped_bins": skipped}
-    if not per_bin:
-        return MetricValue.undefined(mid, "no comparable bin", trace)
-    return MetricValue(mid, max(abs(v) for v in per_bin.values()), trace=trace)
+    return _gaps_by_key(mid, binned, "bin", "bins", bins=bins)
 
 
 def _balance_gap(gp: GroupedPredictions, metric_id: str, actual_class: int) -> MetricValue:

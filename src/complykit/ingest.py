@@ -110,16 +110,17 @@ def _dump_tally(tally, pipe) -> None:
     then each score array in the header's order. The header holds two
     lists of `(prefix, legitimate, n)` entries, one per distinct (prefix,
     stratum) text: the rows without a score, then the scores. A third list
-    holds the calibration bin counts as `(bins, (group, actual), bin,
-    rows)` entries."""
+    holds the calibration bin counts as `(bins, group, 0 for rows or 1
+    for positives, bin, count)` entries."""
     scored, unscored, bin_counts = tally
     header = marshal.dumps((
         [(prefix, text, n) for prefix, counts in unscored.items()
          for text, n in counts.items()],
         [(prefix, text, len(scores)) for prefix, by_text in scored.items()
          for text, scores in by_text.items()],
-        [(bins, cell, b, n) for bins, binned in bin_counts.items()
-         for cell, counts in binned.items() for b, n in counts.items()]))
+        [(bins, g, i, b, n) for bins, binned in bin_counts.items()
+         for g, pair in binned.items() for i, counts in enumerate(pair)
+         for b, n in counts.items()]))
     pipe.write(len(header).to_bytes(8, "little"))
     pipe.write(header)
     for by_text in scored.values():
@@ -129,10 +130,11 @@ def _dump_tally(tally, pipe) -> None:
 
 def _merge_tally(tally, pipe) -> None:
     """Fold a tally written by `_dump_tally` into `tally`, in its order;
-    row and bin counts add. The header is read with one `read`
-    (`marshal.load` on a pipe reads it item by item). A frame cut short
-    raises EOFError, here or in `marshal.loads` or `array.fromfile`
-    (ValueError if it is cut inside a score)."""
+    row counts add, and bin counts add per (bins, group, rows or
+    positives, bin). The header is read with one `read` (`marshal.load`
+    on a pipe reads it item by item). A frame cut short raises EOFError,
+    here or in `marshal.loads` or `array.fromfile` (ValueError if it is
+    cut inside a score)."""
     scored, unscored, bin_counts = tally
     size = int.from_bytes(pipe.read(8), "little")
     header = pipe.read(size)
@@ -148,8 +150,8 @@ def _merge_tally(tally, pipe) -> None:
     for prefix, text, n in more_unscored:
         counts = unscored.setdefault(prefix, {})
         counts[text] = counts.get(text, 0) + n
-    for bins, cell, b, n in more_bins:
-        counts = bin_counts.setdefault(bins, {}).setdefault(cell, {})
+    for bins, g, i, b, n in more_bins:
+        counts = bin_counts.setdefault(bins, {}).setdefault(g, ({}, {}))[i]
         counts[b] = counts.get(b, 0) + n
 
 
@@ -517,7 +519,8 @@ def read_predictions(source, privileged_label: str = PRIVILEGED,
 
     For each number in `calibration_bins` (`evaluate` passes the policy's
     calibration `bins`) each shard also counts its scores into
-    calibration bins, in parallel, and the shards' counts add up to
+    calibration bins, in parallel: per group, rows and positives per bin,
+    the strata's shape. The shards' counts add up, in shard order, to
     `bin_counts`, which `calibration_gap` then reads instead of binning
     every score again. None are kept when a row has no score, since
     calibration is Undefined then (a shard that tallies one bins nothing).
@@ -556,7 +559,8 @@ def _prediction_tally(columns: tuple, key, bins=()):
     `reader` itself, not through `_csv_rows`, for speed, and checks each
     row's width and the reader's errors with the same helpers. After it,
     `bin_counts` maps each number in `bins` to the `_bin_rows` counts of
-    the scores; it is `{}` when a row had no score.
+    the scores, `{group: (rows, positives)}` per bin; it is `{}` when a
+    row had no score.
     """
     for col in PREDICTION_COLUMNS:
         if col not in columns:

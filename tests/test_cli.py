@@ -804,6 +804,63 @@ class TestShardedPredictions:
                 os.close(fd)
 
 
+class TestTracedPipeline:
+    """`perfbench/tracer.py`'s `run_pipeline` calls the public API step by
+    step, reads the predictions without calibration bins and so bins the
+    scores in `fairness.calibration_gap`; the CLI bins them in the shards
+    of `read_predictions`. Both must write the same report bytes."""
+
+    def test_traced_pipeline_writes_the_cli_bytes(self, tmp_path, capsys,
+                                                  monkeypatch, forks):
+        monkeypatch.syspath_prepend(
+            str(Path(__file__).resolve().parent.parent / "perfbench"))
+        import gen
+        import tracer
+
+        rng = random.Random(23)
+        inputs = tmp_path / "inputs"
+        inputs.mkdir()
+        (inputs / "policy.law").write_text(gen._policy(
+            "traced", gen._all_metrics(7), gen._wald_3x3()))
+        (inputs / "run.manifest").write_text(gen.MANIFEST)
+        sexes = (gen.PRIVILEGED, gen.UNPRIVILEGED, "Unknown")
+        (inputs / "dataset.csv").write_text("sex,occupation\n" + "".join(
+            f"{rng.choice(sexes)},"
+            f"{rng.choice((gen.FAVORABLE, *gen.OTHER_OCCUPATIONS))}\n"
+            for _ in range(400)))
+        # scores on the bin edges k/7 and their neighbours, and 0 and 1;
+        # strata include a blank one and one the privileged group lacks
+        scores = ["0", "1", "0.5", *(repr(k / 7) for k in range(1, 7)),
+                  *(f"{k / 7 + d:.17g}" for k in range(1, 7)
+                    for d in (-1e-16, 1e-16))]
+        rows = []
+        for _ in range(600):
+            group = rng.choice((gen.PRIVILEGED, gen.UNPRIVILEGED))
+            strata = ("a", "b", "", " ")
+            if group == gen.UNPRIVILEGED:
+                strata += ("only-u",)
+            legitimate = rng.choice(strata)
+            rows.append(f"{group},{rng.randrange(2)},{rng.randrange(2)},"
+                        f"{rng.choice(scores)},{legitimate}\n")
+        (inputs / "predictions.csv").write_text(
+            "group,predicted,actual,score,legitimate\n" + "".join(rows))
+
+        text, data, counts, _ = tracer.run_pipeline(tracer.Tracer("t"),
+                                                    str(inputs))
+        assert counts["prediction_rows"] == 600
+        assert counts["bins_compared"] and counts["strata_skipped"]
+        assert forks == []
+
+        force_shards(monkeypatch, 3)
+        json_path = tmp_path / "report.json"
+        code = main(gen.evaluate_argv(str(inputs), str(json_path)))
+        out, _ = capsys.readouterr()
+        assert len(forks) == 4  # two shards of each input
+        assert code == 1 and "] calibration = " in out
+        assert out == text
+        assert json_path.read_bytes() == data
+
+
 class TestExitCodes:
     def test_closed_stdout_exits_two(self, workdir):
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(

@@ -13,6 +13,7 @@ from complykit.fairness import (
     PRIVILEGED,
     UNPRIVILEGED,
     ConfusionCounts,
+    _gaps_by_key,
     accuracy_equality_gap,
     balance_negative_gap,
     balance_positive_gap,
@@ -353,6 +354,90 @@ class TestBalance:
         mv = balance_positive_gap(predictions_of(recs))
         assert not mv.is_defined
         assert "no actual positives" in mv.reason
+
+
+# Per-key gap cases, hand-computed: (key, keys, the trace's leading
+# items, {key: (positives, rows) unprivileged, (positives, rows)
+# privileged}, with None for a group with no rows, the exact gaps in key
+# order, the skipped keys, the exact value or None, and the reason).
+KEY_GAP_CASES = [
+    # ROADMAP item 2's repro: 4 of 10 against 3 of 10
+    ("stratum", "strata", {}, {"a": ((4, 10), (3, 10))},
+     {"a": Fraction(1, 10)}, [], Fraction(1, 10), None),
+    # a None key sorts first, and "c" is skipped
+    ("stratum", "strata", {},
+     {"c": ((2, 2), None), "b": ((2, 7), (1, 5)), None: ((1, 3), (5, 6))},
+     {None: Fraction(-1, 2), "b": Fraction(3, 35)}, ["c"], Fraction(1, 2),
+     None),
+    ("stratum", "strata", {}, {"y": (None, (0, 1)), "x": ((1, 2), None)},
+     {}, ["x", "y"], None, "no comparable stratum"),
+    ("bin", "bins", {"bins": 3},
+     {2: ((3, 3), None), 0: ((1, 4), (2, 5)), 1: (None, (1, 2))},
+     {0: Fraction(-3, 20)}, [1, 2], Fraction(3, 20), None),
+    ("bin", "bins", {"bins": 2}, {}, {}, [], None, "no comparable bin"),
+]
+
+
+def _key_counts(by_key, number):
+    """`{group: (rows, positives)}` of a KEY_GAP_CASES table, as `number`s."""
+    counts = {g: ({}, {}) for g in GROUPS}
+    for key, pairs in by_key.items():
+        for g, pair in zip((UNPRIVILEGED, PRIVILEGED), pairs):
+            if pair is not None:
+                rows, positives = counts[g]
+                positives[key], rows[key] = map(number, pair)
+    return counts
+
+
+class TestExactCounts:
+    """The per-key gap and the SPD are pure functions of their counts:
+    `Fraction` counts give exact values, and int counts the float
+    arithmetic of the same rates."""
+
+    @pytest.mark.parametrize(
+        "key, keys, lead, by_key, gaps, skipped, value, reason", KEY_GAP_CASES)
+    def test_per_key_gaps(self, key, keys, lead, by_key, gaps, skipped,
+                          value, reason):
+        exact = _gaps_by_key("m", _key_counts(by_key, Fraction), key, keys,
+                             **lead)
+        assert list(exact.trace) == \
+            [*lead, f"per_{key}_gap", f"skipped_{keys}"]
+        got = exact.trace[f"per_{key}_gap"]
+        assert list(got.items()) == list(gaps.items())
+        assert all(type(gap) is Fraction for gap in got.values())
+        assert exact.trace[f"skipped_{keys}"] == skipped
+        assert (exact.value, exact.reason) == (value, reason)
+        assert value is None or type(exact.value) is Fraction
+
+        floats = _gaps_by_key("m", _key_counts(by_key, int), key, keys, **lead)
+        rates = {}
+        for k in gaps:
+            (pu, nu), (pp, np) = by_key[k]
+            rates[k] = pu / nu - pp / np
+        got = floats.trace[f"per_{key}_gap"]
+        assert list(got.items()) == list(rates.items())
+        assert all(type(gap) is float for gap in got.values())
+        assert floats.trace[f"skipped_{keys}"] == skipped
+        assert floats.reason == reason
+        assert floats.value == (None if value is None
+                                else max(map(abs, rates.values())))
+
+    @pytest.mark.parametrize("counts, exact, floats", [
+        ((4, 10, 3, 10), Fraction(1, 10), 0.10000000000000003),
+        ((1748, 15351, 4338, 31648),
+         Fraction(1748, 15351) - Fraction(4338, 31648),
+         1748 / 15351 - 4338 / 31648),
+        ((1, 2, 1, 4), Fraction(1, 4), 0.25),
+    ])
+    def test_statistical_parity(self, counts, exact, floats):
+        mv = statistical_parity_from_counts(*map(Fraction, counts))
+        assert type(mv.value) is Fraction and mv.value == exact
+        assert mv.trace[UNPRIVILEGED]["proportion"] == Fraction(*counts[:2])
+        assert mv.trace[PRIVILEGED]["proportion"] == Fraction(*counts[2:])
+        mv = statistical_parity_from_counts(*counts)
+        assert type(mv.value) is float and mv.value == floats
+        assert statistical_parity_from_counts(
+            *map(Fraction, (1, 0, 1, 4))).reason == "empty group: unprivileged"
 
 
 class TestRegistry:

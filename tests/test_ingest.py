@@ -443,18 +443,20 @@ class TestShardedPredictions:
         long = array("d", (i / 7 for i in range(10_000)))
         p11, u01 = ("privileged", "1", "1"), ("unprivileged", "0", "1")
         p00, p10 = ("privileged", "0", "0"), (" privileged ", "1", "0")
-        # Bin counts add per (bins, cell, bin); big bin numbers travel too.
-        u1, p0 = (UNPRIVILEGED, 1), (PRIVILEGED, 0)
+        # Bin counts add per (bins, group, rows or positives, bin); big
+        # bin numbers travel too.
+        U, P = UNPRIVILEGED, PRIVILEGED
         theirs = ({p11: {"a": array("d", [0.25, 0.5]), "": array("d")},
                    u01: {"a": long, "b": array("d", [1.0]), "c": array("d")},
                    p00: {" ": array("d")}},
                   {p11: {"": 2}, u01: {"b": 1, "c": 2}, p00: {" ": 3}},
-                  {10: {u1: {9: 2, 0: 1}, p0: {3: 4}},
-                   2**53: {u1: {2**53 - 1: 5}}})
+                  {10: {U: ({9: 2, 0: 3}, {9: 1, 0: 0}), P: ({3: 4}, {3: 4})},
+                   2**53: {U: ({2**53 - 1: 5}, {2**53 - 1: 2}), P: ({}, {})}})
         ours = ({u01: {"b": array("d", [0.75])},
                  p10: {"a": array("d", [0.0])}},
                 {u01: {"b": 4}},
-                {10: {u1: {0: 7, 5: 1}}, 3: {p0: {1: 1}}})
+                {10: {U: ({0: 7, 5: 1}, {0: 6, 5: 0}), P: ({}, {})},
+                 3: {U: ({}, {}), P: ({1: 1}, {1: 0})}})
         buf = io.BytesIO()
         ingest._dump_tally(theirs, buf)
         frame = buf.getvalue()
@@ -475,8 +477,12 @@ class TestShardedPredictions:
         assert unscored == {u01: {"b": 5, "c": 2}, p11: {"": 2}, p00: {" ": 3}}
         assert list(unscored) == [u01, p11, p00]
         assert list(unscored[u01]) == ["b", "c"]
-        assert bin_counts == {10: {u1: {0: 8, 5: 1, 9: 2}, p0: {3: 4}},
-                              3: {p0: {1: 1}}, 2**53: {u1: {2**53 - 1: 5}}}
+        assert bin_counts == {
+            10: {U: ({0: 10, 5: 1, 9: 2}, {0: 6, 5: 0, 9: 1}),
+                 P: ({3: 4}, {3: 4})},
+            3: {U: ({}, {}), P: ({1: 1}, {1: 0})},
+            # a group with no bins sends nothing
+            2**53: {U: ({2**53 - 1: 5}, {2**53 - 1: 2})}}
         size = int.from_bytes(frame[:8], "little")
         for cut in (0, 4, 8, 8 + size // 2, 8 + size + 8, len(frame) - 8):
             with pytest.raises(EOFError):
