@@ -35,7 +35,7 @@ class PayoffMatrix(Value):
                  values: Sequence[Sequence[float]]):
         actions = tuple(actions)
         states = tuple(states)
-        rows = tuple(tuple(float(v) for v in row) for row in values)
+        rows = tuple(tuple(map(float, row)) for row in values)
         if not actions or not states:
             raise DecisionError("payoff matrix must be nonempty")
         if len(rows) != len(actions):
@@ -45,9 +45,8 @@ class PayoffMatrix(Value):
             if len(row) != len(states):
                 raise DecisionError(
                     f"payoff row {i} has {len(row)} entries, expected {len(states)}")
-            for v in row:
-                if not math.isfinite(v):
-                    raise DecisionError("payoffs must be finite")
+            if not all(map(math.isfinite, row)):
+                raise DecisionError("payoffs must be finite")
         for state, column in zip(states, zip(*rows)):
             # keeps every Savage regret (column max - payoff) finite
             if not math.isfinite(max(column) - min(column)):
@@ -63,18 +62,20 @@ class PayoffMatrix(Value):
         distinct, blank rows are skipped, and an unreadable file, invalid
         UTF-8 or a malformed or ragged row raise a row-numbered IngestError.
         """
-        from .ingest import _csv_rows, _csv_table
+        from .ingest import _checked_blocks, _csv_table
         actions = []
         values = []
-        with _csv_table(path) as (columns, reader):
-            for r, row in _csv_rows(reader, len(columns)):
-                actions.append(row[0].strip())
+        with _csv_table(path) as (columns, blocks):
+            for first, rows in _checked_blocks(blocks, len(columns)):
                 try:
-                    values.append([float(v) for v in row[1:]])
+                    for row in rows:
+                        actions.append(row[0].strip())
+                        values.append(tuple(map(float, row[1:])))
+                        if not all(map(math.isfinite, values[-1])):
+                            raise ValueError("payoffs must be finite")
                 except ValueError as exc:
-                    raise DecisionError(f"row {r}: {exc}") from exc
-                if not all(map(math.isfinite, values[-1])):
-                    raise DecisionError(f"row {r}: payoffs must be finite")
+                    raise DecisionError(
+                        f"row {first + rows.index(row)}: {exc}") from exc
         if len(columns) < 2 or not actions:
             raise DecisionError("matrix file needs a header row and one action row")
         return cls(actions, columns[1:], values)

@@ -7,7 +7,6 @@ excluded during group binding are counted, never silently dropped.
 from __future__ import annotations
 
 import csv
-import io
 import marshal
 import os
 import signal
@@ -17,7 +16,7 @@ from array import array
 from collections import Counter
 from contextlib import contextmanager, suppress
 from functools import partial
-from itertools import chain
+from itertools import chain, count, islice
 from operator import itemgetter
 from typing import Optional
 
@@ -40,7 +39,8 @@ class Dataset(Value):
 
     def counts(self, *names) -> Counter:
         """Row counts per tuple of the raw cells in the named columns."""
-        return _count_rows(self.rows, [self.column_index(n) for n in names])
+        return _count_blocks([(2, self.rows)],
+                             [self.column_index(n) for n in names])
 
 
 def _column_index(columns: tuple, name: str) -> int:
@@ -51,15 +51,19 @@ def _column_index(columns: tuple, name: str) -> int:
                           + ", ".join(columns)) from None
 
 
-def _count_rows(rows, idx) -> Counter:
-    """Row counts per tuple of the cells at positions `idx`."""
-    if len(idx) > 1:
-        return Counter(map(itemgetter(*idx), rows))
-    if idx:
-        # itemgetter of one index returns the bare cell, not a 1-tuple
-        return Counter(zip(map(itemgetter(idx[0]), rows)))
-    n = sum(1 for _ in rows)
-    return Counter({(): n} if n else {})
+def _count_blocks(blocks, idx) -> Counter:
+    """Row counts per tuple of the cells at positions `idx` in the rows of
+    `(row number, rows)` blocks, counted with no Python bytecode per row."""
+    counts = Counter()
+    for _, rows in blocks:
+        if len(idx) > 1:
+            counts.update(map(itemgetter(*idx), rows))
+        elif idx:
+            # itemgetter of one index returns the bare cell, not a 1-tuple
+            counts.update(zip(map(itemgetter(idx[0]), rows)))
+        elif rows:
+            counts[()] += len(rows)
+    return counts
 
 
 def read_dataset(source) -> Dataset:
@@ -69,9 +73,10 @@ def read_dataset(source) -> Dataset:
     it. `evaluate` streams its dataset through `count_dataset` instead;
     this loader serves the library and the benchmark's traced pipeline.
     """
-    with _csv_table(source) as (columns, reader):
-        return Dataset(columns, tuple(
-            [tuple(row) for _, row in _csv_rows(reader, len(columns))]))
+    with _csv_table(source) as (columns, blocks):
+        return Dataset(columns, tuple(chain.from_iterable(
+            map(tuple, rows)
+            for _, rows in _checked_blocks(blocks, len(columns)))))
 
 
 def count_dataset(source, names=()) -> Counter:
@@ -89,13 +94,13 @@ def count_dataset(source, names=()) -> Counter:
 
 
 def _row_counter(columns: tuple, names):
-    """`count_dataset`'s row loop: a tally with no scores and no bin counts
-    whose one prefix, `()`, maps each tuple of named cells to its row
-    count."""
+    """`count_dataset`'s reduction of blocks of rows: a tally with no
+    scores and no bin counts whose one prefix, `()`, maps each tuple of
+    named cells to its row count."""
     idx = [_column_index(columns, name) for name in names]
     width = len(columns)
-    return lambda reader: ({}, {(): _count_rows(
-        map(itemgetter(1), _csv_rows(reader, width)), idx)}, {})
+    return lambda blocks: ({}, {(): _count_blocks(
+        _checked_blocks(blocks, width), idx)}, {})
 
 
 # Scores per `array.fromfile` call when merging a child's tally: the
@@ -203,74 +208,46 @@ def _shard_cuts(path):
         return None
 
 
-# Characters per read in `_split_rows`. Larger blocks split a 52 MB,
-# 15-column file only slightly faster (64 Ki by about 3%) and hold more
-# memory at once.
+# Bytes (characters of ASCII text) per read in `_split_rows`. Larger blocks
+# split a 52 MB, 15-column file only slightly faster (64 Ki by about 3%)
+# and hold more memory at once.
 _BLOCK_CHARS = 1 << 14
 
 
-def _split_rows(fh):
+def _split_rows(fh, end: int):
     """The non-blank rows of quote-free CSV text, as `csv.reader` reads
-    them, split with `str.split` in blocks of `_BLOCK_CHARS`.
+    them, from the binary file `fh`'s position to byte `end`: one `(0,
+    rows)` block per `_BLOCK_CHARS` bytes read, split with `str.split`.
 
     With no `"` in the text each record is one line and each field one
-    comma-separated piece (RFC 4180). Blank lines are dropped, where
-    `csv.reader` yields `[]`, so a reduction's row numbers may run short;
-    `_run_sharded` discards its errors. ValueError for text `csv` could
-    read otherwise: a CR before any character but LF, a NUL (which `csv`
-    rejects before Python 3.11), or a line longer than
-    `csv.field_size_limit()`.
+    comma-separated piece (RFC 4180). Only whole lines are decoded, so no
+    character is cut. Blank lines are dropped, where `csv.reader` yields
+    `[]`, and no row number is kept; `_run_sharded` discards the errors.
+    ValueError for text `csv` could read otherwise: invalid UTF-8, a CR
+    before any character but LF, a NUL (which `csv` rejects before Python
+    3.11), or a line longer than `csv.field_size_limit()`.
     """
     limit = csv.field_size_limit()
-    rest = ""  # the unfinished last line of the text read so far
+    rest = b""  # the unfinished last line of the bytes read so far
+    reads = iter(lambda: fh.read(min(_BLOCK_CHARS, end - fh.tell())), b"")
     # A final "\n" ends an unterminated last line.
-    for block in chain(iter(partial(fh.read, _BLOCK_CHARS), ""), ("\n",)):
-        text = rest + block
-        end = text.rfind("\n") + 1
-        body, rest = text[:end].replace("\r\n", "\n"), text[end:]
+    for block in chain(reads, (b"\n",)):
+        data = rest + block
+        cut = data.rfind(b"\n") + 1
+        body, rest = data[:cut].decode().replace("\r\n", "\n"), data[cut:]
         lines = body.split("\n")
         if ("\r" in body or "\0" in body or len(rest) > limit
                 or max(map(len, lines)) > limit):
             raise ValueError("text that csv could read otherwise")
-        for line in lines:
-            if line:
-                yield line.split(",")
-
-
-class _ByteRange(io.RawIOBase):
-    """Raw reader of the bytes [start, end) of a file."""
-
-    def __init__(self, path, start: int, end: int):
-        self._file = open(path, "rb", buffering=0)
-        self._file.seek(start)
-        self._left = end - start
-
-    def readable(self) -> bool:
-        return True
-
-    def readinto(self, b) -> int:
-        n = self._file.readinto(memoryview(b)[:self._left])
-        self._left -= n
-        return n
-
-    def close(self) -> None:
-        self._file.close()
-        super().close()
-
-
-def _open_range(path, start: int, end: int):
-    """Text of the bytes [start, end) of a file, less a leading byte-order
-    mark when `start` is 0."""
-    return io.TextIOWrapper(io.BufferedReader(_ByteRange(path, start, end)),
-                            encoding="utf-8-sig" if start == 0 else "utf-8",
-                            newline="")
+        yield 0, [line.split(",") for line in lines if line]
 
 
 def _count_range(path, start: int, end: int, reduce):
     """`reduce` of the header-less rows in bytes [start, end) of a
     quote-free CSV, split by `_split_rows`."""
-    with _open_range(path, start, end) as fh:
-        return reduce(_split_rows(fh))
+    with open(path, "rb") as fh:
+        fh.seek(start)
+        return reduce(_split_rows(fh, end))
 
 
 def _fork_shard(path, start: int, end: int, reduce):
@@ -305,8 +282,9 @@ def _run_sharded(path, prepare):
     `_split_rows`: the parent reduces shard 0, header included, and one
     forked child reduces each later shard.
 
-    `prepare(columns)` checks the header and returns `reduce(rows)`, which
-    folds the rows past the header into a new `(scored, unscored,
+    `prepare(columns)` checks the header and returns `reduce(blocks)`,
+    which checks the blocks of rows past the header with
+    `_checked_blocks` and folds them into a new `(scored, unscored,
     bin_counts)` tally. Each child writes its tally with `_dump_tally`,
     and the parent folds it into its own with `_merge_tally`, in shard
     order, so keys and scores keep serial order. None when `_shard_cuts`
@@ -319,13 +297,13 @@ def _run_sharded(path, prepare):
         return None
     children = []
     try:
-        with _open_range(path, 0, cuts[1]) as fh:
-            columns, _ = _csv_stream(fh)
+        with open(path, "rb") as fh:
+            columns, _ = _csv_stream([fh.readline().decode("utf-8-sig")])
             reduce = prepare(columns)
             for start, end in zip(cuts[1:], cuts[2:]):
                 if start < end:
                     children.append(_fork_shard(path, start, end, reduce))
-            result = reduce(_split_rows(fh))
+            result = reduce(_split_rows(fh, cuts[1]))
         while children:
             pid, pipe = children[0]
             with pipe:
@@ -348,7 +326,7 @@ def _run_sharded(path, prepare):
 
 
 def _reduce_csv(source, prepare):
-    """`prepare(columns)(rows)` over a CSV path or text stream: a
+    """`prepare(columns)(blocks)` over a CSV path or text stream: a
     `(scored, unscored, bin_counts)` tally, two `{prefix: {legitimate:
     ...}}` dicts and one of calibration bin counts, the one result shape
     that both CSV passes reduce to and that `_dump_tally`/`_merge_tally`
@@ -364,22 +342,22 @@ def _reduce_csv(source, prepare):
         result = _run_sharded(source, prepare)
         if result is not None:
             return result
-    with _csv_table(source) as (columns, reader):
-        return prepare(columns)(reader)
+    with _csv_table(source) as (columns, blocks):
+        return prepare(columns)(blocks)
 
 
 @contextmanager
 def _csv_table(source):
-    """Open a CSV path or text stream as `(columns, reader)`: the serial
+    """Open a CSV path or text stream as `(columns, blocks)`: the serial
     pass, for streams, for paths `_run_sharded` declines and for locating
     a bad row when a sharded pass fails.
 
-    `reader` is the `csv.reader` past the header; `_csv_rows` checks its
-    rows. A missing or repeated header name, a ragged row and a
-    malformed row raise IngestError, for the first bad row in file order;
-    invalid UTF-8 raises it, naming no row, when its block is decoded. A
-    leading byte-order mark (spreadsheets save "CSV UTF-8" with one) is
-    dropped before the header is parsed.
+    `blocks` are the rows past the header as `_reader_blocks` reads them,
+    for `_checked_blocks` to check. A missing or repeated header name, a
+    ragged row and a malformed row raise IngestError, for the first bad
+    row in file order; invalid UTF-8 raises it, naming no row, when its
+    block is decoded. A leading byte-order mark (spreadsheets save "CSV
+    UTF-8" with one) is dropped before the header is parsed.
     """
     if hasattr(source, "read"):
         yield _csv_stream(_without_bom(source))
@@ -398,46 +376,72 @@ def _without_bom(stream):
 
 
 def _csv_stream(lines):
+    """`(columns, blocks)` of CSV text lines, as `_csv_table` says."""
     reader = csv.reader(lines)
     try:
         header = next(reader, None)
     except (UnicodeDecodeError, csv.Error) as exc:
-        raise _reader_error(exc, 0) from exc
+        raise _reader_error(exc, 1) from exc
     if not header or all(not c.strip() for c in header):
         raise IngestError("missing header row")
     columns = tuple(c.strip() for c in header)
     repeated = [name for name, n in Counter(columns).items() if n > 1]
     if repeated:
         raise IngestError(f"row 1: column {repeated[0]!r} appears more than once")
-    return columns, reader
+    return columns, _reader_blocks(reader)
 
 
-def _csv_rows(reader, width: int):
-    """`(row number, cells)` for each non-blank row of `reader`, a
-    `csv.reader` past the header (row 1), checked as `_csv_table` says."""
-    rownum = 1
-    try:
-        for rownum, row in enumerate(reader, 2):
-            if len(row) != width and _is_blank(rownum, row, width):
-                continue
-            yield rownum, row
-    except (UnicodeDecodeError, csv.Error) as exc:
-        raise _reader_error(exc, rownum) from exc
+# Rows per block of the serial `csv.reader` pass.
+_BLOCK_ROWS = 256
 
 
-def _is_blank(rownum: int, row: list, width: int) -> bool:
-    """For a row that is not `width` cells: True when it is blank, and
-    skipped; a ragged row raises IngestError."""
-    if row:
-        raise IngestError(f"row {rownum}: expected {width} cells, got {len(row)}")
-    return True
+def _reader_blocks(reader):
+    """`(row number, rows)` for each block of up to `_BLOCK_ROWS` rows of
+    `reader`, a `csv.reader` past the header (row 1). The rows read before
+    a `csv.Error` or UnicodeDecodeError form a last block, and the error
+    is raised as IngestError only when that block has been consumed, so a
+    bad row among them is reported first."""
+    for first in count(2, _BLOCK_ROWS):
+        rows = []
+        try:
+            # `list.extend` keeps the rows it read before an error.
+            rows.extend(islice(reader, _BLOCK_ROWS))
+        except (UnicodeDecodeError, csv.Error) as exc:
+            yield first, rows
+            raise _reader_error(exc, first + len(rows)) from exc
+        if not rows:
+            return
+        yield first, rows
+
+
+def _checked_blocks(blocks, width: int):
+    """The `(row number, rows)` blocks of `blocks` with every row `width`
+    cells: the one row check of every CSV reader. A block whose rows all
+    have `width` cells passes whole, checked at C speed; any other passes
+    one row at a time, dropping blank rows (`[]`) and raising IngestError
+    at the first ragged row.
+
+    A reduction that rejects a row of a block names it `first +
+    rows.index(row)`: each row's checks depend on its cells alone, so no
+    row before it and equal to it passed them.
+    """
+    for first, rows in blocks:
+        if set(map(len, rows)) == {width}:
+            yield first, rows
+            continue
+        for i, row in enumerate(rows):
+            if len(row) == width:
+                yield first + i, [row]
+            elif row:
+                raise IngestError(f"row {first + i}: expected {width} "
+                                  f"cells, got {len(row)}")
 
 
 def _reader_error(exc, rownum: int) -> IngestError:
-    """The IngestError for a `csv.reader` that failed after row `rownum`."""
+    """The IngestError for a `csv.reader` that failed reading row `rownum`."""
     if isinstance(exc, UnicodeDecodeError):
         return IngestError(f"input is not valid UTF-8: {exc}")
-    return IngestError(f"row {rownum + 1}: {exc}")
+    return IngestError(f"row {rownum}: {exc}")
 
 
 class BoundGroups(Value):
@@ -551,13 +555,12 @@ def _prediction_key(privileged_label: str, unprivileged_label: str):
 def _prediction_tally(columns: tuple, key, bins=()):
     """`read_predictions`' row loop for a header of `columns`.
 
-    Returns `tally(reader)`, which folds the rows past the header (from a
-    `csv.reader` or `_split_rows`) into a new `(scored, unscored,
-    bin_counts)` tally, as the `GroupedPredictions` constructor takes it,
-    checking each new prefix with `key` and every score. The first two
-    are `{prefix: {legitimate text: ...}}` dicts. The row loop reads
-    `reader` itself, not through `_csv_rows`, for speed, and checks each
-    row's width and the reader's errors with the same helpers. After it,
+    Returns `tally(blocks)`, which folds the checked blocks of rows past
+    the header into a new `(scored, unscored, bin_counts)` tally, as the
+    `GroupedPredictions` constructor takes it, checking each new prefix
+    with `key` and every score. The first two are `{prefix: {legitimate
+    text: ...}}` dicts. The row loop runs over each block's rows as they
+    are, and numbers a row only when it rejects it. After it,
     `bin_counts` maps each number in `bins` to the `_bin_rows` counts of
     the scores, `{group: (rows, positives)}` per bin; it is `{}` when a
     row had no score.
@@ -570,45 +573,41 @@ def _prediction_tally(columns: tuple, key, bins=()):
     legit = columns.index("legitimate") if "legitimate" in columns else None
     s = columns.index("score") if "score" in columns else None
 
-    def tally(reader) -> tuple:
+    def tally(blocks) -> tuple:
         scored = {}
         unscored = {}
-        rownum = 1
-        try:
-            for rownum, row in enumerate(reader, 2):
-                if len(row) != width and _is_blank(rownum, row, width):
-                    continue
-                prefix = prefix_of(row)
-                by_text = scored.get(prefix)
-                if by_text is None:
-                    try:
+        for first, rows in _checked_blocks(blocks, width):
+            try:
+                for row in rows:
+                    prefix = prefix_of(row)
+                    by_text = scored.get(prefix)
+                    if by_text is None:
                         key(prefix)
-                    except ValueError as exc:
-                        raise IngestError(f"row {rownum}: {exc}") from None
-                    by_text = scored[prefix] = {}
-                text = "" if legit is None else row[legit]
-                scores = by_text.get(text)
-                if scores is None:
-                    scores = by_text[text] = array("d")
-                if s is not None:
-                    try:
-                        score = float(row[s])
-                    except ValueError:
-                        if row[s].strip() != "":
-                            raise IngestError(f"row {rownum}: score {row[s]!r} "
-                                              "is not a number") from None
-                    else:
-                        if not 0.0 <= score <= 1.0:
-                            raise IngestError(
-                                f"row {rownum}: score {score} outside [0, 1]")
-                        scores.append(score)
-                        continue
-                counts = unscored.get(prefix)
-                if counts is None:
-                    counts = unscored[prefix] = {}
-                counts[text] = counts.get(text, 0) + 1
-        except (UnicodeDecodeError, csv.Error) as exc:
-            raise _reader_error(exc, rownum) from exc
+                        by_text = scored[prefix] = {}
+                    text = "" if legit is None else row[legit]
+                    scores = by_text.get(text)
+                    if scores is None:
+                        scores = by_text[text] = array("d")
+                    if s is not None:
+                        try:
+                            score = float(row[s])
+                        except ValueError:
+                            if row[s].strip() != "":
+                                raise ValueError(f"score {row[s]!r} is not "
+                                                 "a number") from None
+                        else:
+                            if not 0.0 <= score <= 1.0:
+                                raise ValueError(
+                                    f"score {score} outside [0, 1]")
+                            scores.append(score)
+                            continue
+                    counts = unscored.get(prefix)
+                    if counts is None:
+                        counts = unscored[prefix] = {}
+                    counts[text] = counts.get(text, 0) + 1
+            except ValueError as exc:
+                rownum = first + rows.index(row)
+                raise IngestError(f"row {rownum}: {exc}") from None
         bin_counts = {}
         if bins and not unscored:
             cells = [(g, a) for g, _, a in map(key, scored)]

@@ -33,6 +33,28 @@ class TestPayoffMatrix:
         with pytest.raises(DecisionError):
             PayoffMatrix(["a"], ["x"], [[float("inf")]])
 
+    @pytest.mark.parametrize("values, message", [
+        ([[1], [2, 3]], "payoff row 1 has 2 entries, expected 1"),
+        ([[1], []], "payoff row 1 has 0 entries, expected 1"),
+        ([[float("nan")], [2, 3]], "payoffs must be finite"),
+        ([[1], [float("-inf")]], "payoffs must be finite"),
+        ([[1, 2], [3]], "payoff row 1 has 1 entries, expected 2"),
+        ([[1, 2], [float("inf"), 3], [4]], "payoffs must be finite"),
+        ([[1, 2], [3, 4], ["inf", 1]], "payoffs must be finite"),
+    ])
+    def test_rows_checked_in_order(self, values, message):
+        # each row's width, then its payoffs, row by row; a matrix of one
+        # state so that row 1 of [[1], [2, 3]] is too wide
+        states = ["x", "y"][:len(values[0])]
+        with pytest.raises(DecisionError) as exc:
+            PayoffMatrix(["a", "b", "c"][:len(values)], states, values)
+        assert str(exc.value) == message
+
+    def test_bad_payoff_text(self):
+        with pytest.raises(ValueError) as exc:
+            PayoffMatrix(["a"], ["x", "y"], [[1, "oops"]])
+        assert str(exc.value) == "could not convert string to float: 'oops'"
+
     def test_empty_rejected(self):
         with pytest.raises(DecisionError):
             PayoffMatrix([], [], [])

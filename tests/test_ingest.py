@@ -15,6 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from complykit import ingest
+from complykit.decisions import DecisionError, PayoffMatrix
 from complykit.fairness import PRIVILEGED, UNPRIVILEGED, calibration_gap
 from complykit.ingest import (
     Dataset,
@@ -797,6 +798,155 @@ class TestSplitPass:
     def test_predictions(self, tmp_path_factory, table):
         self.check(tmp_path_factory, table,
                    lambda source: cell_bytes(read_predictions(source)))
+
+
+# `csv` reads a field longer than this as a malformed row in
+# `TestBlockBoundaries`, which lowers the limit to it.
+BLOCK_FIELD_LIMIT = 40
+_CSV_ERROR = ("IngestError: row {r}: field larger than field limit "
+              f"({BLOCK_FIELD_LIMIT})")
+_LONG = "x" * (BLOCK_FIELD_LIMIT + 1)
+
+
+def _dataset_row(i):
+    return f"{('Male', 'Female')[i % 2]},{('Other', 'Sales')[i % 3 % 2]},{i}"
+
+
+_DATASET_FAULTS = {
+    "ragged": ("Male,Other", "IngestError: row {r}: expected 3 cells, got 2"),
+    "blank": ("", None),
+    "csv": ("Male,Other," + _LONG, _CSV_ERROR)}
+
+# Per reader: what it returns for a source, the header, good row `i`,
+# and the line of each fault with the message it gives on row `r` (None
+# for a blank row, which is no fault).
+BLOCK_READERS = {
+    "count_dataset": (
+        lambda source: list(count_dataset(source, ["sex", "occupation"])
+                            .items()),
+        "sex,occupation,age", _dataset_row, _DATASET_FAULTS),
+    "read_dataset": (
+        lambda source: read_dataset(source).rows,
+        "sex,occupation,age", _dataset_row,
+        dict(_DATASET_FAULTS, ragged=("Male,Other,1,2", "IngestError: row "
+                                      "{r}: expected 3 cells, got 4"))),
+    "read_predictions": (
+        lambda source: cell_bytes(read_predictions(source)),
+        "group,predicted,actual,score,legitimate",
+        lambda i: (f"{(PRIVILEGED, UNPRIVILEGED)[i % 2]},{i % 3 % 2},"
+                   f"{i // 2 % 2},0.{i % 10},s{i % 3}"),
+        {"ragged": (f"{PRIVILEGED},1,1,0.5",
+                    "IngestError: row {r}: expected 5 cells, got 4"),
+         "blank": ("", None),
+         "label": (f"{PRIVILEGED},2,1,0.5,a",
+                   "IngestError: row {r}: label '2' must be 0 or 1"),
+         "score": (f"{PRIVILEGED},1,1,high,a",
+                   "IngestError: row {r}: score 'high' is not a number"),
+         "csv": (f"{PRIVILEGED},1,1,0.5," + _LONG, _CSV_ERROR)}),
+    "PayoffMatrix.from_csv": (
+        lambda source: (lambda m: (m.actions, m.values))(
+            PayoffMatrix.from_csv(source)),
+        "action,s1,s2",
+        lambda i: f"a{i},{i},-{i % 7}",
+        {"ragged": ("ax,1", "IngestError: row {r}: expected 3 cells, got 2"),
+         "blank": ("", None),
+         "cell": ("ax,1,oops", "DecisionError: row {r}: could not convert "
+                                "string to float: 'oops'"),
+         "nan": ("ax,1,nan", "DecisionError: row {r}: payoffs must be finite"),
+         "csv": ("ax,1," + _LONG, _CSV_ERROR)}),
+}
+
+
+def block_cases(header, good, faults, rows, at):
+    """`(text, expected message or None, text less its blank rows)` for a
+    file of `rows` good rows in which each fault, and each ordered pair of
+    faults on rows `r` and `r + 1`, replaces good rows, for each `r` in
+    `at`."""
+    for r in at:
+        combos = [[kind] for kind in faults]
+        if r <= rows:
+            combos += [[a, b] for a in faults for b in faults]
+        for combo in combos:
+            lines = [header] + [good(i) for i in range(rows)]
+            expected = None
+            for row, kind in enumerate(combo, r):
+                lines[row - 1], message = faults[kind]
+                if expected is None and message is not None:
+                    expected = message.format(r=row)
+            yield ("\n".join(lines) + "\n", expected,
+                   "\n".join(filter(None, lines)) + "\n")
+
+
+class TestBlockBoundaries:
+    """Rows move through both CSV passes in blocks: `_BLOCK_ROWS` rows in
+    the `csv` pass and `_BLOCK_CHARS` characters in the split pass. A
+    fault on the first or the last row of a block, or one on each side of
+    a block boundary, gives the message and row number of a row-by-row
+    read, the first fault in file order winning; blank rows give the
+    tally of the file without them."""
+
+    @pytest.fixture(autouse=True)
+    def low_field_limit(self):
+        limit = csv.field_size_limit(BLOCK_FIELD_LIMIT)
+        yield
+        csv.field_size_limit(limit)
+
+    def check(self, reader, source_of, rows, at):
+        read, header, good, faults = BLOCK_READERS[reader]
+        for text, expected, unblank in block_cases(header, good, faults,
+                                                   rows, at):
+            if expected is None:
+                expected = read(io.StringIO(unblank))
+            try:
+                got = read(source_of(text))
+            except (IngestError, DecisionError) as exc:
+                got = f"{type(exc).__name__}: {exc}"
+            assert got == expected, text
+
+    @pytest.mark.parametrize("block", [1, 2, None])
+    @pytest.mark.parametrize("reader", BLOCK_READERS)
+    def test_csv_pass(self, tmp_path, monkeypatch, reader, block):
+        # two whole blocks and one row: faults on the first and the last
+        # row of each block, and across each boundary
+        block = block or ingest._BLOCK_ROWS
+        monkeypatch.setattr(ingest, "_BLOCK_ROWS", block)
+        path = tmp_path / "t.csv"
+
+        def source_of(text):
+            if reader != "PayoffMatrix.from_csv":
+                return io.StringIO(text)
+            path.write_text(text)
+            return path  # read by `csv` as a path, not split
+
+        self.check(reader, source_of, 2 * block + 1,
+                   sorted({2, block + 1, block + 2, 2 * block + 1,
+                           2 * block + 2}))
+
+    @pytest.mark.parametrize("cpus", [1, 3])
+    @pytest.mark.parametrize("chars", [1, 7, None])
+    @pytest.mark.parametrize("reader", ["count_dataset", "read_dataset",
+                                        "read_predictions"])
+    def test_split_pass(self, tmp_path, monkeypatch, reader, chars, cpus):
+        # With 1 or 7 characters a block ends each line, with the default
+        # the file is one block; any fault falls back to the `csv` pass.
+        force_shards(monkeypatch, cpus)
+        monkeypatch.setattr(ingest, "_BLOCK_CHARS",
+                            chars or ingest._BLOCK_CHARS)
+        path = tmp_path / "t.csv"
+
+        def source_of(text):
+            path.write_text(text)
+            return path
+
+        self.check(reader, source_of, 5, range(2, 7))
+
+    def test_ragged_row_before_a_csv_error_in_its_block(self, monkeypatch):
+        text = "a,b\n1,2\n1,2,3\n1," + _LONG + "\n"
+        for block in (2, 3, ingest._BLOCK_ROWS):
+            monkeypatch.setattr(ingest, "_BLOCK_ROWS", block)
+            with pytest.raises(IngestError) as exc:
+                count_dataset(io.StringIO(text), ["a"])
+            assert str(exc.value) == "row 3: expected 2 cells, got 3"
 
 
 class TestByteOrderMark:
