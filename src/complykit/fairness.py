@@ -46,6 +46,9 @@ class GroupedPredictions:
     - `unscored`: rows without a score;
     - `bin_counts`: bins -> counts per bin, in the shape of `strata`.
 
+    A metric reads nothing else, so it can judge any object that carries
+    these five with `int` or `Fraction` counts; `Fraction` counts give
+    exact values for all but the balance metrics, whose means are floats.
     `cells` rebuilds the cells from the tally, so the rows can be rebuilt
     exactly (up to order).
     """
@@ -224,17 +227,8 @@ def predictive_equality_gap(gp: GroupedPredictions) -> MetricValue:
 
 
 def accuracy_equality_gap(gp: GroupedPredictions) -> MetricValue:
-    mid = "accuracy_equality"
-    cs = gp.confusion
-    acc = {}
-    for g in GROUPS:
-        c = cs[g]
-        if c.total == 0:
-            return MetricValue.undefined(
-                mid, f"empty group: {g}", {h: {"counts": cs[h]} for h in GROUPS})
-        acc[g] = (c.tp + c.tn) / c.total
-    trace = {g: {"counts": cs[g], "accuracy": acc[g]} for g in GROUPS}
-    return MetricValue(mid, acc[UNPRIVILEGED] - acc[PRIVILEGED], trace=trace)
+    return _rate_gap(gp, "accuracy_equality", "accuracy",
+                     lambda c: (c.tp + c.tn, c.total), "rows")
 
 
 def _max_abs_pair(metric_id: str, first: MetricValue,
@@ -407,29 +401,24 @@ class MetricInfo(Value):
     dataset_level: bool = False
 
 
-def _mk_registry():
-    def plain(fn):
-        return lambda gp, constraint: fn(gp)
-
-    entries = [
-        MetricInfo("statistical_parity_difference",
-                   plain(statistical_parity_difference), dataset_level=True),
-        MetricInfo("equal_acceptance_rate", plain(equal_acceptance_rate_gap)),
-        MetricInfo("predictive_parity", plain(predictive_parity_gap)),
-        MetricInfo("equal_opportunity", plain(equal_opportunity_gap)),
-        MetricInfo("predictive_equality", plain(predictive_equality_gap)),
-        MetricInfo("equalized_odds", plain(equalized_odds_gap)),
-        MetricInfo("accuracy_equality", plain(accuracy_equality_gap)),
-        MetricInfo("conditional_use_accuracy", plain(conditional_use_accuracy_gap)),
-        MetricInfo("treatment_equality", plain(treatment_equality)),
-        MetricInfo("conditional_statistical_parity",
-                   plain(conditional_statistical_parity)),
-        MetricInfo("calibration",
-                   lambda gp, c: calibration_gap(gp, c.bins)),
-        MetricInfo("balance_positive", plain(balance_positive_gap)),
-        MetricInfo("balance_negative", plain(balance_negative_gap)),
-    ]
-    return {e.metric_id: e for e in entries}
+def _plain(fn):
+    return lambda gp, constraint: fn(gp)
 
 
-METRIC_REGISTRY = _mk_registry()
+METRIC_REGISTRY = {e.metric_id: e for e in (
+    MetricInfo("statistical_parity_difference",
+               _plain(statistical_parity_difference), dataset_level=True),
+    MetricInfo("equal_acceptance_rate", _plain(equal_acceptance_rate_gap)),
+    MetricInfo("predictive_parity", _plain(predictive_parity_gap)),
+    MetricInfo("equal_opportunity", _plain(equal_opportunity_gap)),
+    MetricInfo("predictive_equality", _plain(predictive_equality_gap)),
+    MetricInfo("equalized_odds", _plain(equalized_odds_gap)),
+    MetricInfo("accuracy_equality", _plain(accuracy_equality_gap)),
+    MetricInfo("conditional_use_accuracy", _plain(conditional_use_accuracy_gap)),
+    MetricInfo("treatment_equality", _plain(treatment_equality)),
+    MetricInfo("conditional_statistical_parity",
+               _plain(conditional_statistical_parity)),
+    MetricInfo("calibration", lambda gp, c: calibration_gap(gp, c.bins)),
+    MetricInfo("balance_positive", _plain(balance_positive_gap)),
+    MetricInfo("balance_negative", _plain(balance_negative_gap)),
+)}

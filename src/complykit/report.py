@@ -62,9 +62,13 @@ def judge_constraint(constraint: MetricConstraint,
             ERROR, "metric was not computed (missing input)")
     if not metric.is_defined:
         status, explanation = EXPLAIN, f"value undefined: {metric.reason}"
-    elif interval.widened(constraint.tolerance).contains(metric.value):
+    elif interval.contains(metric.value):
         status, explanation = COMPLY, (
             f"value {metric.value!r} within legitimate interval {interval}")
+    elif interval.widened(constraint.tolerance).contains(metric.value):
+        status, explanation = COMPLY, (
+            f"value {metric.value!r} within tolerance {constraint.tolerance} "
+            f"of legitimate interval {interval}")
     else:
         status, explanation = EXPLAIN, (
             f"value outside legitimate interval: {metric.value!r} not in "

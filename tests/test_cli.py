@@ -201,6 +201,28 @@ class TestEvaluate:
         assert code == 2
         assert "SemanticError: number is too large" in capsys.readouterr().err
 
+    def test_comply_by_tolerance_names_the_tolerance(self, workdir, capsys):
+        # 4 of 10 Female and 3 of 10 Male favorable: SPD 0.10000000000000003
+        # is outside [-0.05, 0.05] but within its tolerance of 0.06.
+        (workdir / "tenths.csv").write_text(
+            "sex,occupation\n"
+            + "Female,Exec-managerial\n" * 4 + "Female,Other\n" * 6
+            + "Male,Exec-managerial\n" * 3 + "Male,Other\n" * 7)
+        (workdir / "tolerant.law").write_text(SCENARIO1_POLICY.replace(
+            "range = [-0.01, 0.01]",
+            "range = [-0.05, 0.05]\n    tolerance = 0.06"))
+        code = main(["evaluate", str(workdir / "tolerant.law"),
+                     "--dataset", str(workdir / "tenths.csv"),
+                     "--deterministic", "--json", str(workdir / "r.json")])
+        out = capsys.readouterr().out
+        explanation = ("value 0.10000000000000003 within tolerance 0.06 of "
+                       "legitimate interval [-0.05, 0.05]")
+        assert code == 0
+        assert f"\n    {explanation}\n" in out
+        verdict, = json.loads((workdir / "r.json").read_bytes())["verdicts"]
+        assert (verdict["status"], verdict["explanation"]) == \
+            ("comply", explanation)
+
     def test_unwritable_json_exit_two(self, workdir, capsys):
         code = main(["evaluate", str(workdir / "policy.law"),
                      "--dataset", str(workdir / "data.csv"),

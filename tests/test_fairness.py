@@ -30,9 +30,18 @@ from complykit.fairness import (
     statistical_parity_from_counts,
     treatment_equality,
 )
-from complykit.policy import parse_policy
+from complykit.intervals import Interval
+from complykit.policy import MetricConstraint, parse_policy
 from conftest import gp_from_counts, records_from_counts
-from reference import Record, confusion, predictions_of, records, swapped
+from reference import (
+    Record,
+    confusion,
+    exact,
+    exact_value,
+    predictions_of,
+    records,
+    swapped,
+)
 
 
 class TestConfusion:
@@ -201,6 +210,16 @@ class TestAccuracyEquality:
         expect = Fraction(4, 5) - Fraction(4, 8)
         assert accuracy_equality_gap(gp).value == pytest.approx(float(expect),
                                                                 abs=1e-15)
+
+    def test_empty_group_undefined(self):
+        # the reason and trace of every rate gap
+        gp = gp_from_counts({}, {"tp": 1, "fn": 1})
+        mv = accuracy_equality_gap(gp)
+        assert (mv.value, mv.reason) == (None, "unprivileged group has no rows")
+        assert mv.trace == {
+            UNPRIVILEGED: {"counts": ConfusionCounts(), "accuracy": None},
+            PRIVILEGED: {"counts": ConfusionCounts(tp=1, fn=1),
+                         "accuracy": 0.5}}
 
 
 class TestConditionalUseAccuracy:
@@ -389,10 +408,56 @@ def _key_counts(by_key, number):
     return counts
 
 
+# Rows of either group, some sets with every row scored (so calibration
+# can be defined) and some with a group left empty.
+exact_rows = st.booleans().flatmap(lambda scored: st.lists(st.builds(
+    Record, group=st.sampled_from(GROUPS), predicted=st.integers(0, 1),
+    actual=st.integers(0, 1),
+    score=st.floats(0, 1) if scored else st.none() | st.floats(0, 1),
+    legitimate=st.sampled_from([None, "a", "b"])), max_size=16))
+
+
+def _constraint(metric_id, bins=10):
+    return MetricConstraint(metric_id, Interval(-1, 1), bins)
+
+
 class TestExactCounts:
-    """The per-key gap and the SPD are pure functions of their counts:
-    `Fraction` counts give exact values, and int counts the float
-    arithmetic of the same rates."""
+    """Every metric is a pure function of its counts: `Fraction` counts
+    give exact values, and int counts the float arithmetic of the same
+    rates."""
+
+    @given(exact_rows, st.integers(2, 12))
+    def test_every_metric(self, rows, bins):
+        """Every registry metric but balance, on `Fraction` counts, is the
+        row-scan `Fraction`; on the int counts it is a float near it."""
+        gp = predictions_of(rows)
+        twin = exact(gp, bins)
+        for mid, info in METRIC_REGISTRY.items():
+            if mid.startswith("balance_"):
+                continue
+            expected = exact_value(rows, mid, bins)
+            exact_mv = info.compute(twin, _constraint(mid, bins))
+            float_mv = info.compute(gp, _constraint(mid, bins))
+            assert exact_mv.value == expected
+            assert exact_mv.reason == float_mv.reason
+            if expected is None:
+                assert float_mv.value is None
+            else:
+                assert type(exact_mv.value) is Fraction
+                assert type(float_mv.value) is float
+                assert float_mv.value == pytest.approx(float(expected),
+                                                       abs=1e-12)
+
+    @pytest.mark.parametrize("mid", ["statistical_parity_difference",
+                                     "equal_acceptance_rate",
+                                     "conditional_statistical_parity"])
+    def test_tenths(self, mid):
+        # ROADMAP item 2's repro: 4 of 10 against 3 of 10
+        gp = gp_from_counts({"tp": 4, "tn": 6}, {"tp": 3, "tn": 7})
+        info = METRIC_REGISTRY[mid]
+        value = info.compute(exact(gp), _constraint(mid)).value
+        assert type(value) is Fraction and value == Fraction(1, 10)
+        assert info.compute(gp, _constraint(mid)).value == 0.10000000000000003
 
     @pytest.mark.parametrize(
         "key, keys, lead, by_key, gaps, skipped, value, reason", KEY_GAP_CASES)

@@ -135,7 +135,12 @@ class TestEvaluate:
         (TOLERANT_POLICY,
          MetricValue("statistical_parity_difference", 0.02, trace={"n": 3}),
          (0.02, None, 0.02, COMPLY,
-          "value 0.02 within legitimate interval [-0.01, 0.01]", {"n": 3})),
+          "value 0.02 within tolerance 0.02 of legitimate interval "
+          "[-0.01, 0.01]", {"n": 3})),
+        (TOLERANT_POLICY,
+         MetricValue("statistical_parity_difference", 0.01, trace={"n": 3}),
+         (0.01, None, 0.02, COMPLY,
+          "value 0.01 within legitimate interval [-0.01, 0.01]", {"n": 3})),
         (SPD_POLICY,
          MetricValue("statistical_parity_difference", 0.1 + 0.2,
                      trace={"n": 3}),
@@ -143,7 +148,7 @@ class TestEvaluate:
           "value outside legitimate interval: 0.30000000000000004 not in "
           "[-0.01, 0.01]", {"n": 3})),
     ], ids=["missing-input", "undefined", "comply", "comply-by-tolerance",
-            "explain"])
+            "comply-in-range-with-tolerance", "explain"])
     def test_every_verdict(self, policy, metric, expected):
         """Each outcome's exact fields; the interval is shown unwidened."""
         constraint = policy.metrics[0]
