@@ -13,7 +13,6 @@ with a human-readable reason.
 from __future__ import annotations
 
 import math
-from array import array
 from collections import Counter
 from itertools import chain, repeat
 from operator import mul
@@ -30,13 +29,13 @@ GROUPS = (UNPRIVILEGED, PRIVILEGED)
 class GroupedPredictions:
     """Predictions reduced to counts from a lossless tally.
 
-    The tally is two-level: a prefix (the raw `(group, predicted, actual)`
-    text) maps each raw legitimate text under it to an `array('d')` of its
-    scores, and to its count of unscored rows. `keys` maps each prefix to
-    its validated `(group, predicted, actual)`, and `_stratum` maps each
-    text to its stratum, one rule for a CSV's tally and a test's alike.
-    `read_predictions` builds the tally; it is reduced once, at
-    construction, into the attributes below, which every metric reads:
+    The tally is two-level: a validated `(group, predicted, actual)` cell,
+    such as `("unprivileged", 1, 0)`, maps each raw legitimate text under
+    it to an `array('d')` of its scores, and to its count of unscored
+    rows; `_stratum` maps each text to its stratum, one rule for a CSV's
+    tally and a test's alike. `read_predictions` builds the tally; it is
+    reduced once, at construction, into the attributes below, which every
+    metric reads:
 
     - `confusion`: group -> ConfusionCounts;
     - `strata`: group -> (rows, predicted positives), each a flat
@@ -49,20 +48,18 @@ class GroupedPredictions:
     A metric reads nothing else, so it can judge any object that carries
     these five with `int` or `Fraction` counts; `Fraction` counts give
     exact values for all but the balance metrics, whose means are floats.
-    `cells` rebuilds the cells from the tally, so the rows can be rebuilt
-    exactly (up to order).
+    `records` rebuilds the rows from the tally exactly (up to order).
     """
 
-    __slots__ = ("_scored", "_unscored", "_keys",
+    __slots__ = ("_scored", "_unscored",
                  "confusion", "strata", "scores", "unscored", "bin_counts")
 
-    def __init__(self, scored: dict, unscored: dict, keys: dict,
+    def __init__(self, scored: dict, unscored: dict,
                  bin_counts: Optional[dict] = None):
-        """Reduce a tally, which is not copied: `scored` maps every prefix
+        """Reduce a tally, which is not copied: `scored` maps every cell
         to `{legitimate text: array('d') of scores}` (empty when the text
-        has none), `unscored` maps a prefix to `{legitimate text: rows
-        without a score}`, and `keys` maps every prefix of `scored` to its
-        `(group, predicted, actual)`.
+        has none), and `unscored` maps a cell to `{legitimate text: rows
+        without a score}`.
 
         `bin_counts` maps a number of calibration bins to the
         `_bin_rows` counts of every score, as the shards of
@@ -73,9 +70,9 @@ class GroupedPredictions:
         quadrants = {g: [[0, 0], [0, 0]] for g in GROUPS}  # [predicted][actual]
         strata = {g: ({}, {}) for g in GROUPS}
         scores = {(g, a): [] for g in GROUPS for a in (0, 1)}
-        for prefix, by_text in scored.items():
-            g, p, a = keys[prefix]
-            counts = unscored.get(prefix, {})
+        for cell, by_text in scored.items():
+            g, p, a = cell
+            counts = unscored.get(cell, {})
             rows, positives = strata[g]
             arrays = scores[g, a]
             total = 0
@@ -90,7 +87,6 @@ class GroupedPredictions:
             quadrants[g][p][a] += total
         self._scored = scored
         self._unscored = unscored
-        self._keys = keys
         self.confusion = {g: ConfusionCounts(tp=q[1][1], fp=q[1][0], tn=q[0][0], fn=q[0][1])
                           for g, q in quadrants.items()}
         self.strata = strata
@@ -99,27 +95,17 @@ class GroupedPredictions:
         self.bin_counts = bin_counts or {}
 
     @property
-    def cells(self) -> dict:
-        """Validated cell -> `[unscored rows, array('d') of scores]`, built
-        on each access in first-seen prefix order, then first-seen text
-        order within a prefix; texts sharing a cell merge in that order."""
-        cells = {}
-        for prefix, by_text in self._scored.items():
-            key = self._keys[prefix]
-            counts = self._unscored.get(prefix, {})
-            for text, scores in by_text.items():
-                cell = cells.setdefault((*key, _stratum(text)), [0, array("d")])
-                cell[0] += counts.get(text, 0)
-                cell[1].extend(scores)
-        return cells
-
-    @property
     def records(self) -> tuple:
         """The rows as `(group, predicted, actual, score, legitimate)`
-        tuples, rebuilt cell by cell; an unscored row's score is None."""
-        return tuple(chain.from_iterable(
-            [(g, p, a, None, l)] * unscored + [(g, p, a, s, l) for s in scores]
-            for (g, p, a, l), (unscored, scores) in self.cells.items()))
+        tuples, rebuilt text by text; an unscored row's score is None."""
+        rows = []
+        for (g, p, a), by_text in self._scored.items():
+            counts = self._unscored.get((g, p, a), {})
+            for text, scores in by_text.items():
+                stratum = _stratum(text)
+                rows += [(g, p, a, None, stratum)] * counts.get(text, 0)
+                rows += [(g, p, a, s, stratum) for s in scores]
+        return tuple(rows)
 
 
 def _stratum(text: Optional[str]) -> Optional[str]:

@@ -95,7 +95,7 @@ def count_dataset(source, names=()) -> Counter:
 
 def _row_counter(columns: tuple, names):
     """`count_dataset`'s reduction of blocks of rows: a tally with no
-    scores and no bin counts whose one prefix, `()`, maps each tuple of
+    scores and no bin counts whose one key, `()`, maps each tuple of
     named cells to its row count."""
     idx = [_column_index(columns, name) for name in names]
     width = len(columns)
@@ -113,15 +113,15 @@ def _dump_tally(tally, pipe) -> None:
     """Write a `(scored, unscored, bin_counts)` tally as one frame: the
     length of its marshalled header as 8 little-endian bytes, the header,
     then each score array in the header's order. The header holds two
-    lists of `(prefix, legitimate, n)` entries, one per distinct (prefix,
-    stratum) text: the rows without a score, then the scores. A third list
+    lists of `(cell, legitimate text, n)` entries, one per distinct (cell,
+    legitimate text): the rows without a score, then the scores. A third list
     holds the calibration bin counts as `(bins, group, 0 for rows or 1
     for positives, bin, count)` entries."""
     scored, unscored, bin_counts = tally
     header = marshal.dumps((
-        [(prefix, text, n) for prefix, counts in unscored.items()
+        [(cell, text, n) for cell, counts in unscored.items()
          for text, n in counts.items()],
-        [(prefix, text, len(scores)) for prefix, by_text in scored.items()
+        [(cell, text, len(scores)) for cell, by_text in scored.items()
          for text, scores in by_text.items()],
         [(bins, g, i, b, n) for bins, binned in bin_counts.items()
          for g, pair in binned.items() for i, counts in enumerate(pair)
@@ -146,14 +146,14 @@ def _merge_tally(tally, pipe) -> None:
     if len(header) != size:
         raise EOFError("shard result cut short")
     more_unscored, lengths, more_bins = marshal.loads(header)
-    for prefix, text, n in lengths:
-        scores = scored.setdefault(prefix, {}).setdefault(text, array("d"))
+    for cell, text, n in lengths:
+        scores = scored.setdefault(cell, {}).setdefault(text, array("d"))
         while n:
             k = min(n, _MERGE_ITEMS)
             scores.fromfile(pipe, k)
             n -= k
-    for prefix, text, n in more_unscored:
-        counts = unscored.setdefault(prefix, {})
+    for cell, text, n in more_unscored:
+        counts = unscored.setdefault(cell, {})
         counts[text] = counts.get(text, 0) + n
     for bins, g, i, b, n in more_bins:
         counts = bin_counts.setdefault(bins, {}).setdefault(g, ({}, {}))[i]
@@ -180,7 +180,9 @@ def _shard_cuts(path):
     `\n` after the header. They are safe only when the file holds no `"`
     byte: then no record spans a line, so every `\n` ends a record (CRLF
     too), and `_split_rows` can read each shard. None when that does not
-    hold or `path` is not a regular file (the scan would consume a pipe).
+    hold, when the header or the line at a cut ends neither within
+    `_SCAN_BYTES` nor at the end of the file (as with CR-only line ends),
+    or when `path` is not a regular file (the scan would consume a pipe).
     The cuts are `[0, size]`, one shard, when the file is smaller
     than two shards of `SHARD_BYTES`, one CPU is usable, or the process
     cannot fork or runs more than one thread.
@@ -197,13 +199,15 @@ def _shard_cuts(path):
             if hasattr(os, "fork") and threading.active_count() == 1:
                 shards = max(1, min(_usable_cpus(), size // SHARD_BYTES))
             fh.seek(0)
-            header_end = len(fh.readline())
-            cuts = [0]
-            for i in range(1, shards):
-                fh.seek(max(size * i // shards, header_end) - 1)
-                fh.readline()
-                cuts.append(fh.tell())
-            return cuts + [size]
+            ends = []  # the header's end, then the line end at each cut
+            for i in range(shards):
+                if i:
+                    fh.seek(max(size * i // shards, ends[0]) - 1)
+                if (not fh.readline(_SCAN_BYTES).endswith(b"\n")
+                        and fh.tell() < size):
+                    return None
+                ends.append(fh.tell())
+            return [0] + ends[1:] + [size]
     except OSError:
         return None
 
@@ -298,7 +302,8 @@ def _run_sharded(path, prepare):
     children = []
     try:
         with open(path, "rb") as fh:
-            columns, _ = _csv_stream([fh.readline().decode("utf-8-sig")])
+            header = fh.readline(_SCAN_BYTES).decode("utf-8-sig")
+            columns, _ = _csv_stream([header])
             reduce = prepare(columns)
             for start, end in zip(cuts[1:], cuts[2:]):
                 if start < end:
@@ -327,7 +332,7 @@ def _run_sharded(path, prepare):
 
 def _reduce_csv(source, prepare):
     """`prepare(columns)(blocks)` over a CSV path or text stream: a
-    `(scored, unscored, bin_counts)` tally, two `{prefix: {legitimate:
+    `(scored, unscored, bin_counts)` tally, two `{cell: {legitimate:
     ...}}` dicts and one of calibration bin counts, the one result shape
     that both CSV passes reduce to and that `_dump_tally`/`_merge_tally`
     carry between shards.
@@ -509,12 +514,12 @@ def read_predictions(source, privileged_label: str = PRIVILEGED,
 
     Group values must equal the given labels (a policy's privileged and
     unprivileged values, or the literal defaults). Rows stream into a
-    two-level tally: the raw `(group, predicted, actual)` text of a row,
-    its prefix, then its raw legitimate text. Each distinct prefix is
-    validated once, then mapped once to its `keys` entry; memory grows by
-    one dict entry and one score array per distinct (prefix, stratum)
-    text, plus one float per scored row. A blank legitimate text, or the
-    `""` of a file with no such column, reduces to the None stratum.
+    two-level tally: the validated `(group, predicted, actual)` cell of a
+    row, then its raw legitimate text; each shard validates a cell's raw
+    text once. Memory grows by one dict entry and one score array per
+    distinct (cell, legitimate text), plus one float per scored row. A
+    blank legitimate text, or the `""` of a file with no such column,
+    reduces to the None stratum.
 
     A regular file with no `"` byte is split by `_split_rows`, not `csv`,
     in byte-range shards on every usable CPU (one for a small file; see
@@ -532,9 +537,7 @@ def read_predictions(source, privileged_label: str = PRIVILEGED,
     key = _prediction_key(privileged_label, unprivileged_label)
     scored, unscored, bin_counts = _reduce_csv(
         source, partial(_prediction_tally, key=key, bins=calibration_bins))
-    return GroupedPredictions(scored, unscored,
-                              {prefix: key(prefix) for prefix in scored},
-                              {} if unscored else bin_counts)
+    return GroupedPredictions(scored, unscored, {} if unscored else bin_counts)
 
 
 def _prediction_key(privileged_label: str, unprivileged_label: str):
@@ -557,10 +560,13 @@ def _prediction_tally(columns: tuple, key, bins=()):
 
     Returns `tally(blocks)`, which folds the checked blocks of rows past
     the header into a new `(scored, unscored, bin_counts)` tally, as the
-    `GroupedPredictions` constructor takes it, checking each new prefix
-    with `key` and every score. The first two are `{prefix: {legitimate
-    text: ...}}` dicts. The row loop runs over each block's rows as they
-    are, and numbers a row only when it rejects it. After it,
+    `GroupedPredictions` constructor takes it, checking every score. The
+    first two are `{cell: {legitimate text: ...}}` dicts. `key` validates
+    a row's raw `(group, predicted, actual)` text, its prefix, where it is
+    first seen; the prefix then aliases its cell's entry of `scored`, so
+    each row does one prefix lookup, and padded variants of a cell merge
+    in file order. The row loop runs over each block's rows as they are,
+    and numbers a row only when it rejects it. After it,
     `bin_counts` maps each number in `bins` to the `_bin_rows` counts of
     the scores, `{group: (rows, positives)}` per bin; it is `{}` when a
     row had no score.
@@ -576,14 +582,16 @@ def _prediction_tally(columns: tuple, key, bins=()):
     def tally(blocks) -> tuple:
         scored = {}
         unscored = {}
+        cell_of = {}
+        alias = {}  # prefix -> scored[cell_of[prefix]]
         for first, rows in _checked_blocks(blocks, width):
             try:
                 for row in rows:
                     prefix = prefix_of(row)
-                    by_text = scored.get(prefix)
+                    by_text = alias.get(prefix)
                     if by_text is None:
-                        key(prefix)
-                        by_text = scored[prefix] = {}
+                        cell = cell_of[prefix] = key(prefix)
+                        by_text = alias[prefix] = scored.setdefault(cell, {})
                     text = "" if legit is None else row[legit]
                     scores = by_text.get(text)
                     if scores is None:
@@ -601,19 +609,17 @@ def _prediction_tally(columns: tuple, key, bins=()):
                                     f"score {score} outside [0, 1]")
                             scores.append(score)
                             continue
-                    counts = unscored.get(prefix)
-                    if counts is None:
-                        counts = unscored[prefix] = {}
+                    counts = unscored.setdefault(cell_of[prefix], {})
                     counts[text] = counts.get(text, 0) + 1
             except ValueError as exc:
                 rownum = first + rows.index(row)
                 raise IngestError(f"row {rownum}: {exc}") from None
         bin_counts = {}
         if bins and not unscored:
-            cells = [(g, a) for g, _, a in map(key, scored)]
             for b in bins:
                 bin_counts[b] = _bin_rows(
-                    zip(cells, map(dict.values, scored.values())), b)
+                    (((g, a), by_text.values())
+                     for (g, _, a), by_text in scored.items()), b)
         return scored, unscored, bin_counts
 
     return tally

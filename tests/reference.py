@@ -42,23 +42,22 @@ def records(gp: GroupedPredictions) -> list:
 
 
 def predictions_of(records) -> GroupedPredictions:
-    """`GroupedPredictions` of Records: a tally whose prefixes are each
-    Record's `(group, predicted, actual)`, each its own key, and whose
-    legitimate texts are its `legitimate` as it is; the reduction maps a
-    None or blank one to the None stratum, as it does for a CSV."""
+    """`GroupedPredictions` of Records: a tally keyed by each Record's
+    `(group, predicted, actual)` cell, then by its `legitimate` as it is;
+    the reduction maps a None or blank one to the None stratum, as it does
+    for a CSV."""
     scored = {}
     unscored = {}
     for r in records:
-        prefix = (r.group, r.predicted, r.actual)
-        scores = scored.setdefault(prefix, {}).setdefault(
+        cell = (r.group, r.predicted, r.actual)
+        scores = scored.setdefault(cell, {}).setdefault(
             r.legitimate, array("d"))
         if r.score is None:
-            counts = unscored.setdefault(prefix, {})
+            counts = unscored.setdefault(cell, {})
             counts[r.legitimate] = counts.get(r.legitimate, 0) + 1
         else:
             scores.append(r.score)
-    return GroupedPredictions(scored, unscored,
-                              {prefix: prefix for prefix in scored})
+    return GroupedPredictions(scored, unscored)
 
 
 def swapped(gp: GroupedPredictions) -> GroupedPredictions:

@@ -851,10 +851,16 @@ class TestTracedPipeline:
             f"{rng.choice((gen.FAVORABLE, *gen.OTHER_OCCUPATIONS))}\n"
             for _ in range(400)))
         # scores on the bin edges k/7 and their neighbours, and 0 and 1;
-        # strata include a blank one and one the privileged group lacks
+        # strata include a blank one and one the privileged group lacks;
+        # group and label cells are padded (" Male", "Female ", " 1") on
+        # some rows, and each shard merges them into the plain cells
         scores = ["0", "1", "0.5", *(repr(k / 7) for k in range(1, 7)),
                   *(f"{k / 7 + d:.17g}" for k in range(1, 7)
                     for d in (-1e-16, 1e-16))]
+
+        def pad(cell):
+            return rng.choice((cell, " " + cell, cell + " "))
+
         rows = []
         for _ in range(600):
             group = rng.choice((gen.PRIVILEGED, gen.UNPRIVILEGED))
@@ -862,7 +868,8 @@ class TestTracedPipeline:
             if group == gen.UNPRIVILEGED:
                 strata += ("only-u",)
             legitimate = rng.choice(strata)
-            rows.append(f"{group},{rng.randrange(2)},{rng.randrange(2)},"
+            rows.append(f"{pad(group)},{pad(str(rng.randrange(2)))},"
+                        f"{pad(str(rng.randrange(2)))},"
                         f"{rng.choice(scores)},{legitimate}\n")
         (inputs / "predictions.csv").write_text(
             "group,predicted,actual,score,legitimate\n" + "".join(rows))

@@ -309,9 +309,7 @@ class TestConditionalStatisticalParity:
         gp = predictions_of([Record(PRIVILEGED, 1, 1, None, text)
                              for text in (None, "", " ", "a", " a")])
         assert gp.strata[PRIVILEGED][0] == {None: 3, "a": 1, " a": 1}
-        assert list(gp.cells) == [(PRIVILEGED, 1, 1, None),
-                                  (PRIVILEGED, 1, 1, "a"),
-                                  (PRIVILEGED, 1, 1, " a")]
+        assert list(gp.strata[PRIVILEGED][0]) == [None, "a", " a"]
 
 
 class TestCalibration:

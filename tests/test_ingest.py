@@ -16,7 +16,12 @@ from hypothesis import strategies as st
 
 from complykit import ingest
 from complykit.decisions import DecisionError, PayoffMatrix
-from complykit.fairness import PRIVILEGED, UNPRIVILEGED, calibration_gap
+from complykit.fairness import (
+    PRIVILEGED,
+    UNPRIVILEGED,
+    ConfusionCounts,
+    calibration_gap,
+)
 from complykit.ingest import (
     Dataset,
     IngestError,
@@ -40,7 +45,7 @@ from conftest import (
     force_shards,
     prediction_csv,
 )
-from reference import confusion, records
+from reference import Record, confusion, predictions_of, records
 
 
 def no_serial_pass(source):
@@ -283,6 +288,47 @@ class TestShardedCount:
         assert all(text[cut - 1:cut] == b"\n" for cut in cuts[1:-1])
         assert min(cuts[1:]) > text.index(b"\n")
 
+    def test_lines_past_the_scan_bound_decline_the_split(self, tmp_path,
+                                                         monkeypatch):
+        # The header and the line at each cut must end within
+        # `_SCAN_BYTES`, or at the end of the file.
+        monkeypatch.setattr(ingest, "_SCAN_BYTES", 64)
+        force_shards(monkeypatch, 2)
+        path = tmp_path / "d.csv"
+        for text, split in ((b"sex,occupation", True),
+                            (b"x" * 64 + b"\nMale\n", False),
+                            (b"x" * 63 + b"\nMale\n", True),
+                            (b"sex\n" + b"Male," * 40 + b"\nMale\n", False),
+                            (b"sex\n" + b"x" * 10 + b"\n" + b"Male," * 8,
+                             True)):
+            path.write_bytes(text)
+            cuts = ingest._shard_cuts(path)
+            assert (cuts is not None) == split, text
+            if split:
+                assert cuts[0] == 0 and cuts[-1] == len(text)
+
+    def test_cr_only_file_is_not_read_whole(self, tmp_path, monkeypatch):
+        # With CR-only line ends no `\n` ends the header: the split pass
+        # declines after reading `_SCAN_BYTES` of it, and `csv` reads the
+        # file in small chunks, so the pass never holds the file at once.
+        monkeypatch.setattr(ingest, "_SCAN_BYTES", 4096)
+        force_shards(monkeypatch, 2)
+        path = tmp_path / "d.csv"
+        path.write_bytes(b"\r".join([b"sex,occupation"]
+                                    + [b"Male,Other\rFemale,Sales"] * 40_000))
+        assert ingest._shard_cuts(path) is None
+        tracemalloc.start()
+        try:
+            counts = count_dataset(path, ["sex", "occupation"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert counts == Counter({("Male", "Other"): 40_000,
+                                  ("Female", "Sales"): 40_000})
+        # about 150 KB here, where reading the 960 KB file as one header
+        # line held it twice, as bytes and as text
+        assert peak < path.stat().st_size // 2
+
     def test_forks_one_child_per_later_shard(self, tmp_path, monkeypatch,
                                              forks):
         force_shards(monkeypatch, 3)
@@ -343,8 +389,14 @@ class TestShardedCount:
             Counter({("Male", "Other"): 10})
 
 
-def cell_bytes(gp):
-    return [(key, n, scores.tobytes()) for key, (n, scores) in gp.cells.items()]
+def reduction(gp):
+    """The five attributes every metric reads, with each score array as
+    bytes, and the rows `records` rebuilds: two reads are equal only when
+    their tallies hold the same cells, texts and scores in the same
+    order."""
+    return (gp.confusion, gp.strata, gp.unscored, gp.bin_counts,
+            {k: [a.tobytes() for a in arrays] for k, arrays in gp.scores.items()},
+            gp.records)
 
 
 def many_cells_csv(rows):
@@ -360,18 +412,25 @@ def many_cells_csv(rows):
     return "\n".join(lines) + "\n"
 
 
+def distinct_entries(text):
+    """The distinct (cell, legitimate text) entries of a `many_cells_csv`
+    file, whose cells are unpadded, by a scan of its lines."""
+    return len({(g, p, a, legitimate) for g, p, a, _, legitimate in
+                (line.split(",") for line in text.splitlines()[1:])})
+
+
 class TestShardedPredictions:
     @settings(max_examples=60, deadline=None)
     @given(prediction_csv(), st.integers(2, 4))
     def test_sharded_equals_serial(self, tmp_path_factory, text, cpus):
         path = tmp_path_factory.mktemp("shard") / "p.csv"
         path.write_bytes(text.encode())
-        serial = cell_bytes(read_predictions(io.StringIO(text)))
+        serial = reduction(read_predictions(io.StringIO(text)))
 
         with pytest.MonkeyPatch.context() as mp:
             force_shards(mp, cpus)
             mp.setattr(ingest, "_csv_table", no_serial_pass)
-            assert cell_bytes(read_predictions(path)) == serial
+            assert reduction(read_predictions(path)) == serial
 
     def test_forks_one_child_per_later_shard(self, tmp_path, monkeypatch,
                                              forks):
@@ -381,27 +440,26 @@ class TestShardedPredictions:
                         + "privileged,1,1,0.5\nunprivileged,0,1,\n" * 20)
         gp = read_predictions(path)
         assert len(forks) == 2
-        assert cell_bytes(gp) == [
-            ((PRIVILEGED, 1, 1, None), 0, array("d", [0.5] * 20).tobytes()),
-            ((UNPRIVILEGED, 0, 1, None), 20, b""),
-        ]
+        assert reduction(gp) == reduction(predictions_of(
+            [Record(PRIVILEGED, 1, 1, 0.5), Record(UNPRIVILEGED, 0, 1)] * 20))
 
     def test_header_over_a_pipe_buffer_equals_serial(self, tmp_path,
                                                       monkeypatch, forks):
         path = tmp_path / "p.csv"
         path.write_text(many_cells_csv(12_000))
         serial = read_predictions(path)
-        assert len(serial.cells) >= 5000
+        # a dump header entry per distinct (cell, text); most hold scores
+        assert sum(map(len, serial.scores.values())) >= 5000
         force_shards(monkeypatch, 2)
         monkeypatch.setattr(ingest, "_csv_table", no_serial_pass)
         sharded = read_predictions(path)
         assert len(forks) == 1
-        assert cell_bytes(sharded) == cell_bytes(serial)
+        assert reduction(sharded) == reduction(serial)
         assert sharded.strata == serial.strata
 
     def test_padded_prefixes_and_blank_strata_merge_across_shards(
             self, tmp_path, monkeypatch, forks):
-        # Each shard brings new padded variants of one prefix, which
+        # Each shard brings new padded group and label texts, which
         # validate to the same cell, and blank and whitespace legitimate
         # cells, which are all the stratum None; one text is in every shard.
         blocks = (
@@ -429,21 +487,26 @@ class TestShardedPredictions:
         monkeypatch.setattr(ingest, "_csv_table", no_serial_pass)
         sharded = read_predictions(path)
         assert len(forks) == 2
-        assert cell_bytes(sharded) == cell_bytes(serial)
+        assert reduction(sharded) == reduction(serial)
         assert sharded.strata == serial.strata
-        assert {k: (n, len(s)) for k, (n, s) in sharded.cells.items()} == {
-            (PRIVILEGED, 1, 1, "a"): (30, 120),
-            (PRIVILEGED, 1, 1, None): (0, 90),
-            (UNPRIVILEGED, 0, 1, "a"): (30, 0),
-            (UNPRIVILEGED, 0, 1, None): (0, 30),
-            (PRIVILEGED, 1, 1, "b"): (30, 0),
-        }
+        assert sharded.confusion == {PRIVILEGED: ConfusionCounts(tp=270),
+                                     UNPRIVILEGED: ConfusionCounts(fn=60)}
+        assert sharded.strata == {
+            PRIVILEGED: ({"a": 150, None: 90, "b": 30},
+                         {"a": 150, None: 90, "b": 30}),
+            UNPRIVILEGED: ({"a": 30, None: 30}, {"a": 0, None: 0})}
+        assert sharded.unscored == 90
+        # one array per (cell, legitimate text): the padded group and
+        # label variants add their scores to the plain ones' arrays
+        assert [len(a) for a in sharded.scores[PRIVILEGED, 1]] == \
+            [120, 30, 30, 30]
+        assert [len(a) for a in sharded.scores[UNPRIVILEGED, 1]] == [30]
 
     def test_tally_frame_round_trip(self):
         # 10,000 scores take three `_MERGE_ITEMS` chunks.
         long = array("d", (i / 7 for i in range(10_000)))
-        p11, u01 = ("privileged", "1", "1"), ("unprivileged", "0", "1")
-        p00, p10 = ("privileged", "0", "0"), (" privileged ", "1", "0")
+        p11, u01 = (PRIVILEGED, 1, 1), (UNPRIVILEGED, 0, 1)
+        p00, p10 = (PRIVILEGED, 0, 0), (PRIVILEGED, 1, 0)
         # Bin counts add per (bins, group, rows or positives, bin); big
         # bin numbers travel too.
         U, P = UNPRIVILEGED, PRIVILEGED
@@ -465,8 +528,8 @@ class TestShardedPredictions:
         ingest._merge_tally(ours, pipe)
         assert pipe.read() == b""
         scored, unscored, bin_counts = ours
-        # new prefixes follow ours in their order, and new texts follow
-        # ours within a prefix
+        # new cells follow ours in their order, and new texts follow ours
+        # within a cell
         assert list(scored) == [u01, p10, p11, p00]
         assert list(scored[u01]) == ["b", "a", "c"]
         assert scored[u01] == {"b": array("d", [0.75, 1.0]), "a": long,
@@ -516,11 +579,11 @@ class TestShardedPredictions:
                      + "privileged,1,1,0.5\nunprivileged,0,1,\n" * 20,
                      "group,predicted,actual\n" + "privileged,1,1\n" * 40):
             path.write_text(text)
-            serial = cell_bytes(read_predictions(io.StringIO(text)))
+            serial = reduction(read_predictions(io.StringIO(text)))
             del forks[:]
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(ingest, "_csv_table", recording_csv_table)
-                assert cell_bytes(read_predictions(path)) == serial
+                assert reduction(read_predictions(path)) == serial
             assert len(forks) == 2 and serial_passes == [path]
             del serial_passes[:]
         path.write_text("sex\n" + "Male\nFemale\n" * 20)
@@ -561,12 +624,12 @@ class TestShardedPredictions:
                 + "privileged,1,1,0.5\nunprivileged,0,1,\n" * 20)
         path = tmp_path / "p.csv"
         path.write_text(text)
-        serial = cell_bytes(read_predictions(io.StringIO(text)))
+        serial = reduction(read_predictions(io.StringIO(text)))
         force_shards(monkeypatch, 3)
         monkeypatch.setattr(os, "fork", flaky_fork)
         monkeypatch.setattr(os, "pipe", recording_pipe)
         monkeypatch.setattr(ingest, "_csv_table", recording_csv_table)
-        assert cell_bytes(read_predictions(path)) == serial
+        assert reduction(read_predictions(path)) == serial
         assert serial_passes == [path]
         assert len(calls) == failing and len(pids) == failing - 1
         assert len(fds) == 2 * failing
@@ -587,18 +650,18 @@ class TestShardedPredictions:
         text = "group,predicted,actual\n" + "privileged,1,1\n" * 50
         path = tmp_path / "p.csv"
         path.write_text(text)
-        expected = [((PRIVILEGED, 1, 1, None), 50, b"")]
-        assert cell_bytes(read_predictions(path)) == expected
+        expected = reduction(predictions_of([Record(PRIVILEGED, 1, 1)] * 50))
+        assert reduction(read_predictions(path)) == expected
         monkeypatch.setattr(ingest, "SHARD_BYTES", 1)
-        assert cell_bytes(read_predictions(io.StringIO(text))) == expected
+        assert reduction(read_predictions(io.StringIO(text))) == expected
         quoted = tmp_path / "q.csv"
         quoted.write_text(text.replace("1,1\n", '1,"1"\n'))
-        assert cell_bytes(read_predictions(quoted)) == expected
+        assert reduction(read_predictions(quoted)) == expected
         release = threading.Event()
         worker = threading.Thread(target=release.wait)
         worker.start()
         try:
-            assert cell_bytes(read_predictions(path)) == expected
+            assert reduction(read_predictions(path)) == expected
         finally:
             release.set()
             worker.join(timeout=10)
@@ -797,7 +860,7 @@ class TestSplitPass:
               b"privileged,1,1,0.5,a\r\n\r\nunprivileged,0,1,,b", False))
     def test_predictions(self, tmp_path_factory, table):
         self.check(tmp_path_factory, table,
-                   lambda source: cell_bytes(read_predictions(source)))
+                   lambda source: reduction(read_predictions(source)))
 
 
 # `csv` reads a field longer than this as a malformed row in
@@ -831,7 +894,7 @@ BLOCK_READERS = {
         dict(_DATASET_FAULTS, ragged=("Male,Other,1,2", "IngestError: row "
                                       "{r}: expected 3 cells, got 4"))),
     "read_predictions": (
-        lambda source: cell_bytes(read_predictions(source)),
+        lambda source: reduction(read_predictions(source)),
         "group,predicted,actual,score,legitimate",
         lambda i: (f"{(PRIVILEGED, UNPRIVILEGED)[i % 2]},{i % 3 % 2},"
                    f"{i // 2 % 2},0.{i % 10},s{i % 3}"),
@@ -974,17 +1037,17 @@ class TestByteOrderMark:
     def test_sharded(self, tmp_path, monkeypatch, forks):
         # A file holding a `"` is never sharded, so this one is read by the
         # serial pass whatever the CPU count.
-        expected = cell_bytes(read_predictions(io.StringIO(self.PREDICTIONS)))
+        expected = reduction(read_predictions(io.StringIO(self.PREDICTIONS)))
         path = tmp_path / "p.csv"
         path.write_text("\ufeff" + self.PREDICTIONS, encoding="utf-8")
         force_shards(monkeypatch, 3)
-        assert cell_bytes(read_predictions(path)) == expected
+        assert reduction(read_predictions(path)) == expected
         assert forks == []
         # Without quotes the file is sharded, and shard 0 drops the mark.
         monkeypatch.setattr(ingest, "_csv_table", no_serial_pass)
         path.write_text("\ufeff" + self.PREDICTIONS.replace('"', ""),
                         encoding="utf-8")
-        assert cell_bytes(read_predictions(path)) == expected
+        assert reduction(read_predictions(path)) == expected
         assert len(forks) == 2
 
 
@@ -1048,10 +1111,10 @@ class TestReadPredictions:
                     "privileged,1,1, ,\n"
                     "privileged,1,1,,  \n")
         gp = read_predictions(io.StringIO(csv_text))
-        assert {k: (n, list(s)) for k, (n, s) in gp.cells.items()} == {
-            (PRIVILEGED, 1, 1, "a"): (0, [0.25, 0.75]),
-            (PRIVILEGED, 1, 1, None): (2, []),
-        }
+        assert gp.strata[PRIVILEGED] == ({"a": 2, None: 2}, {"a": 2, None: 2})
+        assert gp.unscored == 2
+        # the padded row's score joins the plain row's array, in file order
+        assert gp.scores[PRIVILEGED, 1] == [array("d", [0.25, 0.75])]
 
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_no_legitimate_column(self, tmp_path, monkeypatch, cpus):
@@ -1062,10 +1125,10 @@ class TestReadPredictions:
                           "unprivileged,0,1,0.5\n" * 3)
         force_shards(monkeypatch, cpus)
         gp = read_predictions(path)
-        assert {k: (n, list(s)) for k, (n, s) in gp.cells.items()} == {
-            (PRIVILEGED, 1, 1, None): (3, [0.25] * 3),
-            (UNPRIVILEGED, 0, 1, None): (0, [0.5] * 3),
-        }
+        assert gp.confusion == {PRIVILEGED: ConfusionCounts(tp=6),
+                                UNPRIVILEGED: ConfusionCounts(fn=3)}
+        assert gp.scores[PRIVILEGED, 1] == [array("d", [0.25] * 3)]
+        assert gp.scores[UNPRIVILEGED, 1] == [array("d", [0.5] * 3)]
         assert gp.strata == {PRIVILEGED: ({None: 6}, {None: 6}),
                              UNPRIVILEGED: ({None: 3}, {None: 0})}
         assert gp.unscored == 3
@@ -1079,59 +1142,72 @@ class TestReadPredictions:
                           "unprivileged,0,0,a\nunprivileged ,0,0,a\n" * 3)
         force_shards(monkeypatch, cpus)
         gp = read_predictions(path)
-        assert {k: (n, list(s)) for k, (n, s) in gp.cells.items()} == {
-            (PRIVILEGED, 1, 1, "a"): (3, []),
-            (PRIVILEGED, 1, 1, None): (3, []),
-            (UNPRIVILEGED, 0, 0, "a"): (6, []),
-        }
+        assert gp.confusion == {PRIVILEGED: ConfusionCounts(tp=6),
+                                UNPRIVILEGED: ConfusionCounts(tn=6)}
         assert gp.strata == {PRIVILEGED: ({"a": 3, None: 3}, {"a": 3, None: 3}),
                              UNPRIVILEGED: ({"a": 6}, {"a": 0})}
         assert gp.unscored == 12
         assert not any(gp.scores.values())
 
-    def test_key_runs_once_per_prefix(self, monkeypatch):
-        # The tally validates each distinct (group, predicted, actual) text
-        # once and the reduction maps it once, however many strata it holds.
-        calls = []
+    def test_key_runs_once_per_prefix(self, tmp_path, monkeypatch, forks):
+        # A pass validates each distinct raw (group, predicted, actual)
+        # text once per shard, where it first sees it, however many
+        # strata it holds; a padded variant is a text of its own. The
+        # calls are appended to a file, which forked shards share.
+        log = tmp_path / "calls"
         make_key = ingest._prediction_key
 
         def counting_key(*labels):
             key = make_key(*labels)
 
             def counted(prefix):
-                calls.append(prefix)
+                with open(log, "a") as fh:
+                    fh.write(repr(prefix) + "\n")
                 return key(prefix)
             return counted
 
         monkeypatch.setattr(ingest, "_prediction_key", counting_key)
-        gp = read_predictions(io.StringIO(many_cells_csv(12_000)))
-        assert Counter(calls) == {
-            (g, p, a): 2 for g in (PRIVILEGED, UNPRIVILEGED)
-            for p in "01" for a in "01"}
-        assert len(gp.cells) >= 8_000
+        text = many_cells_csv(12_000) + " privileged,1,1,0.5,k00000\n" * 3
+        assert distinct_entries(text) >= 8_000
+        path = tmp_path / "p.csv"
+        path.write_text(text)
+        for shards, source in ((1, io.StringIO(text)), (2, path)):
+            log.write_text("")
+            force_shards(monkeypatch, shards)
+            gp = read_predictions(source)
+            assert len(forks) == shards - 1
+            expected = Counter({repr((g, p, a)): shards
+                                for g in (PRIVILEGED, UNPRIVILEGED)
+                                for p in "01" for a in "01"})
+            expected[repr((" privileged", "1", "1"))] = 1  # the last shard
+            assert Counter(log.read_text().splitlines()) == expected
+            assert sum(c.total for c in gp.confusion.values()) == 12_003
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(IngestError, match="cannot read"):
             read_predictions(tmp_path / "absent.csv")
 
     def test_tally_memory_per_distinct_cell(self, tmp_path):
-        # One dict entry and one score array per distinct (prefix, stratum)
-        # text: about 222 traced bytes per cell at the read's peak on
-        # CPython 3.11 (212-242 on 3.10-3.13), where a 4-cell key tuple per
-        # text took about 367 (350-377), and a validated key tuple, a second
-        # dict entry and a [count, scores] list per cell before that about
-        # 505. The bound keeps the 440/367 headroom.
+        # One dict entry and one score array per distinct (cell,
+        # legitimate text), counted from the file's lines: about 222
+        # traced bytes per entry at the read's peak on CPython 3.11
+        # (212-242 on 3.10-3.13), where a 4-cell key tuple per text took
+        # about 367 (350-377), and a validated key tuple, a second dict
+        # entry and a [count, scores] list per cell before that about 505.
+        # The bound keeps the 440/367 headroom.
         path = tmp_path / "p.csv"
-        path.write_text(many_cells_csv(24_000))
+        text = many_cells_csv(24_000)
+        path.write_text(text)
         tracemalloc.start()
         try:
             gp = read_predictions(path)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        cells = len(gp.cells)
-        assert cells >= 15_000
-        assert peak / cells < 266
+        entries = distinct_entries(text)
+        assert entries >= 15_000
+        assert sum(c.total for c in gp.confusion.values()) == 24_000
+        assert peak / entries < 266
 
     def test_unknown_group(self):
         csv_text = "group,predicted,actual\nmystery,1,1\n"

@@ -1,7 +1,7 @@
 """Property tests for the prediction tally.
 
-`read_predictions` streams CSV rows into a tally keyed by the raw
-`(group, predicted, actual)` text, then by the raw legitimate text, and
+`read_predictions` streams CSV rows into a tally keyed by the validated
+`(group, predicted, actual)` cell, then by the raw legitimate text, and
 the row-level oracle in `reference.py` builds one from Records
 (`predictions_of`), flips groups row by row (`swapped`) and counts
 quadrants by scanning rows (`confusion`). The library's reduction must
@@ -129,32 +129,20 @@ def test_records_rebuild_the_input_rows(rows):
             r for r, _ in rows if r.group == g)
 
 
-def _row_scan_cells(columns, rows):
-    """`[(cell, unscored, scores)]` in the tally's order: prefix texts (the
-    raw group, predicted and actual cells) in first-seen order, then the
-    legitimate texts under each prefix in first-seen order. A cell is
-    listed where its first (prefix, text) pair falls, and its scores run
-    pair by pair in that order."""
-    texts = {}  # prefix text -> legitimate text -> [cell, unscored, scores]
+def _row_scan_records(columns, rows):
+    """`GroupedPredictions.records` by a row scan, in the tally's order:
+    validated `(group, predicted, actual)` cells in first-seen order, then
+    the raw legitimate texts under each cell in first-seen order, so the
+    padded variants of a cell share its texts; under each (cell, text),
+    its rows without a score, then its scored rows in file order."""
+    texts = {}  # cell -> legitimate text -> [unscored rows, scored rows]
     for r, cells in rows:
-        tally = texts.setdefault(tuple(cells[:3]), {}).setdefault(
-            cells[4] if "legitimate" in columns else "",
-            [(r.group, r.predicted, r.actual, r.legitimate), 0, []])
-        if r.score is None:
-            tally[1] += 1
-        else:
-            tally[2].append(r.score)
-    merged = {}
-    for by_text in texts.values():
-        for cell, n, scores in by_text.values():
-            entry = merged.setdefault(cell, [0, []])
-            entry[0] += n
-            entry[1] += scores
-    return [(cell, n, scores) for cell, (n, scores) in merged.items()]
-
-
-def _cell_list(gp):
-    return [(cell, n, list(scores)) for cell, (n, scores) in gp.cells.items()]
+        entry = texts.setdefault(r[:3], {}).setdefault(
+            cells[4] if "legitimate" in columns else "", [[], []])
+        entry[r.score is not None].append(r)
+    return tuple(r for by_text in texts.values()
+                 for unscored, scored in by_text.values()
+                 for r in unscored + scored)
 
 
 @given(csv_files())
@@ -162,18 +150,18 @@ def test_cells_view_matches_a_row_scan(file):
     columns, rows = file
     records = [r for r, _ in rows]
     gp = _read(rows, columns)
-    assert _cell_list(gp) == _row_scan_cells(columns, rows)
+    assert gp.records == _row_scan_records(columns, rows)
     assert Counter(gp.records) == Counter(records)
     assert gp.strata == _row_scan_strata(records)
     for g in GROUPS:
         assert gp.confusion[g] == confusion(r for r in records if r.group == g)
     # Swapping keeps the order of the rows it rebuilds; re-tallying them
-    # folds padded prefix variants together, so cells listed between two
-    # variants can move, while each cell keeps its rows and score order.
+    # folds the blank legitimate texts of a cell into its None stratum,
+    # so rows listed between two such texts can move, while each
+    # (cell, stratum) keeps its rows and score order.
     twice = swapped(swapped(gp))
-    assert _cell_list(twice) == _cell_list(
-        predictions_of(map(Record._make, gp.records)))
-    assert gp.cells == twice.cells
+    assert twice.records == predictions_of(map(Record._make, gp.records)).records
+    assert Counter(twice.records) == Counter(gp.records)
     assert twice.confusion == gp.confusion
     assert twice.strata == gp.strata
 
