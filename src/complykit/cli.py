@@ -9,6 +9,7 @@ stdout carries the report; diagnostics and logging go to stderr.
 from __future__ import annotations
 
 import argparse
+import gc
 import math
 import os
 import sys
@@ -110,6 +111,19 @@ def _finite_float(text):
 
 
 def cmd_evaluate(args) -> int:
+    # Nothing evaluate builds is cyclic, so the cyclic collector would only
+    # rescan the live prediction tally: it is paused for the run, and left
+    # as it was found.
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _evaluate(args)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _evaluate(args) -> int:
     from . import ingest, report  # only evaluate reads data and reports
 
     _, doc = _load_policy(args.policy)

@@ -136,7 +136,8 @@ def _dump_tally(tally, pipe) -> None:
 def _merge_tally(tally, pipe) -> None:
     """Fold a tally written by `_dump_tally` into `tally`, in its order;
     row counts add, and bin counts add per (bins, group, rows or
-    positives, bin). The header is read with one `read` (`marshal.load`
+    positives, bin); a new text is keyed by the str `tally` already holds
+    for it, if any. The header is read with one `read` (`marshal.load`
     on a pipe reads it item by item). A frame cut short raises EOFError,
     here or in `marshal.loads` or `array.fromfile` (ValueError if it is
     cut inside a score)."""
@@ -146,15 +147,21 @@ def _merge_tally(tally, pipe) -> None:
     if len(header) != size:
         raise EOFError("shard result cut short")
     more_unscored, lengths, more_bins = marshal.loads(header)
+    # One str per distinct legitimate text, as in a shard's own tally
+    # (`count_dataset`'s tally has no scores, so its keys stay as read).
+    texts = {text: text for by_text in scored.values() for text in by_text}
     for cell, text, n in lengths:
-        scores = scored.setdefault(cell, {}).setdefault(text, array("d"))
+        by_text = scored.setdefault(cell, {})
+        scores = by_text.get(text)
+        if scores is None:
+            scores = by_text[texts.setdefault(text, text)] = array("d")
         while n:
             k = min(n, _MERGE_ITEMS)
             scores.fromfile(pipe, k)
             n -= k
     for cell, text, n in more_unscored:
         counts = unscored.setdefault(cell, {})
-        counts[text] = counts.get(text, 0) + n
+        counts[texts.get(text, text)] = counts.get(text, 0) + n
     for bins, g, i, b, n in more_bins:
         counts = bin_counts.setdefault(bins, {}).setdefault(g, ({}, {}))[i]
         counts[b] = counts.get(b, 0) + n
@@ -517,9 +524,12 @@ def read_predictions(source, privileged_label: str = PRIVILEGED,
     two-level tally: the validated `(group, predicted, actual)` cell of a
     row, then its raw legitimate text; each shard validates a cell's raw
     text once. Memory grows by one dict entry and one score array per
-    distinct (cell, legitimate text), plus one float per scored row. A
-    blank legitimate text, or the `""` of a file with no such column,
-    reduces to the None stratum.
+    distinct (cell, legitimate text), one str per distinct legitimate
+    text, which every cell, shard and stratum shares, and one float per
+    scored row. None of it is cyclic, so `evaluate` pauses the cyclic
+    collector, which would only rescan the live tally. A blank legitimate
+    text, or the `""` of a file with no such column, reduces to the None
+    stratum.
 
     A regular file with no `"` byte is split by `_split_rows`, not `csv`,
     in byte-range shards on every usable CPU (one for a small file; see
@@ -565,8 +575,9 @@ def _prediction_tally(columns: tuple, key, bins=()):
     a row's raw `(group, predicted, actual)` text, its prefix, where it is
     first seen; the prefix then aliases its cell's entry of `scored`, so
     each row does one prefix lookup, and padded variants of a cell merge
-    in file order. The row loop runs over each block's rows as they are,
-    and numbers a row only when it rejects it. After it,
+    in file order. A new (cell, text) entry keys both dicts by the pass's
+    one str of that text. The row loop runs over each block's rows as
+    they are, and numbers a row only when it rejects it. After it,
     `bin_counts` maps each number in `bins` to the `_bin_rows` counts of
     the scores, `{group: (rows, positives)}` per bin; it is `{}` when a
     row had no score.
@@ -584,6 +595,7 @@ def _prediction_tally(columns: tuple, key, bins=()):
         unscored = {}
         cell_of = {}
         alias = {}  # prefix -> scored[cell_of[prefix]]
+        texts = {}  # one str per distinct legitimate text
         for first, rows in _checked_blocks(blocks, width):
             try:
                 for row in rows:
@@ -595,6 +607,7 @@ def _prediction_tally(columns: tuple, key, bins=()):
                     text = "" if legit is None else row[legit]
                     scores = by_text.get(text)
                     if scores is None:
+                        text = texts.setdefault(text, text)
                         scores = by_text[text] = array("d")
                     if s is not None:
                         try:
@@ -610,7 +623,8 @@ def _prediction_tally(columns: tuple, key, bins=()):
                             scores.append(score)
                             continue
                     counts = unscored.setdefault(cell_of[prefix], {})
-                    counts[text] = counts.get(text, 0) + 1
+                    # `text` is still the row's own str if the entry existed
+                    counts[texts[text]] = counts.get(text, 0) + 1
             except ValueError as exc:
                 rownum = first + rows.index(row)
                 raise IngestError(f"row {rownum}: {exc}") from None

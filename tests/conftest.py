@@ -1,4 +1,5 @@
 import csv
+import gc
 import io
 import os
 import random
@@ -48,6 +49,18 @@ policy "scenario-1" {
   }
 }
 """
+
+
+@pytest.fixture(autouse=True)
+def collector_state_kept():
+    """Fail a test that leaves the cyclic collector paused or resumed when
+    it found it the other way, and put the collector back."""
+    enabled = gc.isenabled()
+    yield
+    if gc.isenabled() != enabled:
+        (gc.enable if enabled else gc.disable)()
+        pytest.fail(f"the test left gc.isenabled() {not enabled}, "
+                    f"not {enabled}")
 
 
 @pytest.fixture

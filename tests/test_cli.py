@@ -1,4 +1,5 @@
 import fcntl
+import gc
 import io
 import json
 import os
@@ -888,6 +889,66 @@ class TestTracedPipeline:
         assert code == 1 and "] calibration = " in out
         assert out == text
         assert json_path.read_bytes() == data
+
+
+class TestCyclicCollector:
+    """`evaluate` runs with the cyclic collector paused and leaves it as it
+    found it, whatever the exit code."""
+
+    @pytest.fixture
+    def runs(self, workdir):
+        (workdir / "preds.law").write_text(PREDICTION_POLICY)
+        (workdir / "bad.csv").write_bytes(
+            b"group,predicted,actual,score,legitimate\n" + PREDICTION_ROWS
+            + b"Male,2,1,0.5,a\n")
+        skewed = workdir / "skew.csv"
+        skewed.write_text(
+            "sex,occupation\n"
+            + "Male,Exec-managerial\n" * 5 + "Male,Other\n" * 5
+            + "Female,Exec-managerial\n" * 1 + "Female,Other\n" * 9)
+        law, data = str(workdir / "preds.law"), str(workdir / "data.csv")
+        return {
+            0: [str(workdir / "policy.law"), "--dataset", data,
+                "--manifest", str(workdir / "run.manifest")],
+            1: [str(workdir / "policy.law"), "--dataset", str(skewed)],
+            2: [law, "--dataset", data,
+                "--predictions", str(workdir / "bad.csv")],
+        }
+
+    @pytest.mark.parametrize("code", [0, 1, 2])
+    @pytest.mark.parametrize("enabled", [True, False],
+                             ids=["enabled", "disabled"])
+    def test_state_is_restored(self, runs, capsys, code, enabled):
+        was = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            assert main(["evaluate", *runs[code], "--deterministic"]) == code
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was else gc.disable)()
+        if code == 2:
+            assert "row 82: label '2' must be 0 or 1" in capsys.readouterr().err
+
+    def test_no_collection_during_evaluate(self, workdir, capsys):
+        # Thousands of strata make thousands of tracked objects, enough to
+        # start many young collections if the collector ran.
+        (workdir / "preds.law").write_text(PREDICTION_POLICY)
+        preds = workdir / "preds.csv"
+        preds.write_text("group,predicted,actual,score,legitimate\n" + "".join(
+            f"{g},{i % 2},{i // 2 % 2},0.5,s{i}\n"
+            for i in range(3000) for g in ("Male", "Female")))
+        args = cli.build_parser().parse_args([
+            "evaluate", str(workdir / "preds.law"),
+            "--dataset", str(workdir / "data.csv"),
+            "--predictions", str(preds), "--deterministic"])
+        phases = []
+        gc.callbacks.append(lambda phase, info: phases.append(phase))
+        try:
+            assert args.func(args) == 0
+        finally:
+            gc.callbacks.pop()
+        assert gc.isenabled()
+        assert phases == []
 
 
 class TestExitCodes:

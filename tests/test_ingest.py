@@ -1187,27 +1187,56 @@ class TestReadPredictions:
         with pytest.raises(IngestError, match="cannot read"):
             read_predictions(tmp_path / "absent.csv")
 
-    def test_tally_memory_per_distinct_cell(self, tmp_path):
+    def test_tally_memory_per_distinct_cell(self, tmp_path, monkeypatch,
+                                            forks):
         # One dict entry and one score array per distinct (cell,
-        # legitimate text), counted from the file's lines: about 222
-        # traced bytes per entry at the read's peak on CPython 3.11
-        # (212-242 on 3.10-3.13), where a 4-cell key tuple per text took
+        # legitimate text), counted from the file's lines, and one str per
+        # distinct text: about 187 traced bytes per entry at the read's
+        # peak on CPython 3.11, and 214 read in three shards, whose merge
+        # holds a child's header. A str per entry took about 222 (236 in
+        # three shards; 212-242 on 3.10-3.13), a 4-cell key tuple per text
         # about 367 (350-377), and a validated key tuple, a second dict
         # entry and a [count, scores] list per cell before that about 505.
-        # The bound keeps the 440/367 headroom.
+        # The bound keeps the 440/367 headroom over 222; the three-shard
+        # read pins the text table of the merge.
         path = tmp_path / "p.csv"
         text = many_cells_csv(24_000)
         path.write_text(text)
-        tracemalloc.start()
-        try:
-            gp = read_predictions(path)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
         entries = distinct_entries(text)
         assert entries >= 15_000
-        assert sum(c.total for c in gp.confusion.values()) == 24_000
-        assert peak / entries < 266
+        for shards in (1, 3):
+            force_shards(monkeypatch, shards)
+            forks.clear()
+            tracemalloc.start()
+            try:
+                gp = read_predictions(path)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert len(forks) == shards - 1
+            assert sum(c.total for c in gp.confusion.values()) == 24_000
+            assert peak / entries < 266
+
+    @pytest.mark.parametrize("shards", [0, 1, 3])
+    def test_one_str_per_legitimate_text(self, tmp_path, monkeypatch, forks,
+                                         shards):
+        # Every key of the tally and of the strata, under whichever cell,
+        # is the one str of its text: read serially by `csv` (0), by the
+        # split pass, and merged from three shards.
+        path = tmp_path / "p.csv"
+        text = many_cells_csv(12_000)
+        path.write_text(text)
+        force_shards(monkeypatch, max(shards, 1))
+        gp = read_predictions(path if shards else io.StringIO(text))
+        assert len(forks) == max(shards - 1, 0)
+        keys = [key for tally in (gp._scored, gp._unscored)
+                for by_text in tally.values() for key in by_text]
+        keys += [key for pair in gp.strata.values() for counts in pair
+                 for key in counts]
+        cells = Counter(key for by_text in gp._scored.values()
+                        for key in by_text)
+        assert sum(n > 1 for n in cells.values()) >= 1000
+        assert len({id(key) for key in keys}) == len(set(keys))
 
     def test_unknown_group(self):
         csv_text = "group,predicted,actual\nmystery,1,1\n"
