@@ -26,8 +26,7 @@ _EXPORTS = {
                "ModelSpec", "PolicyDocument", "PolicyError", "ProtectedSpec",
                "check_manifest", "parse_policy",
                "parse_policy_with_diagnostics", "serialize_policy"),
-    "report": ("ComplianceReport", "ConstraintVerdict", "evaluate", "render",
-               "to_json"),
+    "report": ("evaluate", "render", "to_json"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items()
               for name in names}

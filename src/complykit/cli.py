@@ -187,7 +187,7 @@ def _evaluate(args) -> int:
     if args.json:
         _write_bytes(args.json, report.to_json(result))
     sys.stdout.write(_maybe_colorize(report.render_auto(result)))
-    if result.overall_status != report.COMPLY:
+    if result["overall_status"] != report.COMPLY:
         return EXIT_VIOLATION
     return EXIT_OK
 

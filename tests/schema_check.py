@@ -95,10 +95,19 @@ def load_schema():
 
 
 def validate_report(blob: bytes):
-    """Assert that a JSON report is strict JSON and matches the schema."""
+    """Assert that a JSON report is strict JSON, with no NaN or Infinity
+    and no object that names a member twice, and matches the schema."""
     def reject(constant):
         raise ValueError(f"non-standard JSON constant {constant}")
 
-    obj = json.loads(blob, parse_constant=reject)
+    def unique(pairs):
+        obj = dict(pairs)
+        if len(obj) != len(pairs):
+            names = [name for name, _ in pairs]
+            twice = sorted({n for n in names if names.count(n) > 1})
+            raise ValueError(f"duplicate JSON object keys {twice}")
+        return obj
+
+    obj = json.loads(blob, parse_constant=reject, object_pairs_hook=unique)
     problems = errors(obj, load_schema())
     assert not problems, "\n".join(problems)

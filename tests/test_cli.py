@@ -477,6 +477,79 @@ class TestEvaluate:
 SMALL_ROWS = SMALL_DATASET.split("\n", 1)[1].encode()
 
 
+class TestStratumKeys:
+    """Stratum texts are data: a report writes each as the key of one
+    JSON member and never lets one shape the text report."""
+
+    POLICY = (
+        'policy "strata" {\n'
+        '  protected_attribute sex '
+        '{ privileged = "Male" unprivileged = "Female" }\n'
+        '  favorable_outcome occupation { value = "Exec-managerial" }\n'
+        '  metric conditional_statistical_parity { range = [-0.1, 0.1] }\n'
+        '}\n')
+    HEAD = (
+        "Policy strata: explain\n"
+        "Constraint conditional_statistical_parity: explain — value "
+        "outside legitimate interval: 1.0 not in [-0.1, 0.1]\n"
+        "\n"
+        "Policy: strata\n"
+        "Overall: explain\n"
+        "\n"
+        "Constraints:\n"
+        "  [explain] conditional_statistical_parity = 1.0, legitimate "
+        "interval [-0.1, 0.1]\n"
+        "    value outside legitimate interval: 1.0 not in [-0.1, 0.1]\n"
+        "    per_stratum_gap:\n")
+
+    def evaluate(self, workdir, capsys, strata):
+        (workdir / "strata.law").write_text(self.POLICY)
+        rows = [f"Male,1,1,{strata[0]}", f"Female,1,0,{strata[0]}",
+                f"Male,0,0,{strata[1]}", f"Female,1,1,{strata[1]}"]
+        (workdir / "preds.csv").write_text(
+            "group,predicted,actual,legitimate\n" + "\n".join(rows) + "\n")
+        code = main(["evaluate", str(workdir / "strata.law"),
+                     "--dataset", str(workdir / "data.csv"),
+                     "--predictions", str(workdir / "preds.csv"),
+                     "--deterministic", "--json", str(workdir / "report.json")])
+        assert code == 1
+        return (capsys.readouterr().out,
+                (workdir / "report.json").read_bytes())
+
+    def test_blank_and_none_strata_share_one_json_member(self, workdir,
+                                                         capsys):
+        # A blank cell is the stratum None, whose text is that of the cell
+        # "None": the text lists both gaps, and the JSON object writes the
+        # name once, with the later gap (the autouse fixture rejects a
+        # repeated name).
+        out, data = self.evaluate(workdir, capsys, ("None", ""))
+        assert out == self.HEAD + (
+            "      None = 1.0\n"
+            "      None = 0.0\n"
+            "    skipped_strata = []\n")
+        assert data == (
+            b'{"schema_version": 1, "policy": "strata", "overall_status": '
+            b'"explain", "created_at": null, "modes": {"display": true, '
+            b'"agent": true}, "findings": [], "verdicts": [{"constraint": '
+            b'"conditional_statistical_parity", "value": 1, "reason": null, '
+            b'"interval": {"lo": -0.10000000000000001, "hi": '
+            b'0.10000000000000001}, "tolerance": 0, "status": "explain", '
+            b'"explanation": "value outside legitimate interval: 1.0 not in '
+            b'[-0.1, 0.1]", "trace": {"per_stratum_gap": {"None": 0}, '
+            b'"skipped_strata": []}}], "composition_audit": null, '
+            b'"strategy": null}')
+
+    def test_stratum_text_cannot_forge_report_lines(self, workdir, capsys):
+        out, data = self.evaluate(workdir, capsys,
+                                  ('"a\nOverall: comply"', "\x1b[31m"))
+        assert out == self.HEAD + (
+            "      '\\x1b[31m' = 1.0\n"
+            "      'a\\nOverall: comply' = 0.0\n"
+            "    skipped_strata = []\n")
+        assert json.loads(data)["verdicts"][0]["trace"]["per_stratum_gap"] \
+            == {"\x1b[31m": 1, "a\nOverall: comply": 0}
+
+
 class _Terminal(io.StringIO):
     def isatty(self):
         return True

@@ -10,8 +10,9 @@ any change to them is a change to what a report says.
 import random
 from pathlib import Path
 
+from complykit import report
 from complykit.cli import main
-from schema_check import validate_report
+from schema_check import load_schema, validate_report
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -100,18 +101,52 @@ def _write_fixture(tmp_path):
     (tmp_path / "run.manifest").write_text(MANIFEST)
 
 
-def test_golden_report_bytes(tmp_path, capsys):
+def _evaluate(tmp_path):
     _write_fixture(tmp_path)
-    json_path = tmp_path / "report.json"
-    code = main(["evaluate", str(tmp_path / "policy.law"),
+    return main(["evaluate", str(tmp_path / "policy.law"),
                  "--dataset", str(tmp_path / "data.csv"),
                  "--predictions", str(tmp_path / "preds.csv"),
                  "--manifest", str(tmp_path / "run.manifest"),
                  "--composition-reference", "0.4",
                  "--composition-range=-0.1,0.1",
-                 "--deterministic", "--json", str(json_path)])
+                 "--deterministic", "--json", str(tmp_path / "report.json")])
+
+
+def test_golden_report_bytes(tmp_path, capsys):
+    code = _evaluate(tmp_path)
+    json_path = tmp_path / "report.json"
     out = capsys.readouterr().out
     assert code == 1
     assert out.encode("utf-8") == (GOLDEN / "report.txt").read_bytes()
     assert json_path.read_bytes() == (GOLDEN / "report.json").read_bytes()
     validate_report(json_path.read_bytes())
+
+
+def test_report_object_has_the_schema_shape(tmp_path, capsys, monkeypatch):
+    """`evaluate`'s object has the schema's members, in its order, at
+    every level that the text and JSON renderers both read."""
+    made = []
+    evaluate = report.evaluate
+
+    def keep(*args, **kwargs):
+        made.append(evaluate(*args, **kwargs))
+        return made[-1]
+
+    monkeypatch.setattr(report, "evaluate", keep)
+    _evaluate(tmp_path)
+    capsys.readouterr()
+    obj, = made
+    props = load_schema()["properties"]
+
+    def members(schema):
+        return list(schema["properties"])
+
+    assert list(obj) == list(props)
+    assert list(obj["modes"]) == members(props["modes"])
+    assert obj["findings"] and obj["verdicts"]
+    for finding in obj["findings"]:
+        assert list(finding) == members(props["findings"]["items"])
+    for verdict in obj["verdicts"]:
+        assert list(verdict) == members(props["verdicts"]["items"])
+    for name in ("composition_audit", "strategy"):
+        assert list(obj[name]) == members(props[name]["oneOf"][1])

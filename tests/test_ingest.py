@@ -37,7 +37,7 @@ from complykit.ingest import (
 )
 from complykit.intervals import Interval
 from complykit.policy import parse_policy
-from complykit.report import _json_value, _trace_obj
+from complykit.report import _json_value, _sorted_trace
 from conftest import (
     SCENARIO1_POLICY,
     UNQUOTED_CELLS,
@@ -687,7 +687,7 @@ def calibration_case(draw):
 
 def metric_bytes(mv):
     """A MetricValue as the JSON report writes it."""
-    return _json_value(_trace_obj(mv))
+    return _json_value(_sorted_trace(mv))
 
 
 class TestCalibrationBins:

@@ -39,27 +39,27 @@ def spd_metric(value):
 class TestEvaluate:
     def test_outside_interval_explains(self):
         report = evaluate(SPD_POLICY, {SPD: ADULT_SPD})
-        verdict = report.verdicts[0]
-        assert verdict.status == EXPLAIN
-        assert "outside legitimate interval" in verdict.explanation
-        assert report.overall_status == EXPLAIN
+        verdict = report["verdicts"][0]
+        assert verdict["status"] == EXPLAIN
+        assert "outside legitimate interval" in verdict["explanation"]
+        assert report["overall_status"] == EXPLAIN
 
     def test_interior_point_complies(self):
         report = evaluate(SPD_POLICY, {SPD: spd_metric(0.0)})
-        assert report.verdicts[0].status == COMPLY
-        assert report.overall_status == COMPLY
+        assert report["verdicts"][0]["status"] == COMPLY
+        assert report["overall_status"] == COMPLY
 
     def test_undefined_explains_with_reason(self):
         mv = MetricValue.undefined("statistical_parity_difference",
                                    "empty group: unprivileged")
         report = evaluate(SPD_POLICY, {SPD: mv})
-        verdict = report.verdicts[0]
-        assert verdict.status == EXPLAIN
-        assert "empty group: unprivileged" in verdict.explanation
+        verdict = report["verdicts"][0]
+        assert verdict["status"] == EXPLAIN
+        assert "empty group: unprivileged" in verdict["explanation"]
 
     def test_missing_metric_is_error(self):
         report = evaluate(SPD_POLICY, {})
-        assert report.verdicts[0].status == ERROR
+        assert report["verdicts"][0]["status"] == ERROR
 
     def test_every_constraint_appears_once(self):
         policy = parse_policy(
@@ -68,7 +68,7 @@ class TestEvaluate:
             ' metric equalized_odds { range = [0, 0.2] }'
             ' metric calibration { range = [0, 0.1] } }')
         report = evaluate(policy, {SPD: spd_metric(0.0)})
-        ids = [v.constraint_id for v in report.verdicts]
+        ids = [v["constraint"] for v in report["verdicts"]]
         assert ids == ["statistical_parity_difference", "equalized_odds",
                        "calibration"]
 
@@ -77,19 +77,19 @@ class TestEvaluate:
             'policy "p" { metric statistical_parity_difference '
             '{ range = [-0.01, 0.01]; tolerance = 0.02 } }')
         report = evaluate(policy, {SPD: ADULT_SPD})
-        assert report.verdicts[0].status == COMPLY
+        assert report["verdicts"][0]["status"] == COMPLY
 
     def test_violating_finding_breaks_overall(self):
         finding = ContextFinding("source x", "violation", "unknown source")
         report = evaluate(SPD_POLICY, {SPD: spd_metric(0.0)},
                           findings=[finding])
-        assert report.overall_status == EXPLAIN
+        assert report["overall_status"] == EXPLAIN
 
     def test_failed_audit_breaks_overall(self):
         audit = composition_audit(["F"] * 3 + ["M"] * 17, "F", 0.4975,
                                   Interval(-0.05, 0.05))
         report = evaluate(SPD_POLICY, {SPD: spd_metric(0.0)}, audit=audit)
-        assert report.overall_status == EXPLAIN
+        assert report["overall_status"] == EXPLAIN
 
     @pytest.mark.parametrize("labels, word", [
         (["F"] * 3 + ["M"] * 17, EXPLAIN),
@@ -112,8 +112,8 @@ class TestEvaluate:
                 'policy "p" { metric statistical_parity_difference '
                 '{ range = [-1, 1] } }')
             wide = evaluate(wide_policy, {SPD: spd_metric(value)})
-            if narrow.verdicts[0].status == COMPLY:
-                assert wide.verdicts[0].status == COMPLY
+            if narrow["verdicts"][0]["status"] == COMPLY:
+                assert wide["verdicts"][0]["status"] == COMPLY
 
     TOLERANT_POLICY = parse_policy(
         'policy "p" { metric statistical_parity_difference '
@@ -153,10 +153,10 @@ class TestEvaluate:
         """Each outcome's exact fields; the interval is shown unwidened."""
         constraint = policy.metrics[0]
         v = judge_constraint(constraint, metric)
-        assert (v.constraint_id, v.interval) == (
+        assert (v["constraint"], v["interval"]) == (
             "statistical_parity_difference", Interval(-0.01, 0.01))
-        assert (v.value, v.reason, v.tolerance, v.status, v.explanation,
-                v.trace) == expected
+        assert (v["value"], v["reason"], v["tolerance"], v["status"],
+                v["explanation"], v["trace"]) == expected
 
 
 class TestRender:
@@ -200,7 +200,7 @@ class TestRender:
 
     def test_strategy_attached_verbatim(self):
         report = self._scenario1_report()
-        assert report.strategy.action_label == "Strictly comply"
+        assert report["strategy"]["action"] == "Strictly comply"
         text = render(report, "display")
         assert "Strictly comply" in text
 
