@@ -27,85 +27,79 @@ GROUPS = (UNPRIVILEGED, PRIVILEGED)
 
 
 class GroupedPredictions:
-    """Predictions reduced to counts from a lossless tally.
+    """Predictions reduced to counts from a counts-only tally.
 
-    The tally is two-level: a validated `(group, predicted, actual)` cell,
-    such as `("unprivileged", 1, 0)`, maps each raw legitimate text under
-    it to an `array('d')` of its scores, and to its count of unscored
-    rows; `_stratum` maps each text to its stratum, one rule for a CSV's
-    tally and a test's alike. `read_predictions` builds the tally; it is
-    reduced once, at construction, into the attributes below, which every
-    metric reads:
+    The tally keeps, for each validated `(group, predicted, actual)`
+    cell, such as `("unprivileged", 1, 0)`, one `array('d')` of its
+    scores and one row count per raw legitimate text; `_stratum` maps
+    each text to its stratum, one rule for a CSV's tally and a test's
+    alike. `read_predictions` builds the tally; it is reduced once, at
+    construction, into the attributes below, which every metric reads:
 
     - `confusion`: group -> ConfusionCounts;
     - `strata`: group -> (rows, predicted positives), each a flat
       `{legitimate: count}` dict; the values are ints, so the garbage
       collector tracks no per-stratum object;
-    - `scores`: (group, actual) -> list of score arrays;
+    - `scores`: (group, actual) -> the score arrays of its cells that
+      hold scores;
     - `unscored`: rows without a score;
     - `bin_counts`: bins -> counts per bin, in the shape of `strata`.
 
     A metric reads nothing else, so it can judge any object that carries
     these five with `int` or `Fraction` counts; `Fraction` counts give
     exact values for all but the balance metrics, whose means are floats.
-    `records` rebuilds the rows from the tally exactly (up to order).
+    `records` lists the rows the tally counts.
     """
 
-    __slots__ = ("_scored", "_unscored",
-                 "confusion", "strata", "scores", "unscored", "bin_counts")
+    __slots__ = ("_counts", "confusion", "strata", "scores", "unscored",
+                 "bin_counts")
 
-    def __init__(self, scored: dict, unscored: dict,
+    def __init__(self, scored: dict, counts: dict,
                  bin_counts: Optional[dict] = None):
-        """Reduce a tally, which is not copied: `scored` maps every cell
-        to `{legitimate text: array('d') of scores}` (empty when the text
-        has none), and `unscored` maps a cell to `{legitimate text: rows
-        without a score}`.
+        """Reduce a tally, which is not copied: `counts` maps every cell
+        to `{legitimate text: rows}`, and `scored` maps it to the
+        `array('d')` of the scores of its rows (empty when none has one).
 
         `bin_counts` maps a number of calibration bins to the
         `_bin_rows` counts of every score, as the shards of
         `read_predictions` add them up; `calibration_gap` reads them
         instead of binning `scores` again. None or `{}` when none were
-        counted, as when a row has no score.
+        counted; none are kept when a row has no score.
         """
         quadrants = {g: [[0, 0], [0, 0]] for g in GROUPS}  # [predicted][actual]
         strata = {g: ({}, {}) for g in GROUPS}
         scores = {(g, a): [] for g in GROUPS for a in (0, 1)}
-        for cell, by_text in scored.items():
+        unscored = 0
+        for cell, by_text in counts.items():
             g, p, a = cell
-            counts = unscored.get(cell, {})
             rows, positives = strata[g]
-            arrays = scores[g, a]
-            total = 0
-            for text, text_scores in by_text.items():
+            for text, n in by_text.items():
                 legitimate = _stratum(text)
-                n = counts.get(text, 0) + len(text_scores)
-                total += n
                 rows[legitimate] = rows.get(legitimate, 0) + n
                 positives[legitimate] = positives.get(legitimate, 0) + p * n
-                if text_scores:
-                    arrays.append(text_scores)
+            total = sum(by_text.values())
             quadrants[g][p][a] += total
-        self._scored = scored
-        self._unscored = unscored
+            cell_scores = scored[cell]
+            if cell_scores:
+                scores[g, a].append(cell_scores)
+            unscored += total - len(cell_scores)
+        self._counts = counts
         self.confusion = {g: ConfusionCounts(tp=q[1][1], fp=q[1][0], tn=q[0][0], fn=q[0][1])
                           for g, q in quadrants.items()}
         self.strata = strata
         self.scores = scores
-        self.unscored = sum(sum(c.values()) for c in unscored.values())
-        self.bin_counts = bin_counts or {}
+        self.unscored = unscored
+        self.bin_counts = {} if unscored else bin_counts or {}
 
     @property
     def records(self) -> tuple:
-        """The rows as `(group, predicted, actual, score, legitimate)`
-        tuples, rebuilt text by text; an unscored row's score is None."""
-        rows = []
-        for (g, p, a), by_text in self._scored.items():
-            counts = self._unscored.get((g, p, a), {})
-            for text, scores in by_text.items():
-                stratum = _stratum(text)
-                rows += [(g, p, a, None, stratum)] * counts.get(text, 0)
-                rows += [(g, p, a, s, stratum) for s in scores]
-        return tuple(rows)
+        """The rows as `(group, predicted, actual, legitimate)` tuples,
+        one per row of the tally, listed cell by cell, then by legitimate
+        text; `legitimate` is the stratum. Scores are in `scores`."""
+        return tuple(chain.from_iterable(
+            repeat((g, p, a, _stratum(text)), n)
+            for (g, p, a), by_text in self._counts.items()
+            for text, n in by_text.items()))
 
 
 def _stratum(text: Optional[str]) -> Optional[str]:

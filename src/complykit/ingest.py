@@ -95,7 +95,7 @@ def count_dataset(source, names=()) -> Counter:
 
 def _row_counter(columns: tuple, names):
     """`count_dataset`'s reduction of blocks of rows: a tally with no
-    scores and no bin counts whose one key, `()`, maps each tuple of
+    scores and no bin counts whose one cell, `()`, maps each tuple of
     named cells to its row count."""
     idx = [_column_index(columns, name) for name in names]
     width = len(columns)
@@ -110,61 +110,59 @@ _MERGE_ITEMS = 4096
 
 
 def _dump_tally(tally, pipe) -> None:
-    """Write a `(scored, unscored, bin_counts)` tally as one frame: the
+    """Write a `(scored, counts, bin_counts)` tally as one frame: the
     length of its marshalled header as 8 little-endian bytes, the header,
-    then each score array in the header's order. The header holds two
-    lists of `(cell, legitimate text, n)` entries, one per distinct (cell,
-    legitimate text): the rows without a score, then the scores. A third list
-    holds the calibration bin counts as `(bins, group, 0 for rows or 1
-    for positives, bin, count)` entries."""
-    scored, unscored, bin_counts = tally
+    then each cell's score array in the header's order. The header holds
+    the row counts as `(cell, legitimate text, rows)` entries, the
+    `(cell, number of scores)` of each array, and the calibration bin
+    counts as `(bins, group, 0 for rows or 1 for positives, bin, count)`
+    entries."""
+    scored, counts, bin_counts = tally
     header = marshal.dumps((
-        [(cell, text, n) for cell, counts in unscored.items()
-         for text, n in counts.items()],
-        [(cell, text, len(scores)) for cell, by_text in scored.items()
-         for text, scores in by_text.items()],
+        [(cell, text, n) for cell, by_text in counts.items()
+         for text, n in by_text.items()],
+        [(cell, len(scores)) for cell, scores in scored.items()],
         [(bins, g, i, b, n) for bins, binned in bin_counts.items()
-         for g, pair in binned.items() for i, counts in enumerate(pair)
-         for b, n in counts.items()]))
+         for g, pair in binned.items() for i, by_bin in enumerate(pair)
+         for b, n in by_bin.items()]))
     pipe.write(len(header).to_bytes(8, "little"))
     pipe.write(header)
-    for by_text in scored.values():
-        for scores in by_text.values():
-            scores.tofile(pipe)
+    for scores in scored.values():
+        scores.tofile(pipe)
 
 
 def _merge_tally(tally, pipe) -> None:
     """Fold a tally written by `_dump_tally` into `tally`, in its order;
-    row counts add, and bin counts add per (bins, group, rows or
-    positives, bin); a new text is keyed by the str `tally` already holds
-    for it, if any. The header is read with one `read` (`marshal.load`
-    on a pipe reads it item by item). A frame cut short raises EOFError,
-    here or in `marshal.loads` or `array.fromfile` (ValueError if it is
-    cut inside a score)."""
-    scored, unscored, bin_counts = tally
+    row counts add, a cell's scores follow its own, and bin counts add
+    per (bins, group, rows or positives, bin); a new text is keyed by the
+    str `tally` already holds for it, if any. The header is read with one
+    `read` (`marshal.load` on a pipe reads it item by item). A frame cut
+    short raises EOFError, here or in `marshal.loads` or `array.fromfile`
+    (ValueError if it is cut inside a score)."""
+    scored, counts, bin_counts = tally
     size = int.from_bytes(pipe.read(8), "little")
     header = pipe.read(size)
     if len(header) != size:
         raise EOFError("shard result cut short")
-    more_unscored, lengths, more_bins = marshal.loads(header)
-    # One str per distinct legitimate text, as in a shard's own tally
-    # (`count_dataset`'s tally has no scores, so its keys stay as read).
-    texts = {text: text for by_text in scored.values() for text in by_text}
-    for cell, text, n in lengths:
-        by_text = scored.setdefault(cell, {})
-        scores = by_text.get(text)
-        if scores is None:
-            scores = by_text[texts.setdefault(text, text)] = array("d")
+    more_counts, lengths, more_bins = marshal.loads(header)
+    for cell, n in lengths:
+        scores = scored.setdefault(cell, array("d"))
         while n:
             k = min(n, _MERGE_ITEMS)
             scores.fromfile(pipe, k)
             n -= k
-    for cell, text, n in more_unscored:
-        counts = unscored.setdefault(cell, {})
-        counts[texts.get(text, text)] = counts.get(text, 0) + n
+    # One str per distinct text, as in a shard's own tally.
+    texts = {text: text for by_text in counts.values() for text in by_text}
+    for cell, text, n in more_counts:
+        by_text = counts.setdefault(cell, {})
+        rows = by_text.get(text)
+        if rows is None:
+            by_text[texts.setdefault(text, text)] = n
+        else:
+            by_text[text] = rows + n
     for bins, g, i, b, n in more_bins:
-        counts = bin_counts.setdefault(bins, {}).setdefault(g, ({}, {}))[i]
-        counts[b] = counts.get(b, 0) + n
+        by_bin = bin_counts.setdefault(bins, {}).setdefault(g, ({}, {}))[i]
+        by_bin[b] = by_bin.get(b, 0) + n
 
 
 # A file is split into at most one shard per usable CPU, each of at least
@@ -295,7 +293,7 @@ def _run_sharded(path, prepare):
 
     `prepare(columns)` checks the header and returns `reduce(blocks)`,
     which checks the blocks of rows past the header with
-    `_checked_blocks` and folds them into a new `(scored, unscored,
+    `_checked_blocks` and folds them into a new `(scored, counts,
     bin_counts)` tally. Each child writes its tally with `_dump_tally`,
     and the parent folds it into its own with `_merge_tally`, in shard
     order, so keys and scores keep serial order. None when `_shard_cuts`
@@ -339,10 +337,10 @@ def _run_sharded(path, prepare):
 
 def _reduce_csv(source, prepare):
     """`prepare(columns)(blocks)` over a CSV path or text stream: a
-    `(scored, unscored, bin_counts)` tally, two `{cell: {legitimate:
-    ...}}` dicts and one of calibration bin counts, the one result shape
-    that both CSV passes reduce to and that `_dump_tally`/`_merge_tally`
-    carry between shards.
+    `(scored, counts, bin_counts)` tally, `{cell: array('d') of scores}`,
+    `{cell: {text: rows}}` and the calibration bin counts, the one result
+    shape that both CSV passes reduce to and that
+    `_dump_tally`/`_merge_tally` carry between shards.
 
     A path goes through `_run_sharded` first, which splits a quote-free
     regular file without `csv`. A stream, a path it declines (a quoted
@@ -521,15 +519,15 @@ def read_predictions(source, privileged_label: str = PRIVILEGED,
 
     Group values must equal the given labels (a policy's privileged and
     unprivileged values, or the literal defaults). Rows stream into a
-    two-level tally: the validated `(group, predicted, actual)` cell of a
-    row, then its raw legitimate text; each shard validates a cell's raw
-    text once. Memory grows by one dict entry and one score array per
-    distinct (cell, legitimate text), one str per distinct legitimate
-    text, which every cell, shard and stratum shares, and one float per
-    scored row. None of it is cyclic, so `evaluate` pauses the cyclic
-    collector, which would only rescan the live tally. A blank legitimate
-    text, or the `""` of a file with no such column, reduces to the None
-    stratum.
+    counts-only tally: each validated `(group, predicted, actual)` cell
+    keeps one array of its scores, in file order, and one row count per
+    raw legitimate text; each shard validates a cell's raw text once.
+    Memory grows by one dict entry per distinct (cell, legitimate text),
+    one str per distinct legitimate text, which every cell, shard and
+    stratum shares, and one float per scored row. None of it is cyclic,
+    so `evaluate` pauses the cyclic collector, which would only rescan
+    the live tally. A blank legitimate text, or the `""` of a file with
+    no such column, reduces to the None stratum.
 
     A regular file with no `"` byte is split by `_split_rows`, not `csv`,
     in byte-range shards on every usable CPU (one for a small file; see
@@ -545,9 +543,8 @@ def read_predictions(source, privileged_label: str = PRIVILEGED,
     calibration is Undefined then (a shard that tallies one bins nothing).
     """
     key = _prediction_key(privileged_label, unprivileged_label)
-    scored, unscored, bin_counts = _reduce_csv(
-        source, partial(_prediction_tally, key=key, bins=calibration_bins))
-    return GroupedPredictions(scored, unscored, {} if unscored else bin_counts)
+    return GroupedPredictions(*_reduce_csv(
+        source, partial(_prediction_tally, key=key, bins=calibration_bins)))
 
 
 def _prediction_key(privileged_label: str, unprivileged_label: str):
@@ -569,18 +566,19 @@ def _prediction_tally(columns: tuple, key, bins=()):
     """`read_predictions`' row loop for a header of `columns`.
 
     Returns `tally(blocks)`, which folds the checked blocks of rows past
-    the header into a new `(scored, unscored, bin_counts)` tally, as the
-    `GroupedPredictions` constructor takes it, checking every score. The
-    first two are `{cell: {legitimate text: ...}}` dicts. `key` validates
-    a row's raw `(group, predicted, actual)` text, its prefix, where it is
-    first seen; the prefix then aliases its cell's entry of `scored`, so
-    each row does one prefix lookup, and padded variants of a cell merge
-    in file order. A new (cell, text) entry keys both dicts by the pass's
-    one str of that text. The row loop runs over each block's rows as
-    they are, and numbers a row only when it rejects it. After it,
-    `bin_counts` maps each number in `bins` to the `_bin_rows` counts of
-    the scores, `{group: (rows, positives)}` per bin; it is `{}` when a
-    row had no score.
+    the header into a new `(scored, counts, bin_counts)` tally, as the
+    `GroupedPredictions` constructor takes it, checking every score:
+    `scored` maps each cell to an `array('d')` of its scores in file
+    order, and `counts` maps it to `{legitimate text: rows}`. `key`
+    validates a row's raw `(group, predicted, actual)` text, its prefix,
+    where it is first seen; the prefix then aliases its cell's `(counts,
+    scores)` pair, so each row does one prefix lookup, and padded
+    variants of a cell merge in file order. A new (cell, text) entry is
+    keyed by the pass's one str of that text. The row loop runs over each
+    block's rows as they are, and numbers a row only when it rejects it.
+    After it, `bin_counts` maps each number in `bins` to the `_bin_rows`
+    counts of the scores, `{group: (rows, positives)}` per bin; it is
+    `{}` when a row had no score.
     """
     for col in PREDICTION_COLUMNS:
         if col not in columns:
@@ -592,23 +590,26 @@ def _prediction_tally(columns: tuple, key, bins=()):
 
     def tally(blocks) -> tuple:
         scored = {}
-        unscored = {}
-        cell_of = {}
-        alias = {}  # prefix -> scored[cell_of[prefix]]
+        counts = {}
+        alias = {}  # prefix -> (counts[cell], scored[cell])
         texts = {}  # one str per distinct legitimate text
         for first, rows in _checked_blocks(blocks, width):
             try:
                 for row in rows:
                     prefix = prefix_of(row)
-                    by_text = alias.get(prefix)
-                    if by_text is None:
-                        cell = cell_of[prefix] = key(prefix)
-                        by_text = alias[prefix] = scored.setdefault(cell, {})
+                    entry = alias.get(prefix)
+                    if entry is None:
+                        cell = key(prefix)
+                        entry = alias[prefix] = (
+                            counts.setdefault(cell, {}),
+                            scored.setdefault(cell, array("d")))
+                    by_text, scores = entry
                     text = "" if legit is None else row[legit]
-                    scores = by_text.get(text)
-                    if scores is None:
-                        text = texts.setdefault(text, text)
-                        scores = by_text[text] = array("d")
+                    n = by_text.get(text)
+                    if n is None:
+                        by_text[texts.setdefault(text, text)] = 1
+                    else:
+                        by_text[text] = n + 1
                     if s is not None:
                         try:
                             score = float(row[s])
@@ -621,20 +622,17 @@ def _prediction_tally(columns: tuple, key, bins=()):
                                 raise ValueError(
                                     f"score {score} outside [0, 1]")
                             scores.append(score)
-                            continue
-                    counts = unscored.setdefault(cell_of[prefix], {})
-                    # `text` is still the row's own str if the entry existed
-                    counts[texts[text]] = counts.get(text, 0) + 1
             except ValueError as exc:
                 rownum = first + rows.index(row)
                 raise IngestError(f"row {rownum}: {exc}") from None
         bin_counts = {}
-        if bins and not unscored:
+        if bins and sum(map(len, scored.values())) == sum(
+                sum(by_text.values()) for by_text in counts.values()):
             for b in bins:
                 bin_counts[b] = _bin_rows(
-                    (((g, a), by_text.values())
-                     for (g, _, a), by_text in scored.items()), b)
-        return scored, unscored, bin_counts
+                    (((g, a), (scores,)) for (g, _, a), scores in scored.items()),
+                    b)
+        return scored, counts, bin_counts
 
     return tally
 

@@ -127,11 +127,21 @@ def _audit_status(audit: dict) -> str:
 # ---------------------------------------------------------------------------
 # Text rendering
 
+def _shown(text):
+    """Data as the text report prints it (a policy name, a context
+    finding, a stratum's text): a str that holds a line break or a control
+    character is printed as its repr, so that it cannot start a report
+    line of its own or reach the terminal."""
+    if isinstance(text, str) and not text.isprintable():
+        return repr(text)
+    return text
+
+
 def _agent_lines(report: dict):
-    lines = [f"Policy {report['policy']}: {report['overall_status']}"]
+    lines = [f"Policy {_shown(report['policy'])}: {report['overall_status']}"]
     for f in report["findings"]:
-        why = "" if f["status"] == "approved" else f" — {f['reason']}"
-        lines.append(f"Context {f['subject']}: {f['status']}{why}")
+        why = "" if f["status"] == "approved" else f" — {_shown(f['reason'])}"
+        lines.append(f"Context {_shown(f['subject'])}: {f['status']}{why}")
     for v in report["verdicts"]:
         why = "" if v["status"] == COMPLY else f" — {v['explanation']}"
         lines.append(f"Constraint {v['constraint']}: {v['status']}{why}")
@@ -149,11 +159,7 @@ def _agent_lines(report: dict):
 def _trace_lines(trace: dict, indent: str):
     lines = []
     for key, value in trace.items():
-        # A key is data (a stratum's text, say): one that holds a line
-        # break or a control character is printed as its repr, so that it
-        # cannot start a report line of its own or reach the terminal.
-        if isinstance(key, str) and not key.isprintable():
-            key = repr(key)
+        key = _shown(key)
         if isinstance(value, dict):
             lines.append(f"{indent}{key}:")
             lines.extend(_trace_lines(value, indent + "  "))
@@ -167,7 +173,7 @@ def _trace_lines(trace: dict, indent: str):
 
 
 def _display_lines(report: dict):
-    lines = [f"Policy: {report['policy']}",
+    lines = [f"Policy: {_shown(report['policy'])}",
              f"Overall: {report['overall_status']}"]
     if report["created_at"] is not None:
         lines.append(f"Created: {report['created_at']}")
@@ -175,7 +181,8 @@ def _display_lines(report: dict):
         lines.append("")
         lines.append("Operational context:")
         for f in report["findings"]:
-            lines.append(f"  [{f['status']}] {f['subject']} — {f['reason']}")
+            lines.append(f"  [{f['status']}] {_shown(f['subject'])} — "
+                         f"{_shown(f['reason'])}")
     if report["verdicts"]:
         lines.append("")
         lines.append("Constraints:")

@@ -2,15 +2,16 @@
 against.
 
 The library reduces a prediction file straight to a tally; these build
-the same `GroupedPredictions` from `Record`s, flip its groups row by row
-and count confusion quadrants by scanning rows, so that a test can check
-the reduction against a computation that never sees the tally. `exact`
-gives the metrics `Fraction` counts to read, and `exact_value` computes
-each metric exactly by scanning rows.
+the same `GroupedPredictions` from `Record`s, flip the groups of its
+reduction and count confusion quadrants by scanning rows, so that a test
+can check the reduction against a computation that never sees the
+tally. `exact` gives the metrics `Fraction` counts to read, and
+`exact_value` computes each metric exactly by scanning rows.
 """
 
 from array import array
 from fractions import Fraction
+from itertools import chain
 from types import SimpleNamespace
 from typing import NamedTuple, Optional
 
@@ -26,8 +27,7 @@ FLIP = {PRIVILEGED: UNPRIVILEGED, UNPRIVILEGED: PRIVILEGED}
 
 
 class Record(NamedTuple):
-    """One prediction row, in the field order of `GroupedPredictions.records`,
-    so a Record equals the plain row tuple with the same fields."""
+    """One prediction row: its cell, its score and its stratum."""
 
     group: str  # PRIVILEGED or UNPRIVILEGED
     predicted: int  # 0 or 1
@@ -35,35 +35,53 @@ class Record(NamedTuple):
     score: Optional[float] = None
     legitimate: Optional[str] = None  # the stratum
 
+    @property
+    def row(self) -> tuple:
+        """The tuple `GroupedPredictions.records` lists for this row."""
+        return self.group, self.predicted, self.actual, self.legitimate
+
 
 def records(gp: GroupedPredictions) -> list:
-    """`gp.records` as Records."""
-    return [Record._make(r) for r in gp.records]
+    """`gp.records` as Records, which carry no score."""
+    return [Record(g, p, a, legitimate=legit) for g, p, a, legit in gp.records]
 
 
 def predictions_of(records) -> GroupedPredictions:
-    """`GroupedPredictions` of Records: a tally keyed by each Record's
-    `(group, predicted, actual)` cell, then by its `legitimate` as it is;
-    the reduction maps a None or blank one to the None stratum, as it does
-    for a CSV."""
+    """`GroupedPredictions` of Records: a tally of each Record's `(group,
+    predicted, actual)` cell, with its scores in Record order and its rows
+    counted by `legitimate` as it is; the reduction maps a None or blank
+    one to the None stratum, as it does for a CSV."""
     scored = {}
-    unscored = {}
+    counts = {}
     for r in records:
         cell = (r.group, r.predicted, r.actual)
-        scores = scored.setdefault(cell, {}).setdefault(
-            r.legitimate, array("d"))
-        if r.score is None:
-            counts = unscored.setdefault(cell, {})
-            counts[r.legitimate] = counts.get(r.legitimate, 0) + 1
-        else:
+        scores = scored.setdefault(cell, array("d"))
+        by_text = counts.setdefault(cell, {})
+        by_text[r.legitimate] = by_text.get(r.legitimate, 0) + 1
+        if r.score is not None:
             scores.append(r.score)
-    return GroupedPredictions(scored, unscored)
+    return GroupedPredictions(scored, counts)
 
 
-def swapped(gp: GroupedPredictions) -> GroupedPredictions:
-    """`gp`'s rows with the privileged/unprivileged assignment flipped."""
-    return predictions_of(
-        r._replace(group=FLIP[r.group]) for r in records(gp))
+def swapped(gp) -> SimpleNamespace:
+    """The five attributes every metric reads of `gp`, with the
+    privileged and unprivileged groups exchanged."""
+    return SimpleNamespace(
+        confusion={FLIP[g]: c for g, c in gp.confusion.items()},
+        strata={FLIP[g]: pair for g, pair in gp.strata.items()},
+        bin_counts={bins: {FLIP[g]: pair for g, pair in binned.items()}
+                    for bins, binned in gp.bin_counts.items()},
+        scores={(FLIP[g], a): arrays for (g, a), arrays in gp.scores.items()},
+        unscored=gp.unscored)
+
+
+def reduced(gp) -> tuple:
+    """The five attributes every metric reads, with the scores of each
+    (group, actual) as a sorted list: equal for any two tallies of the
+    same rows, in whatever order."""
+    return (gp.confusion, gp.strata, gp.unscored, gp.bin_counts,
+            {k: sorted(chain.from_iterable(arrays))
+             for k, arrays in gp.scores.items()})
 
 
 def confusion(records) -> ConfusionCounts:

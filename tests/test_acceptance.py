@@ -37,7 +37,7 @@ from complykit.policy import (
     serialize_policy,
 )
 from conftest import SCENARIO1_POLICY, random_document
-from reference import Record, predictions_of, records, swapped
+from reference import Record, predictions_of, swapped
 from schema_check import validate_report
 
 TABLE_MATRIX = PayoffMatrix(
@@ -165,7 +165,7 @@ ALL = SIGNED + (equalized_odds_gap, conditional_use_accuracy_gap,
                 conditional_statistical_parity, calibration_gap)
 
 
-def _random_gp(rng):
+def _random_rows(rng):
     records = []
     for group in (UNPRIVILEGED, PRIVILEGED):
         for _ in range(rng.randint(1, 10)):
@@ -173,13 +173,14 @@ def _random_gp(rng):
                 group, rng.randint(0, 1), rng.randint(0, 1),
                 rng.choice([None, rng.randint(0, 100) / 100.0]),
                 rng.choice([None, "a", "b"])))
-    return predictions_of(records)
+    return records
 
 
 def test_criterion_6_fairness_properties():
     rng = random.Random(61)
     for trial in range(1000):
-        gp = _random_gp(rng)
+        rows = _random_rows(rng)
+        gp = predictions_of(rows)
         flipped = swapped(gp)
         for metric in SIGNED:
             a, b = metric(gp), metric(flipped)
@@ -187,7 +188,7 @@ def test_criterion_6_fairness_properties():
             if a.is_defined:
                 assert b.value == -a.value
 
-        unprivileged = [r for r in records(gp) if r.group == UNPRIVILEGED]
+        unprivileged = [r for r in rows if r.group == UNPRIVILEGED]
         mirrored = predictions_of(
             unprivileged
             + [Record(PRIVILEGED, r.predicted, r.actual, r.score, r.legitimate)

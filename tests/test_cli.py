@@ -361,18 +361,40 @@ class TestEvaluate:
                        "the policy\n")
 
     def test_control_characters_in_json_strings(self, workdir, capsys):
-        # A policy string may hold a tab, which JSON writes as `\t`.
+        # A policy string may hold a tab, which JSON writes as `\t`, and
+        # the text report prints as the name's repr.
         (workdir / "tab.law").write_text(SCENARIO1_POLICY.replace(
             '"scenario-1"', '"a\tb"'))
         out_path = workdir / "report.json"
         main(["evaluate", str(workdir / "tab.law"),
               "--dataset", str(workdir / "data.csv"),
               "--deterministic", "--json", str(out_path)])
-        assert "Policy: a\tb\n" in capsys.readouterr().out
+        assert "Policy: 'a\\tb'\n" in capsys.readouterr().out
         data = out_path.read_bytes()
         assert b'"policy": "a\\tb"' in data
         assert json.loads(data)["policy"] == "a\tb"
         validate_report(data)
+
+    def test_control_characters_in_context_texts(self, workdir, capsys):
+        # A manifest value is data: a finding whose subject holds an
+        # escape sequence prints as its repr in both modalities, so the
+        # sequence never reaches the terminal; the JSON keeps the text.
+        (workdir / "esc.manifest").write_text("dataset_source=x\x1b[31mred\n")
+        out_path = workdir / "report.json"
+        code = main(["evaluate", str(workdir / "policy.law"),
+                     "--dataset", str(workdir / "data.csv"),
+                     "--manifest", str(workdir / "esc.manifest"),
+                     "--deterministic", "--json", str(out_path)])
+        out = capsys.readouterr().out
+        assert code == 1
+        assert "\x1b" not in out
+        assert ("Context 'source x\\x1b[31mred': violation — unknown source\n"
+                in out)
+        assert ("  [violation] 'source x\\x1b[31mred' — unknown source\n"
+                in out)
+        assert json.loads(out_path.read_bytes())["findings"] == [
+            {"subject": "source x\x1b[31mred", "status": "violation",
+             "reason": "unknown source"}]
 
     def test_predictions_pipeline(self, workdir, capsys):
         policy = workdir / "preds.law"

@@ -390,10 +390,10 @@ class TestShardedCount:
 
 
 def reduction(gp):
-    """The five attributes every metric reads, with each score array as
-    bytes, and the rows `records` rebuilds: two reads are equal only when
-    their tallies hold the same cells, texts and scores in the same
-    order."""
+    """The five attributes every metric reads, with each cell's score
+    array as bytes, and the rows `records` lists: two reads are equal only
+    when their tallies hold the same cells, texts, row counts and scores
+    in the same order."""
     return (gp.confusion, gp.strata, gp.unscored, gp.bin_counts,
             {k: [a.tobytes() for a in arrays] for k, arrays in gp.scores.items()},
             gp.records)
@@ -448,8 +448,8 @@ class TestShardedPredictions:
         path = tmp_path / "p.csv"
         path.write_text(many_cells_csv(12_000))
         serial = read_predictions(path)
-        # a dump header entry per distinct (cell, text); most hold scores
-        assert sum(map(len, serial.scores.values())) >= 5000
+        # a dump header entry per distinct (cell, text)
+        assert len(set(serial.records)) >= 5000
         force_shards(monkeypatch, 2)
         monkeypatch.setattr(ingest, "_csv_table", no_serial_pass)
         sharded = read_predictions(path)
@@ -496,10 +496,9 @@ class TestShardedPredictions:
                          {"a": 150, None: 90, "b": 30}),
             UNPRIVILEGED: ({"a": 30, None: 30}, {"a": 0, None: 0})}
         assert sharded.unscored == 90
-        # one array per (cell, legitimate text): the padded group and
-        # label variants add their scores to the plain ones' arrays
-        assert [len(a) for a in sharded.scores[PRIVILEGED, 1]] == \
-            [120, 30, 30, 30]
+        # one array per cell: the padded group and label variants add
+        # their scores to the plain ones' array
+        assert [len(a) for a in sharded.scores[PRIVILEGED, 1]] == [210]
         assert [len(a) for a in sharded.scores[UNPRIVILEGED, 1]] == [30]
 
     def test_tally_frame_round_trip(self):
@@ -510,15 +509,14 @@ class TestShardedPredictions:
         # Bin counts add per (bins, group, rows or positives, bin); big
         # bin numbers travel too.
         U, P = UNPRIVILEGED, PRIVILEGED
-        theirs = ({p11: {"a": array("d", [0.25, 0.5]), "": array("d")},
-                   u01: {"a": long, "b": array("d", [1.0]), "c": array("d")},
-                   p00: {" ": array("d")}},
-                  {p11: {"": 2}, u01: {"b": 1, "c": 2}, p00: {" ": 3}},
+        theirs = ({p11: array("d", [0.25, 0.5]),
+                   u01: long + array("d", [1.0]), p00: array("d")},
+                  {p11: {"a": 2, "": 2}, u01: {"a": 10_000, "b": 2, "c": 2},
+                   p00: {" ": 3}},
                   {10: {U: ({9: 2, 0: 3}, {9: 1, 0: 0}), P: ({3: 4}, {3: 4})},
                    2**53: {U: ({2**53 - 1: 5}, {2**53 - 1: 2}), P: ({}, {})}})
-        ours = ({u01: {"b": array("d", [0.75])},
-                 p10: {"a": array("d", [0.0])}},
-                {u01: {"b": 4}},
+        ours = ({u01: array("d", [0.75]), p10: array("d", [0.0])},
+                {u01: {"b": 5}, p10: {"a": 1}},
                 {10: {U: ({0: 7, 5: 1}, {0: 6, 5: 0}), P: ({}, {})},
                  3: {U: ({}, {}), P: ({1: 1}, {1: 0})}})
         buf = io.BytesIO()
@@ -527,26 +525,34 @@ class TestShardedPredictions:
         pipe = io.BytesIO(frame)
         ingest._merge_tally(ours, pipe)
         assert pipe.read() == b""
-        scored, unscored, bin_counts = ours
-        # new cells follow ours in their order, and new texts follow ours
-        # within a cell
-        assert list(scored) == [u01, p10, p11, p00]
-        assert list(scored[u01]) == ["b", "a", "c"]
-        assert scored[u01] == {"b": array("d", [0.75, 1.0]), "a": long,
-                               "c": array("d")}
-        assert scored[p10] == {"a": array("d", [0.0])}
-        assert list(scored[p11]) == ["a", ""]
-        assert scored[p11] == {"a": array("d", [0.25, 0.5]), "": array("d")}
-        assert scored[p00] == {" ": array("d")}
-        assert unscored == {u01: {"b": 5, "c": 2}, p11: {"": 2}, p00: {" ": 3}}
-        assert list(unscored) == [u01, p11, p00]
-        assert list(unscored[u01]) == ["b", "c"]
+        scored, counts, bin_counts = ours
+        # new cells follow ours in their order, a cell's scores follow
+        # ours, and new texts follow ours within a cell
+        assert list(scored) == list(counts) == [u01, p10, p11, p00]
+        assert scored == {u01: array("d", [0.75]) + long + array("d", [1.0]),
+                          p10: array("d", [0.0]),
+                          p11: array("d", [0.25, 0.5]), p00: array("d")}
+        assert counts == {u01: {"b": 7, "a": 10_000, "c": 2}, p10: {"a": 1},
+                          p11: {"a": 2, "": 2}, p00: {" ": 3}}
+        assert list(counts[u01]) == ["b", "a", "c"]
+        assert list(counts[p11]) == ["a", ""]
         assert bin_counts == {
             10: {U: ({0: 10, 5: 1, 9: 2}, {0: 6, 5: 0, 9: 1}),
                  P: ({3: 4}, {3: 4})},
             3: {U: ({}, {}), P: ({1: 1}, {1: 0})},
             # a group with no bins sends nothing
             2**53: {U: ({2**53 - 1: 5}, {2**53 - 1: 2})}}
+        # `count_dataset`'s tally: its one cell stays a Counter, whose
+        # counts add and whose new keys follow in the child's order
+        buf = io.BytesIO()
+        ingest._dump_tally(({}, {(): Counter({("F", "y"): 3, ("O", "z"): 1})},
+                            {}), buf)
+        mine = ({}, {(): Counter({("M", "x"): 1, ("F", "y"): 2})}, {})
+        ingest._merge_tally(mine, io.BytesIO(buf.getvalue()))
+        assert type(mine[1][()]) is Counter
+        assert list(mine[1][()].items()) == [
+            (("M", "x"), 1), (("F", "y"), 5), (("O", "z"), 1)]
+        assert mine[0] == mine[2] == {}
         size = int.from_bytes(frame[:8], "little")
         for cut in (0, 4, 8, 8 + size // 2, 8 + size + 8, len(frame) - 8):
             with pytest.raises(EOFError):
@@ -1189,16 +1195,16 @@ class TestReadPredictions:
 
     def test_tally_memory_per_distinct_cell(self, tmp_path, monkeypatch,
                                             forks):
-        # One dict entry and one score array per distinct (cell,
-        # legitimate text), counted from the file's lines, and one str per
-        # distinct text: about 187 traced bytes per entry at the read's
-        # peak on CPython 3.11, and 214 read in three shards, whose merge
-        # holds a child's header. A str per entry took about 222 (236 in
-        # three shards; 212-242 on 3.10-3.13), a 4-cell key tuple per text
-        # about 367 (350-377), and a validated key tuple, a second dict
-        # entry and a [count, scores] list per cell before that about 505.
-        # The bound keeps the 440/367 headroom over 222; the three-shard
-        # read pins the text table of the merge.
+        # One dict entry (a row count) per distinct (cell, legitimate
+        # text), counted from the file's lines, one str per distinct text
+        # and one score array per cell: about 93 traced bytes per entry at
+        # the read's peak on CPython 3.11 (93-100 on 3.10-3.13), and 113
+        # read in three shards (109-129), whose merge holds a child's
+        # header. A score array per entry took about 187 (214 in three
+        # shards; 182-229 on 3.10-3.13). The bound keeps the 440/367
+        # headroom of earlier bounds over the largest figure, 129 (3.10,
+        # three shards), so an array per entry fails on every version;
+        # the three-shard read pins the text table of the merge.
         path = tmp_path / "p.csv"
         text = many_cells_csv(24_000)
         path.write_text(text)
@@ -1215,7 +1221,7 @@ class TestReadPredictions:
                 tracemalloc.stop()
             assert len(forks) == shards - 1
             assert sum(c.total for c in gp.confusion.values()) == 24_000
-            assert peak / entries < 266
+            assert peak / entries < 155
 
     @pytest.mark.parametrize("shards", [0, 1, 3])
     def test_one_str_per_legitimate_text(self, tmp_path, monkeypatch, forks,
@@ -1229,12 +1235,12 @@ class TestReadPredictions:
         force_shards(monkeypatch, max(shards, 1))
         gp = read_predictions(path if shards else io.StringIO(text))
         assert len(forks) == max(shards - 1, 0)
-        keys = [key for tally in (gp._scored, gp._unscored)
-                for by_text in tally.values() for key in by_text]
+        # the keys of the tally, through the rows `records` lists
+        entries = set(gp.records)
+        keys = [legitimate for *_, legitimate in entries]
         keys += [key for pair in gp.strata.values() for counts in pair
                  for key in counts]
-        cells = Counter(key for by_text in gp._scored.values()
-                        for key in by_text)
+        cells = Counter(keys[:len(entries)])
         assert sum(n > 1 for n in cells.values()) >= 1000
         assert len({id(key) for key in keys}) == len(set(keys))
 

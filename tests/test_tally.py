@@ -1,18 +1,20 @@
 """Property tests for the prediction tally.
 
-`read_predictions` streams CSV rows into a tally keyed by the validated
-`(group, predicted, actual)` cell, then by the raw legitimate text, and
-the row-level oracle in `reference.py` builds one from Records
-(`predictions_of`), flips groups row by row (`swapped`) and counts
-quadrants by scanning rows (`confusion`). The library's reduction must
-describe exactly the rows it was given, and every metric must read the
-same from the CSV as from the oracle.
+`read_predictions` streams CSV rows into a counts-only tally: per
+validated `(group, predicted, actual)` cell, one score array and one row
+count per raw legitimate text. The row-level oracle in `reference.py`
+builds one from Records (`predictions_of`), flips the groups of a
+reduction (`swapped`) and counts quadrants by scanning rows
+(`confusion`). The library's reduction must describe exactly the rows it
+was given, and every metric must read the same from the CSV as from the
+oracle.
 """
 
 import csv
 import io
 import math
 import random
+from array import array
 from collections import Counter
 
 from hypothesis import given
@@ -30,7 +32,15 @@ from complykit.ingest import read_predictions
 from complykit.intervals import Interval
 from complykit.policy import MetricConstraint, PolicyDocument
 from complykit.report import evaluate, render, to_json
-from reference import FLIP, Record, confusion, predictions_of, records, swapped
+from reference import (
+    FLIP,
+    Record,
+    confusion,
+    predictions_of,
+    records,
+    reduced,
+    swapped,
+)
 
 LABELS = {PRIVILEGED: "Male", UNPRIVILEGED: "Female"}
 
@@ -118,52 +128,58 @@ def test_csv_and_records_agree_on_every_metric(rows, bins):
 
 @given(row_lists)
 def test_records_rebuild_the_input_rows(rows):
-    expected = Counter(r for r, _ in rows)
-    assert Counter(_read(rows).records) == expected
-    gp = predictions_of(r for r, _ in rows)
-    assert Counter(gp.records) == expected
-    for g in GROUPS:
-        assert Counter(r for r in records(gp) if r.group == g) == Counter(
-            r for r, _ in rows if r.group == g)
-        assert gp.confusion[g] == confusion(
-            r for r, _ in rows if r.group == g)
+    # `records` lists the rows less their scores, and `scores` holds the
+    # scores of each (group, actual)
+    expected = Counter(r.row for r, _ in rows)
+    scores = {(g, a): sorted(r.score for r, _ in rows if r.score is not None
+                             and (r.group, r.actual) == (g, a))
+              for g in GROUPS for a in (0, 1)}
+    for gp in (_read(rows), predictions_of(r for r, _ in rows)):
+        assert Counter(gp.records) == expected
+        assert reduced(gp)[4] == scores
+        assert gp.unscored == sum(r.score is None for r, _ in rows)
+        for g in GROUPS:
+            assert gp.confusion[g] == confusion(
+                r for r, _ in rows if r.group == g)
 
 
-def _row_scan_records(columns, rows):
-    """`GroupedPredictions.records` by a row scan, in the tally's order:
-    validated `(group, predicted, actual)` cells in first-seen order, then
-    the raw legitimate texts under each cell in first-seen order, so the
-    padded variants of a cell share its texts; under each (cell, text),
-    its rows without a score, then its scored rows in file order."""
-    texts = {}  # cell -> legitimate text -> [unscored rows, scored rows]
+def _row_scan(columns, rows):
+    """`GroupedPredictions.records` and `.scores` by a row scan, in the
+    tally's order: validated `(group, predicted, actual)` cells in
+    first-seen order, then the raw legitimate texts under each cell in
+    first-seen order, so the padded variants of a cell share its texts,
+    each listing its rows; and per (group, actual), the score array of
+    each of its cells that has scores, in file order."""
+    texts = {}  # cell -> legitimate text -> rows
     for r, cells in rows:
-        entry = texts.setdefault(r[:3], {}).setdefault(
-            cells[4] if "legitimate" in columns else "", [[], []])
-        entry[r.score is not None].append(r)
-    return tuple(r for by_text in texts.values()
-                 for unscored, scored in by_text.values()
-                 for r in unscored + scored)
+        texts.setdefault(r[:3], {}).setdefault(
+            cells[4] if "legitimate" in columns else "", []).append(r.row)
+    scores = {(g, a): [] for g in GROUPS for a in (0, 1)}
+    for g, p, a in texts:
+        cell_scores = array("d", [r.score for r, _ in rows if r.score is not None
+                                  and r[:3] == (g, p, a)])
+        if cell_scores:
+            scores[g, a].append(cell_scores)
+    return (tuple(row for by_text in texts.values()
+                  for listed in by_text.values() for row in listed),
+            scores)
 
 
 @given(csv_files())
 def test_cells_view_matches_a_row_scan(file):
     columns, rows = file
-    records = [r for r, _ in rows]
+    recs = [r for r, _ in rows]
     gp = _read(rows, columns)
-    assert gp.records == _row_scan_records(columns, rows)
-    assert Counter(gp.records) == Counter(records)
-    assert gp.strata == _row_scan_strata(records)
+    assert (gp.records, gp.scores) == _row_scan(columns, rows)
+    assert gp.strata == _row_scan_strata(recs)
     for g in GROUPS:
-        assert gp.confusion[g] == confusion(r for r in records if r.group == g)
-    # Swapping keeps the order of the rows it rebuilds; re-tallying them
-    # folds the blank legitimate texts of a cell into its None stratum,
-    # so rows listed between two such texts can move, while each
-    # (cell, stratum) keeps its rows and score order.
-    twice = swapped(swapped(gp))
-    assert twice.records == predictions_of(map(Record._make, gp.records)).records
-    assert Counter(twice.records) == Counter(gp.records)
-    assert twice.confusion == gp.confusion
-    assert twice.strata == gp.strata
+        assert gp.confusion[g] == confusion(
+            r for r in recs if r.group == g)
+    # Swapping twice gives the reduction back, and re-tallying the rows
+    # `records` lists, which fold the blank legitimate texts of a cell
+    # into its None stratum, gives the same rows.
+    assert reduced(swapped(swapped(gp))) == reduced(gp)
+    assert Counter(predictions_of(records(gp)).records) == Counter(gp.records)
 
 
 @given(row_lists)
@@ -174,7 +190,7 @@ def test_swapped_equals_swapping_each_record(rows):
     # The same file read with the two labels exchanged is the flipped tally.
     for gp in (swapped(predictions_of(r for r, _ in rows)),
                swapped(_read(rows)), _read(rows, labels=("Female", "Male"))):
-        assert Counter(gp.records) == Counter(one_by_one.records)
+        assert reduced(gp) == reduced(one_by_one)
         assert _report(gp, 10)[1:] == _report(one_by_one, 10)[1:]
 
 
