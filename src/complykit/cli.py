@@ -161,7 +161,9 @@ def _evaluate(args) -> int:
                                      calibration_bins=bins)
 
     metrics = _compute_metrics(doc, bound, gp)
-    del gp  # the report phase reuses the tally's memory
+    del gp  # the tally is freed before the report is built
+    if args.predictions:
+        _trim_c_heap()
 
     audit = None
     if args.composition_reference is not None:
@@ -190,6 +192,29 @@ def _evaluate(args) -> int:
     if result["overall_status"] != report.COMPLY:
         return EXIT_VIOLATION
     return EXIT_OK
+
+
+def _trim_c_heap() -> None:
+    """Give the free pages of the C heap back to the OS, where glibc can.
+
+    glibc returns freed heap memory only from the top of its heap, so one
+    live block allocated above the freed prediction tally keeps all of
+    the tally's pages resident through the report phase. Whether one is
+    there depends on allocation order alone: on a 200k-row prediction file
+    with about 39k strata it moved peak RSS between about 33 and 36 MB
+    from one environment to the next.
+    """
+    if not sys.platform.startswith("linux"):
+        return
+    try:
+        import ctypes
+    except ImportError:  # built without ctypes
+        return
+    trim = getattr(ctypes.CDLL(None), "malloc_trim", None)  # glibc only
+    if trim is not None:
+        trim.argtypes = [ctypes.c_size_t]
+        trim.restype = ctypes.c_int
+        trim(0)
 
 
 def cmd_decide(args) -> int:

@@ -219,7 +219,10 @@ def _shard_cuts(path):
 
 # Bytes (characters of ASCII text) per read in `_split_rows`. Larger blocks
 # split a 52 MB, 15-column file only slightly faster (64 Ki by about 3%)
-# and hold more memory at once.
+# and hold more memory at once. Keep it well under the default field limit
+# (131,072): a block no longer than the limit holds no line longer than it,
+# so `_split_rows` measures its lines only past the limit, and a block at
+# or over it would pay that scan on every block.
 _BLOCK_CHARS = 1 << 14
 
 
@@ -233,8 +236,13 @@ def _split_rows(fh, end: int):
     character is cut. Blank lines are dropped, where `csv.reader` yields
     `[]`, and no row number is kept; `_run_sharded` discards the errors.
     ValueError for text `csv` could read otherwise: invalid UTF-8, a CR
-    before any character but LF, a NUL (which `csv` rejects before Python
-    3.11), or a line longer than `csv.field_size_limit()`.
+    before any character but LF, a NUL (which the `csv` pass reports as a
+    bad row), or a line longer than `csv.field_size_limit()`.
+
+    Each block of whole lines pays for its decode, one search for CR and
+    one for NUL, and its splits. Only a block holding a CR rewrites its
+    CRLF pairs as LF (and is refused if a CR is left), and only a block
+    longer than the field limit measures its lines.
     """
     limit = csv.field_size_limit()
     rest = b""  # the unfinished last line of the bytes read so far
@@ -243,10 +251,14 @@ def _split_rows(fh, end: int):
     for block in chain(reads, (b"\n",)):
         data = rest + block
         cut = data.rfind(b"\n") + 1
-        body, rest = data[:cut].decode().replace("\r\n", "\n"), data[cut:]
+        body, rest = data[:cut].decode(), data[cut:]
+        if "\r" in body:
+            body = body.replace("\r\n", "\n")
+            if "\r" in body:
+                raise ValueError("a CR that does not end a line")
         lines = body.split("\n")
-        if ("\r" in body or "\0" in body or len(rest) > limit
-                or max(map(len, lines)) > limit):
+        if ("\0" in body or len(rest) > limit
+                or len(body) > limit and max(map(len, lines)) > limit):
             raise ValueError("text that csv could read otherwise")
         yield 0, [line.split(",") for line in lines if line]
 
@@ -364,10 +376,11 @@ def _csv_table(source):
 
     `blocks` are the rows past the header as `_reader_blocks` reads them,
     for `_checked_blocks` to check. A missing or repeated header name, a
-    ragged row and a malformed row raise IngestError, for the first bad
-    row in file order; invalid UTF-8 raises it, naming no row, when its
-    block is decoded. A leading byte-order mark (spreadsheets save "CSV
-    UTF-8" with one) is dropped before the header is parsed.
+    ragged row and a malformed row (one holding a NUL, too) raise
+    IngestError, for the first bad row in file order; invalid UTF-8 raises
+    it, naming no row, when its block is decoded. A leading byte-order
+    mark (spreadsheets save "CSV UTF-8" with one) is dropped before the
+    header is parsed.
     """
     if hasattr(source, "read"):
         yield _csv_stream(_without_bom(source))
@@ -387,7 +400,7 @@ def _without_bom(stream):
 
 def _csv_stream(lines):
     """`(columns, blocks)` of CSV text lines, as `_csv_table` says."""
-    reader = csv.reader(lines)
+    reader = csv.reader(chain.from_iterable(_nul_checked(lines)))
     try:
         header = next(reader, None)
     except (UnicodeDecodeError, csv.Error) as exc:
@@ -401,8 +414,36 @@ def _csv_stream(lines):
     return columns, _reader_blocks(reader)
 
 
-# Rows per block of the serial `csv.reader` pass.
+# Rows per block of the serial `csv.reader` pass, and lines per list that
+# `_nul_checked` hands it.
 _BLOCK_ROWS = 256
+
+
+def _nul_checked(lines):
+    """The text lines `lines` in lists of up to `_BLOCK_ROWS`, for
+    `csv.reader` to read chained, with csv.Error in place of the first
+    line that holds a NUL: `csv` reads a NUL as text from Python 3.11 on
+    and rejects it before, so this makes every version report the row
+    that holds it as a bad row. One search per list, not per line. The
+    lines read before an error reading `lines` (invalid UTF-8) come first,
+    as they would unchunked."""
+    lines = iter(lines)
+    while True:
+        chunk, error = [], None
+        try:
+            # `list.extend` keeps the lines it read before an error.
+            chunk.extend(islice(lines, _BLOCK_ROWS))
+        except UnicodeDecodeError as exc:
+            error = exc
+        if "\0" in "".join(chunk):
+            yield chunk[:next(i for i, line in enumerate(chunk)
+                              if "\0" in line)]
+            raise csv.Error("line contains NUL")
+        yield chunk
+        if error is not None:
+            raise error
+        if not chunk:
+            return
 
 
 def _reader_blocks(reader):

@@ -271,6 +271,20 @@ class TestEvaluate:
         assert code == 2
         assert "row 17: expected 2 cells, got 1" in capsys.readouterr().err
 
+    def test_nul_row_exit_two_on_every_python(self, workdir, capsys):
+        # `csv` rejects the NUL before Python 3.11 and reads it as text
+        # from 3.11 on; every version must report the row, not exclude it
+        # as matching neither group.
+        (workdir / "nul.csv").write_text(
+            "sex,occupation\nMale,Sales\nFem\0ale,Sales\nFemale,Other\n")
+        code = main(["evaluate", str(workdir / "policy.law"),
+                     "--dataset", str(workdir / "nul.csv"),
+                     "--deterministic"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == "row 3: line contains NUL\n"
+        assert captured.out == ""
+
     def test_missing_protected_column_exit_two(self, workdir, capsys):
         (workdir / "gender.csv").write_text(
             SMALL_DATASET.replace("sex,", "gender,", 1))
@@ -1044,6 +1058,30 @@ class TestCyclicCollector:
             gc.callbacks.pop()
         assert gc.isenabled()
         assert phases == []
+
+
+class TestHeapTrim:
+    """`evaluate` gives the C heap's free pages back once it has freed a
+    prediction tally, and only then."""
+
+    def test_trims_once_after_a_prediction_tally(self, workdir, capsys,
+                                                 monkeypatch):
+        (workdir / "preds.law").write_text(PREDICTION_POLICY)
+        (workdir / "preds.csv").write_bytes(
+            b"group,predicted,actual,score,legitimate\n" + PREDICTION_ROWS)
+        calls = []
+        monkeypatch.setattr(cli, "_trim_c_heap", lambda: calls.append(1))
+        data = str(workdir / "data.csv")
+        assert main(["evaluate", str(workdir / "policy.law"),
+                     "--dataset", data, "--deterministic"]) in (0, 1)
+        assert calls == []
+        assert main(["evaluate", str(workdir / "preds.law"),
+                     "--dataset", data, "--predictions",
+                     str(workdir / "preds.csv"), "--deterministic"]) in (0, 1)
+        assert calls == [1]
+
+    def test_trim_is_safe_on_any_platform(self):
+        cli._trim_c_heap()
 
 
 class TestExitCodes:

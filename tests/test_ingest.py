@@ -85,6 +85,20 @@ class TestReadDataset:
         with pytest.raises(IngestError, match="UTF-8"):
             read_dataset(path)
 
+    def test_rows_decoded_before_invalid_utf8_are_checked_first(self,
+                                                                tmp_path):
+        # Rows 1100 and 1250 share one list of `_BLOCK_ROWS` lines but lie
+        # in different 8 KiB blocks of the text decoder, so the ragged row
+        # is decoded, and reported, before the bad byte is reached.
+        rows = [b"Male,x"] * 1300
+        rows[1098] = b"Male"
+        rows[1248] = b"Fe\xffmale,x"
+        path = tmp_path / "bad.csv"
+        path.write_bytes(b"\n".join([b"sex,occupation"] + rows) + b"\n")
+        with pytest.raises(IngestError,
+                           match="^row 1100: expected 2 cells, got 1$"):
+            count_dataset(path, ["sex"])
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(IngestError):
             read_dataset(tmp_path / "nope.csv")
@@ -99,6 +113,18 @@ class TestReadDataset:
             read_dataset(io.StringIO(f"a\n1\n{big}\n"))
         with pytest.raises(IngestError, match="row 1: field larger"):
             read_dataset(io.StringIO(f"{big}\n"))
+
+    @pytest.mark.parametrize("cpus", [1, 3])
+    def test_nul_in_an_unread_header_cell_is_row_one(self, tmp_path,
+                                                     monkeypatch, cpus):
+        # The split pass parses the header with `csv` as well.
+        path = tmp_path / "t.csv"
+        path.write_text("a,b\0\n1,2\n3,4\n")
+        force_shards(monkeypatch, cpus)
+        for source in (path, io.StringIO(path.read_text())):
+            with pytest.raises(IngestError,
+                               match="^row 1: line contains NUL$"):
+                count_dataset(source, ["a"])
 
     def test_blank_rows_skipped_but_numbered(self):
         ds = read_dataset(io.StringIO("a,b\n\n1,2\n\n"))
@@ -808,7 +834,8 @@ class TestSplitPass:
     or in several, gives what the `csv` pass over a stream of the same
     bytes gives: the same Counter or tally, in the same order, or the same
     IngestError. Blocks of 1 to 7 characters cut CRLF pairs; a line
-    longer than the field limit fits in the default block."""
+    longer than the field limit fits in the default block; a CRLF row
+    after a default block of LF-only rows is still split."""
 
     def check(self, tmp_path_factory, table, read):
         data, low_limit = table
@@ -852,6 +879,9 @@ class TestSplitPass:
     @example((b"sex,occupation\r\nMale\r,Other\r\n", False), ["sex"])
     @example((b"sex,occupation\nMale,Oth\0er\nMale,Other\r", False), ["sex"])
     @example((b"sex,occupation\nMale," + b"x" * 41 + b"\n", True), ["sex"])
+    @example((b"sex,occupation\n"
+              + b"Male,Other\n" * (ingest._BLOCK_CHARS // 11 + 1)
+              + b"Female,Sales\r\n", False), ["sex"])
     @example((b"sex,occupation\nMale,\xe2\x82\n", False), ["sex"])
     def test_dataset(self, tmp_path_factory, table, names):
         self.check(tmp_path_factory, table,
@@ -874,6 +904,9 @@ class TestSplitPass:
 BLOCK_FIELD_LIMIT = 40
 _CSV_ERROR = ("IngestError: row {r}: field larger than field limit "
               f"({BLOCK_FIELD_LIMIT})")
+# `csv` rejects a NUL before Python 3.11 and reads it from 3.11 on; every
+# reader reports its row as bad on every version.
+_NUL_ERROR = "IngestError: row {r}: line contains NUL"
 _LONG = "x" * (BLOCK_FIELD_LIMIT + 1)
 
 
@@ -884,7 +917,8 @@ def _dataset_row(i):
 _DATASET_FAULTS = {
     "ragged": ("Male,Other", "IngestError: row {r}: expected 3 cells, got 2"),
     "blank": ("", None),
-    "csv": ("Male,Other," + _LONG, _CSV_ERROR)}
+    "csv": ("Male,Other," + _LONG, _CSV_ERROR),
+    "nul": ("Male,Oth\0er,1", _NUL_ERROR)}
 
 # Per reader: what it returns for a source, the header, good row `i`,
 # and the line of each fault with the message it gives on row `r` (None
@@ -911,7 +945,8 @@ BLOCK_READERS = {
                    "IngestError: row {r}: label '2' must be 0 or 1"),
          "score": (f"{PRIVILEGED},1,1,high,a",
                    "IngestError: row {r}: score 'high' is not a number"),
-         "csv": (f"{PRIVILEGED},1,1,0.5," + _LONG, _CSV_ERROR)}),
+         "csv": (f"{PRIVILEGED},1,1,0.5," + _LONG, _CSV_ERROR),
+         "nul": (f"{PRIVILEGED},1,1,0.5,\0", _NUL_ERROR)}),
     "PayoffMatrix.from_csv": (
         lambda source: (lambda m: (m.actions, m.values))(
             PayoffMatrix.from_csv(source)),
@@ -922,7 +957,8 @@ BLOCK_READERS = {
          "cell": ("ax,1,oops", "DecisionError: row {r}: could not convert "
                                 "string to float: 'oops'"),
          "nan": ("ax,1,nan", "DecisionError: row {r}: payoffs must be finite"),
-         "csv": ("ax,1," + _LONG, _CSV_ERROR)}),
+         "csv": ("ax,1," + _LONG, _CSV_ERROR),
+         "nul": ("a\0x,1,2", _NUL_ERROR)}),
 }
 
 
