@@ -45,6 +45,22 @@ def _load_policy(path):
     return text, policy.parse_policy(text)
 
 
+class _StdoutError(OSError):
+    """Writing or flushing stdout failed for a reason other than a broken
+    pipe (a full disk, say): a fault of the environment, not a defect."""
+
+
+def _emit(text: str) -> None:
+    """Write `text` to stdout and flush it."""
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        raise
+    except OSError as exc:
+        raise _StdoutError(exc.errno, exc.strerror) from exc
+
+
 def _write_bytes(path, data: bytes) -> None:
     try:
         with open(path, "wb") as fh:
@@ -67,7 +83,7 @@ def cmd_fmt(args) -> int:
         if changed:
             _write_bytes(args.policy, canonical.encode("utf-8"))
     else:
-        sys.stdout.write(canonical)
+        _emit(canonical)
     return EXIT_VIOLATION if changed else EXIT_OK
 
 
@@ -188,7 +204,7 @@ def _evaluate(args) -> int:
                              created_at=created_at)
     if args.json:
         _write_bytes(args.json, report.to_json(result))
-    sys.stdout.write(_maybe_colorize(report.render_auto(result)))
+    _emit(_maybe_colorize(report.render_auto(result)))
     if result["overall_status"] != report.COMPLY:
         return EXIT_VIOLATION
     return EXIT_OK
@@ -228,7 +244,7 @@ def cmd_decide(args) -> int:
         for label, row in zip(matrix.actions, choice.regret_matrix):
             lines.append(f"  {label}: {list(row)}")
     lines.append(f"chosen: {choice.action_label} (value {choice.value!r})")
-    print("\n".join(lines))
+    _emit("\n".join(lines) + "\n")
     return EXIT_OK
 
 
@@ -291,18 +307,18 @@ def main(argv=None) -> int:
         # argparse exits 2 on bad usage, matching our operational-error code
         return EXIT_ERROR if exc.code else EXIT_OK
     try:
-        code = args.func(args)
-        sys.stdout.flush()
-        return code
+        return args.func(args)
     except policy.PolicyError as exc:
         for diag in exc.diagnostics:
             print(f"{args.policy}:{diag}", file=sys.stderr)
     except (IngestError, decisions.DecisionError) as exc:
         print(exc, file=sys.stderr)
-    except BrokenPipeError:
-        # The reader of stdout went away. Point stdout at devnull so that
-        # the interpreter's final flush cannot fail again (the "Note on
-        # SIGPIPE" in the `signal` docs).
+    except (BrokenPipeError, _StdoutError) as exc:
+        if isinstance(exc, _StdoutError):
+            print(f"cannot write stdout: {exc.strerror}", file=sys.stderr)
+        # The reader of stdout went away, or its file is full. Point
+        # stdout at devnull so that the interpreter's final flush cannot
+        # fail again (the "Note on SIGPIPE" in the `signal` docs).
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     except Exception as exc:
         # Exit code 1 means "violation", so no crash may end with it.

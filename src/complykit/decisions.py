@@ -9,7 +9,10 @@ an unknown state of nature:
   regret of a cell is the column maximum minus the cell payoff.
 
 Ties are always broken toward the lowest action index; policy authors are
-expected to order actions by preference.
+expected to order actions by preference. A tie is judged on the decimals
+the payoffs were written in, not on float rounding: actions whose float
+scores lie within a rounding bound of the best are scored again exactly.
+The chosen value is the chosen action's float score, as listed.
 """
 
 from __future__ import annotations
@@ -91,39 +94,81 @@ class StrategyChoice(Value):
     hurwicz_lambda: Optional[float] = None  # hurwicz only
 
 
-def _argbest(scores, best):
-    """Index of the first score attaining best(scores)."""
+def _argbest(scores, best, exact=None, magnitude=0.0) -> int:
+    """Index of the first action attaining best(scores).
+
+    With `exact(indices, num)`, which scores those actions on `num(x)`,
+    the decimal that each float `x` was written as (its shortest
+    round-trip text, as `Fraction(repr(x))` reads it), ties are judged
+    exactly. The actions whose float scores lie within 16 ulps of
+    `magnitude`, a bound on every payoff a score reads, of the best are
+    scored again, and the lowest index attaining the exact best wins. A
+    float score is off its exact value by at most about 4 such ulps, so
+    no tie or exact winner falls outside. `num` gives a `Decimal`, added
+    and multiplied with no rounding, faster than a `Fraction`.
+    """
     target = best(scores)
-    return scores.index(target), target
+    if exact is None:
+        return scores.index(target)
+    slack = 16 * math.ulp(magnitude)
+    near = [i for i, v in enumerate(scores) if abs(v - target) <= slack]
+    if len(near) == 1:
+        return near[0]
+    from decimal import MAX_PREC, Context, Decimal, localcontext
+    with localcontext(Context(prec=MAX_PREC)):
+        exact_scores = exact(near, lambda x: Decimal(repr(x)))
+    return near[exact_scores.index(best(exact_scores))]
 
 
 def wald(m: PayoffMatrix) -> StrategyChoice:
+    # A row min is one of the payoffs, so Wald is exact in float.
     scores = tuple(min(row) for row in m.values)
-    idx, value = _argbest(scores, max)
-    return StrategyChoice("wald", idx, m.actions[idx], value, scores)
+    idx = _argbest(scores, max)
+    return StrategyChoice("wald", idx, m.actions[idx], scores[idx], scores)
 
 
 def hurwicz(m: PayoffMatrix, lam: float) -> StrategyChoice:
     if not 0.0 <= lam <= 1.0:
         raise DecisionError("lambda must lie in [0, 1]")
-    scores = tuple(lam * max(row) + (1.0 - lam) * min(row) for row in m.values)
-    idx, value = _argbest(scores, max)
-    return StrategyChoice("hurwicz", idx, m.actions[idx], value, scores,
-                          hurwicz_lambda=lam)
+    highs = list(map(max, m.values))
+    lows = list(map(min, m.values))
+    scores = tuple(lam * hi + (1.0 - lam) * lo for hi, lo in zip(highs, lows))
+
+    def exact(indices, num):
+        weight = num(lam)
+        return [weight * num(highs[i]) + (1 - weight) * num(lows[i])
+                for i in indices]
+
+    idx = _argbest(scores, max, exact, max(max(highs), -min(lows)))
+    return StrategyChoice("hurwicz", idx, m.actions[idx], scores[idx],
+                          scores, hurwicz_lambda=lam)
 
 
 def regret_matrix(m: PayoffMatrix) -> tuple:
+    return _regrets(m)[1]
+
+
+def _regrets(m: PayoffMatrix) -> tuple:
+    """The column maxima and the regret matrix."""
     col_max = [max(column) for column in zip(*m.values)]
-    return tuple(tuple(c - v for c, v in zip(col_max, row))
-                 for row in m.values)
+    return col_max, tuple(tuple(c - v for c, v in zip(col_max, row))
+                          for row in m.values)
 
 
 def savage(m: PayoffMatrix) -> StrategyChoice:
-    regrets = regret_matrix(m)
+    col_max, regrets = _regrets(m)
     scores = tuple(max(row) for row in regrets)
-    idx, value = _argbest(scores, min)
-    return StrategyChoice("savage", idx, m.actions[idx], value, scores,
-                          regret_matrix=regrets)
+
+    def exact(indices, num):
+        top = list(map(num, col_max))
+        return [max(c - num(v) for c, v in zip(top, m.values[i]))
+                for i in indices]
+
+    # A payoff is its column's max less its regret, at most max(scores).
+    magnitude = max(map(abs, col_max)) + max(scores)
+    idx = _argbest(scores, min, exact, magnitude)
+    return StrategyChoice("savage", idx, m.actions[idx], scores[idx],
+                          scores, regret_matrix=regrets)
 
 
 def choose(m: PayoffMatrix, criterion: str, lam: float = 0.5) -> StrategyChoice:

@@ -93,14 +93,14 @@ def count_dataset(source, names=()) -> Counter:
     return _reduce_csv(source, partial(_row_counter, names=names))[1][()]
 
 
-def _row_counter(columns: tuple, names):
-    """`count_dataset`'s reduction of blocks of rows: a tally with no
-    scores and no bin counts whose one cell, `()`, maps each tuple of
-    named cells to its row count."""
+def _row_counter(columns: tuple, split, names):
+    """`count_dataset`'s reduction of blocks of whole rows, from either
+    pass: a tally with no scores and no bin counts whose one cell, `()`,
+    maps each tuple of named cells to its row count."""
     idx = [_column_index(columns, name) for name in names]
     width = len(columns)
-    return lambda blocks: ({}, {(): _count_blocks(
-        _checked_blocks(blocks, width), idx)}, {})
+    return (lambda blocks: ({}, {(): _count_blocks(
+        _checked_blocks(blocks, width), idx)}, {})), None
 
 
 # Scores per `array.fromfile` call when merging a child's tally: the
@@ -226,10 +226,15 @@ def _shard_cuts(path):
 _BLOCK_CHARS = 1 << 14
 
 
-def _split_rows(fh, end: int):
+def _split_rows(fh, end: int, tail=None):
     """The non-blank rows of quote-free CSV text, as `csv.reader` reads
     them, from the binary file `fh`'s position to byte `end`: one `(0,
     rows)` block per `_BLOCK_CHARS` bytes read, split with `str.split`.
+    With a number `tail`, each line is instead cut once, from the right,
+    into at most `tail + 1` pieces (`str.rsplit`): the raw text of its
+    leading cells, then its last `tail` cells. A prediction file in the
+    documented order is cut so, its prefix `group,predicted,actual` whole
+    (see `_prediction_tally`); any other file is split into every cell.
 
     With no `"` in the text each record is one line and each field one
     comma-separated piece (RFC 4180). Only whole lines are decoded, so no
@@ -260,18 +265,21 @@ def _split_rows(fh, end: int):
         if ("\0" in body or len(rest) > limit
                 or len(body) > limit and max(map(len, lines)) > limit):
             raise ValueError("text that csv could read otherwise")
-        yield 0, [line.split(",") for line in lines if line]
+        if tail is None:
+            yield 0, [line.split(",") for line in lines if line]
+        else:
+            yield 0, [line.rsplit(",", tail) for line in lines if line]
 
 
-def _count_range(path, start: int, end: int, reduce):
+def _count_range(path, start: int, end: int, reduce, tail):
     """`reduce` of the header-less rows in bytes [start, end) of a
-    quote-free CSV, split by `_split_rows`."""
+    quote-free CSV, split by `_split_rows` with `tail`."""
     with open(path, "rb") as fh:
         fh.seek(start)
-        return reduce(_split_rows(fh, end))
+        return reduce(_split_rows(fh, end, tail))
 
 
-def _fork_shard(path, start: int, end: int, reduce):
+def _fork_shard(path, start: int, end: int, reduce, tail):
     """Fork a child that reduces bytes [start, end) into a pipe.
 
     Returns `(pid, read end)`. The child writes its tally with
@@ -288,7 +296,7 @@ def _fork_shard(path, start: int, end: int, reduce):
         status = 1
         try:
             os.close(r)
-            result = _count_range(path, start, end, reduce)
+            result = _count_range(path, start, end, reduce, tail)
             with open(w, "wb") as pipe:
                 _dump_tally(result, pipe)
             status = 0
@@ -303,8 +311,9 @@ def _run_sharded(path, prepare):
     `_split_rows`: the parent reduces shard 0, header included, and one
     forked child reduces each later shard.
 
-    `prepare(columns)` checks the header and returns `reduce(blocks)`,
-    which checks the blocks of rows past the header with
+    `prepare(columns, True)` checks the header and returns `(reduce,
+    tail)`: `_split_rows` cuts each line as `tail` says, and
+    `reduce(blocks)` checks the blocks of rows so cut with
     `_checked_blocks` and folds them into a new `(scored, counts,
     bin_counts)` tally. Each child writes its tally with `_dump_tally`,
     and the parent folds it into its own with `_merge_tally`, in shard
@@ -321,11 +330,12 @@ def _run_sharded(path, prepare):
         with open(path, "rb") as fh:
             header = fh.readline(_SCAN_BYTES).decode("utf-8-sig")
             columns, _ = _csv_stream([header])
-            reduce = prepare(columns)
+            reduce, tail = prepare(columns, True)
             for start, end in zip(cuts[1:], cuts[2:]):
                 if start < end:
-                    children.append(_fork_shard(path, start, end, reduce))
-            result = reduce(_split_rows(fh, cuts[1]))
+                    children.append(
+                        _fork_shard(path, start, end, reduce, tail))
+            result = reduce(_split_rows(fh, cuts[1], tail))
         while children:
             pid, pipe = children[0]
             with pipe:
@@ -348,7 +358,9 @@ def _run_sharded(path, prepare):
 
 
 def _reduce_csv(source, prepare):
-    """`prepare(columns)(blocks)` over a CSV path or text stream: a
+    """`reduce(blocks)` over a CSV path or text stream, where
+    `prepare(columns, split)` returns `(reduce, tail)` for the split pass
+    (`split` true) or for whole `csv` rows (false, `tail` unused): a
     `(scored, counts, bin_counts)` tally, `{cell: array('d') of scores}`,
     `{cell: {text: rows}}` and the calibration bin counts, the one result
     shape that both CSV passes reduce to and that
@@ -365,7 +377,7 @@ def _reduce_csv(source, prepare):
         if result is not None:
             return result
     with _csv_table(source) as (columns, blocks):
-        return prepare(columns)(blocks)
+        return prepare(columns, False)[0](blocks)
 
 
 @contextmanager
@@ -573,7 +585,9 @@ def read_predictions(source, privileged_label: str = PRIVILEGED,
     A regular file with no `"` byte is split by `_split_rows`, not `csv`,
     in byte-range shards on every usable CPU (one for a small file; see
     `_shard_cuts`); the tally is the same, key order and score order
-    included.
+    included. A file whose columns start `group,predicted,actual`, in
+    that order, is cut once per line there; any other order gives the
+    same tally, more slowly.
 
     For each number in `calibration_bins` (`evaluate` passes the policy's
     calibration `bins`) each shard also counts its scores into
@@ -589,45 +603,63 @@ def read_predictions(source, privileged_label: str = PRIVILEGED,
 
 
 def _prediction_key(privileged_label: str, unprivileged_label: str):
-    """`key(prefix)`: the validated `(group, predicted, actual)` of a raw
-    prefix text; ValueError names a bad cell."""
+    """`key(cells)`: the validated `(group, predicted, actual)` of the
+    tuple of a row's 3 raw prefix cells; ValueError names a bad cell."""
     mapping = {privileged_label: PRIVILEGED, unprivileged_label: UNPRIVILEGED}
 
-    def key(prefix) -> tuple:
-        group = mapping.get(prefix[0].strip())
+    def key(cells) -> tuple:
+        group = mapping.get(cells[0].strip())
         if group is None:
-            raise ValueError(f"group {prefix[0]!r} is neither "
+            raise ValueError(f"group {cells[0]!r} is neither "
                              f"{privileged_label!r} nor {unprivileged_label!r}")
-        return group, _binary(prefix[1]), _binary(prefix[2])
+        return group, _binary(cells[1]), _binary(cells[2])
 
     return key
 
 
-def _prediction_tally(columns: tuple, key, bins=()):
-    """`read_predictions`' row loop for a header of `columns`.
+def _prediction_tally(columns: tuple, split, key, bins=()):
+    """`read_predictions`' row loop for a header of `columns`, as
+    `prepare(columns, split)` of `_reduce_csv`.
 
-    Returns `tally(blocks)`, which folds the checked blocks of rows past
-    the header into a new `(scored, counts, bin_counts)` tally, as the
-    `GroupedPredictions` constructor takes it, checking every score:
-    `scored` maps each cell to an `array('d')` of its scores in file
-    order, and `counts` maps it to `{legitimate text: rows}`. `key`
-    validates a row's raw `(group, predicted, actual)` text, its prefix,
-    where it is first seen; the prefix then aliases its cell's `(counts,
-    scores)` pair, so each row does one prefix lookup, and padded
-    variants of a cell merge in file order. A new (cell, text) entry is
-    keyed by the pass's one str of that text. The row loop runs over each
-    block's rows as they are, and numbers a row only when it rejects it.
-    After it, `bin_counts` maps each number in `bins` to the `_bin_rows`
-    counts of the scores, `{group: (rows, positives)}` per bin; it is
-    `{}` when a row had no score.
+    Returns `(tally, tail)`. `tally(blocks)` folds the checked blocks of
+    rows past the header into a new `(scored, counts, bin_counts)` tally,
+    as the `GroupedPredictions` constructor takes it, checking every
+    score: `scored` maps each cell to an `array('d')` of its scores in
+    file order, and `counts` maps it to `{legitimate text: rows}`.
+
+    A row's prefix is its raw `(group, predicted, actual)` text. For the
+    split pass over a header that starts with those columns, in that
+    order, `tail` is the number of other columns: `_split_rows` cuts each
+    line once, and the prefix is its first piece, the str `Male,1,0`.
+    Otherwise rows are whole and the prefix is the tuple of those cells.
+    `key` validates a prefix where it is first seen, as a tuple of
+    exactly 3 cells: a str prefix that splits into more or fewer is a
+    line of the wrong width (any extra comma lands in the prefix), and
+    `_checked_blocks` catches a line cut into too few pieces. The prefix
+    then aliases its cell's `(counts, scores)` pair, so each row does one
+    prefix lookup, and padded variants of a cell merge in file order. A
+    new (cell, text) entry is keyed by the pass's one str of that text.
+    The row loop runs over each block's rows as they are, and numbers a
+    row only when it rejects it. After it, `bin_counts` maps each number
+    in `bins` to the `_bin_rows` counts of the scores, `{group: (rows,
+    positives)}` per bin; it is `{}` when a row had no score.
     """
     for col in PREDICTION_COLUMNS:
         if col not in columns:
             raise IngestError(f"predictions are missing column {col!r}")
     width = len(columns)
-    prefix_of = itemgetter(*map(columns.index, PREDICTION_COLUMNS))
-    legit = columns.index("legitimate") if "legitimate" in columns else None
-    s = columns.index("score") if "score" in columns else None
+    tail = None
+    shift = 0
+    if split and columns[:3] == PREDICTION_COLUMNS:
+        tail = width - 3
+        shift = 2  # the 3 prefix cells are 1 piece, so later pieces move up
+        width = tail + 1  # pieces per line
+        prefix_of = itemgetter(0)
+    else:
+        prefix_of = itemgetter(*map(columns.index, PREDICTION_COLUMNS))
+    legit = columns.index("legitimate") - shift \
+        if "legitimate" in columns else None
+    s = columns.index("score") - shift if "score" in columns else None
 
     def tally(blocks) -> tuple:
         scored = {}
@@ -640,7 +672,13 @@ def _prediction_tally(columns: tuple, key, bins=()):
                     prefix = prefix_of(row)
                     entry = alias.get(prefix)
                     if entry is None:
-                        cell = key(prefix)
+                        cells = prefix
+                        if tail is not None:
+                            cells = tuple(prefix.split(","))
+                            if len(cells) != 3:
+                                raise ValueError(f"expected {tail + 3} "
+                                                 "cells")
+                        cell = key(cells)
                         entry = alias[prefix] = (
                             counts.setdefault(cell, {}),
                             scored.setdefault(cell, array("d")))
@@ -675,7 +713,7 @@ def _prediction_tally(columns: tuple, key, bins=()):
                     b)
         return scored, counts, bin_counts
 
-    return tally
+    return tally, tail
 
 
 def _binary(cell: str) -> int:

@@ -1084,20 +1084,41 @@ class TestHeapTrim:
         cli._trim_c_heap()
 
 
+def _cli_env():
+    """The environment of a `python -m complykit.cli` child that imports
+    this checkout's package."""
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [os.path.dirname(os.path.dirname(cli.__file__))]
+        + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+
+
 class TestExitCodes:
     def test_closed_stdout_exits_two(self, workdir):
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [os.path.dirname(os.path.dirname(cli.__file__))]
-            + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
         proc = subprocess.Popen(
             [sys.executable, "-m", "complykit.cli", "evaluate",
              str(workdir / "policy.law"), "--dataset", str(workdir / "data.csv")],
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_cli_env())
         proc.stdout.close()
         err = proc.stderr.read()
         proc.stderr.close()
         assert proc.wait(timeout=60) == 2
         assert b"Traceback" not in err
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"),
+                        reason="no /dev/full on this platform")
+    @pytest.mark.parametrize("command", [
+        ["fmt", "policy.law"],
+        ["evaluate", "policy.law", "--dataset", "data.csv"],
+        ["decide", "--matrix", "matrix.csv", "--criterion", "wald"]])
+    def test_full_stdout_exits_two(self, workdir, command):
+        # A full disk is a fault of the environment, not an internal error.
+        with open("/dev/full", "wb") as full:
+            proc = subprocess.run(
+                [sys.executable, "-m", "complykit.cli", *command],
+                cwd=workdir, stdout=full, stderr=subprocess.PIPE,
+                env=_cli_env(), timeout=60)
+        assert proc.returncode == 2
+        assert proc.stderr == b"cannot write stdout: No space left on device\n"
 
     def test_internal_error_exits_two(self, workdir, capsys, monkeypatch):
         def broken(*args):
@@ -1217,6 +1238,38 @@ class TestDecide:
                      "--criterion", criterion])
         assert code == 0
         assert capsys.readouterr().out == expected
+
+    @pytest.mark.parametrize("criterion, scores, chosen", [
+        ("hurwicz", "  a: 0.15\n  b: 0.15000000000000002\n", "a (value 0.15)"),
+        ("savage", "  a: 0.2\n  b: 0.19999999999999998\n", "a (value 0.2)"),
+    ])
+    def test_exact_tie_goes_to_the_first_action(self, tmp_path, capsys,
+                                                criterion, scores, chosen):
+        """Both actions score exactly 0.15 under Hurwicz (lambda 0.5), and
+        both regret exactly 0.2 at worst, in the decimals written; float
+        rounding does not break the tie toward the later action."""
+        (tmp_path / "tie.csv").write_text("action,s1,s2\na,0.3,0\nb,0.1,0.2\n")
+        code = main(["decide", "--matrix", str(tmp_path / "tie.csv"),
+                     "--criterion", criterion, "--lambda", "0.5"])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert f"criterion: {criterion}\n{scores}" in out
+        assert out.endswith(f"chosen: {chosen}\n")
+
+    @pytest.mark.parametrize("criterion, chosen", [
+        ("hurwicz lambda = 0.5", "Strategy (hurwicz): a (value 0.15)\n"),
+        ("savage", "Strategy (savage): a (value 0.2)\n")])
+    def test_exact_tie_in_a_policy(self, workdir, capsys, criterion, chosen):
+        path = workdir / "tie.law"
+        path.write_text(
+            'policy "tie" {\n'
+            '  decision { actions = ["a", "b"] states = ["s1", "s2"] '
+            f'payoffs = [[0.3, 0], [0.1, 0.2]] criterion = {criterion} }}\n'
+            "}\n")
+        code = main(["evaluate", str(path), "--dataset",
+                     str(workdir / "data.csv"), "--mode", "agent"])
+        assert code == 0
+        assert capsys.readouterr().out.endswith(chosen)
 
     def test_byte_order_mark_before_a_quoted_header(self, workdir, capsys):
         # A spreadsheet quotes a header cell that holds a comma.

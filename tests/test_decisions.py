@@ -1,8 +1,11 @@
+from fractions import Fraction
+
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from complykit.decisions import (
+    CRITERIA,
     DecisionError,
     PayoffMatrix,
     choose,
@@ -243,3 +246,56 @@ class TestCriterionProperties:
                     choice = choose(m, crit, 0.4)
                     si, sk = choice.scores[i], choice.scores[k]
                     assert better(si, sk) == si or si == sk
+
+
+# ---------------------------------------------------------------------------
+# Exact ties: payoffs with 1-3 decimal places, drawn from so few values
+# that many scores tie in decimal while their floats differ (0.3 + 0
+# against 0.1 + 0.2). Every criterion chooses what exact arithmetic on the
+# written decimals chooses.
+
+decimal_matrices = st.tuples(
+    st.integers(1, 3),
+    st.integers(1, 5).flatmap(lambda cols: st.lists(
+        st.lists(st.integers(-4, 4), min_size=cols, max_size=cols),
+        min_size=1, max_size=6)),
+    st.integers(0, 3))
+
+
+def _fraction_choice(values, criterion, lam):
+    """The lowest index attaining the best score, computed on the
+    `Fraction` of each payoff's written decimal."""
+    rows = [[Fraction(repr(v)) for v in row] for row in values]
+    if criterion == "wald":
+        scores, best = [min(row) for row in rows], max
+    elif criterion == "hurwicz":
+        weight = Fraction(repr(lam))
+        scores = [weight * max(row) + (1 - weight) * min(row)
+                  for row in rows]
+        best = max
+    else:
+        col_max = [max(column) for column in zip(*rows)]
+        scores = [max(c - v for c, v in zip(col_max, row)) for row in rows]
+        best = min
+    return scores.index(best(scores))
+
+
+class TestExactTies:
+    @settings(max_examples=300, deadline=None)
+    @given(decimal_matrices, st.sampled_from(CRITERIA),
+           st.sampled_from([0.5, 0.5, 0.1, 0.3, 0.7, 0.0, 1.0]))
+    def test_choice_equals_the_fraction_reference(self, drawn, criterion,
+                                                  lam):
+        places, ints, spread = drawn
+        # A tie built in at lambda 0.5: a copy of the first row whose max
+        # is raised and whose min is lowered by the same amount.
+        first = ints[0]
+        hi, lo = first.index(max(first)), first.index(min(first))
+        if hi != lo:
+            ints = ints + [[n + spread if j == hi else
+                            n - spread if j == lo else n
+                            for j, n in enumerate(first)]]
+        values = [[n / 10 ** places for n in row] for row in ints]
+        choice = choose(_matrix(values), criterion, lam)
+        assert choice.action_index == _fraction_choice(values, criterion, lam)
+        assert choice.value == choice.scores[choice.action_index]

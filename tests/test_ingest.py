@@ -829,6 +829,19 @@ def outcome(read, source):
         return str(exc)
 
 
+# Prediction headers for `TestSplitPass`: the key columns leading, with 3,
+# 4 and 5 columns and with an extra trailing one, then not leading, then
+# out of order.
+PREDICTION_LAYOUTS = [
+    ("group", "predicted", "actual"),
+    ("group", "predicted", "actual", "score"),
+    ("group", "predicted", "actual", "score", "legitimate"),
+    ("group", "predicted", "actual", "score", "legitimate", "note"),
+    ("score", "group", "predicted", "actual", "legitimate"),
+    ("group", "actual", "predicted", "legitimate"),
+]
+
+
 class TestSplitPass:
     """A quote-free file split without `csv` (`_split_rows`), in one shard
     or in several, gives what the `csv` pass over a stream of the same
@@ -887,13 +900,31 @@ class TestSplitPass:
         self.check(tmp_path_factory, table,
                    lambda source: list(count_dataset(source, names).items()))
 
-    @settings(max_examples=60, deadline=None)
-    @given(quote_free_csv(["group", "predicted", "actual", "score",
-                           "legitimate"],
-                          [PRIVILEGED, UNPRIVILEGED, " " + PRIVILEGED, "0",
-                           "1", "0.25", " 0.5", "a", "b"]))
+    # The split pass cuts a line of a file whose header leads with
+    # `group,predicted,actual` once, from the right, and checks its
+    # prefix where it first sees it; a file in any other order is split
+    # into whole rows. Both read the same as `csv`.
+    @settings(max_examples=120, deadline=None)
+    @given(st.sampled_from(PREDICTION_LAYOUTS).flatmap(
+        lambda columns: quote_free_csv(
+            columns, [PRIVILEGED, UNPRIVILEGED, " " + PRIVILEGED, "0", "1",
+                      "0.25", " 0.5", "a", "b"])))
     @example((b"group,predicted,actual,score,legitimate\r\n"
               b"privileged,1,1,0.5,a\r\n\r\nunprivileged,0,1,,b", False))
+    # an extra comma that lands in the prefix
+    @example((b"group,predicted,actual,score,legitimate\n"
+              b"privileged,1,1,0.5,a\nprivileged,1,x,1,0.5,a\n", False))
+    @example((b"group,predicted,actual,score,legitimate\n"
+              b"privileged,1,1,0.5,a\nprivileged,1,1,x,0.5,a\n", False))
+    # a line with only two commas: three pieces, and a one-cell prefix
+    @example((b"group,predicted,actual,score,legitimate\n"
+              b"privileged,1,1,0.5,a\nprivileged,1,1\n", False))
+    # a padded prefix cell: a prefix text of its own, the same cell
+    @example((b"group,predicted,actual,score,legitimate\n"
+              b"privileged,1,1,0.5,a\n privileged,1,1,0.25,b\n"
+              b"privileged,1,1,,a\n", False))
+    @example((b"score,group,predicted,actual,legitimate\n"
+              b"0.5,privileged,1,1,a\n,unprivileged,0,1,b\n", False))
     def test_predictions(self, tmp_path_factory, table):
         self.check(tmp_path_factory, table,
                    lambda source: reduction(read_predictions(source)))
