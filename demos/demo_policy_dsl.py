@@ -33,8 +33,6 @@ policy "hiring-demo" {
         acceptable_uses = ["recruitment"]
         synthetic_data_capability = true
     }
-
-    on_violation = explain
 }
 '''
 

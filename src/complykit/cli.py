@@ -2,13 +2,15 @@
 
 Exit codes are uniform across subcommands: 0 for comply/success, 1 for a
 policy-level violation (or a non-canonical file under `fmt`), 2 for any
-operational error (bad flags, unreadable files, invalid policies).
+operational error (bad flags, unreadable files, invalid policies, a
+stdout or stderr that cannot be written).
 stdout carries the report; diagnostics and logging go to stderr.
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
 import gc
 import math
 import os
@@ -50,6 +52,11 @@ class _StdoutError(OSError):
     pipe (a full disk, say): a fault of the environment, not a defect."""
 
 
+class _StderrError(OSError):
+    """Writing or flushing stderr failed: no fault can be reported there,
+    so the exit code alone must say it."""
+
+
 def _emit(text: str) -> None:
     """Write `text` to stdout and flush it."""
     try:
@@ -59,6 +66,34 @@ def _emit(text: str) -> None:
         raise
     except OSError as exc:
         raise _StdoutError(exc.errno, exc.strerror) from exc
+
+
+def _warn(*lines: str) -> None:
+    """Write each of `lines` to stderr and flush it; with no lines, only
+    flush what is pending.
+
+    A bare print would not do: a BrokenPipeError from stderr would be taken
+    for stdout's, and when fd 2 was closed at start-up `sys.stderr` is None,
+    so print would write the line into the report on stdout."""
+    if sys.stderr is None:
+        if lines:
+            raise _StderrError(errno.EBADF, os.strerror(errno.EBADF))
+        return
+    try:
+        for line in lines:
+            print(line, file=sys.stderr)
+        sys.stderr.flush()
+    except OSError as exc:
+        raise _StderrError(exc.errno, exc.strerror) from exc
+
+
+def _discard(stream) -> None:
+    """Point `stream`'s file descriptor at devnull, so that the
+    interpreter's final flush of it cannot fail again and exit 120 (the
+    "Note on SIGPIPE" in the `signal` docs)."""
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, stream.fileno())
+    os.close(devnull)
 
 
 def _write_bytes(path, data: bytes) -> None:
@@ -71,7 +106,7 @@ def _write_bytes(path, data: bytes) -> None:
 
 def cmd_check(args) -> int:
     _load_policy(args.policy)
-    print(f"{args.policy}: ok", file=sys.stderr)
+    _warn(f"{args.policy}: ok")
     return EXIT_OK
 
 
@@ -161,9 +196,8 @@ def _evaluate(args) -> int:
     if doc.protected is not None and doc.favorable is not None:
         bound = ingest.bind_counts(counts, doc)
         if bound.excluded:
-            print(f"note: {bound.excluded} row(s) excluded "
-                  "(protected value matched neither group)",
-                  file=sys.stderr)
+            _warn(f"note: {bound.excluded} row(s) excluded "
+                  "(protected value matched neither group)")
 
     gp = None
     if args.predictions:
@@ -248,8 +282,18 @@ def cmd_decide(args) -> int:
     return EXIT_OK
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    def print_help(self, file=None):
+        """Write the help to `file`, or by `_emit` to stdout: argparse
+        drops a failed write, so `--help` into a full disk would exit 0."""
+        if file is None:
+            _emit(self.format_help())
+        else:
+            super().print_help(file)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="complykit",
         description="Compile .law policies and audit data against them.")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -300,31 +344,41 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        # argparse exits 2 on bad usage, matching our operational-error code
-        return EXIT_ERROR if exc.code else EXIT_OK
+        code = _run(argv)
+        _warn()  # argparse writes its usage errors unchecked
+        return code
+    except _StderrError:
+        # No fault can be reported, so the exit code alone says it.
+        if sys.stderr is not None:
+            _discard(sys.stderr)
+        return EXIT_ERROR
+
+
+def _run(argv) -> int:
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
+    except SystemExit as exc:
+        # parse_args exits 2 on bad usage, matching our operational-error
+        # code, and 0 after --help
+        return EXIT_ERROR if exc.code else EXIT_OK
     except policy.PolicyError as exc:
-        for diag in exc.diagnostics:
-            print(f"{args.policy}:{diag}", file=sys.stderr)
+        _warn(*(f"{args.policy}:{diag}" for diag in exc.diagnostics))
     except (IngestError, decisions.DecisionError) as exc:
-        print(exc, file=sys.stderr)
+        _warn(str(exc))
     except (BrokenPipeError, _StdoutError) as exc:
+        # The reader of stdout went away, or its file is full.
+        _discard(sys.stdout)
         if isinstance(exc, _StdoutError):
-            print(f"cannot write stdout: {exc.strerror}", file=sys.stderr)
-        # The reader of stdout went away, or its file is full. Point
-        # stdout at devnull so that the interpreter's final flush cannot
-        # fail again (the "Note on SIGPIPE" in the `signal` docs).
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            _warn(f"cannot write stdout: {exc.strerror}")
+    except _StderrError:
+        raise  # for main
     except Exception as exc:
         # Exit code 1 means "violation", so no crash may end with it.
         import traceback
-        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        traceback.print_exc()
+        _warn(f"internal error: {type(exc).__name__}: {exc}",
+              traceback.format_exc().rstrip("\n"))
     return EXIT_ERROR
 
 

@@ -8,21 +8,18 @@ models, and the decision block an autonomous system must follow.
 Grammar (normative):
 
     document  := "policy" STRING "{" item* "}"
-    item      := protected | favorable | metric | sources | model
-               | decision | violation
+    item      := protected | favorable | metric | sources | model | decision
     protected := "protected_attribute" name "{"
                      "privileged" "=" STRING "unprivileged" "=" STRING "}"
     favorable := "favorable_outcome" name "{" "value" "=" STRING "}"
     metric    := "metric" IDENT "{" ("range" "=" interval
                | "bins" "=" NUMBER | "tolerance" "=" NUMBER)* "}"
     sources   := "approved_sources" "{" STRING* "}"
-    model     := "approved_model" STRING "{" ("description" "=" STRING
-               | "acceptable_uses" "=" string_list
-               | "synthetic_data_capability" "=" BOOL)* "}"
+    model     := "approved_model" STRING "{" ("acceptable_uses" "="
+                     string_list | "synthetic_data_capability" "=" BOOL)* "}"
     decision  := "decision" "{" ("actions" "=" string_list
                | "states" "=" string_list | "payoffs" "=" matrix
                | "criterion" "=" IDENT | "lambda" "=" NUMBER)* "}"
-    violation := "on_violation" "=" ("explain" | "halt")
     interval  := "[" NUMBER "," NUMBER "]"
     name      := IDENT | STRING
 
@@ -33,10 +30,9 @@ optional. Intervals are closed at both endpoints.
 
 A key repeated within a block is a SemanticError, so the document is
 rejected; the checks after it see the last value, even one that failed
-to parse. `on_violation` is parsed, formatted and round-tripped, but
-changes neither the report nor the exit code. The formatter keeps every
-digit of a number: one whose `repr` has an exponent is written out
-positionally, since the grammar has no exponent form.
+to parse. The formatter keeps every digit of a number: one whose `repr`
+has an exponent is written out positionally, since the grammar has no
+exponent form.
 
 Parsing is total: any byte input produces either a checked document or a
 list of diagnostics with line:column positions, never an unhandled crash.
@@ -68,7 +64,6 @@ SEMANTIC = "SemanticError"
 DEFAULT_BINS = 10
 DEFAULT_TOLERANCE = 0.0
 DEFAULT_LAMBDA = 0.5
-DEFAULT_ON_VIOLATION = "explain"
 
 
 class Diagnostic(Value):
@@ -112,7 +107,6 @@ class MetricConstraint(Value):
 
 class ModelSpec(Value):
     model_id: str
-    description: Optional[str] = None
     acceptable_uses: frozenset = frozenset()
     synthetic_data_capability: bool = False
 
@@ -131,7 +125,6 @@ class PolicyDocument(Value):
     approved_sources: frozenset = frozenset()
     approved_models: tuple = ()  # ModelSpecs, document order
     decision: Optional[DecisionSpec] = None
-    on_violation: str = DEFAULT_ON_VIOLATION
 
     def model(self, model_id: str) -> Optional[ModelSpec]:
         for m in self.approved_models:
@@ -426,7 +419,7 @@ class _Parser:
 
         doc = {"name": name, "protected": None, "favorable": None,
                "metrics": [], "sources": set(), "models": [],
-               "decision": None, "on_violation": DEFAULT_ON_VIOLATION}
+               "decision": None}
         seen_sections = set()
 
         for tok in self.items(open_tok):
@@ -461,7 +454,6 @@ class _Parser:
             approved_sources=frozenset(doc["sources"]),
             approved_models=tuple(doc["models"]),
             decision=doc["decision"],
-            on_violation=doc["on_violation"],
         )
 
     def item_protected_attribute(self, kw: Token, doc: dict):
@@ -544,7 +536,6 @@ class _Parser:
     def item_approved_model(self, kw: Token, doc: dict):
         id_tok = self.parse_string()
         values, _ = self.parse_block({
-            "description": self.parse_string,
             "acceptable_uses": self.parse_strings,
             "synthetic_data_capability": lambda: self.expect(
                 "IDENT", "true or false", ("true", "false")),
@@ -553,8 +544,7 @@ class _Parser:
             self.error(id_tok, f"duplicate model {id_tok.value!r}", SEMANTIC)
             return
         doc["models"].append(ModelSpec(
-            id_tok.value, _value(values.get("description")),
-            frozenset(values.get("acceptable_uses") or ()),
+            id_tok.value, frozenset(values.get("acceptable_uses") or ()),
             _value(values.get("synthetic_data_capability")) == "true"))
 
     def item_decision(self, kw: Token, doc: dict):
@@ -582,15 +572,6 @@ class _Parser:
         doc["decision"] = DecisionSpec(
             matrix, values["criterion"],
             _value(values.get("lambda"), DEFAULT_LAMBDA))
-
-    def item_on_violation(self, kw: Token, doc: dict):
-        self.expect("=", "'='")
-        tok = self.expect("IDENT", "explain or halt")
-        if tok.value in ("explain", "halt"):
-            doc["on_violation"] = tok.value
-        else:
-            self.error(tok, f"expected explain or halt, found "
-                            f"{self._describe(tok)}", SEMANTIC)
 
 
 # The grammar's item keywords: one `_Parser.item_<keyword>` method each.
@@ -672,8 +653,6 @@ def serialize_policy(doc: PolicyDocument) -> str:
         out.append("  }")
     for model in sorted(doc.approved_models, key=lambda m: m.model_id):
         out.append(f"  approved_model {_fmt_string(model.model_id)} {{")
-        if model.description is not None:
-            out.append(f"    description = {_fmt_string(model.description)}")
         if model.acceptable_uses:
             out.append("    acceptable_uses = "
                        + _fmt_string_list(sorted(model.acceptable_uses)))
@@ -693,8 +672,6 @@ def serialize_policy(doc: PolicyDocument) -> str:
         if _fmt_number(d.hurwicz_lambda) != _fmt_number(DEFAULT_LAMBDA):
             out.append(f"    lambda = {_fmt_number(d.hurwicz_lambda)}")
         out.append("  }")
-    if doc.on_violation != DEFAULT_ON_VIOLATION:
-        out.append(f"  on_violation = {doc.on_violation}")
     out.append("}")
     return "\n".join(out) + "\n"
 

@@ -37,7 +37,7 @@ policy "scenario-1" {
     "https://archive.ics.uci.edu/dataset/2/adult"
   }
   approved_model "google/gemma-2-2b-it" {
-    description = "A large language model from Google."
+    # A large language model from Google.
     acceptable_uses = ["recruitment"]
     synthetic_data_capability = true
   }
@@ -174,7 +174,6 @@ def random_document(rng: random.Random) -> PolicyDocument:
     models = tuple(
         ModelSpec(
             mid,
-            _rand_string(rng, 1) if rng.random() < 0.5 else None,
             frozenset(_rand_string(rng, 1) for _ in range(rng.randint(0, 3))),
             rng.random() < 0.5,
         )
@@ -203,7 +202,6 @@ def random_document(rng: random.Random) -> PolicyDocument:
         approved_sources=sources,
         approved_models=models,
         decision=decision,
-        on_violation=rng.choice(("explain", "explain", "halt")),
     )
 
 

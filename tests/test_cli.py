@@ -86,8 +86,7 @@ def evaluate_inputs(draw):
             doc = PolicyDocument(
                 doc.name, ProtectedSpec("sex", "Male", "Female"),
                 FavorableSpec("occupation", "Exec-managerial"), doc.metrics,
-                doc.approved_sources, doc.approved_models, doc.decision,
-                doc.on_violation)
+                doc.approved_sources, doc.approved_models, doc.decision)
         text = serialize_policy(doc)
     labels = (fairness.PRIVILEGED, fairness.UNPRIVILEGED)
     try:
@@ -139,6 +138,21 @@ class TestCheck:
         assert main(["check", str(bad)]) == 2
         assert f"{bad}:1:44: SemanticError: number is too large" in \
             capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, diagnostic", [
+        ('policy "p" { on_violation = halt }',
+         "1:14: SyntaxError: expected a policy item, found IDENT "
+         "'on_violation'"),
+        ('policy "p" { approved_model "m" { description = "d" } }',
+         "1:35: SyntaxError: unexpected IDENT 'description' in "
+         "approved_model block"),
+    ])
+    def test_keys_outside_the_grammar_exit_two(self, tmp_path, capsys, text,
+                                               diagnostic):
+        bad = tmp_path / "bad.law"
+        bad.write_text(text)
+        assert main(["check", str(bad)]) == 2
+        assert capsys.readouterr().err == f"{bad}:{diagnostic}\n"
 
 
 class TestEvaluate:
@@ -1120,6 +1134,105 @@ class TestExitCodes:
         assert proc.returncode == 2
         assert proc.stderr == b"cannot write stdout: No space left on device\n"
 
+    @pytest.mark.skipif(not os.path.exists("/dev/full"),
+                        reason="no /dev/full on this platform")
+    @pytest.mark.parametrize("command", [
+        ["--help"], ["evaluate", "--help"]])
+    @pytest.mark.parametrize("unbuffered", ["", "1"],
+                             ids=["buffered", "unbuffered"])
+    def test_help_into_full_stdout_exits_two(self, workdir, command,
+                                             unbuffered):
+        # argparse drops a failed write of the help, which exited 0 (or 120
+        # when stdout is buffered, and the final flush failed).
+        with open("/dev/full", "wb") as full:
+            proc = subprocess.run(
+                [sys.executable, "-m", "complykit.cli", *command],
+                cwd=workdir, stdout=full, stderr=subprocess.PIPE,
+                env=dict(_cli_env(), PYTHONUNBUFFERED=unbuffered), timeout=60)
+        assert proc.returncode == 2
+        assert proc.stderr == b"cannot write stdout: No space left on device\n"
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"),
+                        reason="no /dev/full on this platform")
+    @pytest.mark.parametrize("command, full_stdout", [
+        (["check", "policy.law"], False),  # the `ok` line
+        (["check", "absent.law"], False),
+        (["check", "bad.law"], False),
+        (["fmt", "absent.law"], False),
+        (["evaluate", "policy.law", "--dataset", "excluded.csv"],
+         False),  # the excluded-rows note
+        (["evaluate", "policy.law", "--dataset", "absent.csv"], False),
+        (["decide", "--matrix", "absent.csv", "--criterion", "wald"], False),
+        (["decide", "--matrix", "matrix.csv", "--criterion", "nope"], False),
+        (["evaluate", "policy.law", "--dataset", "data.csv"], True),
+        (["--help"], True),
+    ], ids=["check-ok", "check-absent", "check-invalid", "fmt-absent",
+            "evaluate-note", "evaluate-absent", "decide-absent",
+            "decide-usage", "evaluate-stdout-too", "help-stdout-too"])
+    @pytest.mark.parametrize("unbuffered", ["", "1"],
+                             ids=["buffered", "unbuffered"])
+    def test_full_stderr_exits_two(self, workdir, command, full_stdout,
+                                   unbuffered):
+        # Exit 1 means "violation": a run that cannot write its `ok`, its
+        # note or its error to stderr says so by exit 2 alone.
+        (workdir / "bad.law").write_text('policy "p" { on_violation = halt }')
+        (workdir / "excluded.csv").write_text(SMALL_DATASET + "Other,Other\n")
+        with open("/dev/full", "wb") as full:
+            proc = subprocess.run(
+                [sys.executable, "-m", "complykit.cli", *command],
+                cwd=workdir, stderr=full,
+                stdout=full if full_stdout else subprocess.DEVNULL,
+                env=dict(_cli_env(), PYTHONUNBUFFERED=unbuffered), timeout=60)
+        assert proc.returncode == 2
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"),
+                        reason="no /dev/full on this platform")
+    def test_internal_error_with_full_stderr_exits_two(self, workdir):
+        script = (
+            "import sys\n"
+            "from complykit import cli, fairness\n"
+            "def broken(*args):\n"
+            "    raise RuntimeError('metric exploded')\n"
+            "fairness.statistical_parity_from_counts = broken\n"
+            "sys.exit(cli.main(['evaluate', 'policy.law', "
+            "'--dataset', 'data.csv']))\n")
+        with open("/dev/full", "wb") as full:
+            proc = subprocess.run(
+                [sys.executable, "-c", script], cwd=workdir,
+                stdout=subprocess.DEVNULL, stderr=full, env=_cli_env(),
+                timeout=60)
+        assert proc.returncode == 2
+
+    @pytest.mark.skipif(not hasattr(os, "fork"),
+                        reason="closing fd 2 in the child needs preexec_fn")
+    @pytest.mark.parametrize("command, code", [
+        (["evaluate", "policy.law", "--dataset", "data.csv"], 0),
+        (["evaluate", "policy.law", "--dataset", "skew.csv"], 1),
+        (["fmt", "policy.law"], 1),  # not canonical
+        (["check", "policy.law"], 2),  # the `ok` line
+        (["check", "absent.law"], 2),
+        (["evaluate", "policy.law", "--dataset", "excluded.csv"], 2),
+        (["--bogus"], 2),
+    ], ids=["evaluate-comply", "evaluate-violation", "fmt", "check-ok",
+            "check-absent", "evaluate-note", "usage"])
+    def test_closed_stderr(self, workdir, command, code):
+        # With fd 2 closed at start-up `sys.stderr` is None: a run with
+        # nothing for stderr keeps its code, one with a line for it exits 2,
+        # and no line lands on stdout in place of stderr.
+        (workdir / "skew.csv").write_text(
+            "sex,occupation\n"
+            + "Male,Exec-managerial\n" * 5 + "Male,Other\n" * 5
+            + "Female,Exec-managerial\n" * 1 + "Female,Other\n" * 9)
+        (workdir / "excluded.csv").write_text(SMALL_DATASET + "Other,Other\n")
+        proc = subprocess.run(
+            [sys.executable, "-m", "complykit.cli", *command], cwd=workdir,
+            stdout=subprocess.PIPE, preexec_fn=lambda: os.close(2),
+            env=_cli_env(), timeout=60)
+        assert proc.returncode == code
+        assert b"note:" not in proc.stdout
+        assert b": ok" not in proc.stdout
+        assert b"cannot read" not in proc.stdout
+
     def test_internal_error_exits_two(self, workdir, capsys, monkeypatch):
         def broken(*args):
             raise RuntimeError("metric exploded")
@@ -1365,11 +1478,11 @@ class TestFmt:
 
     def test_perturbed_file_exit_one(self, workdir, capsys):
         messy = workdir / "messy.law"
-        messy.write_text('policy "p"   {   on_violation=halt   }')
+        messy.write_text('policy "p"   {   approved_sources{"a"}   }')
         code = main(["fmt", str(messy)])
         out = capsys.readouterr().out
         assert code == 1
-        assert out == 'policy "p" {\n  on_violation = halt\n}\n'
+        assert out == 'policy "p" {\n  approved_sources {\n    "a"\n  }\n}\n'
 
     def test_write_rewrites_file(self, workdir, capsys):
         messy = workdir / "messy.law"

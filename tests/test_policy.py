@@ -53,7 +53,7 @@ class TestParse:
                     for rule in re.findall(r"\w+", rules.group(1))}
         assert keywords == {
             "protected_attribute", "favorable_outcome", "metric",
-            "approved_sources", "approved_model", "decision", "on_violation"}
+            "approved_sources", "approved_model", "decision"}
         assert policy.ITEM_KEYWORDS == keywords
 
     def test_minimal_document(self):
@@ -146,9 +146,9 @@ class TestParse:
          'payoffs = [[1]] criterion = wald } }',
          ["1:41: SyntaxError: expected a string, found NUMBER 1.0"]),
         ('policy "p" { approved_model "m" { acceptable_uses = [1] '
-         'description = 5 } }',
+         'synthetic_data_capability = 5 } }',
          ["1:54: SyntaxError: expected a string, found NUMBER 1.0",
-          "1:71: SyntaxError: expected a string, found NUMBER 5.0"]),
+          "1:85: SyntaxError: expected true or false, found NUMBER 5.0"]),
         ('policy "p" { metric calibration { range = [1 x] } }',
          ["1:46: SyntaxError: expected ',', found IDENT 'x'"]),
         # a key inside the brackets the value opened is skipped with them,
@@ -160,12 +160,12 @@ class TestParse:
          'payoffs = [[1] criterion = wald } }',
          ["1:71: SyntaxError: expected '[', found IDENT 'criterion'"]),
         # an item gives up the rest of itself to the next item keyword
-        ('policy "p" { on_violation = "halt" }',
-         ["1:29: SyntaxError: expected explain or halt, found STRING 'halt'"]),
-        ('policy "p" { on_violation = [1, 2] '
+        ('policy "p" { approved_model m { acceptable_uses = [1] } }',
+         ["1:29: SyntaxError: expected a string, found IDENT 'm'"]),
+        ('policy "p" { favorable_outcome [1, 2] '
          'metric calibration { range = [2, 1] } }',
-         ["1:29: SyntaxError: expected explain or halt, found '['",
-          "1:66: SemanticError: inverted interval: [2.0, 1.0]"]),
+         ["1:32: SyntaxError: expected a name, found '['",
+          "1:69: SemanticError: inverted interval: [2.0, 1.0]"]),
         # a stray `{` where a key, source or item belongs is skipped alone,
         # so the braces stay balanced
         ('policy "p" { favorable_outcome y { { value = "a" } '
@@ -213,8 +213,9 @@ class TestParse:
 
     def test_duplicate_section_rejected(self):
         _, diags = parse_policy_with_diagnostics(
-            'policy "p" { on_violation = halt\n on_violation = explain }')
-        assert any("duplicate on_violation" in d.message for d in diags)
+            'policy "p" { approved_sources { "a" }\n'
+            ' approved_sources { "b" } }')
+        assert any("duplicate approved_sources" in d.message for d in diags)
 
     def test_equal_group_values_rejected(self):
         _, diags = parse_policy_with_diagnostics(
@@ -238,9 +239,9 @@ class TestParse:
         doc = parse_policy(
             '# leading comment\n'
             'policy "p" { # trailing\n'
-            '  on_violation = halt;\n'
+            '  approved_sources { "a" };\n'
             '}\n')
-        assert doc.on_violation == "halt"
+        assert doc.approved_sources == {"a"}
 
     def test_string_escapes(self):
         doc = parse_policy(

@@ -33,8 +33,9 @@ _LEXEME = re.compile(r'"(?:[^"\\\n]|\\.)*"?|[+-]?[0-9]+(?:\.[0-9]+)?'
 _INSERTS = (
     "{", "}", "[", "]", ",", "=", ";", '"x"', '""', "0.5", "-1", "2", "+3",
     "metric", "range", "bins", "tolerance", "lambda", "decision", "payoffs",
-    "actions", "states", "criterion", "savage", "policy", "on_violation",
-    "halt", "true", "value", "privileged", "approved_sources", "@", "\\",
+    "actions", "states", "criterion", "savage", "policy", "acceptable_uses",
+    "synthetic_data_capability", "true", "value", "privileged",
+    "approved_sources", "@", "\\",
     '"', "-", "1.", "9" * 400, "# note\n", "\n",
 )
 
@@ -81,7 +82,7 @@ HAND_WRITTEN = (
     # line ends and tabs
     SCENARIO1_POLICY.replace("\n", "\r\n"),
     SCENARIO1_POLICY.replace("  ", "\t"),
-    'policy "p" {\r  on_violation = halt\r}',
+    'policy "p" {\r  approved_sources { "a" }\r}',
     'policy "p" {\n\t\tmetric calibration {\t@ range = [0, 1] }\n}',
     # non-ASCII digits and letters, uppercase, stray characters
     'policy "p" { metric calibration { range = [٣, 1] } }',
@@ -92,7 +93,7 @@ HAND_WRITTEN = (
     'policy "p" { metric Calibration { range = [0, 1] } }',
     'policy "p" { protected_attribute séx '
     '{ privileged = "M" unprivileged = "F" } }',
-    'policy "p" { on_violation =  halt }',
+    'policy "p" { favorable_outcome y { value =  "a" } }',
     'policy "p" {\x00}',
     'policy "p" { decision { criterion = WALD } }',
     # numbers
@@ -165,14 +166,14 @@ HAND_WRITTEN = (
     'policy "p" { favorable_outcome "y y" { value = 1 } }',
     'policy "p" { approved_sources { "a", "b" 3 "c" } }',
     'policy "p" { approved_sources "a" }',
-    'policy "p" { approved_model "m" { description = "d" '
+    'policy "p" { approved_model "m" { '
     'acceptable_uses = ["u", "v",] synthetic_data_capability = yes } }',
     'policy "p" { approved_model m {} }',
     'policy "p" { approved_model "m" {} approved_model "m" {} }',
-    'policy "p" { on_violation = stop }',
-    'policy "p" { on_violation = "halt" }',
-    'policy "p" { on_violation halt }',
-    'policy "p" { on_violation = halt; on_violation = explain }',
+    'policy "p" { approved_sources { "a" }; approved_sources { "b" } }',
+    # keys the grammar does not have
+    'policy "p" { on_violation = halt }',
+    'policy "p" { approved_model "m" { description = "d" } }',
     'policy "p" { metric nope { range = [0, 1] } }',
     'policy "p" { metric calibration {} }',
     'policy "p" { metric calibration { range = [0, 1] } '
@@ -194,7 +195,7 @@ HAND_WRITTEN = (
     'tolerance = 0.1 tolerance = -1 } }',
     'policy "p" { metric calibration { range = [0, 1] '
     'tolerance = %s tolerance = -1 } }' % ("9" * 308),
-    'policy "p" { approved_model "m" { description = "a" description = 1 '
+    'policy "p" { approved_model "m" { '
     'acceptable_uses = ["u"] acceptable_uses = [2] '
     'synthetic_data_capability = true synthetic_data_capability = 0 } }',
     'policy "p" { decision { actions = ["a"] actions = [1] states = ["s"] '
@@ -242,7 +243,6 @@ HAND_WRITTEN = (
     'policy "p" { approved_model "m" { synthetic_data_capability = [1] } }',
     'policy "p" { decision { actions = [1, 2] states = ["s"] '
     'payoffs = [[1], [2]] criterion = wald } }',
-    'policy "p" { on_violation = [1, 2] }',
     'policy "p" { [1, 2] metric calibration { range = [0, 1] } }',
     'policy "p" { metric calibration { [0, 1] } }',
     'policy "p" {} [1, 2]',
@@ -261,7 +261,7 @@ HAND_WRITTEN = (
     # brackets the value opened, unless a `key =` shows one left unclosed
     'policy "p" { metric calibration { range = [1 x] } }',
     'policy "p" { approved_model "m" { acceptable_uses = [1] '
-    'description = 5 } }',
+    'synthetic_data_capability = 5 } }',
     _decision("[[1 criterion]]"),
     # a stray `{` where a key, source or item belongs is skipped alone;
     # a second copy of a section is skipped whole
@@ -269,8 +269,8 @@ HAND_WRITTEN = (
     'metric calibration { range = [2, 1] } }',
     'policy "p" { approved_sources { { "a" } '
     'metric calibration { range = [2, 1] } }',
-    'policy "p" { on_violation = halt on_violation = [1, 2] '
-    'metric calibration { range = [2, 1] } }',
+    'policy "p" { favorable_outcome y { value = "a" } '
+    'favorable_outcome [1, 2] metric calibration { range = [2, 1] } }',
 )
 
 

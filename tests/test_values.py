@@ -113,11 +113,10 @@ REPRS = [
      "MetricConstraint(metric_id='calibration', range=Interval(lo=-0.1, "
      'hi=0.1), bins=20, tolerance=0.01)'),
     (ModelSpec("m1"),
-     "ModelSpec(model_id='m1', description=None, "
-     'acceptable_uses=frozenset(), synthetic_data_capability=False)'),
-    (ModelSpec("m2", "a model", frozenset({"hiring"}), True),
-     "ModelSpec(model_id='m2', description='a model', "
-     "acceptable_uses=frozenset({'hiring'}), "
+     "ModelSpec(model_id='m1', acceptable_uses=frozenset(), "
+     'synthetic_data_capability=False)'),
+    (ModelSpec("m2", frozenset({"hiring"}), True),
+     "ModelSpec(model_id='m2', acceptable_uses=frozenset({'hiring'}), "
      'synthetic_data_capability=True)'),
     (DecisionSpec(matrix, "hurwicz", 0.25),
      "DecisionSpec(payoffs=PayoffMatrix(actions=('a', 'b'), "
@@ -126,23 +125,23 @@ REPRS = [
     (PolicyDocument("p"),
      "PolicyDocument(name='p', protected=None, favorable=None, "
      'metrics=(), approved_sources=frozenset(), approved_models=(), '
-     "decision=None, on_violation='explain')"),
+     'decision=None)'),
     (PolicyDocument("q", ProtectedSpec("sex", "Male", "Female"),
                        FavorableSpec("y", "1"),
                        (MetricConstraint("equal_opportunity", Interval(-1, 1)),),
                        frozenset({"s"}), (ModelSpec("m1"),),
-                       DecisionSpec(matrix, "wald"), "halt"),
+                       DecisionSpec(matrix, "wald")),
      "PolicyDocument(name='q', protected=ProtectedSpec(attribute='sex', "
      "privileged_value='Male', unprivileged_value='Female'), "
      "favorable=FavorableSpec(attribute='y', value='1'), "
      "metrics=(MetricConstraint(metric_id='equal_opportunity', "
      'range=Interval(lo=-1, hi=1), bins=10, tolerance=0.0),), '
      "approved_sources=frozenset({'s'}), "
-     "approved_models=(ModelSpec(model_id='m1', description=None, "
+     "approved_models=(ModelSpec(model_id='m1', "
      'acceptable_uses=frozenset(), synthetic_data_capability=False),), '
      "decision=DecisionSpec(payoffs=PayoffMatrix(actions=('a', 'b'), "
      "states=('s',), values=((1.0,), (2.5,))), criterion='wald', "
-     "hurwicz_lambda=0.5), on_violation='halt')"),
+     'hurwicz_lambda=0.5))'),
     (ContextFinding("model m1", "approved", "listed in approved models"),
      "ContextFinding(subject='model m1', status='approved', "
      "reason='listed in approved models')"),
