@@ -35,7 +35,7 @@ _COLORS = {
 
 
 def _maybe_colorize(text: str) -> str:
-    if os.environ.get("NO_COLOR") or not sys.stdout.isatty():
+    if os.environ.get("NO_COLOR") or not (sys.stdout and sys.stdout.isatty()):
         return text
     for plain, colored in _COLORS.items():
         text = text.replace(plain, colored)
@@ -47,53 +47,48 @@ def _load_policy(path):
     return text, policy.parse_policy(text)
 
 
-class _StdoutError(OSError):
-    """Writing or flushing stdout failed for a reason other than a broken
-    pipe (a full disk, say): a fault of the environment, not a defect."""
+class _StreamError(OSError):
+    """Writing or flushing `sys.<stream>` failed: a fault of the
+    environment (a reader gone, a full disk, a descriptor closed at
+    start-up), not a defect."""
+
+    def __init__(self, stream: str, code: int, strerror: str):
+        super().__init__(code, strerror)
+        self.stream = stream
 
 
-class _StderrError(OSError):
-    """Writing or flushing stderr failed: no fault can be reported there,
-    so the exit code alone must say it."""
+def _write(name: str, text: str) -> None:
+    """Write `text` to `sys.<name>` ("stdout" or "stderr") and flush it.
 
-
-def _emit(text: str) -> None:
-    """Write `text` to stdout and flush it."""
+    When the descriptor was closed at start-up `sys.<name>` is None, and
+    any text for it fails as EBADF."""
+    stream = getattr(sys, name)
+    if stream is None:
+        if text:
+            raise _StreamError(name, errno.EBADF, os.strerror(errno.EBADF))
+        return
     try:
-        sys.stdout.write(text)
-        sys.stdout.flush()
-    except BrokenPipeError:
-        raise
+        stream.write(text)
+        stream.flush()
     except OSError as exc:
-        raise _StdoutError(exc.errno, exc.strerror) from exc
+        raise _StreamError(name, exc.errno, exc.strerror) from exc
 
 
 def _warn(*lines: str) -> None:
-    """Write each of `lines` to stderr and flush it; with no lines, only
-    flush what is pending.
-
-    A bare print would not do: a BrokenPipeError from stderr would be taken
-    for stdout's, and when fd 2 was closed at start-up `sys.stderr` is None,
-    so print would write the line into the report on stdout."""
-    if sys.stderr is None:
-        if lines:
-            raise _StderrError(errno.EBADF, os.strerror(errno.EBADF))
-        return
-    try:
-        for line in lines:
-            print(line, file=sys.stderr)
-        sys.stderr.flush()
-    except OSError as exc:
-        raise _StderrError(exc.errno, exc.strerror) from exc
+    """Write each of `lines` to stderr; with none, flush what is pending.
+    A bare print would write to stdout when `sys.stderr` is None."""
+    _write("stderr", "".join(line + "\n" for line in lines))
 
 
-def _discard(stream) -> None:
-    """Point `stream`'s file descriptor at devnull, so that the
+def _discard(name: str) -> None:
+    """Point `sys.<name>`'s file descriptor at devnull, so that the
     interpreter's final flush of it cannot fail again and exit 120 (the
-    "Note on SIGPIPE" in the `signal` docs)."""
-    devnull = os.open(os.devnull, os.O_WRONLY)
-    os.dup2(devnull, stream.fileno())
-    os.close(devnull)
+    "Note on SIGPIPE" in the `signal` docs). A None stream has none."""
+    stream = getattr(sys, name)
+    if stream is not None:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, stream.fileno())
+        os.close(devnull)
 
 
 def _write_bytes(path, data: bytes) -> None:
@@ -118,7 +113,7 @@ def cmd_fmt(args) -> int:
         if changed:
             _write_bytes(args.policy, canonical.encode("utf-8"))
     else:
-        _emit(canonical)
+        _write("stdout", canonical)
     return EXIT_VIOLATION if changed else EXIT_OK
 
 
@@ -158,6 +153,13 @@ def _finite_float(text):
         raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return value
+
+
+def _unit_float(text):
+    value = _finite_float(text)
+    if not 0.0 <= value <= 1.0:
+        raise argparse.ArgumentTypeError(f"must lie in [0, 1], got {text!r}")
     return value
 
 
@@ -238,7 +240,7 @@ def _evaluate(args) -> int:
                              created_at=created_at)
     if args.json:
         _write_bytes(args.json, report.to_json(result))
-    _emit(_maybe_colorize(report.render_auto(result)))
+    _write("stdout", _maybe_colorize(report.render_auto(result)))
     if result["overall_status"] != report.COMPLY:
         return EXIT_VIOLATION
     return EXIT_OK
@@ -278,16 +280,16 @@ def cmd_decide(args) -> int:
         for label, row in zip(matrix.actions, choice.regret_matrix):
             lines.append(f"  {label}: {list(row)}")
     lines.append(f"chosen: {choice.action_label} (value {choice.value!r})")
-    _emit("\n".join(lines) + "\n")
+    _write("stdout", "\n".join(lines) + "\n")
     return EXIT_OK
 
 
 class _ArgumentParser(argparse.ArgumentParser):
     def print_help(self, file=None):
-        """Write the help to `file`, or by `_emit` to stdout: argparse
+        """Write the help to `file`, or by `_write` to stdout: argparse
         drops a failed write, so `--help` into a full disk would exit 0."""
         if file is None:
-            _emit(self.format_help())
+            _write("stdout", self.format_help())
         else:
             super().print_help(file)
 
@@ -330,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
                           help="CSV: header = states, first column = actions")
     p_decide.add_argument("--criterion", required=True,
                           choices=decisions.CRITERIA)
-    p_decide.add_argument("--lambda", dest="hurwicz_lambda", type=float,
+    p_decide.add_argument("--lambda", dest="hurwicz_lambda", type=_unit_float,
                           default=0.5, help="optimism weight for hurwicz")
     p_decide.set_defaults(func=cmd_decide)
 
@@ -348,10 +350,9 @@ def main(argv=None) -> int:
         code = _run(argv)
         _warn()  # argparse writes its usage errors unchecked
         return code
-    except _StderrError:
+    except _StreamError:  # stderr's, from _run
         # No fault can be reported, so the exit code alone says it.
-        if sys.stderr is not None:
-            _discard(sys.stderr)
+        _discard("stderr")
         return EXIT_ERROR
 
 
@@ -367,13 +368,14 @@ def _run(argv) -> int:
         _warn(*(f"{args.policy}:{diag}" for diag in exc.diagnostics))
     except (IngestError, decisions.DecisionError) as exc:
         _warn(str(exc))
-    except (BrokenPipeError, _StdoutError) as exc:
-        # The reader of stdout went away, or its file is full.
-        _discard(sys.stdout)
-        if isinstance(exc, _StdoutError):
+    except _StreamError as exc:
+        if exc.stream != "stdout":
+            raise  # for main
+        # The reader of stdout went away, its file is full, or it was
+        # closed at start-up.
+        _discard("stdout")
+        if exc.errno != errno.EPIPE:
             _warn(f"cannot write stdout: {exc.strerror}")
-    except _StderrError:
-        raise  # for main
     except Exception as exc:
         # Exit code 1 means "violation", so no crash may end with it.
         import traceback

@@ -594,8 +594,8 @@ def read_predictions(source, privileged_label: str = PRIVILEGED,
     calibration bins, in parallel: per group, rows and positives per bin,
     the strata's shape. The shards' counts add up, in shard order, to
     `bin_counts`, which `calibration_gap` then reads instead of binning
-    every score again. None are kept when a row has no score, since
-    calibration is Undefined then (a shard that tallies one bins nothing).
+    every score again. The constructor drops them when any row has no
+    score, since calibration is Undefined then.
     """
     key = _prediction_key(privileged_label, unprivileged_label)
     return GroupedPredictions(*_reduce_csv(
@@ -642,7 +642,7 @@ def _prediction_tally(columns: tuple, split, key, bins=()):
     The row loop runs over each block's rows as they are, and numbers a
     row only when it rejects it. After it, `bin_counts` maps each number
     in `bins` to the `_bin_rows` counts of the scores, `{group: (rows,
-    positives)}` per bin; it is `{}` when a row had no score.
+    positives)}` per bin.
     """
     for col in PREDICTION_COLUMNS:
         if col not in columns:
@@ -704,14 +704,8 @@ def _prediction_tally(columns: tuple, split, key, bins=()):
             except ValueError as exc:
                 rownum = first + rows.index(row)
                 raise IngestError(f"row {rownum}: {exc}") from None
-        bin_counts = {}
-        if bins and sum(map(len, scored.values())) == sum(
-                sum(by_text.values()) for by_text in counts.values()):
-            for b in bins:
-                bin_counts[b] = _bin_rows(
-                    (((g, a), (scores,)) for (g, _, a), scores in scored.items()),
-                    b)
-        return scored, counts, bin_counts
+        cells = [((g, a), (scores,)) for (g, _, a), scores in scored.items()]
+        return scored, counts, {b: _bin_rows(cells, b) for b in bins}
 
     return tally, tail
 

@@ -41,6 +41,13 @@ SMALL_DATASET = (
     + "Female,Other\n" * 3
 )
 
+# SPD 1/10 - 5/10 = -0.4: fails the scenario-1 policy.
+SKEWED_DATASET = (
+    "sex,occupation\n"
+    + "Male,Exec-managerial\n" * 5 + "Male,Other\n" * 5
+    + "Female,Exec-managerial\n" * 1 + "Female,Other\n" * 9
+)
+
 MANIFEST = (
     "dataset_source=https://archive.ics.uci.edu/dataset/2/adult\n"
     "model_id=google/gemma-2-2b-it\n"
@@ -159,10 +166,7 @@ class TestEvaluate:
     def test_violation_exit_one(self, workdir, capsys):
         # small fixture SPD: 2/5 - 4/10 = 0.0 ... use a skewed dataset instead
         skewed = workdir / "skew.csv"
-        skewed.write_text(
-            "sex,occupation\n"
-            + "Male,Exec-managerial\n" * 5 + "Male,Other\n" * 5
-            + "Female,Exec-managerial\n" * 1 + "Female,Other\n" * 9)
+        skewed.write_text(SKEWED_DATASET)
         code = main(["evaluate", str(workdir / "policy.law"),
                      "--dataset", str(skewed), "--deterministic"])
         out = capsys.readouterr().out
@@ -1025,10 +1029,7 @@ class TestCyclicCollector:
             b"group,predicted,actual,score,legitimate\n" + PREDICTION_ROWS
             + b"Male,2,1,0.5,a\n")
         skewed = workdir / "skew.csv"
-        skewed.write_text(
-            "sex,occupation\n"
-            + "Male,Exec-managerial\n" * 5 + "Male,Other\n" * 5
-            + "Female,Exec-managerial\n" * 1 + "Female,Other\n" * 9)
+        skewed.write_text(SKEWED_DATASET)
         law, data = str(workdir / "preds.law"), str(workdir / "data.csv")
         return {
             0: [str(workdir / "policy.law"), "--dataset", data,
@@ -1219,10 +1220,7 @@ class TestExitCodes:
         # With fd 2 closed at start-up `sys.stderr` is None: a run with
         # nothing for stderr keeps its code, one with a line for it exits 2,
         # and no line lands on stdout in place of stderr.
-        (workdir / "skew.csv").write_text(
-            "sex,occupation\n"
-            + "Male,Exec-managerial\n" * 5 + "Male,Other\n" * 5
-            + "Female,Exec-managerial\n" * 1 + "Female,Other\n" * 9)
+        (workdir / "skew.csv").write_text(SKEWED_DATASET)
         (workdir / "excluded.csv").write_text(SMALL_DATASET + "Other,Other\n")
         proc = subprocess.run(
             [sys.executable, "-m", "complykit.cli", *command], cwd=workdir,
@@ -1232,6 +1230,28 @@ class TestExitCodes:
         assert b"note:" not in proc.stdout
         assert b": ok" not in proc.stdout
         assert b"cannot read" not in proc.stdout
+
+    @pytest.mark.skipif(not hasattr(os, "fork"),
+                        reason="closing fd 1 in the child needs preexec_fn")
+    @pytest.mark.parametrize("command", [
+        ["fmt", "policy.law"],
+        ["evaluate", "policy.law", "--dataset", "data.csv"],
+        ["evaluate", "policy.law", "--dataset", "skew.csv"],
+        ["decide", "--matrix", "matrix.csv", "--criterion", "wald"],
+        ["--help"],
+        ["evaluate", "--help"],
+    ], ids=["fmt", "evaluate-comply", "evaluate-violation", "decide", "help",
+            "evaluate-help"])
+    def test_closed_stdout_at_start(self, workdir, command):
+        # With fd 1 closed at start-up `sys.stdout` is None: the run cannot
+        # write its output, and says so as it does for a full stdout.
+        (workdir / "skew.csv").write_text(SKEWED_DATASET)
+        proc = subprocess.run(
+            [sys.executable, "-m", "complykit.cli", *command], cwd=workdir,
+            stderr=subprocess.PIPE, preexec_fn=lambda: os.close(1),
+            env=_cli_env(), timeout=60)
+        assert proc.returncode == 2
+        assert proc.stderr == b"cannot write stdout: Bad file descriptor\n"
 
     def test_internal_error_exits_two(self, workdir, capsys, monkeypatch):
         def broken(*args):
@@ -1351,6 +1371,22 @@ class TestDecide:
                      "--criterion", criterion])
         assert code == 0
         assert capsys.readouterr().out == expected
+
+    @pytest.mark.parametrize("criterion", ["wald", "hurwicz", "savage"])
+    @pytest.mark.parametrize("value, message", [
+        ("7", "must lie in [0, 1], got '7'"),
+        ("-0.1", "must lie in [0, 1], got '-0.1'"),
+        ("nan", "must be finite, got 'nan'")])
+    def test_lambda_outside_unit_interval_exit_two(self, workdir, capsys,
+                                                   criterion, value, message):
+        """`--lambda` is checked at argument parsing under every
+        criterion, as a policy's `lambda` is by the grammar."""
+        code = main(["decide", "--matrix", str(workdir / "matrix.csv"),
+                     "--criterion", criterion, f"--lambda={value}"])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        assert f"argument --lambda: {message}\n" in err
 
     @pytest.mark.parametrize("criterion, scores, chosen", [
         ("hurwicz", "  a: 0.15\n  b: 0.15000000000000002\n", "a (value 0.15)"),
