@@ -62,8 +62,8 @@ class PayoffMatrix(Value):
         """Read a matrix file: header row = state labels, first column = actions.
 
         The file is read as `ingest` reads every CSV: header names must be
-        distinct, blank rows are skipped, and an unreadable file, invalid
-        UTF-8 or a malformed or ragged row raise a row-numbered IngestError.
+        distinct, blank rows are skipped, an unreadable file raises IngestError
+        and a ragged or malformed row (invalid UTF-8 too) a row-numbered one.
         """
         from .ingest import _checked_blocks, _csv_table
         actions = []

@@ -240,9 +240,9 @@ def _split_rows(fh, end: int, tail=None):
     comma-separated piece (RFC 4180). Only whole lines are decoded, so no
     character is cut. Blank lines are dropped, where `csv.reader` yields
     `[]`, and no row number is kept; `_run_sharded` discards the errors.
-    ValueError for text `csv` could read otherwise: invalid UTF-8, a CR
-    before any character but LF, a NUL (which the `csv` pass reports as a
-    bad row), or a line longer than `csv.field_size_limit()`.
+    ValueError for text the `csv` pass reads otherwise: invalid UTF-8 and
+    a NUL (which it reports as bad rows), a CR before any character but
+    LF, or a line longer than `csv.field_size_limit()`.
 
     Each block of whole lines pays for its decode, one search for CR and
     one for NUL, and its splits. Only a block holding a CR rewrites its
@@ -388,17 +388,23 @@ def _csv_table(source):
 
     `blocks` are the rows past the header as `_reader_blocks` reads them,
     for `_checked_blocks` to check. A missing or repeated header name, a
-    ragged row and a malformed row (one holding a NUL, too) raise
-    IngestError, for the first bad row in file order; invalid UTF-8 raises
-    it, naming no row, when its block is decoded. A leading byte-order
-    mark (spreadsheets save "CSV UTF-8" with one) is dropped before the
-    header is parsed.
+    ragged row and a malformed row (one holding a NUL or, in a path, a
+    byte that is not UTF-8) raise IngestError, for the first bad row in
+    file order. A path is decoded with `errors="surrogateescape"`, so an
+    invalid byte reads as a lone surrogate for `_checked_lines` to find.
+    A stream was decoded by its caller: its decode error raises
+    IngestError naming no row. A leading byte-order mark (spreadsheets
+    save "CSV UTF-8" with one) is dropped before the header is parsed.
     """
     if hasattr(source, "read"):
-        yield _csv_stream(_without_bom(source))
+        try:
+            yield _csv_stream(_without_bom(source))
+        except UnicodeDecodeError as exc:
+            raise IngestError(f"input is not valid UTF-8: {exc}") from exc
         return
     try:
-        with open(source, newline="", encoding="utf-8-sig") as fh:
+        with open(source, newline="", encoding="utf-8-sig",
+                  errors="surrogateescape") as fh:
             yield _csv_stream(fh)
     except OSError as exc:
         raise IngestError(f"cannot read {source}: {exc.strerror}") from exc
@@ -412,11 +418,11 @@ def _without_bom(stream):
 
 def _csv_stream(lines):
     """`(columns, blocks)` of CSV text lines, as `_csv_table` says."""
-    reader = csv.reader(chain.from_iterable(_nul_checked(lines)))
+    reader = csv.reader(chain.from_iterable(_checked_lines(lines)))
     try:
         header = next(reader, None)
-    except (UnicodeDecodeError, csv.Error) as exc:
-        raise _reader_error(exc, 1) from exc
+    except csv.Error as exc:
+        raise IngestError(f"row 1: {exc}") from exc
     if not header or all(not c.strip() for c in header):
         raise IngestError("missing header row")
     columns = tuple(c.strip() for c in header)
@@ -427,51 +433,53 @@ def _csv_stream(lines):
 
 
 # Rows per block of the serial `csv.reader` pass, and lines per list that
-# `_nul_checked` hands it.
+# `_checked_lines` hands it.
 _BLOCK_ROWS = 256
 
 
-def _nul_checked(lines):
+def _checked_lines(lines):
     """The text lines `lines` in lists of up to `_BLOCK_ROWS`, for
     `csv.reader` to read chained, with csv.Error in place of the first
-    line that holds a NUL: `csv` reads a NUL as text from Python 3.11 on
-    and rejects it before, so this makes every version report the row
-    that holds it as a bad row. One search per list, not per line. The
-    lines read before an error reading `lines` (invalid UTF-8) come first,
-    as they would unchunked."""
+    line that `csv` cannot take: one that holds a NUL (`csv` reads a NUL
+    as text from Python 3.11 on and rejects it before, so every version
+    reports it as a bad row), or a lone surrogate, which a byte that is
+    not UTF-8 decodes to under `errors="surrogateescape"`. One search for
+    NUL per list, and one `encode` per list that is not all ASCII."""
     lines = iter(lines)
-    while True:
-        chunk, error = [], None
-        try:
-            # `list.extend` keeps the lines it read before an error.
-            chunk.extend(islice(lines, _BLOCK_ROWS))
-        except UnicodeDecodeError as exc:
-            error = exc
-        if "\0" in "".join(chunk):
-            yield chunk[:next(i for i, line in enumerate(chunk)
-                              if "\0" in line)]
-            raise csv.Error("line contains NUL")
+    while chunk := list(islice(lines, _BLOCK_ROWS)):
+        text = "".join(chunk)
+        if "\0" in text or not (text.isascii() or _encodes(text)):
+            for i, line in enumerate(chunk):
+                if "\0" in line or not _encodes(line):
+                    yield chunk[:i]
+                    raise csv.Error("line contains NUL" if "\0" in line
+                                    else "line is not valid UTF-8")
         yield chunk
-        if error is not None:
-            raise error
-        if not chunk:
-            return
+
+
+def _encodes(text: str) -> bool:
+    """Whether `text` encodes as UTF-8: it holds no lone surrogate."""
+    try:
+        text.encode()
+    except UnicodeEncodeError:
+        return False
+    return True
 
 
 def _reader_blocks(reader):
     """`(row number, rows)` for each block of up to `_BLOCK_ROWS` rows of
     `reader`, a `csv.reader` past the header (row 1). The rows read before
-    a `csv.Error` or UnicodeDecodeError form a last block, and the error
-    is raised as IngestError only when that block has been consumed, so a
-    bad row among them is reported first."""
+    a `csv.Error` form a last block, and the error is raised as
+    IngestError naming its row only when that block has been consumed, so
+    a bad row among them is reported first."""
     for first in count(2, _BLOCK_ROWS):
         rows = []
         try:
             # `list.extend` keeps the rows it read before an error.
             rows.extend(islice(reader, _BLOCK_ROWS))
-        except (UnicodeDecodeError, csv.Error) as exc:
+        except csv.Error as exc:
             yield first, rows
-            raise _reader_error(exc, first + len(rows)) from exc
+            raise IngestError(f"row {first + len(rows)}: {exc}") from exc
         if not rows:
             return
         yield first, rows
@@ -498,13 +506,6 @@ def _checked_blocks(blocks, width: int):
             elif row:
                 raise IngestError(f"row {first + i}: expected {width} "
                                   f"cells, got {len(row)}")
-
-
-def _reader_error(exc, rownum: int) -> IngestError:
-    """The IngestError for a `csv.reader` that failed reading row `rownum`."""
-    if isinstance(exc, UnicodeDecodeError):
-        return IngestError(f"input is not valid UTF-8: {exc}")
-    return IngestError(f"row {rownum}: {exc}")
 
 
 class BoundGroups(Value):
@@ -726,9 +727,6 @@ class RunManifest(Value):
     synthetic: bool = False
 
 
-MANIFEST_KEYS = ("dataset_source", "model_id", "declared_use", "synthetic")
-
-
 def read_manifest(path) -> RunManifest:
     """Parse a flat key=value manifest file. `#` starts a comment line."""
     values = {}
@@ -740,7 +738,7 @@ def read_manifest(path) -> RunManifest:
             raise IngestError(f"manifest line {lineno}: expected key=value")
         key, _, value = stripped.partition("=")
         key = key.strip()
-        if key not in MANIFEST_KEYS:
+        if key not in RunManifest._fields:
             raise IngestError(f"manifest line {lineno}: unknown key {key!r}")
         if key in values:
             raise IngestError(f"manifest line {lineno}: duplicate key {key!r}")

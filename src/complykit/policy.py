@@ -34,7 +34,7 @@ to parse. The formatter keeps every digit of a number: one whose `repr`
 has an exponent is written out positionally, since the grammar has no
 exponent form.
 
-Parsing is total: any byte input produces either a checked document or a
+Parsing is total: any text input produces either a checked document or a
 list of diagnostics with line:column positions, never an unhandled crash.
 Each syntax error is reported once, and the parser recovers by one rule:
 it gives up the value the error stands in and skips, past any `[` or `{`

@@ -648,8 +648,7 @@ class TestShardedEvaluate:
 
     @pytest.mark.parametrize("bad_row, message", [
         (b"Male\n", "row 15002: expected 2 cells, got 1"),
-        (b"Female,Oth\xffer\n", "input is not valid UTF-8: 'utf-8' codec "
-         "can't decode byte 0xff"),
+        (b"Female,Oth\xffer\n", "row 15002: line is not valid UTF-8"),
         (b"Female," + b"x" * 200_000 + b"\n",
          "row 15002: field larger than field limit (131072)"),
     ], ids=["ragged", "utf-8", "oversized"])
@@ -758,8 +757,7 @@ class TestShardedPredictions:
         (b"Male,2,1,0.5,a\n", "row 4002: label '2' must be 0 or 1"),
         (b"Male,1,1,high,a\n", "row 4002: score 'high' is not a number"),
         (b"Male,1,1,1.5,a\n", "row 4002: score 1.5 outside [0, 1]"),
-        (b"Male,1,1,0.5,b\xffd\n", "input is not valid UTF-8: 'utf-8' "
-         "codec can't decode byte 0xff"),
+        (b"Male,1,1,0.5,b\xffd\n", "row 4002: line is not valid UTF-8"),
         (b"Male,1,1,0.5," + b"x" * 200_000 + b"\n",
          "row 4002: field larger than field limit (131072)"),
     ], ids=["ragged", "group", "label", "score", "range", "utf-8",
@@ -952,6 +950,71 @@ class TestShardedPredictions:
                 proc.wait(timeout=60)
             for fd in ends:
                 os.close(fd)
+
+
+def _quoted(data: bytes) -> bytes:
+    """Quote-free CSV bytes with every field quoted, so that no split
+    pass reads them."""
+    return b"\n".join(b",".join(b'"%s"' % cell for cell in line.split(b","))
+                      if line else line for line in data.split(b"\n"))
+
+
+class TestInvalidUtf8:
+    """A byte that is not UTF-8 is a bad row: every CSV input names the
+    first bad row in file order, serially and with shards forced, in a
+    quote-free file (split, then left to `csv`) and in a quoted one (read
+    by `csv` alone). The first case holds a ragged row 3 ahead of a bad
+    byte on row 5, the second a bad byte alone on row 5,002."""
+
+    @pytest.fixture(params=[1, 4], ids=["serial", "sharded"])
+    def cpus(self, request, monkeypatch):
+        force_shards(monkeypatch, request.param)
+
+    @pytest.fixture(params=[False, True], ids=["unquoted", "quoted"])
+    def write(self, request, workdir):
+        def write(data):
+            path = workdir / "bad.csv"
+            path.write_bytes(_quoted(data) if request.param else data)
+            return str(path)
+        return write
+
+    def run(self, capsys, *argv):
+        return (main(list(argv)), *capsys.readouterr())
+
+    @pytest.mark.parametrize("rows, message", [
+        (b"Male,x\nFemale\nMale,y\nFemale,b\xffd\n",
+         "row 3: expected 2 cells, got 1\n"),
+        (b"Male,x\n" * 5000 + b"Female,b\xffd\n",
+         "row 5002: line is not valid UTF-8\n"),
+    ], ids=["ragged-first", "late-byte"])
+    def test_dataset(self, workdir, capsys, cpus, write, rows, message):
+        path = write(b"sex,occupation\n" + rows)
+        assert self.run(capsys, "evaluate", str(workdir / "policy.law"),
+                        "--dataset", path) == (2, "", message)
+
+    @pytest.mark.parametrize("rows, message", [
+        (b"Male,1,1,0.5,a\nFemale,1,1\nMale,0,1,0.5,a\nMale,1,1,0.5,b\xffd\n",
+         "row 3: expected 5 cells, got 3\n"),
+        (b"Male,1,1,0.5,a\n" * 5000 + b"Male,1,1,0.5,b\xffd\n",
+         "row 5002: line is not valid UTF-8\n"),
+    ], ids=["ragged-first", "late-byte"])
+    def test_predictions(self, workdir, capsys, cpus, write, rows, message):
+        (workdir / "preds.law").write_text(PREDICTION_POLICY)
+        path = write(b"group,predicted,actual,score,legitimate\n" + rows)
+        assert self.run(capsys, "evaluate", str(workdir / "preds.law"),
+                        "--dataset", str(workdir / "data.csv"),
+                        "--predictions", path) == (2, "", message)
+
+    @pytest.mark.parametrize("rows, message", [
+        (b"sail,3,-2\nwait,1\nrow,1,1\nfly,b\xffd,1\n",
+         "row 3: expected 3 cells, got 2\n"),
+        (b"".join(b"a%d,1,2\n" % i for i in range(5000)) + b"z,\xff,1\n",
+         "row 5002: line is not valid UTF-8\n"),
+    ], ids=["ragged-first", "late-byte"])
+    def test_matrix(self, capsys, cpus, write, rows, message):
+        path = write(b"action,calm,storm\n" + rows)
+        assert self.run(capsys, "decide", "--matrix", path,
+                        "--criterion", "wald") == (2, "", message)
 
 
 class TestTracedPipeline:
@@ -1436,7 +1499,7 @@ class TestDecide:
         code = main(["decide", "--matrix", str(workdir / "bad.csv"),
                      "--criterion", "wald"])
         assert code == 2
-        assert capsys.readouterr().err.startswith("input is not valid UTF-8: ")
+        assert capsys.readouterr().err == "row 2: line is not valid UTF-8\n"
 
     def test_overflowing_regret_exit_two(self, workdir, capsys):
         big = "9" * 308

@@ -82,14 +82,15 @@ class TestReadDataset:
     def test_invalid_utf8_file(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_bytes(b"a,b\n\xff\xfe,2\n")
-        with pytest.raises(IngestError, match="UTF-8"):
+        with pytest.raises(IngestError,
+                           match="^row 2: line is not valid UTF-8$"):
             read_dataset(path)
 
     def test_rows_decoded_before_invalid_utf8_are_checked_first(self,
                                                                 tmp_path):
-        # Rows 1100 and 1250 share one list of `_BLOCK_ROWS` lines but lie
-        # in different 8 KiB blocks of the text decoder, so the ragged row
-        # is decoded, and reported, before the bad byte is reached.
+        # Rows 1100 and 1250 share one list of `_BLOCK_ROWS` lines, and
+        # the ragged row comes first in file order, so it is reported,
+        # not the bad byte.
         rows = [b"Male,x"] * 1300
         rows[1098] = b"Male"
         rows[1248] = b"Fe\xffmale,x"
@@ -97,6 +98,50 @@ class TestReadDataset:
         path.write_bytes(b"\n".join([b"sex,occupation"] + rows) + b"\n")
         with pytest.raises(IngestError,
                            match="^row 1100: expected 2 cells, got 1$"):
+            count_dataset(path, ["sex"])
+
+    def test_caller_decoded_stream_names_no_row(self):
+        # The caller decoded the stream, so its decode error has no row.
+        stream = io.TextIOWrapper(io.BytesIO(b"a,b\n1,2\n\xff,3\n"),
+                                  encoding="utf-8", newline="")
+        with pytest.raises(IngestError, match="^input is not valid UTF-8: "
+                           "'utf-8' codec can't decode byte 0xff"):
+            count_dataset(stream, ["a"])
+
+    @pytest.mark.parametrize("cpus", [1, 3])
+    @pytest.mark.parametrize("first, second, message", [
+        (b"\0", b"\xff", "line contains NUL"),
+        (b"\xff", b"\0", "line is not valid UTF-8"),
+    ], ids=["nul-first", "byte-first"])
+    def test_nul_and_invalid_byte_in_one_list(self, tmp_path, monkeypatch,
+                                              cpus, first, second, message):
+        rows = [b"Male,x"] * 100
+        rows[40] = b"Ma" + first + b"le,x"
+        rows[60] = b"Ma" + second + b"le,x"
+        path = tmp_path / "bad.csv"
+        path.write_bytes(b"\n".join([b"sex,occupation"] + rows) + b"\n")
+        force_shards(monkeypatch, cpus)
+        with pytest.raises(IngestError, match=f"^row 42: {message}$"):
+            count_dataset(path, ["sex"])
+
+    @pytest.mark.parametrize("cpus", [1, 3])
+    def test_invalid_byte_in_the_header_is_row_one(self, tmp_path,
+                                                   monkeypatch, cpus):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(b"se\xffx,occupation\nMale,x\nFemale\n")
+        force_shards(monkeypatch, cpus)
+        with pytest.raises(IngestError,
+                           match="^row 1: line is not valid UTF-8$"):
+            count_dataset(path, ["occupation"])
+
+    def test_invalid_byte_in_a_quoted_record_names_the_record(self,
+                                                              tmp_path):
+        # Records 2 and 3 span lines 2-3 and 4-6: the byte is on line 5.
+        path = tmp_path / "bad.csv"
+        path.write_bytes(b'sex,occupation\nMale,"p\nq"\n'
+                         b'Female,"a\nb\xffc\nd"\nMale\n')
+        with pytest.raises(IngestError,
+                           match="^row 3: line is not valid UTF-8$"):
             count_dataset(path, ["sex"])
 
     def test_missing_file(self, tmp_path):
@@ -865,7 +910,8 @@ class TestSplitPass:
         try:
             if low_limit:
                 csv.field_size_limit(LOW_FIELD_LIMIT)
-            with open(path, newline="", encoding="utf-8-sig") as fh:
+            with open(path, newline="", encoding="utf-8-sig",
+                      errors="surrogateescape") as fh:
                 expected = outcome(read, fh)
             text = data.decode(errors="replace")
             # Nothing here makes the split pass give up: no serial pass.
