@@ -92,9 +92,28 @@ def _discard(name: str) -> None:
 
 
 def _write_bytes(path, data: bytes) -> None:
+    """Write `data` to `path`. A regular or missing file (a symlink's
+    target, so the link stays) is replaced whole, mode kept, through a temp
+    file beside it: a failed write (a full disk, a file-size limit) keeps
+    the old bytes and leaves no temp file. Any other file, such as
+    /dev/null or a FIFO, has nothing to replace and is written in place."""
     try:
-        with open(path, "wb") as fh:
-            fh.write(data)
+        if os.path.exists(path) and not os.path.isfile(path):
+            with open(path, "wb") as fh:
+                fh.write(data)
+            return
+        target = os.path.realpath(path)
+        tmp = f"{target}.{os.getpid()}.tmp"
+        fh = open(tmp, "xb")
+        try:
+            with fh:
+                fh.write(data)
+            if os.path.exists(target):
+                os.chmod(tmp, os.stat(target).st_mode & 0o7777)
+            os.replace(tmp, target)
+        except BaseException:
+            os.unlink(tmp)
+            raise
     except OSError as exc:
         raise IngestError(f"cannot write {path}: {exc.strerror}") from exc
 
@@ -156,13 +175,6 @@ def _finite_float(text):
     return value
 
 
-def _unit_float(text):
-    value = _finite_float(text)
-    if not 0.0 <= value <= 1.0:
-        raise argparse.ArgumentTypeError(f"must lie in [0, 1], got {text!r}")
-    return value
-
-
 def cmd_evaluate(args) -> int:
     # Nothing evaluate builds is cyclic, so the cyclic collector would only
     # rescan the live prediction tally: it is paused for the run, and left
@@ -179,6 +191,8 @@ def cmd_evaluate(args) -> int:
 def _evaluate(args) -> int:
     from . import ingest, report  # only evaluate reads data and reports
 
+    if args.composition_range is not None and args.composition_reference is None:
+        raise IngestError("--composition-range needs --composition-reference")
     _, doc = _load_policy(args.policy)
     if args.composition_reference is not None and doc.protected is None:
         raise IngestError(
@@ -223,8 +237,8 @@ def _evaluate(args) -> int:
         for key, n in counts.items():
             labels[key[0]] += n
         audit = ingest.composition_from_counts(
-            labels, doc.protected.unprivileged_value,
-            args.composition_reference, args.composition_range)
+            labels, doc.protected.unprivileged_value, args.composition_reference,
+            args.composition_range or Interval(-0.05, 0.05))
 
     strategy = decisions.decide(doc.decision) if doc.decision else None
 
@@ -270,8 +284,12 @@ def _trim_c_heap() -> None:
 
 
 def cmd_decide(args) -> int:
+    lam = args.hurwicz_lambda
+    if lam is not None and args.criterion != "hurwicz":
+        raise decisions.DecisionError("--lambda needs --criterion hurwicz")
     matrix = decisions.PayoffMatrix.from_csv(args.matrix)
-    choice = decisions.choose(matrix, args.criterion, args.hurwicz_lambda)
+    choice = decisions.choose(matrix, args.criterion,
+                              policy.DEFAULT_LAMBDA if lam is None else lam)
     lines = [f"criterion: {choice.criterion}"]
     for label, score in zip(matrix.actions, choice.scores):
         lines.append(f"  {label}: {score!r}")
@@ -321,9 +339,9 @@ def build_parser() -> argparse.ArgumentParser:
                         default="both")
     p_eval.add_argument("--composition-reference", type=_finite_float,
                         help="reference share for the composition audit")
-    p_eval.add_argument("--composition-range", type=_parse_range,
-                        default="-0.05,0.05", metavar="LO,HI",
-                        help="legitimate interval for the composition deviation")
+    p_eval.add_argument("--composition-range", type=_parse_range, metavar="LO,HI",
+                        help="legitimate interval for the composition deviation "
+                             "(default -0.05,0.05; needs a reference)")
     p_eval.set_defaults(func=cmd_evaluate)
 
     p_decide = sub.add_parser("decide",
@@ -332,8 +350,8 @@ def build_parser() -> argparse.ArgumentParser:
                           help="CSV: header = states, first column = actions")
     p_decide.add_argument("--criterion", required=True,
                           choices=decisions.CRITERIA)
-    p_decide.add_argument("--lambda", dest="hurwicz_lambda", type=_unit_float,
-                          default=0.5, help="optimism weight for hurwicz")
+    p_decide.add_argument("--lambda", dest="hurwicz_lambda", type=_finite_float,
+                          help="hurwicz only: optimism weight (default 0.5)")
     p_decide.set_defaults(func=cmd_decide)
 
     p_fmt = sub.add_parser("fmt", help="rewrite a policy in canonical form")

@@ -14,12 +14,14 @@ Grammar (normative):
     favorable := "favorable_outcome" name "{" "value" "=" STRING "}"
     metric    := "metric" IDENT "{" ("range" "=" interval
                | "bins" "=" NUMBER | "tolerance" "=" NUMBER)* "}"
+                 # "bins" in "metric calibration" only
     sources   := "approved_sources" "{" STRING* "}"
     model     := "approved_model" STRING "{" ("acceptable_uses" "="
                      string_list | "synthetic_data_capability" "=" BOOL)* "}"
     decision  := "decision" "{" ("actions" "=" string_list
                | "states" "=" string_list | "payoffs" "=" matrix
                | "criterion" "=" IDENT | "lambda" "=" NUMBER)* "}"
+                 # "lambda" with "criterion" "=" "hurwicz" only
     interval  := "[" NUMBER "," NUMBER "]"
     name      := IDENT | STRING
 
@@ -387,7 +389,7 @@ class _Parser:
 
         Returns (values, keys): for each key given, the value its last
         assignment parsed (None if that failed, already reported) and its
-        last key token. A key in `keys` is never also reported as missing.
+        first key token. A key in `keys` is never also reported as missing.
         """
         values, keys = {}, {}
         for tok in self.items(self.expect("{", "'{'")):
@@ -399,7 +401,7 @@ class _Parser:
             if key.value in keys:
                 self.error(key, f"duplicate {key.value!r} in {context} block",
                            SEMANTIC)
-            keys[key.value], values[key.value] = key, None
+            keys[key.value], values[key.value] = keys.get(key.value, key), None
             try:
                 self.expect("=", "'='")
                 values[key.value] = fields[key.value]()
@@ -488,15 +490,18 @@ class _Parser:
 
     def item_metric(self, kw: Token, doc: dict):
         name_tok = self.expect("IDENT", "a metric id")
-        values, keys = self.parse_block({
+        metric_id = resolve_metric_id(name_tok.value)
+        fields = {
             "range": self.parse_interval,
             "bins": lambda: self.parse_checked(
                 lambda v: v == int(v) and v >= 2,
                 "bins must be an integer >= 2"),
             "tolerance": lambda: self.parse_checked(
                 lambda v: v >= 0, "tolerance must be nonnegative"),
-        }, "metric")
-        metric_id = resolve_metric_id(name_tok.value)
+        }
+        if metric_id not in (None, "calibration"):
+            del fields["bins"]  # an unknown id keeps it: a typo is one error
+        values, keys = self.parse_block(fields, "metric")
         if metric_id is None:
             self.error(name_tok, f"unknown metric id {name_tok.value!r}",
                        SEMANTIC)
@@ -556,6 +561,8 @@ class _Parser:
             "lambda": lambda: self.parse_checked(
                 lambda v: 0.0 <= v <= 1.0, "lambda must lie in [0, 1]"),
         }, "decision")
+        if "lambda" in keys and values.get("criterion") not in (None, "hurwicz"):
+            self.error(keys["lambda"], "lambda needs criterion hurwicz", SEMANTIC)
         required = ("actions", "states", "payoffs", "criterion")
         missing = [k for k in required if k not in keys]
         if missing:

@@ -12,6 +12,8 @@ from complykit.decisions import PayoffMatrix
 from complykit.fairness import PRIVILEGED, UNPRIVILEGED
 from complykit.intervals import Interval
 from complykit.policy import (
+    DEFAULT_BINS,
+    DEFAULT_LAMBDA,
     DecisionSpec,
     FavorableSpec,
     MetricConstraint,
@@ -162,7 +164,9 @@ def random_document(rng: random.Random) -> PolicyDocument:
         hi = _rand_fraction(rng)
         if lo > hi:
             lo, hi = hi, lo
-        bins = rng.choice((10, 10, 2, 5, 20))
+        # only calibration reads `bins`
+        bins = (rng.choice((10, 10, 2, 5, 20)) if metric_id == "calibration"
+                else DEFAULT_BINS)
         tolerance = rng.choice((0.0, 0.0, 0.01, 0.5))
         metrics.append(MetricConstraint(metric_id, Interval(lo, hi),
                                         bins, tolerance))
@@ -188,10 +192,12 @@ def random_document(rng: random.Random) -> PolicyDocument:
         states = [f"{_rand_string(rng, 1, 8)}-{i}" for i in range(n_states)]
         payoffs = [[float(rng.randint(-10, 10)) for _ in range(n_states)]
                    for _ in range(n_actions)]
+        criterion = rng.choice(("wald", "hurwicz", "savage"))
         decision = DecisionSpec(
-            PayoffMatrix(actions, states, payoffs),
-            rng.choice(("wald", "hurwicz", "savage")),
-            rng.choice((0.5, 0.5, 0.0, 1.0, 0.25)),
+            PayoffMatrix(actions, states, payoffs), criterion,
+            # only hurwicz reads `lambda`
+            rng.choice((0.5, 0.5, 0.0, 1.0, 0.25)) if criterion == "hurwicz"
+            else DEFAULT_LAMBDA,
         )
 
     return PolicyDocument(

@@ -378,6 +378,14 @@ class TestEvaluate:
         assert err.endswith("argument --composition-range: bad range "
                             f"{value!r}; expected LO,HI{reason}\n")
 
+    def test_composition_range_needs_a_reference(self, workdir, capsys):
+        # Without a reference no audit runs, so a range would go unread.
+        code = main(["evaluate", str(workdir / "policy.law"),
+                     "--dataset", str(workdir / "absent.csv"),
+                     "--composition-range=-0.9,0.9"])
+        assert (code, *capsys.readouterr()) == (
+            2, "", "--composition-range needs --composition-reference\n")
+
     def test_composition_needs_protected_before_reading(self, workdir,
                                                         capsys):
         (workdir / "bare.law").write_text(
@@ -879,7 +887,7 @@ class TestShardedPredictions:
     def test_no_calibration_constraint_bins_nothing(
             self, preds_dir, capsys, monkeypatch, cpus):
         (preds_dir / "preds.law").write_text(PREDICTION_POLICY.replace(
-            "calibration", "predictive_parity"))
+            "    bins = 5\n", "").replace("calibration", "predictive_parity"))
         path = preds_dir / "scored.csv"
         path.write_bytes(b"group,predicted,actual,score,legitimate\n"
                          + PREDICTION_ROWS.replace(b",,", b",0.5,") * 4)
@@ -1316,6 +1324,51 @@ class TestExitCodes:
         assert proc.returncode == 2
         assert proc.stderr == b"cannot write stdout: Bad file descriptor\n"
 
+    @pytest.mark.skipif(not hasattr(os, "fork"),
+                        reason="a file-size limit in the child needs preexec_fn")
+    def test_failed_write_keeps_the_old_file(self, workdir):
+        # With a file-size limit of 0 (Python ignores SIGXFSZ) every write
+        # to a regular file fails with EFBIG: `fmt --write` and `--json`
+        # must keep the old bytes, and leave no temp file behind.
+        import resource
+
+        def no_file_growth():
+            resource.setrlimit(resource.RLIMIT_FSIZE, (0, 0))
+
+        def run(*command, limit=True):
+            return subprocess.run(
+                [sys.executable, "-m", "complykit.cli", *command],
+                cwd=workdir, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+                env=_cli_env(), timeout=60,
+                preexec_fn=no_file_growth if limit else None)
+
+        policy_text = (workdir / "policy.law").read_bytes()  # not canonical
+        assert run("evaluate", "policy.law", "--dataset", "data.csv",
+                   "--json", "report.json", limit=False).returncode == 0
+        report = (workdir / "report.json").read_bytes()
+        names = sorted(os.listdir(workdir))
+        for command, path in [(["fmt", "--write", "policy.law"], "policy.law"),
+                              (["evaluate", "policy.law", "--dataset",
+                                "data.csv", "--json", "report.json"],
+                               "report.json")]:
+            proc = run(*command)
+            assert proc.returncode == 2
+            assert proc.stderr == f"cannot write {path}: File too large\n".encode()
+        assert (workdir / "policy.law").read_bytes() == policy_text
+        assert (workdir / "report.json").read_bytes() == report
+        assert sorted(os.listdir(workdir)) == names
+        # A path that is not a regular file is written in place.
+        assert run("evaluate", "policy.law", "--dataset", "data.csv",
+                   "--json", os.devnull).returncode == 0
+        # A link is kept, and its target is replaced with its mode.
+        os.symlink("policy.law", workdir / "link.law")
+        os.chmod(workdir / "policy.law", 0o640)
+        assert run("fmt", "--write", "link.law", limit=False).returncode == 1
+        assert os.path.islink(workdir / "link.law")
+        assert (workdir / "policy.law").read_text() == \
+            serialize_policy(parse_policy(policy_text.decode()))
+        assert os.stat(workdir / "policy.law").st_mode & 0o7777 == 0o640
+
     def test_internal_error_exits_two(self, workdir, capsys, monkeypatch):
         def broken(*args):
             raise RuntimeError("metric exploded")
@@ -1435,21 +1488,37 @@ class TestDecide:
         assert code == 0
         assert capsys.readouterr().out == expected
 
-    @pytest.mark.parametrize("criterion", ["wald", "hurwicz", "savage"])
     @pytest.mark.parametrize("value, message", [
-        ("7", "must lie in [0, 1], got '7'"),
-        ("-0.1", "must lie in [0, 1], got '-0.1'"),
-        ("nan", "must be finite, got 'nan'")])
+        ("7", "lambda must lie in [0, 1]"),
+        ("-0.1", "lambda must lie in [0, 1]"),
+        ("nan", "argument --lambda: must be finite, got 'nan'")],
+        ids=["above", "below", "nan"])
     def test_lambda_outside_unit_interval_exit_two(self, workdir, capsys,
-                                                   criterion, value, message):
-        """`--lambda` is checked at argument parsing under every
-        criterion, as a policy's `lambda` is by the grammar."""
+                                                   value, message):
+        """Hurwicz checks its `--lambda` as a policy's `lambda` is checked;
+        a value that is not a finite number is a usage error."""
         code = main(["decide", "--matrix", str(workdir / "matrix.csv"),
-                     "--criterion", criterion, f"--lambda={value}"])
+                     "--criterion", "hurwicz", f"--lambda={value}"])
         out, err = capsys.readouterr()
-        assert code == 2
-        assert out == ""
-        assert f"argument --lambda: {message}\n" in err
+        assert (code, out) == (2, "")
+        assert err.endswith(f"{message}\n")
+
+    @pytest.mark.parametrize("criterion", ["wald", "savage"])
+    def test_lambda_needs_hurwicz(self, workdir, capsys, criterion):
+        # Only Hurwicz reads `--lambda`.
+        code = main(["decide", "--matrix", str(workdir / "matrix.csv"),
+                     "--criterion", criterion, "--lambda", "0.5"])
+        assert (code, *capsys.readouterr()) == (
+            2, "", "--lambda needs --criterion hurwicz\n")
+
+    def test_hurwicz_lambda_defaults_to_one_half(self, workdir, capsys):
+        argv = ["decide", "--matrix", str(workdir / "matrix.csv"),
+                "--criterion", "hurwicz"]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert "  Average: 0.0\n" in out
+        assert main(argv + ["--lambda", "0.5"]) == 0
+        assert capsys.readouterr().out == out
 
     @pytest.mark.parametrize("criterion, scores, chosen", [
         ("hurwicz", "  a: 0.15\n  b: 0.15000000000000002\n", "a (value 0.15)"),
@@ -1457,12 +1526,13 @@ class TestDecide:
     ])
     def test_exact_tie_goes_to_the_first_action(self, tmp_path, capsys,
                                                 criterion, scores, chosen):
-        """Both actions score exactly 0.15 under Hurwicz (lambda 0.5), and
-        both regret exactly 0.2 at worst, in the decimals written; float
-        rounding does not break the tie toward the later action."""
+        """Both actions score exactly 0.15 under Hurwicz (at its default
+        lambda, 0.5), and both regret exactly 0.2 at worst, in the decimals
+        written; float rounding does not break the tie toward the later
+        action."""
         (tmp_path / "tie.csv").write_text("action,s1,s2\na,0.3,0\nb,0.1,0.2\n")
         code = main(["decide", "--matrix", str(tmp_path / "tie.csv"),
-                     "--criterion", criterion, "--lambda", "0.5"])
+                     "--criterion", criterion])
         out = capsys.readouterr().out
         assert code == 0
         assert f"criterion: {criterion}\n{scores}" in out

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from complykit import policy
+from complykit._shared import METRIC_IDS
 from complykit.decisions import CRITERIA, PayoffMatrix, choose
 from complykit.ingest import RunManifest
 from complykit.intervals import Interval
@@ -39,7 +40,7 @@ NUMERIC_POLICY = (
     'policy "p" {{\n'
     '  metric calibration {{ range = [{}, {}] bins = {} tolerance = {} }}\n'
     '  decision {{ actions = ["a", "b"] states = ["s"] payoffs = [[{}], [{}]]\n'
-    '    criterion = savage lambda = {} }}\n'
+    '    criterion = hurwicz lambda = {} }}\n'
     '}}\n')
 
 
@@ -222,6 +223,34 @@ class TestParse:
             'policy "p" { protected_attribute sex '
             '{ privileged = "x"; unprivileged = "x" } }')
         assert any("must differ" in d.message for d in diags)
+
+    @pytest.mark.parametrize("metric_id", METRIC_IDS)
+    def test_bins_only_in_calibration(self, metric_id):
+        # Only calibration reads `bins`: elsewhere it is one unexpected key.
+        text = (f'policy "p" {{\n  metric {metric_id} {{ range = [0, 1]\n'
+                '    bins = 7 tolerance = 0.5 }\n}\n')
+        doc, diags = parse_policy_with_diagnostics(text)
+        if metric_id == "calibration":
+            assert (diags, doc.metrics[0].bins) == ([], 7)
+        else:
+            assert [str(d) for d in diags] == [
+                "3:5: SyntaxError: unexpected IDENT 'bins' in metric block"]
+
+    @pytest.mark.parametrize("criterion", ["wald", "savage", "hurwicz"])
+    @pytest.mark.parametrize("keys", ["lambda = 0.25 criterion = {}",
+                                      "criterion = {} lambda = 0.25"])
+    def test_lambda_only_under_hurwicz(self, criterion, keys):
+        # Only Hurwicz reads `lambda`, in either key order.
+        line = f"  payoffs = [[1]] {keys.format(criterion)}"
+        doc, diags = parse_policy_with_diagnostics(
+            'policy "p" { decision { actions = ["a"] states = ["s"]\n'
+            f'{line} }} }}')
+        if criterion == "hurwicz":
+            assert (diags, doc.decision.hurwicz_lambda) == ([], 0.25)
+        else:
+            assert [str(d) for d in diags] == [
+                f"2:{line.index('lambda') + 1}: SemanticError: "
+                "lambda needs criterion hurwicz"]
 
     def test_bad_lambda(self):
         _, diags = parse_policy_with_diagnostics(

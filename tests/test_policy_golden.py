@@ -39,9 +39,6 @@ _INSERTS = (
     '"', "-", "1.", "9" * 400, "# note\n", "\n",
 )
 
-_DECISION = ('decision { actions = ["a", "b"] states = ["s"] '
-             'payoffs = [[1], [2]] criterion = wald }')
-
 
 def _decision(payoffs, actions=1, states=2, criterion="wald"):
     """A policy with one decision block over `payoffs`, spliced in as text."""
@@ -182,6 +179,16 @@ HAND_WRITTEN = (
     'policy "p" { metric calibration { width = 3 range = [0, 1] } }',
     'policy "p" { 42 metric calibration { range = [0, 1] } }',
     'policy "p" { decision {} decision {} }',
+    # keys only another metric or criterion reads
+    'policy "p" { metric equal_opportunity { range = [-0.1, 0.1] bins = 7 } }',
+    'policy "p" { metric stat_mean_difference { bins = 7 range = [0, 1] } }',
+    'policy "p" { metric nope { range = [0, 1] bins = 7 } }',
+    'policy "p" { metric calibration { range = [0, 1] bins = 7 } }',
+    _decision("[[1, 2]]", criterion="wald lambda = 0.9"),
+    _decision("[[1, 2]] lambda = 0.9", criterion="savage"),
+    _decision("[[1, 2]]", criterion="savage lambda = 2"),
+    _decision("[[1, 2]] lambda = 0.9 lambda = 0.9", criterion="wald"),
+    _decision("[[1, 2]]", criterion="hurwicz lambda = 0.9"),
     # a key repeated within a block
     'policy "p" { protected_attribute sex { privileged = "M" '
     'privileged = 1 unprivileged = "F" } }',
@@ -208,7 +215,7 @@ HAND_WRITTEN = (
     'criterion = wald criterion = laplace } }',
     'policy "p" { decision { actions = ["a"] states = ["s"] payoffs = [[1]] '
     'criterion = hurwicz lambda = 0.2 lambda = 2 } }',
-    _DECISION.replace("wald }", "wald criterion = wald }"),
+    _decision("[[1, 2]]", criterion="wald criterion = wald"),
     # bracketed number lists: payoff rows and every other place one can stand
     _decision("[[1,\n 2], [3, 4]]", actions=2),
     _decision("[[1, # two\n 2], [3, 4]]", actions=2),
