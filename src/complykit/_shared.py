@@ -32,3 +32,18 @@ METRIC_ALIASES = {"stat_mean_difference": "statistical_parity_difference"}
 def resolve_metric_id(name: str) -> str | None:
     name = METRIC_ALIASES.get(name, name)
     return name if name in METRIC_IDS else None
+
+
+def check_metric_id(name: str) -> str:
+    """The metric id `name` names, an alias resolved; ValueError if none."""
+    metric_id = resolve_metric_id(name)
+    if metric_id is None:
+        raise ValueError(f"unknown metric id {name!r}")
+    return metric_id
+
+
+def check_bins(bins) -> int:
+    """`bins` as an int, if it is an integer >= 2; else ValueError."""
+    if not (bins >= 2 and bins % 1 == 0):  # an infinity's `% 1` is NaN
+        raise ValueError("bins must be an integer >= 2")
+    return int(bins)

@@ -91,12 +91,25 @@ def _discard(name: str) -> None:
         os.close(devnull)
 
 
+def _is_stdout(path) -> bool:
+    """Whether `path` is the file that stdout (descriptor 1) writes."""
+    try:
+        return os.path.samestat(os.stat(path), os.fstat(1))
+    except OSError:
+        return False
+
+
 def _write_bytes(path, data: bytes) -> None:
-    """Write `data` to `path`. A regular or missing file (a symlink's
+    """Write `data` to `path`. The file that stdout writes, such as
+    /dev/stdout, is written through stdout, so that what stdout writes next
+    follows it, as in a pipe. A regular or missing file (a symlink's
     target, so the link stays) is replaced whole, mode kept, through a temp
     file beside it: a failed write (a full disk, a file-size limit) keeps
     the old bytes and leaves no temp file. Any other file, such as
     /dev/null or a FIFO, has nothing to replace and is written in place."""
+    if _is_stdout(path):
+        _write("stdout", data.decode("utf-8"))
+        return
     try:
         if os.path.exists(path) and not os.path.isfile(path):
             with open(path, "wb") as fh:

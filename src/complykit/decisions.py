@@ -29,6 +29,21 @@ class DecisionError(ValueError):
     pass
 
 
+def check_criterion(criterion: str) -> str:
+    """`criterion`, if it is one of CRITERIA; else DecisionError."""
+    if criterion not in CRITERIA:
+        raise DecisionError(f"unknown criterion {criterion!r}; expected "
+                            "wald, hurwicz, or savage")
+    return criterion
+
+
+def check_lambda(lam: float) -> float:
+    """`lam`, if it lies in [0, 1]; else DecisionError."""
+    if not 0.0 <= lam <= 1.0:
+        raise DecisionError("lambda must lie in [0, 1]")
+    return lam
+
+
 class PayoffMatrix(Value):
     actions: tuple
     states: tuple
@@ -128,8 +143,7 @@ def wald(m: PayoffMatrix) -> StrategyChoice:
 
 
 def hurwicz(m: PayoffMatrix, lam: float) -> StrategyChoice:
-    if not 0.0 <= lam <= 1.0:
-        raise DecisionError("lambda must lie in [0, 1]")
+    check_lambda(lam)
     highs = list(map(max, m.values))
     lows = list(map(min, m.values))
     scores = tuple(lam * hi + (1.0 - lam) * lo for hi, lo in zip(highs, lows))
@@ -172,13 +186,12 @@ def savage(m: PayoffMatrix) -> StrategyChoice:
 
 
 def choose(m: PayoffMatrix, criterion: str, lam: float = 0.5) -> StrategyChoice:
+    check_criterion(criterion)
     if criterion == "wald":
         return wald(m)
     if criterion == "hurwicz":
         return hurwicz(m, lam)
-    if criterion == "savage":
-        return savage(m)
-    raise DecisionError(f"unknown criterion {criterion!r}")
+    return savage(m)
 
 
 def decide(spec) -> StrategyChoice:

@@ -19,6 +19,7 @@ from operator import mul
 from typing import Optional
 
 from ._shared import METRIC_IDS, resolve_metric_id  # re-exported
+from ._shared import check_bins
 from ._value import Value
 
 PRIVILEGED = "privileged"
@@ -337,8 +338,7 @@ def calibration_gap(gp: GroupedPredictions, bins: int = 10) -> MetricValue:
     strata are, by `_gaps_by_key`.
     """
     mid = "calibration"
-    if bins < 2:
-        raise ValueError("bins must be >= 2")
+    bins = check_bins(bins)
     problem = _require_scores(gp, mid)
     if problem:
         return problem

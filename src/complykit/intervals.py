@@ -24,11 +24,20 @@ class Interval(Value):
         return self.lo <= x <= self.hi
 
     def widened(self, tolerance: float) -> "Interval":
-        """Interval grown by `tolerance` on each side."""
-        if tolerance < 0:
-            raise ValueError("tolerance must be nonnegative")
-        return Interval(self.lo - tolerance, self.hi + tolerance)
+        """Interval grown by `tolerance` on each side; ValueError if
+        `tolerance` is refused or an endpoint overflows."""
+        check_tolerance(tolerance)
+        try:
+            return Interval(self.lo - tolerance, self.hi + tolerance)
+        except ValueError:
+            raise ValueError("range widened by tolerance is not finite") from None
 
     def __str__(self) -> str:
         return f"[{self.lo}, {self.hi}]"
 
+
+def check_tolerance(tolerance: float) -> float:
+    """`tolerance`, if it is >= 0 (not NaN); else ValueError."""
+    if not tolerance >= 0:
+        raise ValueError("tolerance must be nonnegative")
+    return tolerance

@@ -43,9 +43,12 @@ it gives up the value the error stands in and skips, past any `[` or `{`
 group, to the next key of the block or to the block's `}`. An error in
 an item outside its block, and a second copy of a section, skip the item
 to the next item keyword. A stray token where a key or an item belongs
-is skipped alone first. A semantic error (an inverted interval,
-`bins = 1`, a number too large for a float) drops its value but skips
-nothing.
+is skipped alone first. A semantic error drops its value but skips
+nothing. One about a value (an inverted interval, `bins = 1`, a metric
+id given twice) is the ValueError that the library raises for the same
+value, from a value type's constructor or a `check_*` function, reported
+at the token of the value or of its item; of these only a number too
+large for a float is the parser's own.
 """
 
 from __future__ import annotations
@@ -54,10 +57,10 @@ import math
 import re
 from typing import NamedTuple, Optional
 
-from ._shared import resolve_metric_id
+from ._shared import check_bins, check_metric_id, resolve_metric_id
 from ._value import Value
-from .decisions import CRITERIA, DecisionError, PayoffMatrix
-from .intervals import Interval
+from .decisions import PayoffMatrix, check_criterion, check_lambda
+from .intervals import Interval, check_tolerance
 
 LEX = "LexError"
 SYNTAX = "SyntaxError"
@@ -88,11 +91,48 @@ class PolicyError(Exception):
 
 # ---------------------------------------------------------------------------
 # Document model
+#
+# Each value type checks its fields when built, by the rules the parser
+# applies to the same values, and raises ValueError in the words of the
+# parser's diagnostic. A rule on one field is a `check_*` function, which
+# the parser also calls at the value's token.
+
+def _unexpected(what: str, context: str) -> str:
+    return f"unexpected {what} in {context} block"
+
+
+_DUPLICATE = {"metric": "duplicate metric {!r}",
+              "model": "duplicate model {!r}"}
+
+
+def _distinct(what: str, ids: list) -> list:
+    """`ids`, if none repeats an earlier one; else ValueError."""
+    seen = set()
+    for i in ids:
+        if i in seen:
+            raise ValueError(_DUPLICATE[what].format(i))
+        seen.add(i)
+    return ids
+
+
+def _lambda_criterion(criterion: str) -> str:
+    """`criterion`, if it reads `lambda` (only hurwicz does); else
+    ValueError."""
+    if criterion != "hurwicz":
+        raise ValueError("lambda needs criterion hurwicz")
+    return criterion
+
 
 class ProtectedSpec(Value):
     attribute: str
     privileged_value: str
     unprivileged_value: str
+
+    def __init__(self, attribute: str, privileged_value: str,
+                 unprivileged_value: str):
+        if privileged_value == unprivileged_value:
+            raise ValueError("privileged and unprivileged values must differ")
+        super().__init__(attribute, privileged_value, unprivileged_value)
 
 
 class FavorableSpec(Value):
@@ -101,10 +141,21 @@ class FavorableSpec(Value):
 
 
 class MetricConstraint(Value):
-    metric_id: str
+    metric_id: str  # an alias is resolved
     range: Interval
-    bins: int = DEFAULT_BINS
+    bins: int = DEFAULT_BINS  # only calibration sets it
     tolerance: float = DEFAULT_TOLERANCE
+
+    def __init__(self, metric_id: str, range: Interval,
+                 bins: int = DEFAULT_BINS,
+                 tolerance: float = DEFAULT_TOLERANCE):
+        metric_id = check_metric_id(metric_id)
+        bins = check_bins(bins)
+        if bins != DEFAULT_BINS and metric_id != "calibration":
+            # the grammar has a `bins` key in `metric calibration` alone
+            raise ValueError(_unexpected("IDENT 'bins'", "metric"))
+        range.widened(tolerance)
+        super().__init__(metric_id, range, bins, tolerance)
 
 
 class ModelSpec(Value):
@@ -116,7 +167,15 @@ class ModelSpec(Value):
 class DecisionSpec(Value):
     payoffs: PayoffMatrix
     criterion: str
-    hurwicz_lambda: float = DEFAULT_LAMBDA
+    hurwicz_lambda: float = DEFAULT_LAMBDA  # only hurwicz sets it
+
+    def __init__(self, payoffs: PayoffMatrix, criterion: str,
+                 hurwicz_lambda: float = DEFAULT_LAMBDA):
+        check_criterion(criterion)
+        check_lambda(hurwicz_lambda)
+        if hurwicz_lambda != DEFAULT_LAMBDA:
+            _lambda_criterion(criterion)
+        super().__init__(payoffs, criterion, hurwicz_lambda)
 
 
 class PolicyDocument(Value):
@@ -127,6 +186,15 @@ class PolicyDocument(Value):
     approved_sources: frozenset = frozenset()
     approved_models: tuple = ()  # ModelSpecs, document order
     decision: Optional[DecisionSpec] = None
+
+    def __init__(self, name: str, protected: Optional[ProtectedSpec] = None,
+                 favorable: Optional[FavorableSpec] = None, metrics=(),
+                 approved_sources=frozenset(), approved_models=(),
+                 decision: Optional[DecisionSpec] = None):
+        _distinct("metric", [m.metric_id for m in metrics])
+        _distinct("model", [m.model_id for m in approved_models])
+        super().__init__(name, protected, favorable, metrics,
+                         approved_sources, approved_models, decision)
 
     def model(self, model_id: str) -> Optional[ModelSpec]:
         for m in self.approved_models:
@@ -320,6 +388,15 @@ class _Parser:
                 return
             yield tok
 
+    def check(self, tok: Token, rule, *args):
+        """`rule(*args)`, or None after its ValueError is reported at
+        `tok` as a semantic error."""
+        try:
+            return rule(*args)
+        except ValueError as exc:
+            self.error(tok, str(exc), SEMANTIC)
+            return None
+
     # -- value parsers ------------------------------------------------
     # Each reports a syntax error by _Abandon, and a semantic one by
     # returning None after consuming the whole value.
@@ -331,11 +408,10 @@ class _Parser:
             return None
         return tok
 
-    def parse_checked(self, valid, message: str) -> Optional[Token]:
-        """A number for which `valid(value)` holds, else `message`."""
+    def parse_checked(self, rule) -> Optional[Token]:
+        """A number that `rule`, a `check_*` function, accepts."""
         tok = self.parse_number()
-        if tok is not None and not valid(tok.value):
-            self.error(tok, message, SEMANTIC)
+        if tok is None or self.check(tok, rule, tok.value) is None:
             return None
         return tok
 
@@ -344,11 +420,7 @@ class _Parser:
 
     def parse_criterion(self) -> Optional[str]:
         tok = self.expect("IDENT", "a criterion name")
-        if tok.value in CRITERIA:
-            return tok.value
-        self.error(tok, f"unknown criterion {tok.value!r}; expected "
-                        "wald, hurwicz, or savage", SEMANTIC)
-        return None
+        return self.check(tok, check_criterion, tok.value)
 
     def parse_interval(self) -> Optional[Interval]:
         self.expect("[", "'['")
@@ -358,11 +430,7 @@ class _Parser:
         self.expect("]", "']'")
         if lo is None or hi is None:
             return None
-        try:
-            return Interval(lo.value, hi.value)
-        except ValueError as exc:
-            self.error(lo, str(exc), SEMANTIC)
-            return None
+        return self.check(lo, Interval, lo.value, hi.value)
 
     def parse_list(self, parse_item) -> Optional[list]:
         """`[ item, ... ]` with optional commas; None if an item is."""
@@ -394,8 +462,8 @@ class _Parser:
         values, keys = {}, {}
         for tok in self.items(self.expect("{", "'{'")):
             if tok.type != "IDENT" or tok.value not in fields:
-                self.skip_stray(tok, f"unexpected {self._describe(tok)} in "
-                                     f"{context} block", fields)
+                self.skip_stray(tok, _unexpected(self._describe(tok), context),
+                                fields)
                 continue
             key = self.next()
             if key.value in keys:
@@ -468,15 +536,10 @@ class _Parser:
         if "privileged" not in keys or "unprivileged" not in keys:
             self.error(kw, "protected_attribute needs privileged and "
                            "unprivileged values", SEMANTIC)
-        elif privileged is None or unprivileged is None:
-            return
-        elif privileged.value == unprivileged.value:
-            self.error(unprivileged,
-                       "privileged and unprivileged values must differ",
-                       SEMANTIC)
-        else:
-            doc["protected"] = ProtectedSpec(attribute.value, privileged.value,
-                                             unprivileged.value)
+        elif privileged is not None and unprivileged is not None:
+            doc["protected"] = self.check(
+                unprivileged, ProtectedSpec, attribute.value, privileged.value,
+                unprivileged.value)
 
     def item_favorable_outcome(self, kw: Token, doc: dict):
         attribute = self.expect(("IDENT", "STRING"), "a name")
@@ -493,21 +556,15 @@ class _Parser:
         metric_id = resolve_metric_id(name_tok.value)
         fields = {
             "range": self.parse_interval,
-            "bins": lambda: self.parse_checked(
-                lambda v: v == int(v) and v >= 2,
-                "bins must be an integer >= 2"),
-            "tolerance": lambda: self.parse_checked(
-                lambda v: v >= 0, "tolerance must be nonnegative"),
+            "bins": lambda: self.parse_checked(check_bins),
+            "tolerance": lambda: self.parse_checked(check_tolerance),
         }
         if metric_id not in (None, "calibration"):
             del fields["bins"]  # an unknown id keeps it: a typo is one error
         values, keys = self.parse_block(fields, "metric")
-        if metric_id is None:
-            self.error(name_tok, f"unknown metric id {name_tok.value!r}",
-                       SEMANTIC)
-            return
-        if any(m.metric_id == metric_id for m in doc["metrics"]):
-            self.error(name_tok, f"duplicate metric {metric_id!r}", SEMANTIC)
+        ids = [m.metric_id for m in doc["metrics"]] + [metric_id]
+        if (self.check(name_tok, check_metric_id, name_tok.value) is None
+                or self.check(name_tok, _distinct, "metric", ids) is None):
             return
         span = values.get("range")
         if span is None:
@@ -515,17 +572,13 @@ class _Parser:
                 self.error(name_tok, f"metric {metric_id!r} needs a range",
                            SEMANTIC)
             return
-        tolerance_tok = values.get("tolerance")
-        tolerance = _value(tolerance_tok, DEFAULT_TOLERANCE)
-        try:
-            span.widened(tolerance)
-        except ValueError:
-            self.error(tolerance_tok or name_tok, "range widened by tolerance "
-                                                  "is not finite", SEMANTIC)
-            return
-        bins = int(_value(values.get("bins"), DEFAULT_BINS))
-        doc["metrics"].append(MetricConstraint(metric_id, span, bins,
-                                               tolerance))
+        tolerance = values.get("tolerance")
+        constraint = self.check(
+            tolerance or name_tok, MetricConstraint, metric_id, span,
+            _value(values.get("bins"), DEFAULT_BINS),
+            _value(tolerance, DEFAULT_TOLERANCE))
+        if constraint is not None:
+            doc["metrics"].append(constraint)
 
     def item_approved_sources(self, kw: Token, doc: dict):
         for tok in self.items(self.expect("{", "'{'")):
@@ -545,8 +598,8 @@ class _Parser:
             "synthetic_data_capability": lambda: self.expect(
                 "IDENT", "true or false", ("true", "false")),
         }, "approved_model")
-        if any(m.model_id == id_tok.value for m in doc["models"]):
-            self.error(id_tok, f"duplicate model {id_tok.value!r}", SEMANTIC)
+        ids = [m.model_id for m in doc["models"]] + [id_tok.value]
+        if self.check(id_tok, _distinct, "model", ids) is None:
             return
         doc["models"].append(ModelSpec(
             id_tok.value, frozenset(values.get("acceptable_uses") or ()),
@@ -558,11 +611,11 @@ class _Parser:
             "states": self.parse_strings,
             "payoffs": lambda: self.parse_list(self.parse_row),
             "criterion": self.parse_criterion,
-            "lambda": lambda: self.parse_checked(
-                lambda v: 0.0 <= v <= 1.0, "lambda must lie in [0, 1]"),
+            "lambda": lambda: self.parse_checked(check_lambda),
         }, "decision")
-        if "lambda" in keys and values.get("criterion") not in (None, "hurwicz"):
-            self.error(keys["lambda"], "lambda needs criterion hurwicz", SEMANTIC)
+        criterion = values.get("criterion")
+        refused = ("lambda" in keys and criterion is not None and self.check(
+            keys["lambda"], _lambda_criterion, criterion) is None)
         required = ("actions", "states", "payoffs", "criterion")
         missing = [k for k in required if k not in keys]
         if missing:
@@ -570,15 +623,11 @@ class _Parser:
                        SEMANTIC)
         if missing or any(values[k] is None for k in required):
             return
-        try:
-            matrix = PayoffMatrix(values["actions"], values["states"],
-                                  values["payoffs"])
-        except DecisionError as exc:
-            self.error(keys["payoffs"], str(exc), SEMANTIC)
-            return
-        doc["decision"] = DecisionSpec(
-            matrix, values["criterion"],
-            _value(values.get("lambda"), DEFAULT_LAMBDA))
+        matrix = self.check(keys["payoffs"], PayoffMatrix, values["actions"],
+                            values["states"], values["payoffs"])
+        if matrix is not None and not refused:
+            doc["decision"] = DecisionSpec(
+                matrix, criterion, _value(values.get("lambda"), DEFAULT_LAMBDA))
 
 
 # The grammar's item keywords: one `_Parser.item_<keyword>` method each.
@@ -630,7 +679,9 @@ def _fmt_string_list(items) -> str:
 
 def serialize_policy(doc: PolicyDocument) -> str:
     """Canonical text form: fixed section order, one item per line,
-    normalized numbers, defaults elided. parse(serialize(doc)) == doc."""
+    normalized numbers, defaults elided. parse(serialize(doc)) == doc for
+    a document the constructors accept, unless a string in it holds a
+    line break or its models are out of id order (they are sorted)."""
     out = [f"policy {_fmt_string(doc.name)} {{"]
 
     if doc.protected is not None:

@@ -1,6 +1,7 @@
 import csv
 import gc
 import io
+import math
 import os
 import random
 
@@ -142,8 +143,23 @@ def _rand_fraction(rng, lo=-200, hi=200):
     return rng.randint(lo, hi) / 100.0
 
 
-def random_document(rng: random.Random) -> PolicyDocument:
-    """A structurally valid random PolicyDocument for round-trip tests."""
+def random_document(rng: random.Random, wild=None) -> PolicyDocument:
+    """A random PolicyDocument for round-trip tests.
+
+    With `wild`, a second Random, about one argument in eight is drawn
+    from values the constructors may refuse: `bins` on any metric, `lambda`
+    under any criterion, a negative, huge, infinite or NaN tolerance, an
+    alias or unknown metric id, an unknown criterion, equal group values,
+    and a repeated metric or model id. Building the document then may
+    raise ValueError. `rng` draws the same values either way, so the
+    diagnostics corpus, which is drawn from `rng` alone, stays as it is.
+    """
+    def pick(value, *others):
+        """`value`, or, with `wild`, one time in eight one of `others`."""
+        if wild is not None and wild.random() < 0.125:
+            return wild.choice(others)
+        return value
+
     protected = None
     if rng.random() < 0.9:
         priv = _rand_string(rng, 1)
@@ -152,7 +168,7 @@ def random_document(rng: random.Random) -> PolicyDocument:
             unpriv = _rand_string(rng, 1)
         attribute = _rand_ident(rng) if rng.random() < 0.7 \
             else _rand_string(rng, 1)
-        protected = ProtectedSpec(attribute, priv, unpriv)
+        protected = ProtectedSpec(attribute, priv, pick(unpriv, priv))
 
     favorable = None
     if rng.random() < 0.5:
@@ -168,13 +184,17 @@ def random_document(rng: random.Random) -> PolicyDocument:
         bins = (rng.choice((10, 10, 2, 5, 20)) if metric_id == "calibration"
                 else DEFAULT_BINS)
         tolerance = rng.choice((0.0, 0.0, 0.01, 0.5))
-        metrics.append(MetricConstraint(metric_id, Interval(lo, hi),
-                                        bins, tolerance))
+        metrics.append(MetricConstraint(
+            pick(metric_id, "stat_mean_difference", "no_such_metric",
+                 *(m.metric_id for m in metrics)),
+            Interval(lo, hi), pick(bins, 2, 7, 1, 2.5),
+            pick(tolerance, -0.5, 1e308, math.inf, math.nan)))
 
     sources = frozenset(_rand_string(rng, 1)
                         for _ in range(rng.randint(0, 3)))
 
     model_ids = sorted({_rand_string(rng, 1) for _ in range(rng.randint(0, 2))})
+    model_ids = pick(model_ids, model_ids * 2)
     models = tuple(
         ModelSpec(
             mid,
@@ -193,12 +213,12 @@ def random_document(rng: random.Random) -> PolicyDocument:
         payoffs = [[float(rng.randint(-10, 10)) for _ in range(n_states)]
                    for _ in range(n_actions)]
         criterion = rng.choice(("wald", "hurwicz", "savage"))
+        # only hurwicz reads `lambda`
+        lam = (rng.choice((0.5, 0.5, 0.0, 1.0, 0.25)) if criterion == "hurwicz"
+               else DEFAULT_LAMBDA)
         decision = DecisionSpec(
-            PayoffMatrix(actions, states, payoffs), criterion,
-            # only hurwicz reads `lambda`
-            rng.choice((0.5, 0.5, 0.0, 1.0, 0.25)) if criterion == "hurwicz"
-            else DEFAULT_LAMBDA,
-        )
+            PayoffMatrix(actions, states, payoffs),
+            pick(criterion, "laplace"), pick(lam, 0.9, 0.0, 1.5, -0.1))
 
     return PolicyDocument(
         name=_rand_string(rng),

@@ -1369,6 +1369,28 @@ class TestExitCodes:
             serialize_policy(parse_policy(policy_text.decode()))
         assert os.stat(workdir / "policy.law").st_mode & 0o7777 == 0o640
 
+    @pytest.mark.skipif(not os.path.exists("/dev/stdout"),
+                        reason="no /dev/stdout on this platform")
+    def test_json_into_the_file_stdout_writes(self, workdir):
+        # `--json /dev/stdout` with stdout redirected to a regular file gives
+        # that file the bytes a pipe gets: the JSON report, then the text.
+        command = [sys.executable, "-m", "complykit.cli", "evaluate",
+                   "policy.law", "--dataset", "data.csv", "--deterministic",
+                   "--json", "/dev/stdout"]
+        piped = subprocess.run(command, cwd=workdir, stdout=subprocess.PIPE,
+                               stderr=subprocess.PIPE, env=_cli_env(),
+                               timeout=60)
+        with open(workdir / "out.txt", "wb") as out:
+            filed = subprocess.run(command, cwd=workdir, stdout=out,
+                                   stderr=subprocess.PIPE, env=_cli_env(),
+                                   timeout=60)
+        assert (filed.returncode, filed.stderr) == (piped.returncode,
+                                                    piped.stderr)
+        # the JSON has no final newline: the text's `Policy` line follows it
+        assert piped.stdout.startswith(b'{"schema_version": ')
+        assert b'}Policy scenario-1: ' in piped.stdout
+        assert (workdir / "out.txt").read_bytes() == piped.stdout
+
     def test_internal_error_exits_two(self, workdir, capsys, monkeypatch):
         def broken(*args):
             raise RuntimeError("metric exploded")

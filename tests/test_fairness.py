@@ -31,7 +31,7 @@ from complykit.fairness import (
     treatment_equality,
 )
 from complykit.intervals import Interval
-from complykit.policy import MetricConstraint, parse_policy
+from complykit.policy import DEFAULT_BINS, MetricConstraint, parse_policy
 from conftest import gp_from_counts, records_from_counts
 from reference import (
     Record,
@@ -415,8 +415,10 @@ exact_rows = st.booleans().flatmap(lambda scored: st.lists(st.builds(
     legitimate=st.sampled_from([None, "a", "b"])), max_size=16))
 
 
-def _constraint(metric_id, bins=10):
-    return MetricConstraint(metric_id, Interval(-1, 1), bins)
+def _constraint(metric_id, bins=DEFAULT_BINS):
+    # Only calibration reads `bins`; any other metric refuses one set.
+    return MetricConstraint(metric_id, Interval(-1, 1), bins
+                            if metric_id == "calibration" else DEFAULT_BINS)
 
 
 class TestExactCounts:

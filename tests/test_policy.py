@@ -3,12 +3,13 @@ import random
 import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from complykit import policy
 from complykit._shared import METRIC_IDS
 from complykit.decisions import CRITERIA, PayoffMatrix, choose
+from complykit.fairness import calibration_gap
 from complykit.ingest import RunManifest
 from complykit.intervals import Interval
 from complykit.policy import (
@@ -17,14 +18,16 @@ from complykit.policy import (
     SYNTAX,
     DecisionSpec,
     MetricConstraint,
+    ModelSpec,
     PolicyDocument,
     PolicyError,
+    ProtectedSpec,
     check_manifest,
     parse_policy,
     parse_policy_with_diagnostics,
     serialize_policy,
 )
-from conftest import SCENARIO1_POLICY, random_document
+from conftest import SCENARIO1_POLICY, gp_from_counts, random_document
 
 # numbers of any length: 400 digits overflow a float, 300 do not
 LONG_NUMBER = st.builds(
@@ -370,6 +373,108 @@ class TestSerialize:
                                                [[payoff, -payoff]]),
                                   "hurwicz", hurwicz_lambda))
         assert parse_policy(serialize_policy(doc)) == doc
+
+
+ONE_CELL = PayoffMatrix(["a"], ["s"], [[1]])
+ONE_CELL_TEXT = 'actions = ["a"] states = ["s"] payoffs = [[1]]'
+
+# Documents that the constructors refuse, each beside the items of a policy
+# text that holds the same values, which the parser refuses in the same
+# words. Each builds lazily, so that building is what raises.
+REFUSED = {
+    "bins on equal_opportunity": (
+        lambda: PolicyDocument("p", metrics=(MetricConstraint(
+            "equal_opportunity", Interval(-0.1, 0.1), 7),)),
+        "metric equal_opportunity { range = [-0.1, 0.1] bins = 7 }"),
+    "negative tolerance": (
+        lambda: PolicyDocument("p", metrics=(MetricConstraint(
+            "calibration", Interval(0, 1), tolerance=-0.5),)),
+        "metric calibration { range = [0, 1] tolerance = -0.5 }"),
+    "unknown metric id": (
+        lambda: PolicyDocument("p", metrics=(MetricConstraint(
+            "no_such_metric", Interval(0, 1)),)),
+        "metric no_such_metric { range = [0, 1] }"),
+    "one calibration bin": (
+        lambda: PolicyDocument("p", metrics=(MetricConstraint(
+            "calibration", Interval(0, 1), 1),)),
+        "metric calibration { range = [0, 1] bins = 1 }"),
+    "lambda under wald": (
+        lambda: PolicyDocument("p", decision=DecisionSpec(
+            ONE_CELL, "wald", 0.9)),
+        f"decision {{ {ONE_CELL_TEXT} criterion = wald lambda = 0.9 }}"),
+    "equal group values": (
+        lambda: PolicyDocument("p", ProtectedSpec("sex", "M", "M")),
+        'protected_attribute sex { privileged = "M" unprivileged = "M" }'),
+    "range widened past a float": (
+        lambda: PolicyDocument("p", metrics=(MetricConstraint(
+            "calibration", Interval(0, 1e308), tolerance=1e308),)),
+        f"metric calibration {{ range = [0, {10 ** 308}] "
+        f"tolerance = {10 ** 308} }}"),
+    "unknown criterion": (
+        lambda: PolicyDocument("p", decision=DecisionSpec(
+            ONE_CELL, "laplace")),
+        f"decision {{ {ONE_CELL_TEXT} criterion = laplace }}"),
+    "lambda above one": (
+        lambda: PolicyDocument("p", decision=DecisionSpec(
+            ONE_CELL, "hurwicz", 1.5)),
+        f"decision {{ {ONE_CELL_TEXT} criterion = hurwicz lambda = 1.5 }}"),
+    "duplicate metric": (
+        lambda: PolicyDocument("p", metrics=(
+            MetricConstraint("calibration", Interval(0, 1)),
+            MetricConstraint("calibration", Interval(0, 1)))),
+        "metric calibration { range = [0, 1] } "
+        "metric calibration { range = [0, 1] }"),
+    "duplicate model": (
+        lambda: PolicyDocument("p", approved_models=(
+            ModelSpec("m"), ModelSpec("m"))),
+        'approved_model "m" {} approved_model "m" {}'),
+}
+
+
+def _refused_examples(test):
+    """`test` with each REFUSED document's builder as an explicit example."""
+    for build, _ in REFUSED.values():
+        test = example(build)(test)
+    return test
+
+
+class TestConstructors:
+    """The value types refuse what the parser refuses, in its words, so
+    every document that can be built round-trips through its text."""
+
+    @pytest.mark.parametrize("build, items", REFUSED.values(), ids=REFUSED)
+    def test_refused_in_the_parser_words(self, build, items):
+        _, diags = parse_policy_with_diagnostics(f'policy "p" {{ {items} }}')
+        with pytest.raises(ValueError) as refused:
+            build()
+        assert [d.message for d in diags] == [str(refused.value)]
+
+    def test_calibration_gap_refuses_the_bins_the_parser_refuses(self):
+        _, diags = parse_policy_with_diagnostics(
+            'policy "p" { metric calibration { range = [0, 1] bins = 2.5 } }')
+        with pytest.raises(ValueError) as refused:
+            calibration_gap(gp_from_counts({"tp": 1}, {"tp": 1}), 2.5)
+        assert [d.message for d in diags] == [str(refused.value)]
+
+    def test_alias_is_resolved(self):
+        assert MetricConstraint("stat_mean_difference", Interval(0, 1)) == \
+            MetricConstraint("statistical_parity_difference", Interval(0, 1))
+
+    @given(st.builds(
+        lambda seed, wild: lambda: random_document(random.Random(seed),
+                                                   random.Random(wild)),
+        st.integers(0, 2 ** 32 - 1), st.integers(0, 2 ** 32 - 1)))
+    @_refused_examples
+    @settings(max_examples=300)
+    def test_built_document_round_trips(self, build):
+        # Either building refuses the arguments, or the document's text
+        # parses back to it.
+        try:
+            doc = build()
+        except ValueError:
+            return
+        text = serialize_policy(doc)
+        assert parse_policy(text) == doc, text
 
 
 # Payoff matrix text for the row property: signed integers and decimals,

@@ -30,7 +30,7 @@ from complykit.fairness import (
 )
 from complykit.ingest import read_predictions
 from complykit.intervals import Interval
-from complykit.policy import MetricConstraint, PolicyDocument
+from complykit.policy import DEFAULT_BINS, MetricConstraint, PolicyDocument
 from complykit.report import evaluate, render, to_json
 from reference import (
     FLIP,
@@ -104,8 +104,10 @@ def csv_files(draw):
 
 
 def _report(gp, bins):
+    # Only calibration reads `bins`; any other metric refuses one set.
     doc = PolicyDocument(name="tally", metrics=tuple(
-        MetricConstraint(mid, Interval(-1, 1), bins)
+        MetricConstraint(mid, Interval(-1, 1),
+                         bins if mid == "calibration" else DEFAULT_BINS)
         for mid in METRIC_REGISTRY))
     metrics = {c.metric_id: METRIC_REGISTRY[c.metric_id].compute(gp, c)
                for c in doc.metrics}

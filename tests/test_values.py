@@ -199,7 +199,8 @@ def test_frozen(value):
 def test_constructor_takes_fields_by_position_or_name():
     assert Interval(lo=0, hi=1) == Interval(0, hi=1) == Interval(0, 1)
     assert ConfusionCounts(fn=2) == ConfusionCounts(0, 0, 0, 2)
-    assert MetricConstraint("m", Interval(0, 1), tolerance=0.5).bins == 10
+    assert MetricConstraint("calibration", Interval(0, 1),
+                            tolerance=0.5).bins == 10
     assert RunManifest(model_id="m1").declared_use is None
     # a dict default is a new dict for each instance
     first, second = MetricValue("m", 1.0), MetricValue("m", 1.0)
